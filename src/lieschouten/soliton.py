@@ -25,6 +25,14 @@ the case locus.  Verification climbs an evidence ladder:
 
 Cases marked suspect carry a variant (a small, principled correction);
 both the stated and variant data are verified and reported.
+
+Solving for c at an exact (rational) point is decided in integers: a scan
+compiles the system's coefficient polynomials P, Q, R (residual =
+P + Q*lambda0 + R*c) to integer terms once, clears the point's denominators
+once, and tests the rows (a_i, b_i) for consistency by a_i*b_0 == a_0*b_i
+against the first row with a_0 != 0.  No division happens until that test
+passes; then c = -b_0/a_0.  Float points, and float lambda0 values, keep
+the tolerance path.
 """
 
 from __future__ import annotations
@@ -33,7 +41,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from math import isqrt, lcm, prod
+from operator import mul
+from typing import Iterable, Optional, Sequence, Union
 
 from .algebras import (
     LieAlgebraFamily,
@@ -43,7 +53,7 @@ from .algebras import (
     solve_constraint_for,
 )
 from .geometry import OperatorMatrix, ricci_pipeline
-from .poly import DEFAULT_TABLE, Polynomial, PolynomialError, VariableTable
+from .poly import DEFAULT_TABLE, Monomial, Polynomial, PolynomialError, Scalar, VariableTable
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -164,24 +174,45 @@ def _c_decomposition(system: SolitonSystem) -> list[tuple[Polynomial, Polynomial
     return out
 
 
-def _solve_rows(rows: list[tuple[Value, Value]], tol) -> CSolution:
-    """Solve the scalar linear system {a_i*c + b_i = 0} for one unknown c."""
+def _solve_rows(rows: list[tuple[Value, Value]], tolerance: float) -> CSolution:
+    """Solve {a_i*c + b_i = 0} for one unknown c when a float is involved."""
     candidate: Optional[Value] = None
     for a, b in rows:
-        if abs(a) > tol:
+        if abs(a) > tolerance:
             c_here = -b / a
             if candidate is None:
                 candidate = c_here
-            elif abs(candidate - c_here) > tol:
+            elif abs(candidate - c_here) > tolerance:
                 return CSolution("none")
     if candidate is None:
-        if all(abs(b) <= tol for _, b in rows):
+        if all(abs(b) <= tolerance for _, b in rows):
             return CSolution("any", value=None)
         return CSolution("none")
     worst = max(abs(a * candidate + b) for a, b in rows)
-    if worst > tol:
+    if worst > tolerance:
         return CSolution("none")
     return CSolution("unique", value=candidate, residual_max=float(worst))
+
+
+def _solve_exact(rows: Sequence[tuple[Scalar, Scalar]]) -> CSolution:
+    """Decide {a_i*c + b_i = 0} over the rationals without dividing.
+
+    The first row with a != 0 is the pivot; every row must then satisfy
+    a_i*b_0 == a_0*b_i, which also forces b_i == 0 where a_i == 0.  The one
+    division forms c = -b_0/a_0 after that test has passed.
+    """
+    for a0, b0 in rows:
+        if a0:
+            break
+    else:
+        return CSolution("none" if any(b for _, b in rows) else "any")
+    if any(a * b0 != a0 * b for a, b in rows):
+        return CSolution("none")
+    return CSolution("unique", value=Fraction(-b0, a0))
+
+
+def _is_exact(values: Iterable[Value]) -> bool:
+    return all(not isinstance(v, float) for v in values)
 
 
 def solve_for_c(
@@ -192,20 +223,20 @@ def solve_for_c(
 ) -> CSolution:
     """Solve all residuals simultaneously for c at a parameter point.
 
-    Exact (Fraction) points are decided with zero tolerance; float points
-    use `tolerance`.  Residuals are degree <= 1 in c by construction, so
-    the system is a set of scalar linear equations a_i*c + b_i = 0.
+    Exact (Fraction) points are decided by the division-free exact solver;
+    float points use `tolerance`.  Residuals are degree <= 1 in c by
+    construction, so the system is a set of scalar linear equations
+    a_i*c + b_i = 0.
     """
     values = point.values if isinstance(point, ParameterPoint) else dict(point)
-    exact = all(not isinstance(v, float) for v in values.values()) and not isinstance(
-        lambda0_value, float
-    )
     rows = []
     for p0, q, rc in _c_decomposition(system):
         a = rc.evaluate(values)
         b = p0.evaluate(values) + q.evaluate(values) * lambda0_value
         rows.append((a, b))
-    return _solve_rows(rows, 0 if exact else tolerance)
+    if _is_exact(values.values()) and not isinstance(lambda0_value, float):
+        return _solve_exact(rows)
+    return _solve_rows(rows, tolerance)
 
 
 # -- scanning -----------------------------------------------------------------
@@ -245,6 +276,58 @@ class ScanReport:
         return tuple(e for e in self.entries if e.status in ("unique", "any"))
 
 
+class _IntegerKernel:
+    """A system's c-decomposition compiled to integer terms for one scan.
+
+    The 27 coefficient polynomials (P, Q, R per residual) share one
+    coefficient denominator and are homogenised to their maximum total
+    degree G with an extra base.  At a point whose values are n_j / L, with
+    L the lcm of the value denominators, every polynomial f then takes the
+    value F / (denominator * L**G) for an integer F computed from the power
+    table of (n_1, ..., n_k, L).  The common factor is positive, so it
+    cancels from -b/a and from every consistency test.
+    """
+
+    def __init__(self, table: VariableTable, decomposition):
+        polys = [poly for triple in decomposition for poly in triple]
+        used = set().union(*(poly.variables() for poly in polys))
+        self.names = tuple(n for n in table.names if n in used)
+        positions = [table.index(n) for n in self.names]
+        self.degree = max((poly.total_degree() for poly in polys), default=0)
+        denominator = lcm(*(c.denominator for poly in polys for c in poly.terms.values()))
+        width = self.degree + 1
+        monomials: dict[Monomial, int] = {}
+        self.monomials: list[tuple[int, ...]] = []  # flat power-table indices
+        self.polys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        for poly in polys:
+            slots, coeffs = [], []
+            for mono, coeff in poly.terms.items():
+                if mono not in monomials:
+                    exps = [mono[i] for i in positions] + [self.degree - sum(mono)]
+                    monomials[mono] = len(self.monomials)
+                    self.monomials.append(
+                        tuple(j * width + e for j, e in enumerate(exps) if e)
+                    )
+                slots.append(monomials[mono])
+                coeffs.append(int(coeff * denominator))
+            self.polys.append((tuple(slots), tuple(coeffs)))
+
+    def rows(self, values: dict[str, Value]) -> list[tuple[int, int, int]]:
+        """Integer (P, Q, R) per residual, all scaled by one positive factor."""
+        vals = [values[n] for n in self.names]
+        scale = lcm(*(v.denominator for v in vals))
+        powers = []
+        for base in [v.numerator * (scale // v.denominator) for v in vals] + [scale]:
+            power = 1
+            powers.append(power)
+            for _ in range(self.degree):
+                power *= base
+                powers.append(power)
+        mono = [prod(map(powers.__getitem__, idx)) for idx in self.monomials]
+        out = [sum(map(mul, coeffs, map(mono.__getitem__, slots))) for slots, coeffs in self.polys]
+        return list(zip(out[0::3], out[1::3], out[2::3]))
+
+
 def scan(
     fam: LieAlgebraFamily,
     kind: str,
@@ -257,28 +340,34 @@ def scan(
     """Sample the constrained parameter space and solve for c everywhere.
 
     Deterministic for a fixed seed; entries are ordered point-major with
-    the lambda0 grid in the given order.
+    the lambda0 grid in the given order.  Exact points are decided in
+    integers by `_IntegerKernel` and `_solve_exact`; float points and float
+    lambda0 values go through the tolerance path.
     """
     system = soliton_system(fam, kind)
     decomposition = _c_decomposition(system)
+    kernel = _IntegerKernel(system.table, decomposition)
     points = sample_parameters(fam, seed=seed, count=count, mode=mode)
     entries: list[ScanEntry] = []
     for idx, pt in enumerate(points):
-        exact_point = all(not isinstance(v, float) for v in pt.values.values())
-        # evaluate the coefficient polynomials once per point; each lambda0
-        # then costs only scalar arithmetic
-        triples = [
-            (p0.evaluate(pt.values), q.evaluate(pt.values), rc.evaluate(pt.values))
-            for p0, q, rc in decomposition
-        ]
+        values = pt.values
+        exact_rows = kernel.rows(values) if _is_exact(values.values()) else None
+        triples = None
         for lam in lambda0_grid:
-            exact = exact_point and not isinstance(lam, float)
-            rows = [(a, b0 + b1 * lam) for b0, b1, a in triples]
-            sol = _solve_rows(rows, 0 if exact else tolerance)
+            if exact_rows is not None and not isinstance(lam, float):
+                n, d = lam.numerator, lam.denominator
+                sol = _solve_exact([(d * r, d * p + n * q) for p, q, r in exact_rows])
+            else:
+                if triples is None:
+                    triples = [
+                        (p0.evaluate(values), q.evaluate(values), rc.evaluate(values))
+                        for p0, q, rc in decomposition
+                    ]
+                sol = _solve_rows([(a, b0 + b1 * lam) for b0, b1, a in triples], tolerance)
             entries.append(
                 ScanEntry(
                     index=idx,
-                    values=pt.values,
+                    values=values,
                     lambda0=lam,
                     status=sol.status,
                     c=sol.value,
@@ -483,11 +572,16 @@ def _sample_case_locus(
         values[v] = Fraction(rng.choice(_SAMPLE_POOL_NUM), rng.choice(_SAMPLE_POOL_DEN))
     for var, expr in sample_map.items():
         values[var] = expr.evaluate(values)
+
+    def tol() -> float:
+        # exact points are decided exactly; only a float root brings slack
+        return 0 if _is_exact(values.values()) else 1e-12
+
     for var, rhs in reductions:
         rhs_val = composed(_instantiate(rhs, eta, table)).evaluate(values)
         if var in values:
             # parametrized locus must satisfy the relation on its own
-            if abs(values[var] ** 2 - rhs_val) > 1e-12:
+            if abs(values[var] ** 2 - rhs_val) > tol():
                 return None
             continue
         if rhs_val < 0:
@@ -513,13 +607,13 @@ def _sample_case_locus(
                 )
                 continue
             return None
-        if abs(con.evaluate(values)) > 1e-12:
+        if abs(con.evaluate(values)) > tol():
             return None
     # nonvanishing: family side conditions and the case hypotheses
-    tol = 1e-9 if any(isinstance(v, float) for v in values.values()) else 0
+    nonzero_tol = 0 if _is_exact(values.values()) else 1e-9
     for q in tuple(system.nonvanishing) + tuple(case.nonzero):
         q = composed(_instantiate(q, eta, table))
-        if q.is_zero or abs(q.evaluate(values)) <= tol:
+        if q.is_zero or abs(q.evaluate(values)) <= nonzero_tol:
             return None
     return values
 
@@ -527,7 +621,7 @@ def _sample_case_locus(
 def _exact_or_float_sqrt(value: Value) -> Value:
     if isinstance(value, Fraction) and value >= 0:
         num, den = value.numerator, value.denominator
-        rn, rd = int(num**0.5 + 0.5), int(den**0.5 + 0.5)
+        rn, rd = isqrt(num), isqrt(den)
         if rn * rn == num and rd * rd == den:
             return Fraction(rn, rd)
     return float(value) ** 0.5
@@ -569,8 +663,7 @@ def _verify_single(
         full["lambda0"] = Fraction(rng.choice(_SAMPLE_POOL_NUM), rng.choice(_SAMPLE_POOL_DEN))
         if c_expr is None:
             full["c"] = Fraction(rng.choice(_SAMPLE_POOL_NUM), rng.choice(_SAMPLE_POOL_DEN))
-        exact_point = all(not isinstance(v, float) for v in full.values())
-        tol = 0 if exact_point else tolerance
+        tol = 0 if _is_exact(full.values()) else tolerance
         for r in residuals:
             val = r.evaluate(full)
             mag = abs(float(val))
@@ -710,12 +803,11 @@ def negative_control(
         point["lambda0"] = lambda0_value
         c_val = _instantiate(c_expr, system.eta, table).evaluate(point)
         point["c"] = c_val + perturbation
-        exact_point = all(not isinstance(v, float) for v in point.values())
         branch_max = 0.0
         for r in system.residuals:
             val = r.evaluate(point)
             branch_max = max(branch_max, abs(float(val)))
-        if branch_max <= (0.0 if exact_point else tolerance):
+        if branch_max <= (0.0 if _is_exact(point.values()) else tolerance):
             return VerificationReport(
                 label=case.label,
                 family_id=case.family_id,
@@ -758,8 +850,7 @@ def case_matches_point(
     if case.empty:
         return False
     subs, c_expr, reductions = case.effective()
-    exact_point = all(not isinstance(v, float) for v in values.values())
-    tol = 0 if exact_point and not isinstance(lambda0_value, float) else tolerance
+    tol = 0 if _is_exact(values.values()) and not isinstance(lambda0_value, float) else tolerance
 
     def instantiated(q: Polynomial) -> Polynomial:
         return _instantiate(q, eta, table)

@@ -1,15 +1,20 @@
 """Tests for derivation residuals, soliton systems, solving, and scanning."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lieschouten.algebras import build_family, custom_family
+from lieschouten import soliton
+from lieschouten.algebras import build_family, custom_family, sample_parameters
 from lieschouten.geometry import CONNECTION_KINDS, OperatorMatrix
 from lieschouten.poly import DEFAULT_TABLE, PolynomialError, parse_polynomial
 from lieschouten.soliton import (
     DEFAULT_LAMBDA0_GRID,
+    CSolution,
     SolitonSystem,
     TheoremCase,
     case_matches_point,
@@ -22,6 +27,7 @@ from lieschouten.soliton import (
     soliton_system,
     verify_case,
 )
+from lieschouten.soliton import _exact_or_float_sqrt, _sample_case_locus, _solve_exact
 
 T = DEFAULT_TABLE
 ABELIAN = custom_family("")
@@ -290,6 +296,130 @@ class TestScan:
             point["lambda0"] = e.lambda0
             point["c"] = e.c
             assert all(r.evaluate(point) == 0 for r in system.residuals)
+
+
+# -- the exact scan kernel against a Fraction reference ------------------------
+
+EXTENDED_GRID = DEFAULT_LAMBDA0_GRID + (Fraction(-7, 3), Fraction(5, 7))
+
+
+def reference_solve(rows):
+    """Fraction reference: -b/a at the first a != 0, then a zero check."""
+    pivots = [-b / a for a, b in rows if a != 0]
+    if not pivots:
+        return CSolution("none" if any(b != 0 for _, b in rows) else "any")
+    c = pivots[0]
+    if any(a * c + b != 0 for a, b in rows):
+        return CSolution("none")
+    return CSolution("unique", value=c)
+
+
+def reference_scan(fam, kind, seed, count, grid):
+    """(values, lambda0, status, c, residual_max) per entry via Polynomial.evaluate."""
+    split = []
+    for r in soliton_system(fam, kind).residuals:
+        rest = r.coefficient_of("c", 0)
+        split.append((rest.coefficient_of("lambda0", 0), rest.coefficient_of("lambda0", 1), r.coefficient_of("c", 1)))
+    out = []
+    for pt in sample_parameters(fam, seed=seed, count=count):
+        evaluated = [(p0.evaluate(pt.values), q.evaluate(pt.values), rc.evaluate(pt.values)) for p0, q, rc in split]
+        for lam in grid:
+            sol = reference_solve([(a, b0 + b1 * lam) for b0, b1, a in evaluated])
+            out.append((pt.values, lam, sol.status, sol.value, sol.residual_max))
+    return out
+
+
+@pytest.mark.parametrize("kind", CONNECTION_KINDS)
+@pytest.mark.parametrize("fam", all_family_branches(), ids=lambda f: f.describe())
+def test_scan_kernel_matches_fraction_reference(fam, kind):
+    report = scan(fam, kind, seed=0, count=60, lambda0_grid=EXTENDED_GRID)
+    got = [(e.values, e.lambda0, e.status, e.c, e.residual_max) for e in report.entries]
+    expected = reference_scan(fam, kind, 0, 60, EXTENDED_GRID)
+    assert got == expected
+    assert [tuple(map(type, g)) for g in got] == [tuple(map(type, e)) for e in expected]
+    assert all(e.lambda0 is lam for e, lam in zip(report.entries, itertools.cycle(EXTENDED_GRID)))
+
+
+small = st.integers(-4, 4)
+rational = st.builds(Fraction, small, st.integers(1, 3))
+
+
+@st.composite
+def c_rows(draw):
+    n = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(["random", "zero a", "zero", "consistent", "inconsistent", "stray b"]))
+    if shape == "random":
+        return [(draw(rational), draw(rational)) for _ in range(n)]
+    if shape == "zero a":
+        return [(Fraction(0), draw(rational)) for _ in range(n)]
+    if shape == "zero":
+        return [(Fraction(0), Fraction(0))] * n
+    c = draw(rational)
+    rows = [(a, -a * c) for a in (draw(rational) for _ in range(n))]
+    i = draw(st.integers(0, n - 1))
+    if shape == "inconsistent":
+        rows[i] = (rows[i][0], rows[i][1] + draw(rational.filter(bool)))
+    elif shape == "stray b":  # a == 0 but b != 0 beside consistent rows
+        rows[i] = (Fraction(0), draw(rational.filter(bool)))
+    return rows
+
+
+@given(c_rows(), st.integers(1, 12))
+def test_exact_solver_matches_fraction_reference(rows, scale):
+    expected = reference_solve(rows)
+    assert _solve_exact(rows) == expected
+    # the scan kernel feeds rows scaled by a positive integer to cleared ints
+    den = 1
+    for a, b in rows:
+        den = den * a.denominator * b.denominator
+    int_rows = [(int(a * den * scale), int(b * den * scale)) for a, b in rows]
+    sol = _solve_exact(int_rows)
+    assert sol == expected
+    assert type(sol.value) is type(expected.value)
+
+
+def test_float_mode_scan_uses_tolerance_path(monkeypatch):
+    calls = []
+    solve_rows = soliton._solve_rows
+
+    def counting(rows, tolerance):
+        calls.append(tolerance)
+        return solve_rows(rows, tolerance)
+
+    def refuse(rows):
+        raise AssertionError("exact solver reached from a float point")
+
+    monkeypatch.setattr(soliton, "_solve_rows", counting)
+    monkeypatch.setattr(soliton, "_solve_exact", refuse)
+    report = scan(build_family("g5"), "canonical", seed=0, count=20, mode="float", tolerance=1e-7)
+    assert calls == [1e-7] * len(report.entries)
+    assert all(isinstance(v, float) for e in report.entries for v in e.values.values())
+    assert all(e.status == "unique" and isinstance(e.c, float) and abs(e.c) <= 1e-7 for e in report.entries)
+
+
+class TestExactLocus:
+    def test_sqrt_of_large_perfect_square_is_exact(self):
+        assert _exact_or_float_sqrt(Fraction((2**60 + 1) ** 2, 9)) == Fraction(2**60 + 1, 3)
+
+    def test_sqrt_beyond_float_range_is_exact(self):
+        assert _exact_or_float_sqrt(Fraction(10**400)) == Fraction(10**200)
+
+    def test_parametrized_relation_is_checked_without_tolerance(self):
+        def case(rhs):
+            return TheoremCase(
+                label="l.1",
+                family_id="g3",
+                kind="lc",
+                c_expr=T.zero,
+                reductions=(("alpha", p(rhs)),),
+                sample_subs=(("alpha", p("beta")),),
+            )
+
+        system = soliton_system(build_family("g3"), "lc")
+        near, on = case("beta^2 + 1/10000000000000"), case("beta^2")
+        for seed in range(10):
+            assert _sample_case_locus(system, near, (), near.reductions, T, random.Random(seed)) is None
+            assert _sample_case_locus(system, on, (), on.reductions, T, random.Random(seed)) is not None
 
 
 class TestCaseMembership:
