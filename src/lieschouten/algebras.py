@@ -109,15 +109,33 @@ _NONVANISHING = {
 }
 
 
-def _antisymmetric_structure(
-    table: VariableTable, pair_rows: dict[tuple[int, int], Vector]
-) -> StructureConstants:
+def _assemble_family(
+    family_id: str,
+    table: VariableTable,
+    pair_rows: dict[tuple[int, int], Vector],
+    equality: tuple[Polynomial, ...],
+    nonvanishing: tuple[Polynomial, ...],
+    eta: Optional[int] = None,
+) -> LieAlgebraFamily:
+    """The antisymmetric bracket table plus the parameters it and its side
+    conditions use, in table order."""
     zero: Vector = (table.zero, table.zero, table.zero)
     grid = [[zero for _ in range(3)] for _ in range(3)]
     for (i, j), vec in pair_rows.items():
         grid[i][j] = vec
         grid[j][i] = tuple(-p for p in vec)  # type: ignore[assignment]
-    return StructureConstants(tuple(tuple(row) for row in grid))
+    polys = [q for vec in pair_rows.values() for q in vec] + list(equality + nonvanishing)
+    used = set().union(*(q.variables() for q in polys))
+    return LieAlgebraFamily(
+        family_id=family_id,
+        structure=StructureConstants(tuple(tuple(row) for row in grid)),
+        metric=LORENTZIAN,
+        equality_constraints=equality,
+        nonvanishing=nonvanishing,
+        eta=eta,
+        table=table,
+        parameters=tuple(n for n in table.names if n in used),
+    )
 
 
 def build_family(
@@ -138,38 +156,28 @@ def build_family(
         raise ValueError(f"{family_id} does not take an eta branch")
 
     def prep(text: str) -> Polynomial:
-        q = parse_polynomial(text, table)
-        if eta is not None:
-            q = q.substitute("eta", table.const(eta))
-        return q
+        return instantiate_eta(parse_polynomial(text, table), eta, table)
 
     rows = {
-        (0, 1): tuple(prep(t) for t in _BRACKETS[family_id][0]),
-        (0, 2): tuple(prep(t) for t in _BRACKETS[family_id][1]),
-        (1, 2): tuple(prep(t) for t in _BRACKETS[family_id][2]),
+        pair: tuple(prep(t) for t in texts)
+        for pair, texts in zip(((0, 1), (0, 2), (1, 2)), _BRACKETS[family_id])
     }
-    structure = _antisymmetric_structure(table, rows)  # type: ignore[arg-type]
     equality = tuple(prep(t) for t in _EQUALITY.get(family_id, ()))
     nonvanishing = tuple(prep(t) for t in _NONVANISHING.get(family_id, ()))
+    return _assemble_family(family_id, table, rows, equality, nonvanishing, eta)  # type: ignore[arg-type]
 
-    used: set[str] = set()
-    for vec in rows.values():
-        for q in vec:
-            used |= q.variables()
-    for q in equality + nonvanishing:
-        used |= q.variables()
-    parameters = tuple(n for n in table.names if n in used)
 
-    return LieAlgebraFamily(
-        family_id=family_id,
-        structure=structure,
-        metric=LORENTZIAN,
-        equality_constraints=equality,
-        nonvanishing=nonvanishing,
-        eta=eta,
-        table=table,
-        parameters=parameters,
-    )
+def family_branches(family_id: str, table: VariableTable = DEFAULT_TABLE) -> list[LieAlgebraFamily]:
+    """Every branch of a catalogued family: both eta signs for g4, else one."""
+    etas = (1, -1) if family_id == "g4" else (None,)
+    return [build_family(family_id, eta=eta, table=table) for eta in etas]
+
+
+def instantiate_eta(q: Polynomial, eta: Optional[int], table: VariableTable) -> Polynomial:
+    """`q` on one eta branch: a symbolic eta becomes the branch's sign."""
+    if eta is not None and "eta" in q.variables():
+        return q.substitute("eta", table.const(eta))
+    return q
 
 
 def custom_family(
@@ -220,26 +228,8 @@ def custom_family(
         (0, 2): parse_vector("bracket.13"),
         (1, 2): parse_vector("bracket.23"),
     }
-    structure = _antisymmetric_structure(table, rows)
-    equality = parse_list("constraints")
-    nonvanishing = parse_list("nonvanishing")
-
-    used: set[str] = set()
-    for vec in rows.values():
-        for q in vec:
-            used |= q.variables()
-    for q in equality + nonvanishing:
-        used |= q.variables()
-
-    return LieAlgebraFamily(
-        family_id=family_id,
-        structure=structure,
-        metric=LORENTZIAN,
-        equality_constraints=equality,
-        nonvanishing=nonvanishing,
-        eta=None,
-        table=table,
-        parameters=tuple(n for n in table.names if n in used),
+    return _assemble_family(
+        family_id, table, rows, parse_list("constraints"), parse_list("nonvanishing")
     )
 
 
@@ -297,6 +287,11 @@ def jacobi_residuals(fam: LieAlgebraFamily) -> Vector:
 # Exact draws come from {-3..3} scaled by 1/d for d in {1,2,3}.
 _NUMERATORS = tuple(range(-3, 4))
 _DENOMINATORS = (1, 2, 3)
+
+
+def draw_rational(rng: random.Random) -> Fraction:
+    """One exact draw from the sampling pool (numerator first, then denominator)."""
+    return Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS))
 
 
 def _linear_solve_var(constraint: Polynomial) -> Optional[str]:
@@ -364,7 +359,7 @@ def sample_parameters(
             if degraded:
                 values[name] = rng.uniform(-3.0, 3.0)
             else:
-                values[name] = Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS))
+                values[name] = draw_rational(rng)
         ok = True
         for con, var in solve_vars.items():
             if var is None:
@@ -377,11 +372,7 @@ def sample_parameters(
                 ok = False
                 break
             if sol == "free":
-                values[var] = (
-                    rng.uniform(-3.0, 3.0)
-                    if degraded
-                    else Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS))
-                )
+                values[var] = rng.uniform(-3.0, 3.0) if degraded else draw_rational(rng)
             else:
                 values[var] = sol
         if not ok:

@@ -15,45 +15,41 @@ look for solvable points outside the catalogued classification.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .algebras import LieAlgebraFamily, build_family
+from .algebras import LieAlgebraFamily, family_branches, instantiate_eta
 from .geometry import (
     CANONICAL,
     CONNECTION_KINDS,
+    KIND_ALIASES,
     KOBAYASHI_NOMIZU,
     LEVI_CIVITA,
-    canonical_connection,
     connection,
     curvature,
-    kobayashi_nomizu,
-    levi_civita,
     metric_compatibility_residual,
     nabla_j,
-    ricci_form,
     ricci_pipeline,
     torsion,
 )
 from .poly import DEFAULT_TABLE, ParseError, Polynomial, PolynomialError, VariableTable, parse_polynomial
 from .soliton import (
     DEFAULT_LAMBDA0_GRID,
-    CSolution,
     TheoremCase,
     case_matches_point,
     negative_control,
     resolve_witness,
     scan,
+    scan_membership,
     solve_for_c,
     soliton_system,
     verify_case,
 )
 
 Value = Union[Fraction, float]
-
-KIND_ALIASES = {"lc": LEVI_CIVITA, "canonical": CANONICAL, "kn": KOBAYASHI_NOMIZU}
 
 MATRIX_LABELS = (
     "3.9", "3.12", "3.18", "3.23", "3.27", "3.31", "3.36",
@@ -341,12 +337,6 @@ class VerifySummary:
         return out
 
 
-def _family_branches(family_id: str, table: VariableTable) -> list[LieAlgebraFamily]:
-    if family_id == "g4":
-        return [build_family("g4", eta=1, table=table), build_family("g4", eta=-1, table=table)]
-    return [build_family(family_id, table=table)]
-
-
 def _kind_tag(kind: str) -> str:
     return {LEVI_CIVITA: "lc", CANONICAL: "can", KOBAYASHI_NOMIZU: "kn"}[kind]
 
@@ -373,56 +363,36 @@ def _compare_mod_constraints(
     return False, False
 
 
-def _instantiate_eta(q: Polynomial, eta: Optional[int], table: VariableTable) -> Polynomial:
-    if eta is not None and "eta" in q.variables():
-        return q.substitute("eta", table.const(eta))
-    return q
+def _vanishes(planes) -> bool:
+    """Every entry of a stack of 3x3 polynomial matrices is zero."""
+    return all(q.is_zero for plane in planes for row in plane for q in row)
 
 
 def _structural_records(table: VariableTable, only: Optional[str]) -> list[VerifyRecord]:
     records = []
     for fid in ("g1", "g2", "g3", "g4", "g5", "g6", "g7"):
-        for fam in _family_branches(fid, table):
+        for fam in family_branches(fid, table):
             selectors = (fam.describe(), fid, "structural")
             if not _matches_only(selectors, only):
                 continue
-            problems = []
-            lc = levi_civita(fam)
-            if any(
-                not q.is_zero for plane in torsion(lc, fam) for row in plane for q in row
-            ):
-                problems.append("lc torsion")
-            if any(
-                not q.is_zero
-                for plane in metric_compatibility_residual(lc, fam)
-                for row in plane
-                for q in row
-            ):
-                problems.append("lc metric residual")
-            can = canonical_connection(fam)
-            if any(
-                not q.is_zero
-                for plane in metric_compatibility_residual(can, fam)
-                for row in plane
-                for q in row
-            ):
-                problems.append("canonical metric residual")
-            for kind, conn in (("canonical", can), ("kn", kobayashi_nomizu(fam))):
-                if any(
-                    not q.is_zero for m in nabla_j(conn, fam) for row in m.entries for q in row
-                ):
-                    problems.append(f"{kind} nabla-J")
-            for kind in CONNECTION_KINDS:
-                riem = curvature(connection(fam, kind), fam)
-                if any(
-                    not (riem.r[i][j][k][l] + riem.r[j][i][k][l]).is_zero
-                    for i in range(3)
-                    for j in range(3)
-                    for k in range(3)
-                    for l in range(3)
+            lc, can, kn = (connection(fam, kind) for kind in CONNECTION_KINDS)
+            checks = (
+                ("lc torsion", torsion(lc, fam)),
+                ("lc metric residual", metric_compatibility_residual(lc, fam)),
+                ("canonical metric residual", metric_compatibility_residual(can, fam)),
+                ("canonical nabla-J", [m.entries for m in nabla_j(can, fam)]),
+                ("kn nabla-J", [m.entries for m in nabla_j(kn, fam)]),
+            )
+            problems = [name for name, planes in checks if not _vanishes(planes)]
+            for kind, conn in zip(CONNECTION_KINDS, (lc, can, kn)):
+                r = curvature(conn, fam).r
+                if not all(
+                    (r[i][j][k][l] + r[j][i][k][l]).is_zero
+                    for i, j, k, l in itertools.product(range(3), repeat=4)
                 ):
                     problems.append(f"{_kind_tag(kind)} curvature antisymmetry")
-            if not ricci_form(lc, fam).is_symmetric:
+            # the pipeline keeps the Levi-Civita Ricci form unsymmetrized
+            if not ricci_pipeline(fam, LEVI_CIVITA)[0].is_symmetric:
                 problems.append("lc ricci symmetry")
             records.append(
                 VerifyRecord(
@@ -447,11 +417,11 @@ def _matrix_records(catalog: Catalog, table: VariableTable, only: Optional[str])
         status = "pass"
         used_constraints = False
         details = []
-        for fam in _family_branches(fixture.family_id, table):
+        for fam in family_branches(fixture.family_id, table):
             _, op, _ = ricci_pipeline(fam, fixture.kind)
             for i in range(3):
                 for j in range(3):
-                    expected = _instantiate_eta(fixture.entries[i][j], fam.eta, table)
+                    expected = instantiate_eta(fixture.entries[i][j], fam.eta, table)
                     equal, used = _compare_mod_constraints(op.entries[i][j], expected, fam)
                     used_constraints = used_constraints or used
                     if not equal:
@@ -506,15 +476,15 @@ def _scalar_records(catalog: Catalog, table: VariableTable, only: Optional[str])
         stated_ok = True
         variant_ok = fixture.variant is not None
         details = []
-        for fam in _family_branches(fixture.family_id, table):
+        for fam in family_branches(fixture.family_id, table):
             _, _, s = ricci_pipeline(fam, fixture.kind)
-            expected = _instantiate_eta(fixture.expr, fam.eta, table)
+            expected = instantiate_eta(fixture.expr, fam.eta, table)
             equal, _ = _compare_mod_constraints(s, expected, fam)
             if not equal:
                 stated_ok = False
                 details.append(f"{fam.describe()}: computed {s}, stated {expected}")
             if fixture.variant is not None:
-                v_expected = _instantiate_eta(fixture.variant, fam.eta, table)
+                v_expected = instantiate_eta(fixture.variant, fam.eta, table)
                 v_equal, _ = _compare_mod_constraints(s, v_expected, fam)
                 variant_ok = variant_ok and v_equal
         if stated_ok:
@@ -542,11 +512,7 @@ def _scalar_records(catalog: Catalog, table: VariableTable, only: Optional[str])
 
 
 def _format_point(values: dict[str, Value]) -> str:
-    parts = []
-    for name in sorted(values):
-        v = values[name]
-        parts.append(f"{name}={v}")
-    return ", ".join(parts)
+    return ", ".join(f"{name}={values[name]}" for name in sorted(values))
 
 
 def _case_records(
@@ -579,6 +545,8 @@ def _case_records(
             )
             continue
         detail = f"stated: {report.method}"
+        if report.method == "unsampled":
+            detail += f"; {report.detail}"
         if report.variant_method is not None:
             detail += f"; variant: {report.variant_method}"
         if report.counterexample:
@@ -640,7 +608,7 @@ def _witness_records(
         if not _matches_only(selectors, only):
             continue
         problems = []
-        for fam in _family_branches(case.family_id, table):
+        for fam in family_branches(case.family_id, table):
             system = soliton_system(fam, case.kind)
             witness = resolve_witness(case, fam.eta, table)
             sol = solve_for_c(system, witness, lam, tolerance=tolerance)
@@ -683,7 +651,7 @@ def _scan_records(
             solvable_total = 0
             entry_total = 0
             unmatched = []
-            for fam in _family_branches(fid, table):
+            for fam in family_branches(fid, table):
                 report = scan(
                     fam,
                     kind,
@@ -693,19 +661,13 @@ def _scan_records(
                     tolerance=tolerance,
                 )
                 entry_total += len(report.entries)
-                for entry in report.solvable:
-                    solvable_total += 1
-                    sol = CSolution(entry.status, entry.c, entry.residual_max)
-                    if not any(
-                        case_matches_point(
-                            case, fam.eta, entry.values, entry.lambda0, sol, table, tolerance
+                solvable = report.solvable
+                solvable_total += len(solvable)
+                for entry, inside in zip(solvable, scan_membership(report, cases, table, tolerance)):
+                    if not inside and len(unmatched) < 3:
+                        unmatched.append(
+                            f"{fam.describe()} {_format_point(entry.values)}, lambda0={entry.lambda0}, c={entry.c}"
                         )
-                        for case in cases
-                    ):
-                        if len(unmatched) < 3:
-                            unmatched.append(
-                                f"{fam.describe()} {_format_point(entry.values)}, lambda0={entry.lambda0}, c={entry.c}"
-                            )
             has_nonempty_case = any(not c.empty for c in cases)
             if unmatched:
                 status = "fail"

@@ -21,13 +21,11 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .algebras import FAMILY_IDS, build_family, jacobi_residuals, load_family, sample_parameters
+from .algebras import FAMILY_IDS, build_family, family_branches, jacobi_residuals, load_family, sample_parameters
 from .catalog import CatalogError, load_catalog, verify_all
-from .geometry import CANONICAL, KOBAYASHI_NOMIZU, LEVI_CIVITA, ricci_pipeline
+from .geometry import KIND_ALIASES, LEVI_CIVITA, ricci_pipeline
 from .poly import ParseError, PolynomialError
 from .soliton import DEFAULT_LAMBDA0_GRID, scan, serialize_system, soliton_system
-
-KINDS = {"lc": LEVI_CIVITA, "canonical": CANONICAL, "kn": KOBAYASHI_NOMIZU}
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -76,10 +74,7 @@ def _print_matrix(entries, indent="  "):
 def cmd_families(args) -> int:
     if args.format == "machine":
         for fid in FAMILY_IDS:
-            fams = (
-                [build_family(fid, eta=e) for e in (1, -1)] if fid == "g4" else [build_family(fid)]
-            )
-            for fam in fams:
+            for fam in family_branches(fid):
                 pairs = []
                 for label, (i, j) in (("12", (0, 1)), ("13", (0, 2)), ("23", (1, 2))):
                     vec = ",".join(str(q) for q in fam.structure.bracket_basis(i, j))
@@ -92,7 +87,7 @@ def cmd_families(args) -> int:
                 print("\t".join(fields))
         return EXIT_OK
     for fid in FAMILY_IDS:
-        fam = build_family(fid, eta=1) if fid == "g4" else build_family(fid)
+        fam = family_branches(fid)[0]
         print(fid + (" (eta = +1 or -1)" if fid == "g4" else ""))
         for label, (i, j) in (("[e1,e2]", (0, 1)), ("[e1,e3]", (0, 2)), ("[e2,e3]", (1, 2))):
             vec = fam.structure.bracket_basis(i, j)
@@ -109,7 +104,7 @@ def cmd_families(args) -> int:
 
 def cmd_ricci(args) -> int:
     fam = _resolve_family(args)
-    kind = KINDS[args.kind]
+    kind = KIND_ALIASES[args.kind]
     _, op, s = ricci_pipeline(fam, kind)
     if args.format == "machine":
         print(f"family\t{fam.describe()}")
@@ -127,7 +122,7 @@ def cmd_ricci(args) -> int:
 
 def cmd_scalar(args) -> int:
     fam = _resolve_family(args)
-    _, _, s = ricci_pipeline(fam, KINDS[args.kind])
+    _, _, s = ricci_pipeline(fam, KIND_ALIASES[args.kind])
     if args.format == "machine":
         print(f"scalar\t{fam.describe()}\t{args.kind}\t{s}")
     else:
@@ -137,7 +132,7 @@ def cmd_scalar(args) -> int:
 
 def cmd_system(args) -> int:
     fam = _resolve_family(args)
-    system = soliton_system(fam, KINDS[args.kind])
+    system = soliton_system(fam, KIND_ALIASES[args.kind])
     if args.format == "machine":
         sys.stdout.write(serialize_system(system))
         return EXIT_OK
@@ -198,7 +193,7 @@ def cmd_scan(args) -> int:
     grid = _parse_lambda0_grid(args.lambda0)
     report = scan(
         fam,
-        KINDS[args.kind],
+        KIND_ALIASES[args.kind],
         seed=args.seed,
         count=args.count,
         lambda0_grid=grid,
@@ -274,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--family", help="g1..g7 or custom:<path>")
             p.add_argument("--eta", type=int, choices=(1, -1), help="branch for g4")
         if kind:
-            p.add_argument("--kind", choices=tuple(KINDS), default="lc")
+            p.add_argument("--kind", choices=tuple(KIND_ALIASES), default="lc")
         p.add_argument("--format", choices=("text", "machine"), default="text")
 
     p = sub.add_parser("families", help="list the built-in families")

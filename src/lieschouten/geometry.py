@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebras import PRODUCT_STRUCTURE_J, LieAlgebraFamily, MetricSignature
 from .poly import Polynomial
@@ -33,6 +34,16 @@ LEVI_CIVITA = "lc"
 CANONICAL = "canonical"
 KOBAYASHI_NOMIZU = "kn"
 CONNECTION_KINDS = (LEVI_CIVITA, CANONICAL, KOBAYASHI_NOMIZU)
+# Accepted spellings of a connection kind, in the catalog and on the CLI.
+KIND_ALIASES = {"lc": LEVI_CIVITA, "canonical": CANONICAL, "kn": KOBAYASHI_NOMIZU}
+
+# Per-branch derived data (connection, Ricci data, soliton system) is
+# memoized on the value of (family, kind).  Each verify_all section sweeps
+# all 24 catalogued branches (8 family branches, g4 having two signs, x 3
+# kinds) in turn, and an LRU smaller than one sweep never hits; the bound
+# stays finite so that a caller building many custom families does not
+# keep all of them alive.
+BRANCH_CACHE_SIZE = 32
 
 Matrix3 = tuple[tuple[Polynomial, ...], ...]
 Array3 = tuple[tuple[tuple[Polynomial, ...], ...], ...]
@@ -119,7 +130,7 @@ def nabla_j(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> tuple[Operat
 
 def canonical_connection(fam: LieAlgebraFamily) -> ConnectionCoefficients:
     """nabla0 = nabla - 1/2 (nabla J) J, which parallelizes J and the metric."""
-    lc = levi_civita(fam)
+    lc = connection(fam, LEVI_CIVITA)
     nj = nabla_j(lc, fam)
     sigma = PRODUCT_STRUCTURE_J
     half = Fraction(1, 2)
@@ -138,8 +149,8 @@ def canonical_connection(fam: LieAlgebraFamily) -> ConnectionCoefficients:
 
 def kobayashi_nomizu(fam: LieAlgebraFamily) -> ConnectionCoefficients:
     """nabla1 = nabla0 - 1/4 [(nabla_Y J) J X - (nabla_{JY} J) X] on (X, Y)."""
-    lc = levi_civita(fam)
-    can = canonical_connection(fam)
+    lc = connection(fam, LEVI_CIVITA)
+    can = connection(fam, CANONICAL)
     nj = nabla_j(lc, fam)
     sigma = PRODUCT_STRUCTURE_J
     quarter = Fraction(1, 4)
@@ -157,7 +168,9 @@ def kobayashi_nomizu(fam: LieAlgebraFamily) -> ConnectionCoefficients:
     return ConnectionCoefficients(KOBAYASHI_NOMIZU, _freeze3([_freeze3(g) for g in gamma]))
 
 
+@lru_cache(maxsize=BRANCH_CACHE_SIZE)
 def connection(fam: LieAlgebraFamily, kind: str) -> ConnectionCoefficients:
+    """The connection of one branch, built once per (family, kind) value."""
     if kind == LEVI_CIVITA:
         return levi_civita(fam)
     if kind == CANONICAL:
@@ -285,11 +298,13 @@ def _freeze_array3(arr) -> Array3:
     return tuple(_freeze3(plane) for plane in arr)
 
 
+@lru_cache(maxsize=BRANCH_CACHE_SIZE)
 def ricci_pipeline(fam: LieAlgebraFamily, kind: str):
     """The (form, operator, scalar) triple the reference matrices display.
 
     The Levi-Civita Ricci form is already symmetric; for the other two
     connections the raw form is symmetrized before the operator is built.
+    Built once per (family, kind) value, like `connection`.
     """
     conn = connection(fam, kind)
     rho = ricci_form(conn, fam)

@@ -1,9 +1,10 @@
 """Algebraic Schouten soliton systems and their verification machinery.
 
-For a family with (symmetrized where applicable) Ricci operator Ric~ and
-scalar curvature s, the candidate derivation is
+For a family with (symmetrized where applicable) Ricci operator Ric~,
+scalar curvature s and raised Schouten form Sch~ (rho - s*lambda0*g with
+its index raised), the candidate derivation is
 
-    D = Ric~ - (s*lambda0 + c) * Id,
+    D = Sch~ - c * Id = Ric~ - (s*lambda0 + c) * Id,
 
 and the metric Lie algebra is an algebraic Schouten soliton exactly when D
 is a derivation of the bracket: D[X,Y] = [DX,Y] + [X,DY].  Expanding this
@@ -20,8 +21,9 @@ the case locus.  Verification climbs an evidence ladder:
     exact    residuals are zero polynomials after the substitutions,
     reduced  zero after rewriting by the family constraints and the case's
              quadratic relations,
-    sampled  zero at >= 100 seeded points on the case locus,
-    failed   a counterexample point is recorded.
+    sampled    zero at >= 100 seeded points on the case locus,
+    unsampled  the locus sampler gave up before enough points were drawn,
+    failed     a counterexample point is recorded.
 
 Cases marked suspect carry a variant (a small, principled correction);
 both the stated and variant data are verified and reported.
@@ -41,6 +43,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
@@ -49,10 +52,13 @@ from .algebras import (
     LieAlgebraFamily,
     ParameterPoint,
     build_family,
+    draw_rational,
+    family_branches,
+    instantiate_eta,
     sample_parameters,
     solve_constraint_for,
 )
-from .geometry import OperatorMatrix, ricci_pipeline
+from .geometry import BRANCH_CACHE_SIZE, OperatorMatrix, ricci_operator, ricci_pipeline, schouten_form
 from .poly import DEFAULT_TABLE, Monomial, Polynomial, PolynomialError, Scalar, VariableTable
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -99,18 +105,21 @@ def derivation_residuals(d: OperatorMatrix, fam: LieAlgebraFamily) -> list[Polyn
 
 
 def derivation_candidate(fam: LieAlgebraFamily, kind: str) -> OperatorMatrix:
-    """D = Ric~ - (s*lambda0 + c) Id over the family's variable table."""
-    _, op, s = ricci_pipeline(fam, kind)
+    """D = Sch~ - c Id, where Sch~ raises the Schouten form rho - s*lambda0*g.
+
+    Raising rho - s*lambda0*g gives Ric~ - s*lambda0*Id entry for entry.
+    """
+    form, _, s = ricci_pipeline(fam, kind)
     table = fam.table
-    shift = s * table.var("lambda0") + table.var("c")
-    rows = [
-        [op.entries[i][j] - (shift if i == j else table.zero) for j in range(3)]
-        for i in range(3)
-    ]
+    sch = ricci_operator(schouten_form(form, s, table.var("lambda0")), fam.metric)
+    c = table.var("c")
+    rows = [[q - c if i == j else q for j, q in enumerate(row)] for i, row in enumerate(sch.entries)]
     return OperatorMatrix(tuple(tuple(r) for r in rows))
 
 
+@lru_cache(maxsize=BRANCH_CACHE_SIZE)
 def soliton_system(fam: LieAlgebraFamily, kind: str) -> SolitonSystem:
+    """The nine residuals of one branch, built once per (family, kind) value."""
     d = derivation_candidate(fam, kind)
     residuals = tuple(derivation_residuals(d, fam))
     for r in residuals:
@@ -421,7 +430,7 @@ class VerificationReport:
     label: str
     family_id: str
     kind: str
-    method: str  # "exact" | "reduced" | "sampled" | "failed" | "scan-empty"
+    method: str  # "exact" | "reduced" | "sampled" | "unsampled" | "failed" | "scan-empty"
     ok: bool
     suspect: bool
     residual_zero: bool
@@ -432,19 +441,7 @@ class VerificationReport:
     detail: str = ""
 
 
-_METHOD_ORDER = {"exact": 0, "reduced": 1, "sampled": 2, "failed": 3}
-
-
-def _family_branches(case: TheoremCase, table: VariableTable) -> list[LieAlgebraFamily]:
-    if case.family_id == "g4":
-        return [build_family("g4", eta=1, table=table), build_family("g4", eta=-1, table=table)]
-    return [build_family(case.family_id, table=table)]
-
-
-def _instantiate(poly: Polynomial, eta: Optional[int], table: VariableTable) -> Polynomial:
-    if eta is not None and "eta" in poly.variables():
-        return poly.substitute("eta", table.const(eta))
-    return poly
+_METHOD_ORDER = {"exact": 0, "reduced": 1, "sampled": 2, "unsampled": 3, "failed": 4}
 
 
 def resolve_witness(
@@ -454,7 +451,7 @@ def resolve_witness(
     out: dict[str, Value] = {}
     for name, value in case.witness:
         if isinstance(value, Polynomial):
-            value = _instantiate(value, eta, table).constant_value()
+            value = instantiate_eta(value, eta, table).constant_value()
         out[name] = value
     return out
 
@@ -468,10 +465,10 @@ def _apply_case(
     eta = system.eta
     residuals = list(system.residuals)
     if c_expr is not None:
-        c_poly = _instantiate(c_expr, eta, table)
+        c_poly = instantiate_eta(c_expr, eta, table)
         residuals = [r.substitute("c", c_poly) for r in residuals]
     for var, expr in subs:
-        expr = _instantiate(expr, eta, table)
+        expr = instantiate_eta(expr, eta, table)
         residuals = [r.substitute(var, expr) for r in residuals]
     return residuals
 
@@ -493,14 +490,14 @@ def _reduce_ladder(
     ladder falls through to sampling.
     """
     eta = system.eta
-    sub_map = {var: _instantiate(expr, eta, table) for var, expr in subs}
+    sub_map = {var: instantiate_eta(expr, eta, table) for var, expr in subs}
     relations = []
     for q in system.constraints:
         q = q.substitute_all(sub_map)
         if not q.is_zero:
             relations.append(q)
     reds = [
-        (var, _instantiate(rhs, eta, table).substitute_all(sub_map))
+        (var, instantiate_eta(rhs, eta, table).substitute_all(sub_map))
         for var, rhs in reductions
     ]
 
@@ -540,10 +537,6 @@ def _reduce_ladder(
     return first_result if first_result is not None else list(residuals)
 
 
-_SAMPLE_POOL_NUM = tuple(range(-3, 4))
-_SAMPLE_POOL_DEN = (1, 2, 3)
-
-
 def _sample_case_locus(
     system: SolitonSystem,
     case: TheoremCase,
@@ -554,8 +547,8 @@ def _sample_case_locus(
 ) -> Optional[dict[str, Value]]:
     """One random point on the case locus, or None for a rejected draw."""
     eta = system.eta
-    sub_map = {var: _instantiate(expr, eta, table) for var, expr in subs}
-    sample_map = {var: _instantiate(expr, eta, table) for var, expr in case.sample_subs}
+    sub_map = {var: instantiate_eta(expr, eta, table) for var, expr in subs}
+    sample_map = {var: instantiate_eta(expr, eta, table) for var, expr in case.sample_subs}
 
     def composed(q: Polynomial) -> Polynomial:
         return q.substitute_all(sub_map).substitute_all(sample_map)
@@ -569,7 +562,7 @@ def _sample_case_locus(
 
     values: dict[str, Value] = {}
     for v in free:
-        values[v] = Fraction(rng.choice(_SAMPLE_POOL_NUM), rng.choice(_SAMPLE_POOL_DEN))
+        values[v] = draw_rational(rng)
     for var, expr in sample_map.items():
         values[var] = expr.evaluate(values)
 
@@ -578,7 +571,7 @@ def _sample_case_locus(
         return 0 if _is_exact(values.values()) else 1e-12
 
     for var, rhs in reductions:
-        rhs_val = composed(_instantiate(rhs, eta, table)).evaluate(values)
+        rhs_val = composed(instantiate_eta(rhs, eta, table)).evaluate(values)
         if var in values:
             # parametrized locus must satisfy the relation on its own
             if abs(values[var] ** 2 - rhs_val) > tol():
@@ -600,11 +593,7 @@ def _sample_case_locus(
                 sol = solve_constraint_for(con, var, values)
                 if sol is None:
                     return None
-                values[var] = (
-                    Fraction(rng.choice(_SAMPLE_POOL_NUM), rng.choice(_SAMPLE_POOL_DEN))
-                    if sol == "free"
-                    else sol
-                )
+                values[var] = draw_rational(rng) if sol == "free" else sol
                 continue
             return None
         if abs(con.evaluate(values)) > tol():
@@ -612,7 +601,7 @@ def _sample_case_locus(
     # nonvanishing: family side conditions and the case hypotheses
     nonzero_tol = 0 if _is_exact(values.values()) else 1e-9
     for q in tuple(system.nonvanishing) + tuple(case.nonzero):
-        q = composed(_instantiate(q, eta, table))
+        q = composed(instantiate_eta(q, eta, table))
         if q.is_zero or abs(q.evaluate(values)) <= nonzero_tol:
             return None
     return values
@@ -637,41 +626,45 @@ def _verify_single(
     seed: int,
     sample_count: int,
     tolerance: float,
-) -> tuple[str, float, Optional[dict[str, Value]]]:
+) -> tuple[str, float, Optional[dict[str, Value]], str]:
     """Run the exact -> reduced -> sampled ladder on one system branch.
 
-    Returns (method, max_float_residual, counterexample_point).
+    Returns (method, max_float_residual, counterexample_point, detail); the
+    detail is empty except for "unsampled", where it gives the draw counts.
     """
     residuals = _apply_case(system, subs, c_expr, table)
     if all(r.is_zero for r in residuals):
-        return "exact", 0.0, None
+        return "exact", 0.0, None, ""
     reduced = _reduce_ladder(residuals, system, subs, reductions, table)
     if all(r.is_zero for r in reduced):
-        return "reduced", 0.0, None
+        return "reduced", 0.0, None, ""
     rng = random.Random(seed)
-    checked = 0
+    checked = rejected = 0
     worst = 0.0
-    attempts = 0
     while checked < sample_count:
-        attempts += 1
-        if attempts > 50 * sample_count:
-            return "failed", worst, None
+        if checked + rejected >= 50 * sample_count:
+            detail = (
+                f"locus sampler gave up after {checked + rejected} draws: "
+                f"{rejected} rejected, {checked} of {sample_count} samples checked"
+            )
+            return "unsampled", worst, None, detail
         values = _sample_case_locus(system, case, subs, reductions, table, rng)
         if values is None:
+            rejected += 1
             continue
         full = dict(values)
-        full["lambda0"] = Fraction(rng.choice(_SAMPLE_POOL_NUM), rng.choice(_SAMPLE_POOL_DEN))
+        full["lambda0"] = draw_rational(rng)
         if c_expr is None:
-            full["c"] = Fraction(rng.choice(_SAMPLE_POOL_NUM), rng.choice(_SAMPLE_POOL_DEN))
+            full["c"] = draw_rational(rng)
         tol = 0 if _is_exact(full.values()) else tolerance
         for r in residuals:
             val = r.evaluate(full)
             mag = abs(float(val))
             worst = max(worst, mag)
             if abs(val) > tol:
-                return "failed", worst, full
+                return "failed", worst, full, ""
         checked += 1
-    return "sampled", worst, None
+    return "sampled", worst, None, ""
 
 
 def verify_case(
@@ -693,10 +686,11 @@ def verify_case(
     stated_method = "exact"
     stated_worst = 0.0
     stated_counter = None
+    stated_detail = ""
     variant_method: Optional[str] = None
-    for fam in _family_branches(case, table):
+    for fam in family_branches(case.family_id, table):
         system = soliton_system(fam, case.kind)
-        method, worst, counter = _verify_single(
+        method, worst, counter, detail = _verify_single(
             system,
             case,
             case.substitutions,
@@ -708,7 +702,7 @@ def verify_case(
             tolerance,
         )
         if _METHOD_ORDER[method] > _METHOD_ORDER[stated_method]:
-            stated_method, stated_counter = method, counter
+            stated_method, stated_counter, stated_detail = method, counter, detail
         stated_worst = max(stated_worst, worst)
         if (
             case.variant_substitutions is not None
@@ -716,7 +710,7 @@ def verify_case(
             or case.variant_reductions is not None
         ):
             v_subs, v_c, v_reds = case.effective()
-            v_method, _, _ = _verify_single(
+            v_method, _, _, _ = _verify_single(
                 system, case, v_subs, v_c, v_reds, table, seed, sample_count, tolerance
             )
             if variant_method is None or _METHOD_ORDER[v_method] > _METHOD_ORDER[variant_method]:
@@ -725,9 +719,6 @@ def verify_case(
     ok = stated_method in ("exact", "reduced") or (
         case.suspect and variant_method in ("exact", "reduced")
     )
-    detail = case.note
-    if stated_method == "failed" and not case.suspect:
-        ok = False
     return VerificationReport(
         label=case.label,
         family_id=case.family_id,
@@ -740,7 +731,7 @@ def verify_case(
         witness=resolve_witness(case, 1 if case.family_id == "g4" else None, table) or None,
         counterexample=stated_counter,
         variant_method=variant_method,
-        detail=detail,
+        detail=stated_detail or case.note,
     )
 
 
@@ -750,7 +741,7 @@ def _verify_empty(
     """A no-solutions claim: scan both branches and demand zero solvable."""
     solvable = 0
     total = 0
-    for fam in _family_branches(case, table):
+    for fam in family_branches(case.family_id, table):
         report = scan(fam, case.kind, seed=seed, count=500, tolerance=tolerance)
         solvable += len(report.solvable)
         total += len(report.entries)
@@ -796,12 +787,12 @@ def negative_control(
         )
     best = 0.0
     witness: dict[str, Value] = {}
-    for fam in _family_branches(case, table):
+    for fam in family_branches(case.family_id, table):
         system = soliton_system(fam, case.kind)
         witness = resolve_witness(case, system.eta, table)
         point = dict(witness)
         point["lambda0"] = lambda0_value
-        c_val = _instantiate(c_expr, system.eta, table).evaluate(point)
+        c_val = instantiate_eta(c_expr, system.eta, table).evaluate(point)
         point["c"] = c_val + perturbation
         branch_max = 0.0
         for r in system.residuals:
@@ -847,30 +838,56 @@ def case_matches_point(
     tolerance: float = 1e-9,
 ) -> bool:
     """Does a solvable scan entry fall inside the case's (effective) locus?"""
+    tol = _match_tolerance(values, lambda0_value, tolerance)
+    return _locus_holds(case, eta, values, table, tol) and _c_matches(
+        case, eta, values, lambda0_value, c_solution, table, tol
+    )
+
+
+def _match_tolerance(values: dict[str, Value], lambda0_value: Value, tolerance: float) -> float:
+    """0 at an exact point with an exact lambda0; `tolerance` once a float enters."""
+    return 0 if _is_exact(values.values()) and not isinstance(lambda0_value, float) else tolerance
+
+
+def _locus_holds(case: TheoremCase, eta, values: dict[str, Value], table: VariableTable, tol) -> bool:
+    """The lambda0-free half: substitutions, quadratic relations, hypotheses."""
     if case.empty:
         return False
-    subs, c_expr, reductions = case.effective()
-    tol = 0 if _is_exact(values.values()) and not isinstance(lambda0_value, float) else tolerance
-
-    def instantiated(q: Polynomial) -> Polynomial:
-        return _instantiate(q, eta, table)
-
+    subs, _, reductions = case.effective()
     for var, expr in subs:
-        expected = instantiated(expr).evaluate(values)
-        if abs(values[var] - expected) > tol:
+        if abs(values[var] - instantiate_eta(expr, eta, table).evaluate(values)) > tol:
             return False
     for var, rhs in reductions:
-        target = instantiated(rhs).evaluate(values)
-        if abs(values[var] ** 2 - target) > tol:
+        if abs(values[var] ** 2 - instantiate_eta(rhs, eta, table).evaluate(values)) > tol:
             return False
-    for q in case.nonzero:
-        if abs(instantiated(q).evaluate(values)) <= tol:
-            return False
-    if c_expr is None:
+    return all(abs(instantiate_eta(q, eta, table).evaluate(values)) > tol for q in case.nonzero)
+
+
+def _c_matches(case: TheoremCase, eta, values, lambda0_value, c_solution: CSolution, table, tol) -> bool:
+    """The c half: the solved c equals the case's c at this lambda0."""
+    _, c_expr, _ = case.effective()
+    if c_expr is None or c_solution.status == "any":
         return True
-    if c_solution.status == "any":
-        return True
-    point = dict(values)
-    point["lambda0"] = lambda0_value
-    expected_c = instantiated(c_expr).evaluate(point)
+    expected_c = instantiate_eta(c_expr, eta, table).evaluate({**values, "lambda0": lambda0_value})
     return abs(c_solution.value - expected_c) <= tol
+
+
+def scan_membership(
+    report: ScanReport, cases: Sequence[TheoremCase], table: VariableTable, tolerance: float = 1e-9
+) -> list[bool]:
+    """Per solvable entry of `report`: does it fall inside one of `cases`?
+
+    Equal to `any(case_matches_point(...))` entry by entry, but the
+    lambda0-free locus test runs once per (point, tolerance), since the
+    entries of one point differ only in lambda0 and c.
+    """
+    loci: dict[tuple[int, float], list[TheoremCase]] = {}
+    out = []
+    for e in report.solvable:
+        tol = _match_tolerance(e.values, e.lambda0, tolerance)
+        key = (e.index, tol)
+        if key not in loci:
+            loci[key] = [c for c in cases if _locus_holds(c, report.eta, e.values, table, tol)]
+        sol = CSolution(e.status, e.c, e.residual_max)
+        out.append(any(_c_matches(c, report.eta, e.values, e.lambda0, sol, table, tol) for c in loci[key]))
+    return out

@@ -9,6 +9,8 @@ from lieschouten.catalog import (
     load_catalog,
     verify_all,
 )
+from lieschouten.geometry import connection, ricci_pipeline
+from lieschouten.soliton import soliton_system
 
 # the documented set of claims whose stated form is internally inconsistent
 SUSPECT_CASES = {"3.3.8", "3.3.11", "3.3.12", "3.4.1", "3.5.1", "3.5.2", "4.6.1", "4.11.1"}
@@ -221,3 +223,17 @@ class TestSuspectEvidence:
             assert (report.method, report.variant_method) == (stated, variant), label
             if stated == "failed":
                 assert report.counterexample is not None, label
+
+
+def test_verify_builds_each_branch_once():
+    # g5 has one branch per connection kind: three builds of each, and
+    # every later section reuses them
+    cached = (connection, ricci_pipeline, soliton_system)
+    for fn in cached:
+        fn.cache_clear()
+    summary = verify_all(only="g5", scan_count=20)
+    assert summary.ok and summary.records
+    for fn in cached:
+        assert fn.cache_info().misses == 3, fn.__name__
+    assert ricci_pipeline.cache_info().hits > 0
+    assert soliton_system.cache_info().hits > 0

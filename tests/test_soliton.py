@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from lieschouten import soliton
 from lieschouten.algebras import build_family, custom_family, sample_parameters
-from lieschouten.geometry import CONNECTION_KINDS, OperatorMatrix
+from lieschouten.catalog import Catalog, load_catalog, verify_all
+from lieschouten.geometry import CONNECTION_KINDS, OperatorMatrix, connection, ricci_pipeline
 from lieschouten.poly import DEFAULT_TABLE, PolynomialError, parse_polynomial
 from lieschouten.soliton import (
     DEFAULT_LAMBDA0_GRID,
@@ -22,6 +23,7 @@ from lieschouten.soliton import (
     derivation_residuals,
     negative_control,
     scan,
+    scan_membership,
     serialize_system,
     solve_for_c,
     soliton_system,
@@ -454,6 +456,113 @@ class TestCaseMembership:
         sol = solve_for_c(system, point, Fraction(2))
         assert sol.status == "unique"
         assert case_matches_point(case, None, point, Fraction(2), sol, T)
+
+
+class TestUnsampled:
+    # beta := 0 makes the hypothesis beta != 0 vanish on the whole locus, so
+    # every draw of the locus sampler is rejected; c := 12345 keeps the
+    # exact and reduced rungs from closing first.
+    CASE = TheoremCase(
+        label="u.1",
+        family_id="g1",
+        kind="lc",
+        substitutions=(("beta", T.zero),),
+        c_expr=p("12345"),
+        nonzero=(p("beta"),),
+    )
+
+    def test_sampler_giving_up_is_not_a_refutation(self):
+        report = verify_case(self.CASE, sample_count=4)
+        assert report.method == "unsampled"
+        assert not report.ok
+        assert report.counterexample is None
+        assert report.detail == (
+            "locus sampler gave up after 200 draws: 200 rejected, 0 of 4 samples checked"
+        )
+
+    def test_ranks_between_sampled_and_failed(self):
+        order = soliton._METHOD_ORDER
+        assert order["sampled"] < order["unsampled"] < order["failed"]
+
+    def test_nonsuspect_unsampled_case_is_a_fail_record(self):
+        catalog = Catalog(matrices=(), scalars=(), cases=(self.CASE,))
+        summary = verify_all(catalog=catalog, only="case", sample_count=4)
+        [record] = summary.records
+        assert (record.status, record.method) == ("fail", "unsampled")
+        assert "200 rejected" in record.detail
+
+
+# -- branch memo and the scan membership split ----------------------------------
+
+OTHER_CUSTOM = "bracket.12 = 0, 0, alpha\nbracket.13 = 0, beta, 0\n"
+HEISENBERG = "bracket.12 = 0, 0, 1\n"
+
+
+def clear_branch_caches():
+    for cached in (connection, ricci_pipeline, soliton_system):
+        cached.cache_clear()
+
+
+class TestBranchMemo:
+    @pytest.mark.parametrize("first", [HEISENBERG, OTHER_CUSTOM], ids=["heisenberg-first", "other-first"])
+    def test_custom_families_sharing_an_id_never_collide(self, first):
+        clear_branch_caches()
+        second = OTHER_CUSTOM if first == HEISENBERG else HEISENBERG
+        built = {}
+        for text in (first, second):
+            fam = custom_family(text)
+            assert fam.family_id == "custom"
+            built[text] = soliton_system(fam, "lc").residuals
+        assert built[HEISENBERG] != built[OTHER_CUSTOM]
+        assert str(built[HEISENBERG][2]) == "-1/2*lambda0 + c + 3/2"
+        assert {"alpha", "beta"} <= built[OTHER_CUSTOM][2].variables()
+
+    def test_equal_families_share_one_build(self):
+        clear_branch_caches()
+        first = soliton_system(build_family("g2"), "kn")
+        assert soliton_system(build_family("g2"), "kn") is first
+        assert soliton_system.cache_info().misses == 1
+
+    def test_cache_is_bounded_but_holds_one_sweep(self):
+        size = soliton_system.cache_info().maxsize
+        assert size is not None and size >= 3 * len(all_family_branches())
+
+
+MEMBERSHIP_GRID = DEFAULT_LAMBDA0_GRID + (Fraction(-7, 3), 0.3)
+CATALOG_CASES = load_catalog().cases
+
+
+def reference_membership(report, cases, eta):
+    return [
+        any(
+            case_matches_point(
+                case, eta, e.values, e.lambda0, CSolution(e.status, e.c, e.residual_max), T
+            )
+            for case in cases
+        )
+        for e in report.solvable
+    ]
+
+
+@pytest.mark.parametrize("kind", CONNECTION_KINDS)
+@pytest.mark.parametrize("fam", all_family_branches(), ids=lambda f: f.describe())
+def test_scan_membership_equals_case_matches_point(fam, kind):
+    cases = [c for c in CATALOG_CASES if c.family_id == fam.family_id and c.kind == kind]
+    report = scan(fam, kind, seed=0, count=60, lambda0_grid=MEMBERSHIP_GRID)
+    # each case alone also yields entries outside it, so both verdicts occur
+    for subset in [cases] + [[case] for case in cases]:
+        assert scan_membership(report, subset, T) == reference_membership(report, subset, fam.eta)
+
+
+def test_scan_membership_sees_float_lambda0_and_both_verdicts():
+    fam = build_family("g3")
+    cases = [c for c in CATALOG_CASES if c.family_id == "g3" and c.kind == "lc"]
+    report = scan(fam, "lc", seed=0, count=60, lambda0_grid=MEMBERSHIP_GRID)
+    floats = [k for k, e in enumerate(report.solvable) if isinstance(e.lambda0, float)]
+    assert floats
+    verdicts = [scan_membership(report, [case], T) for case in cases]
+    assert any(v[k] for v in verdicts for k in floats)
+    assert any(not v[k] for v in verdicts for k in floats)
 
 
 # -- float brute-force oracle for the derivation residuals ---------------------
