@@ -294,15 +294,24 @@ def draw_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS))
 
 
-def _linear_solve_var(constraint: Polynomial) -> Optional[str]:
-    """The last table variable in which `constraint` is linear, if any."""
+def _linear_split(constraint: Polynomial) -> Optional[tuple[str, Polynomial, Polynomial]]:
+    """(var, a, b) with constraint = a*var + b, for the last table variable
+    in which `constraint` is linear with a free of it; None if there is none."""
     chosen = None
     for name in constraint.table.names:
         if constraint.degree_in(name) == 1:
-            coeff = constraint.coefficient_of(name, 1)
-            if name not in coeff.variables():
-                chosen = name
+            a = constraint.coefficient_of(name, 1)
+            if name not in a.variables():
+                chosen = (name, a, constraint.coefficient_of(name, 0))
     return chosen
+
+
+def _linear_root(a: Polynomial, b: Polynomial, values: dict[str, Union[Fraction, float]]):
+    """The root of a*var + b at `values`, "free" if a = b = 0, else None."""
+    a_val, b_val = a.evaluate(values), b.evaluate(values)
+    if a_val != 0:
+        return -b_val / a_val
+    return "free" if b_val == 0 else None
 
 
 def solve_constraint_for(
@@ -315,11 +324,7 @@ def solve_constraint_for(
     """
     if constraint.degree_in(var) != 1:
         raise PolynomialError(f"constraint is not linear in {var!r}")
-    a = constraint.coefficient_of(var, 1).evaluate(values)
-    b = constraint.coefficient_of(var, 0).evaluate(values)
-    if a != 0:
-        return -b / a
-    return "free" if b == 0 else None
+    return _linear_root(constraint.coefficient_of(var, 1), constraint.coefficient_of(var, 0), values)
 
 
 def sample_parameters(
@@ -340,10 +345,9 @@ def sample_parameters(
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
-    solve_vars: dict[Polynomial, Optional[str]] = {
-        con: _linear_solve_var(con) for con in fam.equality_constraints
-    }
-    degraded = mode == "float" or any(v is None for v in solve_vars.values())
+    splits = {con: _linear_split(con) for con in fam.equality_constraints}
+    degraded = mode == "float" or None in splits.values()
+    solved = {split[0] for split in splits.values() if split is not None}
 
     points: list[ParameterPoint] = []
     attempts = 0
@@ -352,7 +356,6 @@ def sample_parameters(
         if attempts > 200 * count + 1000:
             raise RuntimeError(f"sampling for {fam.family_id} keeps violating constraints")
         values: dict[str, Union[Fraction, float]] = {}
-        solved = {v for v in solve_vars.values() if v is not None}
         for name in fam.parameters:
             if name in solved:
                 continue
@@ -361,13 +364,14 @@ def sample_parameters(
             else:
                 values[name] = draw_rational(rng)
         ok = True
-        for con, var in solve_vars.items():
-            if var is None:
+        for con, split in splits.items():
+            if split is None:
                 if not _float_project(con, values, rng):
                     ok = False
                     break
                 continue
-            sol = solve_constraint_for(con, var, values)
+            var, a, b = split
+            sol = _linear_root(a, b, values)
             if sol is None:
                 ok = False
                 break

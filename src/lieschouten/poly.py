@@ -20,7 +20,7 @@ deterministic and parse/print round-trips exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -37,6 +37,11 @@ _GREEK_INPUT = {
     "λ": "lambda",
     "₀": "0",
 }
+
+
+def _grlex(m: Monomial) -> tuple[int, Monomial]:
+    """Graded-lex key: total degree first, then the exponent vector."""
+    return (sum(m), m)
 
 
 class PolynomialError(ValueError):
@@ -303,37 +308,25 @@ class Polynomial:
         rhs = self._coerce(rhs)
         if rhs.degree_in(var) > 0:
             raise PolynomialError(f"reduction rhs must not contain {var!r}")
-        i = self.table.index(var)
-        out = self
-        while out.degree_in(var) >= 2:
-            kept: dict[Monomial, Fraction] = {}
-            rewritten = self.table.zero
-            for m, c in out.terms.items():
-                if m[i] >= 2:
-                    lowered = m[:i] + (m[i] - 2,) + m[i + 1 :]
-                    rewritten = rewritten + Polynomial(self.table, {lowered: c}) * rhs
-                else:
-                    kept[m] = c
-            out = Polynomial(self.table, kept) + rewritten
-        return out
+        square = self.table.var(var) ** 2
+        return self.reduce_by_relation(square - rhs, pivot=square.leading_monomial())
 
     def leading_monomial(self) -> Monomial:
         """Graded-lex largest monomial; error on the zero polynomial."""
         if not self.terms:
             raise PolynomialError("zero polynomial has no leading monomial")
-        return max(self.terms, key=lambda m: (sum(m), m))
+        return max(self.terms, key=_grlex)
 
-    def reduce_by_relation(
-        self, relation: "Polynomial", pivot: Monomial | None = None
-    ) -> "Polynomial":
+    def reduce_by_relation(self, relation: "Polynomial", pivot: Monomial | None = None) -> "Polynomial":
         """Remainder modulo one relation, eliminating one of its monomials.
 
         Rewrites every monomial divisible by the pivot (the relation's
         graded-lex leading monomial by default); the result differs from
-        the input by a polynomial multiple of the relation, and no
-        surviving monomial is divisible by the pivot.  With a single
-        relation the remainder is the unique normal form for that pivot,
-        so multiples of the relation always reduce to zero.
+        the input by a multiple of the relation, and no surviving monomial
+        is divisible by the pivot.  Only the default pivot gives the unique
+        normal form, zero on every multiple of the relation; another pivot
+        must make each rewrite lower its variables, as var^2 does in
+        `reduce_square`.
         """
         relation = self._coerce(relation)
         if relation.is_zero:
@@ -341,32 +334,37 @@ class Polynomial:
         lead = relation.leading_monomial() if pivot is None else pivot
         if lead not in relation.terms:
             raise PolynomialError("pivot is not a monomial of the relation")
-        lead_coeff = relation.terms[lead]
-        out = self
-        while True:
-            target = None
-            for m in out.terms:
-                if all(e >= le for e, le in zip(m, lead)):
-                    target = m
-                    break
-            if target is None:
-                return out
-            quotient_mono = tuple(e - le for e, le in zip(target, lead))
-            factor = Polynomial(
-                self.table, {quotient_mono: out.terms[target] / lead_coeff}
-            )
-            out = out - factor * relation
+        return self._divide([(lead, relation)])
 
     def reduce_by_relations(self, relations: Iterable["Polynomial"]) -> "Polynomial":
-        """Round-robin reduction by several relations until a fixpoint."""
-        relations = [r for r in relations if not r.is_zero]
-        out = self
-        while True:
-            before = out
-            for r in relations:
-                out = out.reduce_by_relation(r)
-            if out == before:
-                return out
+        """Normal form modulo the ideal of `relations`: zero exactly on its members."""
+        return self.normal_form(groebner_basis(self._coerce(r) for r in relations))
+
+    def normal_form(self, basis: Sequence["Polynomial"]) -> "Polynomial":
+        """Remainder of division by `basis`; unique when it is a Groebner basis."""
+        return self._divide([(g.leading_monomial(), g) for g in basis if not g.is_zero])
+
+    def _divide(self, divisors: Sequence[tuple[Monomial, "Polynomial"]]) -> "Polynomial":
+        """Multivariate division, largest term first: a term divisible by the
+        pivot of some (pivot, g) is cancelled by a multiple of the first
+        such g, any other term moves to the remainder."""
+        out = dict(self.terms)
+        rem: dict[Monomial, Fraction] = {}
+        while out:
+            m = max(out, key=_grlex)
+            for pivot, g in divisors:
+                if all(e >= pe for e, pe in zip(m, pivot)):
+                    shift = tuple(e - pe for e, pe in zip(m, pivot))
+                    factor = out[m] / g.terms[pivot]
+                    for gm, gc in g.terms.items():
+                        key = tuple(a + b for a, b in zip(shift, gm))
+                        out[key] = out.get(key, 0) - factor * gc
+                        if not out[key]:
+                            del out[key]
+                    break
+            else:
+                rem[m] = rem.get(m, 0) + out.pop(m)
+        return Polynomial(self.table, rem)
 
     def project_to(self, table: VariableTable) -> "Polynomial":
         """Re-express over `table`; every used variable must exist there."""
@@ -401,12 +399,8 @@ class Polynomial:
     # -- printing ------------------------------------------------------------
 
     def _sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        # Graded lexicographic: total degree descending, then the exponent
-        # vector itself descending (earlier variables weigh more).
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])),
-        )
+        # Graded lexicographic, largest first (earlier variables weigh more).
+        return sorted(self.terms.items(), key=lambda item: _grlex(item[0]), reverse=True)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -434,6 +428,46 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def groebner_basis(relations: Iterable[Polynomial]) -> list[Polynomial]:
+    """A graded-lex Groebner basis of the ideal generated by `relations`.
+
+    Buchberger's algorithm (Cox, Little and O'Shea, "Ideals, Varieties,
+    and Algorithms", ch. 2): the S-polynomial of each pair, smallest lcm
+    first, is divided by the basis so far, and a nonzero remainder joins
+    it.  Pairs with coprime leading monomials are skipped: their
+    S-polynomial always reduces to zero.
+    """
+    basis: list[Polynomial] = []
+    pairs: list[tuple[Monomial, int, int]] = []
+
+    def add(g: Polynomial) -> None:
+        lead = g.leading_monomial()
+        for k, f in enumerate(basis):
+            lf = f.leading_monomial()
+            if any(a and b for a, b in zip(lf, lead)):
+                pairs.append((tuple(map(max, lf, lead)), k, len(basis)))
+        basis.append(g)
+
+    for r in relations:
+        if not r.is_zero:
+            add(r)
+    while pairs:
+        pair = min(pairs, key=lambda pair: _grlex(pair[0]))
+        pairs.remove(pair)
+        top, i, j = pair
+        remainder = (_monic_multiple(basis[i], top) - _monic_multiple(basis[j], top)).normal_form(basis)
+        if not remainder.is_zero:
+            add(remainder)
+    return basis
+
+
+def _monic_multiple(q: Polynomial, top: Monomial) -> Polynomial:
+    """The multiple of `q` whose leading term is exactly the monomial `top`."""
+    lead = q.leading_monomial()
+    shift = tuple(t - e for t, e in zip(top, lead))
+    return Polynomial(q.table, {shift: 1 / q.terms[lead]}) * q
 
 
 # -- parsing -----------------------------------------------------------------

@@ -18,9 +18,9 @@ substitutions, an expression for c (or "c stays free"), optional quadratic
 side relations, nonvanishing hypotheses, and a rational witness point on
 the case locus.  Verification climbs an evidence ladder:
 
-    exact    residuals are zero polynomials after the substitutions,
-    reduced  zero after rewriting by the family constraints and the case's
-             quadratic relations,
+    exact      residuals are zero polynomials after the substitutions,
+    reduced    every residual lies in the ideal of the substituted family
+               constraints and the case's relations var^2 - rhs,
     sampled    zero at >= 100 seeded points on the case locus,
     unsampled  the locus sampler gave up before enough points were drawn,
     failed     a counterexample point is recorded.
@@ -39,7 +39,6 @@ the tolerance path.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +58,7 @@ from .algebras import (
     solve_constraint_for,
 )
 from .geometry import BRANCH_CACHE_SIZE, OperatorMatrix, ricci_operator, ricci_pipeline, schouten_form
-from .poly import DEFAULT_TABLE, Monomial, Polynomial, PolynomialError, Scalar, VariableTable
+from .poly import DEFAULT_TABLE, Monomial, Polynomial, PolynomialError, Scalar, VariableTable, groebner_basis
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -480,61 +479,22 @@ def _reduce_ladder(
     reductions: Sequence[tuple[str, Polynomial]],
     table: VariableTable,
 ) -> list[Polynomial]:
-    """Rewrite by family constraints and the case's quadratic relations.
+    """Normal forms of the residuals modulo the case ideal.
 
-    A two-term constraint can be oriented two ways (either monomial as the
-    pivot), and which orientation closes the reduction depends on how it
-    interleaves with the square rewrites; all orientation combinations are
-    tried and the first that reaches zero wins.  This stays deliberately
-    short of ideal-membership machinery: when no orientation closes, the
-    ladder falls through to sampling.
+    The ideal is generated by the family constraints under the case
+    substitutions and one relation var^2 - rhs per quadratic reduction.
+    One Groebner basis serves all nine residuals, and a residual reduces to
+    zero exactly when it lies in the ideal.
     """
     eta = system.eta
     sub_map = {var: instantiate_eta(expr, eta, table) for var, expr in subs}
-    relations = []
-    for q in system.constraints:
-        q = q.substitute_all(sub_map)
-        if not q.is_zero:
-            relations.append(q)
-    reds = [
-        (var, instantiate_eta(rhs, eta, table).substitute_all(sub_map))
+    relations = [q.substitute_all(sub_map) for q in system.constraints]
+    relations += [
+        table.var(var) ** 2 - instantiate_eta(rhs, eta, table).substitute_all(sub_map)
         for var, rhs in reductions
     ]
-
-    pivot_choices = []
-    for q in relations:
-        monos = sorted(q.terms, key=lambda m: (sum(m), m), reverse=True)
-        pivot_choices.append(monos[:2] if len(monos) == 2 else monos[:1])
-
-    def run(pivots) -> list[Polynomial]:
-        out = list(residuals)
-        for _ in range(200):
-            changed = False
-            for i, r in enumerate(out):
-                before = r
-                for q, pivot in zip(relations, pivots):
-                    r = r.reduce_by_relation(q, pivot=pivot)
-                for var, rhs in reds:
-                    if r.degree_in(var) >= 2:
-                        r = r.reduce_square(var, rhs)
-                if r != before:
-                    out[i] = r
-                    changed = True
-            if not changed:
-                return out
-        return out
-
-    combos = list(itertools.product(*pivot_choices)) if pivot_choices else [()]
-    if len(combos) > 8:
-        combos = combos[:8]
-    first_result = None
-    for pivots in combos:
-        result = run(pivots)
-        if first_result is None:
-            first_result = result
-        if all(r.is_zero for r in result):
-            return result
-    return first_result if first_result is not None else list(residuals)
+    basis = groebner_basis(relations)
+    return [r.normal_form(basis) for r in residuals]
 
 
 def _sample_case_locus(

@@ -17,7 +17,7 @@ from lieschouten.algebras import (
     sample_parameters,
     solve_constraint_for,
 )
-from lieschouten.poly import DEFAULT_TABLE, parse_polynomial
+from lieschouten.poly import DEFAULT_TABLE, Polynomial, parse_polynomial
 
 T = DEFAULT_TABLE
 
@@ -199,6 +199,22 @@ class TestSampling:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample_parameters(build_family("g1"), seed=0, count=0)
+
+    def test_constraint_coefficients_derived_once_per_call(self, monkeypatch):
+        # the split constraint = a*var + b is found once per call, not per draw
+        calls = []
+        original = Polynomial.coefficient_of
+
+        def counting(self, var, power):
+            calls.append((var, power))
+            return original(self, var, power)
+
+        monkeypatch.setattr(Polynomial, "coefficient_of", counting)
+        sample_parameters(build_family("g5"), seed=0, count=1)
+        per_call = len(calls)
+        sample_parameters(build_family("g5"), seed=0, count=60)
+        assert per_call > 0
+        assert len(calls) == 2 * per_call
 
 
 class TestCustomFiles:

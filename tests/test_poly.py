@@ -1,5 +1,6 @@
 """Tests for the exact polynomial ring, its parser, and its invariants."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from lieschouten.poly import (
     Polynomial,
     PolynomialError,
     VariableTable,
+    groebner_basis,
     parse_polynomial,
 )
 
@@ -146,6 +148,67 @@ class TestReduceSquare:
             assert abs(q.evaluate(full) - r.evaluate(full)) < 1e-9
 
 
+def _divisible(m, pivot):
+    return all(e >= pe for e, pe in zip(m, pivot))
+
+
+class TestReduceByRelation:
+    def test_multiples_of_the_relation_reduce_to_zero(self):
+        rel = p("alpha*gamma - beta*delta + 2")
+        for h in ("1", "alpha", "beta^2 - 3/2*gamma", "alpha*delta + 7", "c^3*alpha"):
+            assert (p(h) * rel).reduce_by_relation(rel).is_zero
+
+    def test_no_surviving_monomial_is_divisible_by_the_pivot(self):
+        rel = p("alpha*gamma - beta*delta")
+        q = p("alpha^2*gamma^2 + beta^2*delta^2*gamma + alpha*gamma*delta - 3")
+        for pivot in rel.terms:  # both orientations of the two-term relation
+            r = q.reduce_by_relation(rel, pivot=pivot)
+            assert not any(_divisible(m, pivot) for m in r.terms)
+            # the difference is a multiple of the relation
+            assert (q - r).reduce_by_relation(rel).is_zero
+
+    def test_pivot_outside_the_relation_raises(self):
+        alpha_squared = p("alpha^2").leading_monomial()
+        with pytest.raises(PolynomialError):
+            p("alpha^3").reduce_by_relation(p("alpha*beta - 1"), pivot=alpha_squared)
+
+    def test_zero_relation_leaves_the_input(self):
+        q = p("alpha*beta - 1")
+        assert q.reduce_by_relation(T.zero) == q
+
+
+class TestIdealMembership:
+    RELATIONS = ("alpha^2 - beta", "alpha*beta - 1")
+
+    def relations(self):
+        return [p(t) for t in self.RELATIONS]
+
+    def test_s_polynomial_member_reduces_to_zero(self):
+        # alpha - beta^2 = beta*(alpha^2 - beta) - alpha*(alpha*beta - 1) lies
+        # in the ideal, but neither leading monomial divides any of its terms
+        rels = self.relations()
+        for text in ("alpha - beta^2", "gamma*(alpha - beta^2)"):
+            assert p(text).normal_form(rels) == p(text)
+            assert p(text).reduce_by_relations(rels).is_zero
+            assert p(text).reduce_by_relations(reversed(rels)).is_zero
+
+    def test_non_member_survives(self):
+        assert p("alpha").reduce_by_relations(self.relations()) == p("alpha")
+        assert not p("beta - 1").reduce_by_relations(self.relations()).is_zero
+
+    def test_basis_contains_the_relations_and_generates_the_ideal(self):
+        rels = self.relations()
+        basis = groebner_basis(rels)
+        assert basis[: len(rels)] == rels
+        assert all(g.reduce_by_relations(rels).is_zero for g in basis)
+
+    def test_unit_ideal_and_no_relations(self):
+        q = p("alpha^3*beta - gamma + 1/2")
+        assert q.reduce_by_relations([p("alpha - 1"), p("alpha - 2")]).is_zero
+        assert q.reduce_by_relations([]) == q
+        assert q.reduce_by_relations([T.zero]) == q
+
+
 class TestParser:
     def test_unknown_variable(self):
         with pytest.raises(ParseError):
@@ -211,12 +274,12 @@ _small_table = VariableTable(("alpha", "beta", "gamma", "delta"))
 
 
 @st.composite
-def polynomials(draw):
-    n_terms = draw(st.integers(0, 5))
+def polynomials(draw, max_degree=3, max_terms=5):
+    n_terms = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(n_terms):
-        mono = tuple(draw(st.integers(0, 3)) for _ in range(4))
-        if sum(mono) > 3:
+        mono = tuple(draw(st.integers(0, max_degree)) for _ in range(4))
+        if sum(mono) > max_degree:
             continue
         num = draw(st.integers(-6, 6))
         den = draw(st.integers(1, 3))
@@ -261,3 +324,93 @@ def test_substitute_then_eval_composes(a, q, pt):
 @given(polynomials())
 def test_parse_print_random(a):
     assert parse_polynomial(str(a), _small_table) == a
+
+
+# -- sympy as an independent oracle (test-only dependency) --------------------
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _symbols(sympy):
+    return sympy.symbols(_small_table.names)
+
+
+def to_sympy(sympy, q):
+    gens = _symbols(sympy)
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(g**e for g, e in zip(gens, m)))
+            for m, c in q.terms.items()
+        )
+    )
+
+
+def from_sympy(sympy, expr):
+    poly = sympy.Poly(expr, *_symbols(sympy), domain="QQ")
+    return Polynomial(_small_table, {m: Fraction(str(c)) for m, c in poly.terms()})
+
+
+_LINEAR_AND_QUADRATIC = tuple(m for m in itertools.product(range(3), repeat=4) if 0 < sum(m) <= 2)
+
+
+@st.composite
+def relations(draw):
+    """Up to three nonconstant monomials of degree <= 2 plus a constant; the
+    leading monomials of such relations overlap often enough that about a
+    third of the drawn sets need S-polynomials."""
+    monomials = draw(st.lists(st.sampled_from(_LINEAR_AND_QUADRATIC), min_size=1, max_size=3, unique=True))
+    terms = {
+        m: Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3))) for m in monomials
+    }
+    terms[(0, 0, 0, 0)] = Fraction(draw(st.integers(-3, 3)))
+    return Polynomial(_small_table, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rels=st.lists(relations(), min_size=1, max_size=3),
+    multipliers=st.lists(polynomials(max_degree=2, max_terms=3), min_size=3, max_size=3),
+    q=polynomials(),
+)
+def test_normal_form_matches_sympy_groebner(sympy, rels, multipliers, q):
+    basis = sympy.groebner([to_sympy(sympy, r) for r in rels], *_symbols(sympy), order="grlex", domain="QQ")
+    expected = from_sympy(sympy, basis.reduce(to_sympy(sympy, q))[1])
+    assert q.reduce_by_relations(rels) == expected
+    member = sum((h * r for h, r in zip(multipliers, rels)), _small_table.zero)
+    assert member.reduce_by_relations(rels).is_zero
+    assert (q + member).reduce_by_relations(rels) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=polynomials(), rhs=polynomials(max_degree=3), var=st.sampled_from(_small_table.names))
+def test_reduce_square_matches_sympy_division(sympy, q, rhs, var):
+    rhs = rhs.substitute(var, _small_table.zero)
+    x = _symbols(sympy)[_small_table.index(var)]
+    expected = sympy.rem(to_sympy(sympy, q), x**2 - to_sympy(sympy, rhs), x)
+    assert q.reduce_square(var, rhs) == from_sympy(sympy, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=polynomials(), b=polynomials(), var=st.sampled_from(_small_table.names))
+def test_mul_and_substitute_match_sympy(sympy, a, b, var):
+    x = _symbols(sympy)[_small_table.index(var)]
+    sa, sb = to_sympy(sympy, a), to_sympy(sympy, b)
+    assert a * b == from_sympy(sympy, sympy.expand(sa * sb))
+    assert a.substitute(var, b) == from_sympy(sympy, sympy.expand(sa.subs(x, sb)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=polynomials())
+def test_parse_print_roundtrip_through_sympy(sympy, q):
+    names = dict(zip(_small_table.names, _symbols(sympy)))
+    printed = sympy.sympify(str(q).replace("^", "**"), locals=names)
+    assert sympy.expand(printed - to_sympy(sympy, q)) == 0
+    # sympy's own term list, written in this package's grammar, parses back
+    monomials = sympy.Poly(to_sympy(sympy, q), *names.values(), domain="QQ").terms()
+    text = " + ".join(
+        "*".join([f"({c})"] + [f"{n}^{e}" for n, e in zip(names, m) if e]) for m, c in monomials
+    )
+    assert parse_polynomial(text or "0", _small_table) == q

@@ -492,6 +492,33 @@ class TestUnsampled:
         assert "200 rejected" in record.detail
 
 
+class TestReduceLadder:
+    # On g6, delta := alpha turns the constraint into alpha*gamma - alpha*beta;
+    # with the reduction alpha^2 = 1 the ideal contains beta - gamma, which
+    # is alpha times the constraint plus a multiple of alpha^2 - 1 (sympy's
+    # grlex basis agrees).  Neither leading monomial divides beta - gamma, so
+    # only the S-polynomial of the two relations reaches it.
+    SYSTEM = soliton_system(build_family("g6"), "lc")
+    SUBS = (("delta", p("alpha")),)
+    REDUCTIONS = (("alpha", T.one),)
+    RELATIONS = (p("alpha*gamma - alpha*beta"), p("alpha^2 - 1"))
+
+    def ladder(self, residuals):
+        return soliton._reduce_ladder(residuals, self.SYSTEM, self.SUBS, self.REDUCTIONS, T)
+
+    def test_s_polynomial_member_reduces_to_zero(self):
+        member = p("beta - gamma")
+        assert member.normal_form(self.RELATIONS) == member
+        applied = [r.substitute("delta", p("alpha")) for r in self.SYSTEM.residuals]
+        residuals = [member] + [member * r for r in applied]
+        assert all(r.is_zero for r in self.ladder(residuals))
+
+    def test_non_member_survives(self):
+        # beta - gamma is in the basis, so beta + gamma is congruent to 2*gamma
+        [reduced] = self.ladder([p("beta + gamma")])
+        assert reduced == p("2*gamma")
+
+
 # -- branch memo and the scan membership split ----------------------------------
 
 OTHER_CUSTOM = "bracket.12 = 0, 0, alpha\nbracket.13 = 0, beta, 0\n"
