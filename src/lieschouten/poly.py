@@ -12,6 +12,16 @@ kept, two polynomials are equal exactly when their term dicts are equal,
 so the dict is the canonical form and symbolic identities can be tested
 with ``==``.
 
+Only the public constructor ``Polynomial(table, terms)`` checks its input:
+it rejects a monomial of the wrong length, drops zero coefficients and
+converts the rest to Fraction.  Ring operations build their results with
+the unchecked ``Polynomial._trusted``, because those results are canonical
+by construction: every monomial is a sum of checked monomials, ``+`` and
+``-`` delete a key the moment its coefficient cancels, and ``*`` keeps
+only the nonzero sums of its integer convolution (both operands scaled
+by their least common denominator), each divided once by the product of
+the two denominators.
+
 Printing uses graded lexicographic monomial order (higher total degree
 first, ties broken by the exponent vector), which makes rendered output
 deterministic and parse/print round-trips exact.
@@ -20,6 +30,8 @@ deterministic and parse/print round-trips exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -42,6 +54,18 @@ _GREEK_INPUT = {
 def _grlex(m: Monomial) -> tuple[int, Monomial]:
     """Graded-lex key: total degree first, then the exponent vector."""
     return (sum(m), m)
+
+
+def _divides(a: Monomial, b: Monomial) -> bool:
+    """Whether the monomial `a` divides `b`."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _integer_terms(terms: Mapping[Monomial, Fraction]) -> tuple[list[tuple[Monomial, int]], int]:
+    """The terms over their least common denominator d: (monomial, c*d)
+    pairs in the dict's order, and d."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()], d
 
 
 class PolynomialError(ValueError):
@@ -100,17 +124,15 @@ class VariableTable:
         """The polynomial consisting of the single variable `name`."""
         exps = [0] * len(self.names)
         exps[self.index(name)] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial._trusted(self, {tuple(exps): Fraction(1)})
 
     def const(self, value: Scalar) -> "Polynomial":
         coeff = Fraction(value)
-        if coeff == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * len(self.names): coeff})
+        return Polynomial._trusted(self, {(0,) * len(self.names): coeff} if coeff else {})
 
     @property
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._trusted(self, {})
 
     @property
     def one(self) -> "Polynomial":
@@ -129,15 +151,25 @@ class Polynomial:
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VariableTable, terms: Mapping[Monomial, Fraction]):
-        clean = {m: c for m, c in terms.items() if c != 0}
-        for m in clean:
+    def __init__(self, table: VariableTable, terms: Mapping[Monomial, Scalar]):
+        clean: dict[Monomial, Fraction] = {}
+        for m, c in terms.items():
             if len(m) != len(table):
                 raise PolynomialError(
                     f"monomial {m} does not match table of size {len(table)}"
                 )
+            if c:
+                clean[m] = Fraction(c)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, table: VariableTable, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap a term dict that is canonical by construction, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -146,46 +178,71 @@ class Polynomial:
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if other.table != self.table:
+            if other.table is not self.table and other.table != self.table:
                 raise PolynomialError("mismatched variable tables")
             return other
         if isinstance(other, (int, Fraction)):
             return self.table.const(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other) -> "Polynomial":
+    def _merge(self, other, subtract: bool) -> "Polynomial":
+        """self + other, or self - other: other's terms merged into a copy of
+        self's, a key deleted the moment its coefficient cancels.  A zero
+        operand returns the other one itself; polynomials are immutable."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms and not subtract:
+            return other
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.table, out)
+            if m in out:
+                total = out[m] - c if subtract else out[m] + c
+                if total:
+                    out[m] = total
+                else:
+                    del out[m]
+            else:
+                out[m] = -c if subtract else c
+        return Polynomial._trusted(self.table, out)
+
+    def __add__(self, other) -> "Polynomial":
+        return self._merge(other, False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.table, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._merge(other, True)
 
     def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
+        return (-self)._merge(other, False)
 
     def __mul__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return Polynomial._trusted(self.table, {})
+            return Polynomial._trusted(self.table, {m: c * other for m, c in self.terms.items()})
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-        return Polynomial(self.table, out)
+        if not self.terms or not other.terms:
+            return Polynomial._trusted(self.table, {})
+        # Convolve integer coefficients over the two common denominators,
+        # then divide once per output term.
+        a, da = _integer_terms(self.terms)
+        b, db = _integer_terms(other.terms)
+        out: dict[Monomial, int] = {}
+        for ma, ca in a:
+            for mb, cb in b:
+                m = tuple(map(add, ma, mb))
+                out[m] = out.get(m, 0) + ca * cb
+        den = da * db
+        return Polynomial._trusted(self.table, {m: Fraction(n, den) for m, n in out.items() if n})
 
     __rmul__ = __mul__
 
@@ -209,6 +266,9 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        if not any(map(any, self.terms)):
+            # a constant equals its scalar value, so it hashes like it
+            return hash(next(iter(self.terms.values()), 0))
         return hash((self.table, frozenset(self.terms.items())))
 
     # -- queries -----------------------------------------------------------
@@ -236,12 +296,9 @@ class Polynomial:
     def coefficient_of(self, var: str, power: int) -> "Polynomial":
         """The coefficient of var^power, as a polynomial without `var`."""
         i = self.table.index(var)
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            if m[i] == power:
-                stripped = m[:i] + (0,) + m[i + 1 :]
-                out[stripped] = out.get(stripped, Fraction(0)) + c
-        return Polynomial(self.table, out)
+        return Polynomial._trusted(
+            self.table, {m[:i] + (0,) + m[i + 1 :]: c for m, c in self.terms.items() if m[i] == power}
+        )
 
     def constant_value(self) -> Fraction:
         """The value of a degree-0 polynomial; error if any variable occurs."""
@@ -287,7 +344,7 @@ class Polynomial:
             by_power.setdefault(m[i], {})[stripped] = c
         result = self.table.zero
         for power, terms in sorted(by_power.items()):
-            partial = Polynomial(self.table, terms)
+            partial = Polynomial._trusted(self.table, terms)
             result = result + partial * replacement**power
         return result
 
@@ -353,7 +410,7 @@ class Polynomial:
         while out:
             m = max(out, key=_grlex)
             for pivot, g in divisors:
-                if all(e >= pe for e, pe in zip(m, pivot)):
+                if _divides(pivot, m):
                     shift = tuple(e - pe for e, pe in zip(m, pivot))
                     factor = out[m] / g.terms[pivot]
                     for gm, gc in g.terms.items():
@@ -384,9 +441,8 @@ class Polynomial:
             for e, pos in zip(m, positions):
                 if e:
                     exps[pos] = e  # type: ignore[index]
-            key = tuple(exps)
-            out[key] = out.get(key, Fraction(0)) + c
-        return Polynomial(table, out)
+            out[tuple(exps)] = c
+        return Polynomial._trusted(table, out)
 
     def _used_mask(self) -> list[bool]:
         mask = [False] * len(self.table)
@@ -437,12 +493,14 @@ def groebner_basis(relations: Iterable[Polynomial]) -> list[Polynomial]:
     and Algorithms", ch. 2): the S-polynomial of each pair, smallest lcm
     first, is divided by the basis so far, and a nonzero remainder joins
     it.  Pairs with coprime leading monomials are skipped: their
-    S-polynomial always reduces to zero.
+    S-polynomial always reduces to zero.  The basis returned is minimal:
+    an element whose leading monomial is a multiple of another's (or equal
+    to an earlier one's) is dropped, which leaves every normal form as it is.
     """
     basis: list[Polynomial] = []
     pairs: list[tuple[Monomial, int, int]] = []
 
-    def add(g: Polynomial) -> None:
+    def admit(g: Polynomial) -> None:
         lead = g.leading_monomial()
         for k, f in enumerate(basis):
             lf = f.leading_monomial()
@@ -452,15 +510,20 @@ def groebner_basis(relations: Iterable[Polynomial]) -> list[Polynomial]:
 
     for r in relations:
         if not r.is_zero:
-            add(r)
+            admit(r)
     while pairs:
         pair = min(pairs, key=lambda pair: _grlex(pair[0]))
         pairs.remove(pair)
         top, i, j = pair
         remainder = (_monic_multiple(basis[i], top) - _monic_multiple(basis[j], top)).normal_form(basis)
         if not remainder.is_zero:
-            add(remainder)
-    return basis
+            admit(remainder)
+    leads = [g.leading_monomial() for g in basis]
+    return [
+        g
+        for k, (g, lead) in enumerate(zip(basis, leads))
+        if not any(_divides(other, lead) and (other != lead or j < k) for j, other in enumerate(leads) if j != k)
+    ]
 
 
 def _monic_multiple(q: Polynomial, top: Monomial) -> Polynomial:

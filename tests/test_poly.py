@@ -65,6 +65,40 @@ class TestArithmetic:
         assert Fraction(1, 2) * p("beta^2") == p("1/2*beta^2")
 
 
+class TestConstructor:
+    def test_wrong_length_monomial_is_rejected(self):
+        with pytest.raises(PolynomialError):
+            Polynomial(T, {(1, 0): Fraction(1)})
+        with pytest.raises(PolynomialError):
+            Polynomial(T, {(0,) * len(T): Fraction(1), (0,) * (len(T) + 1): Fraction(2)})
+
+    def test_zero_coefficients_are_dropped(self):
+        one, alpha = (0,) * len(T), p("alpha").leading_monomial()
+        q = Polynomial(T, {one: Fraction(0), alpha: Fraction(3, 2)})
+        assert q.terms == {alpha: Fraction(3, 2)}
+        assert Polynomial(T, {one: 0, alpha: Fraction(0)}).is_zero
+
+    def test_int_coefficients_become_fractions(self):
+        q = Polynomial(T, {p("beta").leading_monomial(): 2})
+        assert q == p("2*beta")
+        assert all(type(c) is Fraction for c in q.terms.values())
+
+
+class TestHash:
+    # equal objects must hash alike, so a constant and its scalar value are
+    # interchangeable as set members and dict keys
+    @pytest.mark.parametrize("value", [3, 0, -1, Fraction(5, 7)])
+    def test_constant_hashes_like_its_value(self, value):
+        const = T.const(value)  # T.const(0) is the zero polynomial
+        assert const == value
+        assert hash(const) == hash(value)
+        assert len({const, value}) == 1
+        assert {const: "x"}.get(value) == "x"
+
+    def test_equal_polynomials_hash_alike(self):
+        assert hash(p("alpha*beta + 1/2")) == hash(p("1/2 + beta*alpha"))
+
+
 class TestEvaluate:
     def test_direct_arithmetic(self):
         assert p("3/2*beta^2").evaluate({"beta": 2}) == 6
@@ -202,6 +236,24 @@ class TestIdealMembership:
         assert basis[: len(rels)] == rels
         assert all(g.reduce_by_relations(rels).is_zero for g in basis)
 
+    def test_basis_is_minimal(self):
+        # Buchberger adds four S-polynomial remainders here; the leading
+        # monomials beta and gamma divide those of five of the seven elements
+        rels = [
+            p("alpha*beta + 2*alpha"),
+            p("3/2*alpha*delta + 2"),
+            p("-3*alpha*beta - 2*alpha*gamma + 2*beta^2 + 2"),
+        ]
+        basis = groebner_basis(rels)
+        assert sorted(g.leading_monomial() for g in basis) == sorted(
+            p(t).leading_monomial() for t in ("alpha*delta", "beta", "gamma")
+        )
+        assert all(r.normal_form(basis).is_zero for r in rels)
+
+    def test_equal_leading_monomials_keep_one(self):
+        basis = groebner_basis([p("alpha - beta"), p("2*alpha - 2*beta")])
+        assert basis == [p("alpha - beta")]
+
     def test_unit_ideal_and_no_relations(self):
         q = p("alpha^3*beta - gamma + 1/2")
         assert q.reduce_by_relations([p("alpha - 1"), p("alpha - 2")]).is_zero
@@ -305,6 +357,85 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+# A naive dict-of-Fraction reference: accumulate from Fraction(0), drop the
+# zeros at the end.  Keys keep the order of their first occurrence, which is
+# the order float evaluation sums the terms in.
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _ref_pow(a, n):
+    out = {(0,) * len(_small_table): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _assert_canonical(got, expected):
+    assert got.table == _small_table
+    assert list(got.terms.items()) == list(expected.items())
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    assert all(len(m) == len(_small_table) for m in got.terms)
+
+
+@st.composite
+def overlapping(draw, a):
+    """A polynomial on a's monomials that cancels some of a's terms exactly
+    and others partly, plus a few fresh terms."""
+    terms = {m: draw(st.sampled_from((-c, -c, -2 * c, c / 3))) for m, c in a.terms.items()}
+    for m, c in draw(polynomials(max_terms=2)).terms.items():
+        terms[m] = terms.get(m, Fraction(0)) + c
+    return Polynomial(_small_table, terms)
+
+
+_scalars = st.one_of(
+    st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=polynomials(), data=st.data(), k=_scalars, n=st.integers(0, 3))
+def test_ring_operations_match_dict_reference(a, data, k, n):
+    b = data.draw(st.one_of(polynomials(), overlapping(a)))
+    A, B = a.terms, b.terms
+    scalar = {(0,) * len(_small_table): Fraction(k)} if k else {}
+    cases = [
+        (a + b, _ref_add(A, B)),
+        (a - b, _ref_add(A, B, -1)),
+        (-a, _ref_add({}, A, -1)),
+        (a * b, _ref_mul(A, B)),
+        (a**n, _ref_pow(A, n)),
+        (a * k, _ref_mul(A, scalar)),
+        (k * a, _ref_mul(A, scalar)),
+        (a * 0, {}),
+        (Fraction(0) * a, {}),
+        (a + k, _ref_add(A, scalar)),
+        (k - a, _ref_add(_ref_add({}, A, -1), scalar)),
+        # cancellation-heavy: whole and partial
+        (a * b - b * a, {}),
+        (a + (-a), {}),
+        (a - a, {}),
+        ((a + b) - a, _ref_add(_ref_add(A, B), A, -1)),
+        ((a + b) * (a - b), _ref_mul(_ref_add(A, B), _ref_add(A, B, -1))),
+    ]
+    for got, expected in cases:
+        _assert_canonical(got, expected)
+
+
 @settings(max_examples=200, deadline=None)
 @given(polynomials(), polynomials(), polynomials(), points())
 def test_eval_is_ring_homomorphism(a, b, c, pt):
@@ -382,6 +513,17 @@ def test_normal_form_matches_sympy_groebner(sympy, rels, multipliers, q):
     member = sum((h * r for h, r in zip(multipliers, rels)), _small_table.zero)
     assert member.reduce_by_relations(rels).is_zero
     assert (q + member).reduce_by_relations(rels) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(rels=st.lists(relations(), min_size=1, max_size=3))
+def test_groebner_basis_leading_monomials_match_sympy(sympy, rels):
+    gens = _symbols(sympy)
+    reduced = sympy.groebner([to_sympy(sympy, r) for r in rels], *gens, order="grlex", domain="QQ")
+    expected = {sympy.Poly(g, *gens, domain="QQ").monoms(order="grlex")[0] for g in reduced.exprs}
+    leads = [g.leading_monomial() for g in groebner_basis(rels)]
+    assert len(set(leads)) == len(leads)
+    assert set(leads) == expected
 
 
 @settings(max_examples=150, deadline=None)
