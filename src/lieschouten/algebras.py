@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .poly import DEFAULT_TABLE, Polynomial, PolynomialError, VariableTable, parse_polynomial
+from .poly import DEFAULT_TABLE, IntegerKernel, Polynomial, PolynomialError, VariableTable, parse_polynomial
 
 Vector = tuple[Polynomial, Polynomial, Polynomial]
 
@@ -339,6 +339,8 @@ def sample_parameters(
     appears linearly in it and draws the rest from a small rational pool;
     when no such variable exists the sampler falls back to float search and
     flags the points.  Nonvanishing conditions are enforced by rejection.
+    Exact draws are decided in integers: each split's (a, b) and the
+    nonvanishing polynomials are compiled once per call.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -348,6 +350,9 @@ def sample_parameters(
     splits = {con: _linear_split(con) for con in fam.equality_constraints}
     degraded = mode == "float" or None in splits.values()
     solved = {split[0] for split in splits.values() if split is not None}
+    if not degraded:
+        roots = {con: IntegerKernel(fam.table, (a, b)) for con, (_, a, b) in splits.items()}
+        nonzero = IntegerKernel(fam.table, fam.nonvanishing)
 
     points: list[ParameterPoint] = []
     attempts = 0
@@ -371,7 +376,11 @@ def sample_parameters(
                     break
                 continue
             var, a, b = split
-            sol = _linear_root(a, b, values)
+            if degraded:
+                sol = _linear_root(a, b, values)
+            else:
+                a_val, b_val = roots[con](values)
+                sol = Fraction(-b_val, a_val) if a_val else ("free" if b_val == 0 else None)
             if sol is None:
                 ok = False
                 break
@@ -381,8 +390,10 @@ def sample_parameters(
                 values[var] = sol
         if not ok:
             continue
-        tol = 1e-6 if degraded else 0
-        if any(abs(q.evaluate(values)) <= tol for q in fam.nonvanishing):
+        if degraded:
+            if any(abs(q.evaluate(values)) <= 1e-6 for q in fam.nonvanishing):
+                continue
+        elif not all(nonzero(values)):
             continue
         points.append(ParameterPoint(values=values, exact=not degraded, warning=degraded and mode == "exact"))
     return points

@@ -25,13 +25,22 @@ the two denominators.
 Printing uses graded lexicographic monomial order (higher total degree
 first, ties broken by the exponent vector), which makes rendered output
 deterministic and parse/print round-trips exact.
+
+``Polynomial.evaluate`` evaluates one polynomial over Fractions or floats.
+``IntegerKernel`` is the one compiled form for bulk exact evaluation: a
+list of polynomials over one common coefficient denominator, homogenised
+to one degree, evaluated at a point of ints or Fractions to one integer per
+polynomial, all scaled by one positive factor.  The sampler, the scan and
+scan membership compile their polynomials once per call and evaluate every
+exact point with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add
+from itertools import accumulate, repeat
+from math import lcm, prod
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -531,6 +540,56 @@ def _monic_multiple(q: Polynomial, top: Monomial) -> Polynomial:
     lead = q.leading_monomial()
     shift = tuple(t - e for t, e in zip(top, lead))
     return Polynomial(q.table, {shift: 1 / q.terms[lead]}) * q
+
+
+class IntegerKernel:
+    """A list of polynomials compiled for exact evaluation in integers.
+
+    The polynomials share one coefficient denominator D and are homogenised
+    to their maximum total degree G with an extra base.  At a point whose
+    values are n_j / L, with L the lcm of the value denominators, every
+    polynomial f then takes the value F / (D * L**G) for an integer F
+    computed from the power table of (n_1, ..., n_k, L).  Calling the kernel
+    at a point of ints or Fractions returns those integers F, one per
+    polynomial.  The common factor D * L**G is positive, so the F keep the
+    zeros, the signs and the ratios of the values, and no Fraction is formed.
+    """
+
+    __slots__ = ("names", "degree", "monomials", "polys")
+
+    def __init__(self, table: VariableTable, polys: Sequence[Polynomial]):
+        used = set().union(*(poly.variables() for poly in polys))
+        self.names = tuple(n for n in table.names if n in used)
+        positions = [table.index(n) for n in self.names]
+        self.degree = max((poly.total_degree() for poly in polys), default=0)
+        denominator = lcm(*(c.denominator for poly in polys for c in poly.terms.values()))
+        width = self.degree + 1
+        monomials: dict[Monomial, int] = {}
+        self.monomials: list[tuple[int, ...]] = []  # flat power-table indices
+        self.polys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        for poly in polys:
+            slots, coeffs = [], []
+            for mono, coeff in poly.terms.items():
+                if mono not in monomials:
+                    exps = [mono[i] for i in positions] + [self.degree - sum(mono)]
+                    monomials[mono] = len(self.monomials)
+                    self.monomials.append(tuple(j * width + e for j, e in enumerate(exps) if e))
+                slots.append(monomials[mono])
+                coeffs.append(coeff.numerator * (denominator // coeff.denominator))
+            self.polys.append((tuple(slots), tuple(coeffs)))
+
+    def __call__(self, point: Mapping[str, Scalar]) -> list[int]:
+        """One integer per polynomial, all scaled by one positive factor."""
+        try:
+            vals = [point[n] for n in self.names]
+        except KeyError as missing:
+            raise PolynomialError(f"unassigned variable {missing.args[0]!r}") from None
+        scale = lcm(*(v.denominator for v in vals))
+        powers: list[int] = []
+        for base in [v.numerator * (scale // v.denominator) for v in vals] + [scale]:
+            powers += accumulate(repeat(base, self.degree), mul, initial=1)
+        mono = [prod(map(powers.__getitem__, idx)) for idx in self.monomials]
+        return [sum(map(mul, coeffs, map(mono.__getitem__, slots))) for slots, coeffs in self.polys]
 
 
 # -- parsing -----------------------------------------------------------------

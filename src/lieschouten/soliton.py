@@ -29,12 +29,19 @@ Cases marked suspect carry a variant (a small, principled correction);
 both the stated and variant data are verified and reported.
 
 Solving for c at an exact (rational) point is decided in integers: a scan
-compiles the system's coefficient polynomials P, Q, R (residual =
-P + Q*lambda0 + R*c) to integer terms once, clears the point's denominators
-once, and tests the rows (a_i, b_i) for consistency by a_i*b_0 == a_0*b_i
-against the first row with a_0 != 0.  No division happens until that test
-passes; then c = -b_0/a_0.  Float points, and float lambda0 values, keep
-the tolerance path.
+compiles the coefficient polynomials P, Q, R (residual = P + Q*lambda0 +
+R*c) of the residuals that are not identically zero to one
+`poly.IntegerKernel`, evaluates them once per point, and solves the point
+once for the whole lambda0 grid.  Against the first row with R_0 != 0, the
+rows at lambda0 = n/d are consistent exactly when d*u_i + n*v_i == 0, with
+u_i = R_i*P_0 - R_0*P_i and v_i = R_i*Q_0 - R_0*Q_i; this is the test
+a_i*b_0 == a_0*b_i on the rows (a, b) = (d*R, d*P + n*Q).  No division
+happens until that test passes; then c = -(d*P_0 + n*Q_0)/(d*R_0).
+`solve_for_c` uses the same solver at exact points.  Scan membership
+decides exact entries with each case compiled once per call: the
+polynomials that must vanish on its locus, the hypotheses that must not,
+and c - c_expr.  Float points, and float lambda0 values, keep the
+tolerance path.
 """
 
 from __future__ import annotations
@@ -43,9 +50,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, prod
-from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from math import isqrt
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebras import (
     LieAlgebraFamily,
@@ -58,7 +64,15 @@ from .algebras import (
     solve_constraint_for,
 )
 from .geometry import BRANCH_CACHE_SIZE, OperatorMatrix, ricci_operator, ricci_pipeline, schouten_form
-from .poly import DEFAULT_TABLE, Monomial, Polynomial, PolynomialError, Scalar, VariableTable, groebner_basis
+from .poly import (
+    DEFAULT_TABLE,
+    IntegerKernel,
+    Polynomial,
+    PolynomialError,
+    Scalar,
+    VariableTable,
+    groebner_basis,
+)
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -167,9 +181,12 @@ class CSolution:
 
 
 def _c_decomposition(system: SolitonSystem) -> list[tuple[Polynomial, Polynomial, Polynomial]]:
-    """Per residual: (P, Q, R) with residual = P + Q*lambda0 + R*c."""
+    """Per residual that is not identically zero: (P, Q, R) with
+    residual = P + Q*lambda0 + R*c.  A zero residual holds for every c."""
     out = []
     for r in system.residuals:
+        if r.is_zero:
+            continue
         if r.degree_in("c") > 1 or r.degree_in("lambda0") > 1:
             raise PolynomialError(f"residual not affine in c and lambda0: {r}")
         rc = r.coefficient_of("c", 1)
@@ -180,6 +197,20 @@ def _c_decomposition(system: SolitonSystem) -> list[tuple[Polynomial, Polynomial
         p0 = rest.coefficient_of("lambda0", 0)
         out.append((p0, q, rc))
     return out
+
+
+def _compiled_decomposition(
+    system: SolitonSystem,
+) -> tuple[list[tuple[Polynomial, Polynomial, Polynomial]], IntegerKernel]:
+    """The c-decomposition and its integer form, evaluated by `_exact_rows`."""
+    decomposition = _c_decomposition(system)
+    return decomposition, IntegerKernel(system.table, [q for triple in decomposition for q in triple])
+
+
+def _exact_rows(kernel: IntegerKernel, values: dict[str, Value]) -> list[tuple[int, int, int]]:
+    """Integer (P, Q, R) per residual at an exact point, scaled by one positive factor."""
+    out = kernel(values)
+    return list(zip(out[0::3], out[1::3], out[2::3]))
 
 
 def _solve_rows(rows: list[tuple[Value, Value]], tolerance: float) -> CSolution:
@@ -202,21 +233,43 @@ def _solve_rows(rows: list[tuple[Value, Value]], tolerance: float) -> CSolution:
     return CSolution("unique", value=candidate, residual_max=float(worst))
 
 
-def _solve_exact(rows: Sequence[tuple[Scalar, Scalar]]) -> CSolution:
-    """Decide {a_i*c + b_i = 0} over the rationals without dividing.
+def _exact_c_solver(rows: Sequence[tuple[Scalar, Scalar, Scalar]]) -> Callable[[int, int], CSolution]:
+    """Decide {P_i + Q_i*lambda0 + R_i*c = 0} over the rationals, for every
+    exact lambda0 at once: the result maps (n, d), lambda0 = n/d with d > 0,
+    to the solution.
 
-    The first row with a != 0 is the pivot; every row must then satisfy
-    a_i*b_0 == a_0*b_i, which also forces b_i == 0 where a_i == 0.  The one
-    division forms c = -b_0/a_0 after that test has passed.
+    At lambda0 = n/d the rows are (a_i, b_i) = (d*R_i, d*P_i + n*Q_i).  The
+    first row with R != 0 is the pivot, and every row must satisfy
+    a_i*b_0 == a_0*b_i, which also forces b_i == 0 where a_i == 0.  That is
+    d*u_i + n*v_i == 0 with u_i = R_i*P_0 - R_0*P_i and v_i = R_i*Q_0 - R_0*Q_i,
+    computed here once.  The one division forms c = -b_0/a_0 after the test
+    has passed.
     """
-    for a0, b0 in rows:
-        if a0:
+    for p0, q0, r0 in rows:
+        if r0:
             break
     else:
-        return CSolution("none" if any(b for _, b in rows) else "any")
-    if any(a * b0 != a0 * b for a, b in rows):
-        return CSolution("none")
-    return CSolution("unique", value=Fraction(-b0, a0))
+        pq = [(p, q) for p, q, _ in rows if p or q]
+
+        def no_pivot(n: int, d: int) -> CSolution:
+            return CSolution("none" if any(d * p + n * q for p, q in pq) else "any")
+
+        return no_pivot
+    uv = [(r * p0 - r0 * p, r * q0 - r0 * q) for p, q, r in rows]
+    uv = [(u, v) for u, v in uv if u or v]
+
+    def solve(n: int, d: int) -> CSolution:
+        if any(d * u + n * v for u, v in uv):
+            return CSolution("none")
+        return CSolution("unique", value=Fraction(-(d * p0 + n * q0), d * r0))
+
+    return solve
+
+
+def _solve_exact(rows: Sequence[tuple[Scalar, Scalar]]) -> CSolution:
+    """Decide {a_i*c + b_i = 0} over the rationals without dividing: the
+    rows (P, Q, R) = (b_i, 0, a_i) of `_exact_c_solver` at lambda0 = 0."""
+    return _exact_c_solver([(b, 0, a) for a, b in rows])(0, 1)
 
 
 def _is_exact(values: Iterable[Value]) -> bool:
@@ -231,19 +284,21 @@ def solve_for_c(
 ) -> CSolution:
     """Solve all residuals simultaneously for c at a parameter point.
 
-    Exact (Fraction) points are decided by the division-free exact solver;
-    float points use `tolerance`.  Residuals are degree <= 1 in c by
-    construction, so the system is a set of scalar linear equations
-    a_i*c + b_i = 0.
+    Exact (Fraction) points with an exact lambda0 are decided in integers by
+    the scan's compiled rows and division-free solver; float points use
+    `tolerance`.  Residuals are degree <= 1 in c by construction, so the
+    system is a set of scalar linear equations a_i*c + b_i = 0.
     """
     values = point.values if isinstance(point, ParameterPoint) else dict(point)
+    if _is_exact(values.values()) and not isinstance(lambda0_value, float):
+        _, kernel = _compiled_decomposition(system)
+        solve = _exact_c_solver(_exact_rows(kernel, values))
+        return solve(lambda0_value.numerator, lambda0_value.denominator)
     rows = []
     for p0, q, rc in _c_decomposition(system):
         a = rc.evaluate(values)
         b = p0.evaluate(values) + q.evaluate(values) * lambda0_value
         rows.append((a, b))
-    if _is_exact(values.values()) and not isinstance(lambda0_value, float):
-        return _solve_exact(rows)
     return _solve_rows(rows, tolerance)
 
 
@@ -284,58 +339,6 @@ class ScanReport:
         return tuple(e for e in self.entries if e.status in ("unique", "any"))
 
 
-class _IntegerKernel:
-    """A system's c-decomposition compiled to integer terms for one scan.
-
-    The 27 coefficient polynomials (P, Q, R per residual) share one
-    coefficient denominator and are homogenised to their maximum total
-    degree G with an extra base.  At a point whose values are n_j / L, with
-    L the lcm of the value denominators, every polynomial f then takes the
-    value F / (denominator * L**G) for an integer F computed from the power
-    table of (n_1, ..., n_k, L).  The common factor is positive, so it
-    cancels from -b/a and from every consistency test.
-    """
-
-    def __init__(self, table: VariableTable, decomposition):
-        polys = [poly for triple in decomposition for poly in triple]
-        used = set().union(*(poly.variables() for poly in polys))
-        self.names = tuple(n for n in table.names if n in used)
-        positions = [table.index(n) for n in self.names]
-        self.degree = max((poly.total_degree() for poly in polys), default=0)
-        denominator = lcm(*(c.denominator for poly in polys for c in poly.terms.values()))
-        width = self.degree + 1
-        monomials: dict[Monomial, int] = {}
-        self.monomials: list[tuple[int, ...]] = []  # flat power-table indices
-        self.polys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for poly in polys:
-            slots, coeffs = [], []
-            for mono, coeff in poly.terms.items():
-                if mono not in monomials:
-                    exps = [mono[i] for i in positions] + [self.degree - sum(mono)]
-                    monomials[mono] = len(self.monomials)
-                    self.monomials.append(
-                        tuple(j * width + e for j, e in enumerate(exps) if e)
-                    )
-                slots.append(monomials[mono])
-                coeffs.append(int(coeff * denominator))
-            self.polys.append((tuple(slots), tuple(coeffs)))
-
-    def rows(self, values: dict[str, Value]) -> list[tuple[int, int, int]]:
-        """Integer (P, Q, R) per residual, all scaled by one positive factor."""
-        vals = [values[n] for n in self.names]
-        scale = lcm(*(v.denominator for v in vals))
-        powers = []
-        for base in [v.numerator * (scale // v.denominator) for v in vals] + [scale]:
-            power = 1
-            powers.append(power)
-            for _ in range(self.degree):
-                power *= base
-                powers.append(power)
-        mono = [prod(map(powers.__getitem__, idx)) for idx in self.monomials]
-        out = [sum(map(mul, coeffs, map(mono.__getitem__, slots))) for slots, coeffs in self.polys]
-        return list(zip(out[0::3], out[1::3], out[2::3]))
-
-
 def scan(
     fam: LieAlgebraFamily,
     kind: str,
@@ -348,23 +351,24 @@ def scan(
     """Sample the constrained parameter space and solve for c everywhere.
 
     Deterministic for a fixed seed; entries are ordered point-major with
-    the lambda0 grid in the given order.  Exact points are decided in
-    integers by `_IntegerKernel` and `_solve_exact`; float points and float
-    lambda0 values go through the tolerance path.
+    the lambda0 grid in the given order.  Each exact point is evaluated once
+    by the compiled rows and solved once for the whole grid by
+    `_exact_c_solver`; float points and float lambda0 values go through the
+    tolerance path.
     """
     system = soliton_system(fam, kind)
-    decomposition = _c_decomposition(system)
-    kernel = _IntegerKernel(system.table, decomposition)
+    decomposition, kernel = _compiled_decomposition(system)
     points = sample_parameters(fam, seed=seed, count=count, mode=mode)
+    # (n, d) of each exact lambda0 = n/d, None for a float one
+    ratios = [None if isinstance(lam, float) else (lam.numerator, lam.denominator) for lam in lambda0_grid]
     entries: list[ScanEntry] = []
     for idx, pt in enumerate(points):
         values = pt.values
-        exact_rows = kernel.rows(values) if _is_exact(values.values()) else None
+        solve = _exact_c_solver(_exact_rows(kernel, values)) if _is_exact(values.values()) else None
         triples = None
-        for lam in lambda0_grid:
-            if exact_rows is not None and not isinstance(lam, float):
-                n, d = lam.numerator, lam.denominator
-                sol = _solve_exact([(d * r, d * p + n * q) for p, q, r in exact_rows])
+        for lam, ratio in zip(lambda0_grid, ratios):
+            if solve is not None and ratio is not None:
+                sol = solve(*ratio)
             else:
                 if triples is None:
                     triples = [
@@ -832,6 +836,36 @@ def _c_matches(case: TheoremCase, eta, values, lambda0_value, c_solution: CSolut
     return abs(c_solution.value - expected_c) <= tol
 
 
+class _CompiledCase:
+    """A case's membership test at exact points, compiled for one
+    `scan_membership` call: the polynomials that must vanish on its locus
+    (var - expr per substitution, var^2 - rhs per reduction), the ones that
+    must not (its nonzero hypotheses), and c - c_expr, which must vanish at
+    the point, lambda0 and the solved c (None when the case leaves c free)."""
+
+    __slots__ = ("locus", "split", "c")
+
+    def __init__(self, case: TheoremCase, eta: Optional[int], table: VariableTable):
+        subs, c_expr, reductions = case.effective()
+        vanish = [table.var(var) - instantiate_eta(expr, eta, table) for var, expr in subs]
+        vanish += [table.var(var) ** 2 - instantiate_eta(rhs, eta, table) for var, rhs in reductions]
+        nonzero = [instantiate_eta(q, eta, table) for q in case.nonzero]
+        self.split = len(vanish)
+        self.locus = IntegerKernel(table, vanish + nonzero)
+        self.c = None
+        if c_expr is not None:
+            self.c = IntegerKernel(table, [table.var("c") - instantiate_eta(c_expr, eta, table)])
+
+    def locus_holds(self, values: dict[str, Value]) -> bool:
+        out = self.locus(values)
+        return not any(out[: self.split]) and all(out[self.split :])
+
+    def c_matches(self, values: dict[str, Value], lambda0_value: Value, c_solution: CSolution) -> bool:
+        if self.c is None or c_solution.status == "any":
+            return True
+        return not self.c({**values, "lambda0": lambda0_value, "c": c_solution.value})[0]
+
+
 def scan_membership(
     report: ScanReport, cases: Sequence[TheoremCase], table: VariableTable, tolerance: float = 1e-9
 ) -> list[bool]:
@@ -839,15 +873,22 @@ def scan_membership(
 
     Equal to `any(case_matches_point(...))` entry by entry, but the
     lambda0-free locus test runs once per (point, tolerance), since the
-    entries of one point differ only in lambda0 and c.
+    entries of one point differ only in lambda0 and c.  Entries with
+    tolerance 0 are decided in integers by each case's compiled form.
     """
-    loci: dict[tuple[int, float], list[TheoremCase]] = {}
+    compiled = [_CompiledCase(case, report.eta, table) for case in cases if not case.empty]
+    loci: dict[tuple[int, float], list] = {}  # compiled cases at tol 0, else cases
     out = []
     for e in report.solvable:
         tol = _match_tolerance(e.values, e.lambda0, tolerance)
         key = (e.index, tol)
-        if key not in loci:
-            loci[key] = [c for c in cases if _locus_holds(c, report.eta, e.values, table, tol)]
         sol = CSolution(e.status, e.c, e.residual_max)
-        out.append(any(_c_matches(c, report.eta, e.values, e.lambda0, sol, table, tol) for c in loci[key]))
+        if tol == 0:
+            if key not in loci:
+                loci[key] = [c for c in compiled if c.locus_holds(e.values)]
+            out.append(any(c.c_matches(e.values, e.lambda0, sol) for c in loci[key]))
+        else:
+            if key not in loci:
+                loci[key] = [c for c in cases if _locus_holds(c, report.eta, e.values, table, tol)]
+            out.append(any(_c_matches(c, report.eta, e.values, e.lambda0, sol, table, tol) for c in loci[key]))
     return out

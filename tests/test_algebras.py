@@ -1,5 +1,7 @@
 """Tests for the algebra families: brackets, Jacobi, constraints, sampling."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from lieschouten.algebras import (
     bracket,
     build_family,
     custom_family,
+    draw_rational,
     jacobi_residuals,
     sample_parameters,
     solve_constraint_for,
@@ -215,6 +218,58 @@ class TestSampling:
         sample_parameters(build_family("g5"), seed=0, count=60)
         assert per_call > 0
         assert len(calls) == 2 * per_call
+
+
+def reference_sample(fam, seed, count):
+    """Exact-mode sampling with a, b and the nonvanishing polynomials
+    evaluated by Polynomial.evaluate; also counts the split outcomes."""
+    rng = random.Random(seed)
+    splits = []
+    for con in fam.equality_constraints:
+        linear = [n for n in T.names if con.degree_in(n) == 1 and n not in con.coefficient_of(n, 1).variables()]
+        var = linear[-1]
+        splits.append((var, con.coefficient_of(var, 1), con.coefficient_of(var, 0)))
+    solved = {var for var, _, _ in splits}
+    points, outcomes = [], Counter()
+    while len(points) < count:
+        values = {n: draw_rational(rng) for n in fam.parameters if n not in solved}
+        ok = True
+        for var, a, b in splits:
+            a_val, b_val = a.evaluate(values), b.evaluate(values)
+            if a_val != 0:
+                outcome, values[var] = "root", -b_val / a_val
+            elif b_val == 0:
+                outcome, values[var] = "free", draw_rational(rng)
+            else:
+                outcome, ok = "reject", False
+            outcomes[outcome] += 1
+            if not ok:
+                break
+        if ok and all(q.evaluate(values) != 0 for q in fam.nonvanishing):
+            points.append(values)
+    return points, outcomes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("fam", list(all_families()), ids=lambda f: f.describe())
+def test_sampler_matches_evaluate_reference(fam, seed):
+    got = sample_parameters(fam, seed=seed, count=200)
+    expected, _ = reference_sample(fam, seed, 200)
+    assert all(pt.exact and not pt.warning for pt in got)
+    assert [pt.values for pt in got] == expected
+    assert [{k: type(v) for k, v in pt.values.items()} for pt in got] == [
+        {k: type(v) for k, v in e.items()} for e in expected
+    ]
+
+
+def test_sampler_reference_reaches_every_split_outcome():
+    outcomes = {
+        fid: sum((reference_sample(build_family(fid), seed, 200)[1] for seed in range(3)), Counter())
+        for fid in ("g5", "g6", "g7")
+    }
+    assert all(outcomes[fid]["root"] for fid in outcomes)
+    assert outcomes["g7"]["free"]  # alpha = 0 leaves gamma free
+    assert outcomes["g5"]["reject"]  # beta = 0 with alpha*gamma != 0
 
 
 class TestCustomFiles:

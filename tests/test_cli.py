@@ -1,12 +1,23 @@
 """Integration tests for the command-line interface and its exit codes."""
 
+import hashlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import lieschouten
 from lieschouten.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# The full `verify --seed 0 --format machine` stream: its summary line and
+# the sha256 of the whole output.  Any change to a RESULT line moves them.
+SEED0_SUMMARY = "SUMMARY\tpass=194\twarn=9\tskip=4\tfail=0"
+SEED0_SHA256 = "c066eb2997606f0e2de257a1ba9a5e5787fec8cd17c61f6256588795cca7f77e"
 
 
 def run(capsys, *argv):
@@ -165,6 +176,33 @@ class TestVerify:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_seed0_machine_output_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "--seed", "0", "--format", "machine")
+        assert code == 0
+        assert SEED0_SUMMARY in out.splitlines()
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SEED0_SHA256
+
+
+def test_runtime_imports_no_test_only_dependency():
+    # sympy and hypothesis are test-only oracles; this process has imported
+    # both, so the CLI runs in a fresh interpreter
+    child = """
+import json, sys
+from lieschouten.cli import main
+codes = [
+    main(["verify", "--only", "g5", "--count", "20", "--format", "machine"]),
+    main(["scan", "--family", "g6", "--kind", "lc", "--count", "10", "--format", "machine"]),
+]
+loaded = sorted({name.split(".")[0] for name in sys.modules} & {"sympy", "hypothesis"})
+print(json.dumps({"codes": codes, "loaded": loaded}), file=sys.stderr)
+"""
+    src = str(pathlib.Path(lieschouten.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stderr.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0], "loaded": []}
 
 
 class TestVerifyFailurePath:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lieschouten.poly import (
     DEFAULT_TABLE,
+    IntegerKernel,
     ParseError,
     Polynomial,
     PolynomialError,
@@ -455,6 +456,67 @@ def test_substitute_then_eval_composes(a, q, pt):
 @given(polynomials())
 def test_parse_print_random(a):
     assert parse_polynomial(str(a), _small_table) == a
+
+
+# -- the compiled integer form against Polynomial.evaluate --------------------
+
+
+@st.composite
+def univariate(draw, i):
+    """A polynomial in the i-th variable of the small table alone."""
+    terms = {}
+    for e in draw(st.lists(st.integers(0, 3), max_size=3)):
+        mono = tuple(e if j == i else 0 for j in range(len(_small_table)))
+        terms[mono] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3)))
+    return Polynomial(_small_table, terms)
+
+
+@st.composite
+def batches(draw):
+    """0-5 polynomials: general ones, the zero polynomial and constants, or
+    each on its own variable."""
+    if draw(st.booleans()):
+        indices = draw(st.lists(st.integers(0, len(_small_table) - 1), unique=True, max_size=4))
+        return [draw(univariate(i)) for i in indices]
+    member = st.one_of(polynomials(), st.just(_small_table.zero), polynomials(max_degree=0))
+    return draw(st.lists(member, max_size=5))
+
+
+_kernel_values = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(batches(), st.fixed_dictionaries({name: _kernel_values for name in _small_table.names}), st.data())
+def test_integer_kernel_matches_evaluate(batch, point, data):
+    ref = [q.evaluate(point) for q in batch]
+    out = IntegerKernel(_small_table, batch)(point)
+    assert len(out) == len(batch) and all(type(v) is int for v in out)
+    assert [v == 0 for v in out] == [r == 0 for r in ref]
+    assert [v > 0 for v in out] == [r > 0 for r in ref]
+    for (oi, ri), (oj, rj) in itertools.combinations(zip(out, ref), 2):
+        assert oi * rj == oj * ri
+    # beside the constant 1, each value is its reference times one factor
+    *scaled, factor = IntegerKernel(_small_table, batch + [_small_table.one])(point)
+    assert factor > 0 and scaled == [r * factor for r in ref]
+    used = sorted(set().union(*(q.variables() for q in batch)))
+    if used:
+        missing = data.draw(st.sampled_from(used))
+        partial = {k: v for k, v in point.items() if k != missing}
+        with pytest.raises(PolynomialError, match=missing):
+            IntegerKernel(_small_table, batch)(partial)
+
+
+def test_integer_kernel_ignores_unused_and_needs_used_variables():
+    kernel = IntegerKernel(T, [p("alpha^2 - 1/2*beta"), p("3"), T.zero])
+    # one factor: coefficient lcm 2 times (value lcm 2) ** (degree 2) = 8
+    assert kernel({"alpha": Fraction(1, 2), "beta": 1, "c": Fraction(7, 3)}) == [-2, 24, 0]
+    with pytest.raises(PolynomialError, match="beta"):
+        kernel({"alpha": 1})
+    assert IntegerKernel(T, [])({}) == []
 
 
 # -- sympy as an independent oracle (test-only dependency) --------------------

@@ -29,7 +29,7 @@ from lieschouten.soliton import (
     soliton_system,
     verify_case,
 )
-from lieschouten.soliton import _exact_or_float_sqrt, _sample_case_locus, _solve_exact
+from lieschouten.soliton import _exact_c_solver, _exact_or_float_sqrt, _sample_case_locus, _solve_exact
 
 T = DEFAULT_TABLE
 ABELIAN = custom_family("")
@@ -378,6 +378,29 @@ def test_exact_solver_matches_fraction_reference(rows, scale):
     sol = _solve_exact(int_rows)
     assert sol == expected
     assert type(sol.value) is type(expected.value)
+
+
+@st.composite
+def pqr_rows(draw):
+    """Rows (P, Q, R) of P + Q*lambda0 + R*c = 0, and a lambda0 to try."""
+    n = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(["random", "zero R", "solvable at one lambda0"]))
+    lam, c = draw(rational), draw(rational)
+    rows = []
+    for _ in range(n):
+        q = draw(rational)
+        r = Fraction(0) if shape == "zero R" else draw(rational)
+        p = draw(rational) if shape == "random" else -r * c - q * lam
+        rows.append((p, q, r))
+    return rows, lam
+
+
+@given(pqr_rows(), rational)
+def test_exact_c_solver_matches_fraction_reference_at_each_lambda0(drawn, other):
+    rows, lam = drawn
+    solve = _exact_c_solver(rows)
+    for lam0 in (lam, other):
+        assert solve(lam0.numerator, lam0.denominator) == reference_solve([(r, p + q * lam0) for p, q, r in rows])
 
 
 def test_float_mode_scan_uses_tolerance_path(monkeypatch):
