@@ -287,11 +287,12 @@ def jacobi_residuals(fam: LieAlgebraFamily) -> Vector:
 # Exact draws come from {-3..3} scaled by 1/d for d in {1,2,3}.
 _NUMERATORS = tuple(range(-3, 4))
 _DENOMINATORS = (1, 2, 3)
+_POOL = {(n, d): Fraction(n, d) for n in _NUMERATORS for d in _DENOMINATORS}
 
 
 def draw_rational(rng: random.Random) -> Fraction:
     """One exact draw from the sampling pool (numerator first, then denominator)."""
-    return Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS))
+    return _POOL[rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)]
 
 
 def _linear_split(constraint: Polynomial) -> Optional[tuple[str, Polynomial, Polynomial]]:

@@ -13,6 +13,11 @@ Everything is computed symbolically from the structure constants:
   its symmetrization, the epsilon-weighted scalar curvature, and the
   lambda0-generalized Schouten form rho - s*lambda0*g.
 
+The Ricci form is contracted directly: `ricci_form` builds only the 18
+curvature components R^a_iaj (a != i) that its trace reads, through the
+one component helper that `curvature` also uses for the full tensor, and
+that helper forms no product with a zero factor.
+
 Sign caveat: the catalogued reference matrices for the Levi-Civita
 connection follow the opposite curvature sign convention from the
 canonical/Kobayashi-Nomizu series (R(X,Y) = nabla_[X,Y] - [nabla_X,
@@ -180,51 +185,72 @@ def connection(fam: LieAlgebraFamily, kind: str) -> ConnectionCoefficients:
     raise ValueError(f"unknown connection kind {kind!r}")
 
 
-def curvature(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> CurvatureTensor:
+def _curvature_component(
+    conn: ConnectionCoefficients, fam: LieAlgebraFamily, i: int, j: int, k: int, l: int
+) -> Polynomial:
+    """R^l_ijk, the e_l component of R(e_i, e_j) e_k:
+
+        sum_m (Gamma_jk^m Gamma_im^l - Gamma_ik^m Gamma_jm^l - C_ij^m Gamma_mk^l),
+
+    with a product formed only when both of its factors are nonzero.
+    """
     g = conn.gamma
     c = fam.structure.c
+    acc = fam.table.zero
+    for m in range(3):
+        for sign, a, b in (
+            (1, g[j][k][m], g[i][m][l]),
+            (-1, g[i][k][m], g[j][m][l]),
+            (-1, c[i][j][m], g[m][k][l]),
+        ):
+            if not a.is_zero and not b.is_zero:
+                acc = acc + a * b if sign > 0 else acc - a * b
+    return acc
+
+
+def curvature(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> CurvatureTensor:
+    """The full tensor, each plane (i, j) with i != j computed on its own.
+
+    No plane is derived from another by antisymmetry, so the structural
+    check R(e_i, e_j) = -R(e_j, e_i) tests the components themselves.
+    """
     zero = fam.table.zero
-    planes = []
-    for i in range(3):
-        plane_i = []
-        for j in range(3):
-            plane_j = []
-            for k in range(3):
-                row = []
-                for l in range(3):
-                    if i == j:
-                        row.append(zero)
-                        continue
-                    acc = zero
-                    for m in range(3):
-                        acc = acc + g[j][k][m] * g[i][m][l] - g[i][k][m] * g[j][m][l]
-                        acc = acc - c[i][j][m] * g[m][k][l]
-                    row.append(acc)
-                plane_j.append(tuple(row))
-            plane_i.append(tuple(plane_j))
-        planes.append(tuple(plane_i))
-    return CurvatureTensor(tuple(planes))
+    return CurvatureTensor(
+        tuple(
+            tuple(
+                tuple(
+                    tuple(
+                        zero if i == j else _curvature_component(conn, fam, i, j, k, l)
+                        for l in range(3)
+                    )
+                    for k in range(3)
+                )
+                for j in range(3)
+            )
+            for i in range(3)
+        )
+    )
 
 
 def ricci_form(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> BilinearForm:
     """rho(e_i, e_j) with the weights (-1, -1, +1) over the basis trace.
 
-    For the Levi-Civita kind the contraction is negated; see the module
-    docstring for why the two catalogued series need opposite signs.
+    The contraction is taken straight from the 18 components R^a_iaj with
+    a != i (R(e_i, e_i) = 0), without building the curvature tensor.  For
+    the Levi-Civita kind it is negated; see the module docstring for why
+    the two catalogued series need opposite signs.
     """
-    riem = curvature(conn, fam)
-    eps = fam.metric.eps
-    weights = tuple(-e for e in eps)  # (-1, -1, +1) in Lorentzian signature
-    sign = -1 if conn.kind == LEVI_CIVITA else 1
     rows = []
     for i in range(3):
         row = []
         for j in range(3):
+            # the weight -eps_a times the eps_a of g(R(e_i, e_a) e_j, e_a) =
+            # R^a_iaj eps_a is -1 for every a, so the trace is -sum_a R^a_iaj
             acc = fam.table.zero
             for a in range(3):
-                # g(R(e_i, e_a) e_j, e_a) = R^a_{iaj} eps_a
-                acc = acc + weights[a] * eps[a] * riem.r[i][a][j][a]
-            row.append(sign * acc)
+                if a != i:
+                    acc = acc + _curvature_component(conn, fam, i, a, j, a)
+            row.append(acc if conn.kind == LEVI_CIVITA else -acc)
         rows.append(row)
     return BilinearForm(_freeze3(rows))
 

@@ -478,17 +478,19 @@ class Polynomial:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            mag = abs(c)
+            # the magnitude as str(abs(c)) spells it, read off the integers
+            num, den = c.numerator, c.denominator
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([mag] + factors)
             if n == 0:
-                pieces.append(body if c > 0 else f"-{body}")
+                pieces.append(body if num > 0 else f"-{body}")
             else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+                pieces.append(f"+ {body}" if num > 0 else f"- {body}")
         return " ".join(pieces)
 
     def __repr__(self) -> str:

@@ -11,7 +11,9 @@ is a derivation of the bracket: D[X,Y] = [DX,Y] + [X,DY].  Expanding this
 over the basis pairs (e1,e2), (e1,e3), (e2,e3) gives nine polynomial
 residuals in the family parameters, lambda0, and c; each residual has
 degree at most one in lambda0 and in c, with no lambda0*c cross term,
-because D is affine in both.
+because D is affine in both.  Subtracting mu*Id from an operator adds
+mu*C_ij^m to its residual on [e_i,e_j].e_m, so the residuals are built as
+those of Ric~, which is free of lambda0 and c, plus (s*lambda0 + c)*C_ij^m.
 
 Classification claims are represented as TheoremCase values: parameter
 substitutions, an expression for c (or "c stays free"), optional quadratic
@@ -63,7 +65,7 @@ from .algebras import (
     sample_parameters,
     solve_constraint_for,
 )
-from .geometry import BRANCH_CACHE_SIZE, OperatorMatrix, ricci_operator, ricci_pipeline, schouten_form
+from .geometry import BRANCH_CACHE_SIZE, OperatorMatrix, ricci_pipeline
 from .poly import (
     DEFAULT_TABLE,
     IntegerKernel,
@@ -100,7 +102,8 @@ def derivation_residuals(d: OperatorMatrix, fam: LieAlgebraFamily) -> list[Polyn
     """Components of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] for the three pairs.
 
     Returns nine polynomials in the fixed order pair (1,2), (1,3), (2,3),
-    coordinates e1, e2, e3 within each pair.
+    coordinates e1, e2, e3 within each pair.  A product is formed only
+    when both of its factors are nonzero.
     """
     c = fam.structure.c
     zero = fam.table.zero
@@ -110,31 +113,34 @@ def derivation_residuals(d: OperatorMatrix, fam: LieAlgebraFamily) -> list[Polyn
         for m in range(3):
             acc = zero
             for k in range(3):
-                acc = acc + c[i][j][k] * rows[k][m]
-                acc = acc - rows[i][k] * c[k][j][m]
-                acc = acc - rows[j][k] * c[i][k][m]
+                for sign, a, b in (
+                    (1, c[i][j][k], rows[k][m]),
+                    (-1, rows[i][k], c[k][j][m]),
+                    (-1, rows[j][k], c[i][k][m]),
+                ):
+                    if not a.is_zero and not b.is_zero:
+                        acc = acc + a * b if sign > 0 else acc - a * b
             out.append(acc)
     return out
 
 
-def derivation_candidate(fam: LieAlgebraFamily, kind: str) -> OperatorMatrix:
-    """D = Sch~ - c Id, where Sch~ raises the Schouten form rho - s*lambda0*g.
-
-    Raising rho - s*lambda0*g gives Ric~ - s*lambda0*Id entry for entry.
-    """
-    form, _, s = ricci_pipeline(fam, kind)
-    table = fam.table
-    sch = ricci_operator(schouten_form(form, s, table.var("lambda0")), fam.metric)
-    c = table.var("c")
-    rows = [[q - c if i == j else q for j, q in enumerate(row)] for i, row in enumerate(sch.entries)]
-    return OperatorMatrix(tuple(tuple(r) for r in rows))
-
-
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)
 def soliton_system(fam: LieAlgebraFamily, kind: str) -> SolitonSystem:
-    """The nine residuals of one branch, built once per (family, kind) value."""
-    d = derivation_candidate(fam, kind)
-    residuals = tuple(derivation_residuals(d, fam))
+    """The nine residuals of D = Ric~ - mu*Id, mu = s*lambda0 + c, built
+    once per (family, kind) value.
+
+    The residuals are those of the Ricci operator, which is free of lambda0
+    and c, plus mu*C_ij^m: the identity contributes -C_ij^m + C_ij^m +
+    C_ij^m to the residual on [e_i, e_j].e_m.
+    """
+    _, op, s = ricci_pipeline(fam, kind)
+    table = fam.table
+    mu = s * table.var("lambda0") + table.var("c")
+    c = fam.structure.c
+    shifts = [c[i][j][m] for (i, j) in PAIRS for m in range(3)]
+    residuals = tuple(
+        r if q.is_zero else r + mu * q for r, q in zip(derivation_residuals(op, fam), shifts)
+    )
     for r in residuals:
         if r.degree_in("c") > 1 or r.degree_in("lambda0") > 1:
             raise PolynomialError(

@@ -1,0 +1,102 @@
+"""Reference constructions that the differential tests compare the engine with.
+
+Each is written out here from its definition, independently of the shared
+curvature helper in `lieschouten.geometry` and of the way `soliton_system`
+builds its residuals:
+
+* `reference_curvature`: every component of R(e_i, e_j) e_k, term by term,
+* `reference_ricci_form`: the weighted contraction of that full tensor,
+* `derivation_candidate`: D = Sch~ - c*Id with the Schouten form raised,
+  built from the reference Ricci form,
+* `generated_families`: seeded custom algebras with affine bracket entries.
+"""
+
+import random
+from fractions import Fraction
+
+from lieschouten.algebras import custom_family
+from lieschouten.geometry import (
+    LEVI_CIVITA,
+    BilinearForm,
+    OperatorMatrix,
+    connection,
+    ricci_operator,
+    scalar_curvature,
+    schouten_form,
+    symmetrize,
+)
+
+
+def reference_curvature(conn, fam):
+    """r[i][j][k][l]: the e_l component of
+    R(e_i, e_j) e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_[e_i,e_j] e_k."""
+    g = conn.gamma
+    c = fam.structure.c
+    zero = fam.table.zero
+    r = [[[[zero] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                for l in range(3):
+                    acc = zero
+                    for m in range(3):
+                        acc = acc + g[j][k][m] * g[i][m][l]
+                        acc = acc - g[i][k][m] * g[j][m][l]
+                        acc = acc - c[i][j][m] * g[m][k][l]
+                    r[i][j][k][l] = acc
+    return tuple(tuple(tuple(map(tuple, plane)) for plane in planes) for planes in r)
+
+
+def reference_ricci_form(conn, fam, r=None):
+    """rho(e_i, e_j) = sum_a w_a g(R(e_i, e_a) e_j, e_a) over all three a,
+    weights w = -eps, negated for the Levi-Civita kind."""
+    r = reference_curvature(conn, fam) if r is None else r
+    eps = fam.metric.eps
+    sign = -1 if conn.kind == LEVI_CIVITA else 1
+    rows = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            acc = fam.table.zero
+            for a in range(3):
+                acc = acc + (-eps[a]) * eps[a] * r[i][a][j][a]
+            row.append(sign * acc)
+        rows.append(tuple(row))
+    return BilinearForm(tuple(rows))
+
+
+def derivation_candidate(fam, kind):
+    """D = Sch~ - c*Id, where Sch~ raises the Schouten form rho - s*lambda0*g
+    of the reference Ricci form (symmetrized for the non-Levi-Civita kinds)."""
+    rho = reference_ricci_form(connection(fam, kind), fam)
+    form = rho if kind == LEVI_CIVITA else symmetrize(rho)
+    s = scalar_curvature(form)
+    table = fam.table
+    sch = ricci_operator(schouten_form(form, s, table.var("lambda0")), fam.metric)
+    c = table.var("c")
+    rows = [[q - c if i == j else q for j, q in enumerate(row)] for i, row in enumerate(sch.entries)]
+    return OperatorMatrix(tuple(tuple(r) for r in rows))
+
+
+_PARAMETERS = ("alpha", "beta", "gamma", "delta")
+_COEFFICIENTS = tuple(Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 2, 3))
+
+
+def generated_families(seed, count):
+    """`count` custom algebras: each bracket entry is zero with probability
+    1/2 and otherwise an affine form in two of alpha..delta.  The Jacobi
+    identity is not imposed; the identities tested hold for any brackets."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.5:
+            return "0"
+        names = rng.sample(_PARAMETERS, 2)
+        parts = [f"{rng.choice(_COEFFICIENTS)}*{n}" for n in names]
+        return " + ".join(parts + [str(rng.choice(_COEFFICIENTS))])
+
+    out = []
+    for _ in range(count):
+        lines = [f"bracket.{key} = " + ", ".join(entry() for _ in range(3)) for key in ("12", "13", "23")]
+        out.append(custom_family("\n".join(lines) + "\n"))
+    return out

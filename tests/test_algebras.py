@@ -262,6 +262,15 @@ def test_sampler_matches_evaluate_reference(fam, seed):
     ]
 
 
+def test_draw_rational_keeps_the_draw_sequence():
+    # numerator from -3..3 first, then denominator from 1..3, one draw each
+    rng, ref = random.Random(5), random.Random(5)
+    draws = [draw_rational(rng) for _ in range(2000)]
+    assert draws == [Fraction(ref.choice(range(-3, 4)), ref.choice((1, 2, 3))) for _ in range(2000)]
+    assert rng.getstate() == ref.getstate()
+    assert all(type(v) is Fraction for v in draws)
+
+
 def test_sampler_reference_reaches_every_split_outcome():
     outcomes = {
         fid: sum((reference_sample(build_family(fid), seed, 200)[1] for seed in range(3)), Counter())

@@ -34,6 +34,8 @@ from lieschouten.geometry import (
 )
 from lieschouten.poly import DEFAULT_TABLE, parse_polynomial
 
+from geometry_reference import generated_families, reference_curvature, reference_ricci_form
+
 T = DEFAULT_TABLE
 ABELIAN = custom_family("")
 
@@ -138,6 +140,22 @@ class TestDerivedConnections:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             connection(build_family("g1"), "weyl")
+
+
+GENERATED = generated_families(seed=11, count=6)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    FAMILIES + GENERATED,
+    ids=[fam_id(f) for f in FAMILIES] + [f"custom{k}" for k in range(len(GENERATED))],
+)
+@pytest.mark.parametrize("kind", CONNECTION_KINDS)
+def test_ricci_form_is_the_contraction_of_the_full_tensor(fam, kind):
+    conn = connection(fam, kind)
+    r = reference_curvature(conn, fam)
+    assert curvature(conn, fam).r == r
+    assert ricci_form(conn, fam) == reference_ricci_form(conn, fam, r)
 
 
 class TestCurvature:

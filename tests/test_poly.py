@@ -458,6 +458,26 @@ def test_parse_print_random(a):
     assert parse_polynomial(str(a), _small_table) == a
 
 
+def _reference_str(a):
+    """The printed form spelled with Fraction arithmetic: abs(c) and str(Fraction)."""
+    pieces = []
+    for n, (m, c) in enumerate(sorted(a.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)):
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(a.table.names, m) if e]
+        mag = abs(c)
+        body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
+        if n == 0:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces) or "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials(), st.sampled_from((1, -1, 7, Fraction(-1, 12), Fraction(10**12 + 1, 3))))
+def test_print_matches_fraction_spelling(a, k):
+    assert str(a * k) == _reference_str(a * k)
+
+
 # -- the compiled integer form against Polynomial.evaluate --------------------
 
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieschouten import soliton
@@ -19,7 +19,6 @@ from lieschouten.soliton import (
     SolitonSystem,
     TheoremCase,
     case_matches_point,
-    derivation_candidate,
     derivation_residuals,
     negative_control,
     scan,
@@ -30,6 +29,8 @@ from lieschouten.soliton import (
     verify_case,
 )
 from lieschouten.soliton import _exact_c_solver, _exact_or_float_sqrt, _sample_case_locus, _solve_exact
+
+from geometry_reference import derivation_candidate, generated_families
 
 T = DEFAULT_TABLE
 ABELIAN = custom_family("")
@@ -82,7 +83,41 @@ class TestDerivationResiduals:
         assert sys1.residual_labels()[8] == "[e2,e3].e3"
 
 
+_SHIFTS = ("lambda0", "c", "alpha*lambda0 + c", "-3/2*beta^2*lambda0 + c - gamma", "0")
+_ENTRIES = st.one_of(st.just(0), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fam=st.sampled_from(all_family_branches() + generated_families(seed=3, count=4)),
+    entries=st.lists(_ENTRIES, min_size=9, max_size=9),
+    shift=st.sampled_from(_SHIFTS),
+)
+def test_identity_shift_adds_mu_times_the_bracket(fam, entries, shift):
+    # (A - mu*Id) on [e_i,e_j].e_m: the identity adds -C + C + C = C, times mu
+    mu = p(shift)
+    a = [[T.const(v) for v in entries[3 * i : 3 * i + 3]] for i in range(3)]
+    shifted = [[q - mu if i == j else q for j, q in enumerate(row)] for i, row in enumerate(a)]
+    c = fam.structure.c
+    slots = [(i, j, m) for (i, j) in soliton.PAIRS for m in range(3)]
+    expected = [r + mu * c[i][j][m] for r, (i, j, m) in zip(derivation_residuals(operator(a), fam), slots)]
+    assert derivation_residuals(operator(shifted), fam) == expected
+
+
+_GENERATED = generated_families(seed=7, count=6)
+
+
 class TestSystems:
+    @pytest.mark.parametrize(
+        "fam",
+        all_family_branches() + _GENERATED,
+        ids=[f.describe() for f in all_family_branches()] + [f"custom{k}" for k in range(len(_GENERATED))],
+    )
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    def test_system_is_the_residuals_of_the_candidate(self, fam, kind):
+        expected = derivation_residuals(derivation_candidate(fam, kind), fam)
+        assert list(soliton_system(fam, kind).residuals) == expected
+
     @pytest.mark.parametrize("fam", all_family_branches(), ids=lambda f: f.describe())
     @pytest.mark.parametrize("kind", CONNECTION_KINDS)
     def test_degree_bounds_in_c_and_lambda0(self, fam, kind):
