@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from .poly import DEFAULT_TABLE, IntegerKernel, Polynomial, PolynomialError, VariableTable, parse_polynomial
@@ -76,7 +77,6 @@ class ParameterPoint:
 
     values: dict[str, Union[Fraction, float]]
     exact: bool
-    warning: bool = False  # set when exact solving fell back to floats
 
 
 # Bracket tables: entries are expressions for ([e1,e2], [e1,e3], [e2,e3]).
@@ -328,32 +328,28 @@ def solve_constraint_for(
     return _linear_root(constraint.coefficient_of(var, 1), constraint.coefficient_of(var, 0), values)
 
 
-def sample_parameters(
-    fam: LieAlgebraFamily,
-    seed: int,
-    count: int,
-    mode: str = "exact",
-) -> list[ParameterPoint]:
+def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[ParameterPoint]:
     """Deterministic parameter points satisfying the family side conditions.
 
-    Exact mode solves each equality constraint for the last variable that
-    appears linearly in it and draws the rest from a small rational pool;
-    when no such variable exists the sampler falls back to float search and
-    flags the points.  Nonvanishing conditions are enforced by rejection.
-    Exact draws are decided in integers: each split's (a, b) and the
-    nonvanishing polynomials are compiled once per call.
+    Each equality constraint is solved for the last variable that appears
+    linearly in it, and the rest are drawn from a small rational pool.
+    Only a constraint with no such variable forces floats: then every draw
+    is a float, that constraint is solved by a numerical search and the
+    points are not exact.  Nonvanishing conditions are enforced by
+    rejection.  Exact draws are decided in integers: each split's (a, b)
+    and the nonvanishing polynomials are compiled once per call.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if mode not in ("exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     splits = {con: _linear_split(con) for con in fam.equality_constraints}
-    degraded = mode == "float" or None in splits.values()
+    exact = None not in splits.values()
     solved = {split[0] for split in splits.values() if split is not None}
-    if not degraded:
+    if exact:
         roots = {con: IntegerKernel(fam.table, (a, b)) for con, (_, a, b) in splits.items()}
         nonzero = IntegerKernel(fam.table, fam.nonvanishing)
+
+    draw = partial(draw_rational, rng) if exact else partial(rng.uniform, -3.0, 3.0)
 
     points: list[ParameterPoint] = []
     attempts = 0
@@ -361,14 +357,7 @@ def sample_parameters(
         attempts += 1
         if attempts > 200 * count + 1000:
             raise RuntimeError(f"sampling for {fam.family_id} keeps violating constraints")
-        values: dict[str, Union[Fraction, float]] = {}
-        for name in fam.parameters:
-            if name in solved:
-                continue
-            if degraded:
-                values[name] = rng.uniform(-3.0, 3.0)
-            else:
-                values[name] = draw_rational(rng)
+        values: dict[str, Union[Fraction, float]] = {name: draw() for name in fam.parameters if name not in solved}
         ok = True
         for con, split in splits.items():
             if split is None:
@@ -377,26 +366,23 @@ def sample_parameters(
                     break
                 continue
             var, a, b = split
-            if degraded:
-                sol = _linear_root(a, b, values)
-            else:
+            if exact:
                 a_val, b_val = roots[con](values)
                 sol = Fraction(-b_val, a_val) if a_val else ("free" if b_val == 0 else None)
+            else:
+                sol = _linear_root(a, b, values)
             if sol is None:
                 ok = False
                 break
-            if sol == "free":
-                values[var] = rng.uniform(-3.0, 3.0) if degraded else draw_rational(rng)
-            else:
-                values[var] = sol
+            values[var] = draw() if sol == "free" else sol
         if not ok:
             continue
-        if degraded:
-            if any(abs(q.evaluate(values)) <= 1e-6 for q in fam.nonvanishing):
+        if exact:
+            if not all(nonzero(values)):
                 continue
-        elif not all(nonzero(values)):
+        elif any(abs(q.evaluate(values)) <= 1e-6 for q in fam.nonvanishing):
             continue
-        points.append(ParameterPoint(values=values, exact=not degraded, warning=degraded and mode == "exact"))
+        points.append(ParameterPoint(values=values, exact=exact))
     return points
 
 

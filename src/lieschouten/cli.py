@@ -18,6 +18,7 @@ tab-separated records (byte-identical for identical invocations).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -183,7 +184,7 @@ def _parse_lambda0_grid(text):
         part = part.strip()
         try:
             out.append(Fraction(part))
-        except ValueError as err:
+        except (ValueError, ZeroDivisionError) as err:
             raise UsageError(f"bad lambda0 value {part!r}") from err
     return tuple(out)
 
@@ -316,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tolerance", 1.0) <= 0:
-        print("tolerance must be positive", file=sys.stderr)
+    if not 0 < getattr(args, "tolerance", 1.0) < math.inf:  # also rejects nan
+        print("tolerance must be a positive finite number", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "count", 1) < 1:
         print("count must be at least 1", file=sys.stderr)

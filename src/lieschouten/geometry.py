@@ -17,6 +17,9 @@ The Ricci form is contracted directly: `ricci_form` builds only the 18
 curvature components R^a_iaj (a != i) that its trace reads, through the
 one component helper that `curvature` also uses for the full tensor, and
 that helper forms no product with a zero factor.
+For the diagonal J the canonical and Kobayashi-Nomizu coefficients are
+written in closed form from the Levi-Civita ones, which is what the two
+defining formulas reduce to.
 
 Sign caveat: the catalogued reference matrices for the Levi-Civita
 connection follow the opposite curvature sign convention from the
@@ -134,43 +137,40 @@ def nabla_j(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> tuple[Operat
 
 
 def canonical_connection(fam: LieAlgebraFamily) -> ConnectionCoefficients:
-    """nabla0 = nabla - 1/2 (nabla J) J, which parallelizes J and the metric."""
-    lc = connection(fam, LEVI_CIVITA)
-    nj = nabla_j(lc, fam)
+    """nabla0 = nabla - 1/2 (nabla J) J, which parallelizes J and the metric.
+
+    For the diagonal J the correction removes Gamma_ij^k (sigma_j - sigma_k)
+    sigma_j / 2 from Gamma_ij^k, so Gamma0_ij^k is Gamma_ij^k where
+    sigma_j = sigma_k and zero elsewhere.
+    """
+    g = connection(fam, LEVI_CIVITA).gamma
     sigma = PRODUCT_STRUCTURE_J
-    half = Fraction(1, 2)
+    zero = fam.table.zero
     gamma = [
-        [
-            [
-                lc.gamma[i][j][k] - half * sigma[j] * nj[i].entries[j][k]
-                for k in range(3)
-            ]
-            for j in range(3)
-        ]
+        [[g[i][j][k] if sigma[j] == sigma[k] else zero for k in range(3)] for j in range(3)]
         for i in range(3)
     ]
-    return ConnectionCoefficients(CANONICAL, _freeze3([_freeze3(g) for g in gamma]))
+    return ConnectionCoefficients(CANONICAL, _freeze_array3(gamma))
 
 
 def kobayashi_nomizu(fam: LieAlgebraFamily) -> ConnectionCoefficients:
-    """nabla1 = nabla0 - 1/4 [(nabla_Y J) J X - (nabla_{JY} J) X] on (X, Y)."""
-    lc = connection(fam, LEVI_CIVITA)
-    can = connection(fam, CANONICAL)
-    nj = nabla_j(lc, fam)
+    """nabla1 = nabla0 - 1/4 [(nabla_Y J) J X - (nabla_{JY} J) X] on (X, Y).
+
+    For the diagonal J the correction on (e_i, e_j) has e_k component
+    (sigma_i - sigma_j)(sigma_i - sigma_k)/4 Gamma_ji^k, which is Gamma_ji^k
+    where sigma_j = sigma_k != sigma_i and zero elsewhere.
+    """
+    g = connection(fam, LEVI_CIVITA).gamma
+    g0 = connection(fam, CANONICAL).gamma
     sigma = PRODUCT_STRUCTURE_J
-    quarter = Fraction(1, 4)
     gamma = [
         [
-            [
-                can.gamma[i][j][k]
-                - quarter * (sigma[i] - sigma[j]) * nj[j].entries[i][k]
-                for k in range(3)
-            ]
+            [g0[i][j][k] - g[j][i][k] if sigma[j] == sigma[k] != sigma[i] else g0[i][j][k] for k in range(3)]
             for j in range(3)
         ]
         for i in range(3)
     ]
-    return ConnectionCoefficients(KOBAYASHI_NOMIZU, _freeze3([_freeze3(g) for g in gamma]))
+    return ConnectionCoefficients(KOBAYASHI_NOMIZU, _freeze_array3(gamma))
 
 
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)

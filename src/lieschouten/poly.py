@@ -30,9 +30,10 @@ deterministic and parse/print round-trips exact.
 ``IntegerKernel`` is the one compiled form for bulk exact evaluation: a
 list of polynomials over one common coefficient denominator, homogenised
 to one degree, evaluated at a point of ints or Fractions to one integer per
-polynomial, all scaled by one positive factor.  The sampler, the scan and
-scan membership compile their polynomials once per call and evaluate every
-exact point with it.
+polynomial, all scaled by one positive factor.  The sampler, the c solve at
+a point (`scan`, `solve_for_c`) and case membership (`case_matches_point`,
+`scan_membership`) compile their polynomials once per call and evaluate
+every exact point with it.
 """
 
 from __future__ import annotations

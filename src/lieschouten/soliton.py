@@ -30,20 +30,23 @@ the case locus.  Verification climbs an evidence ladder:
 Cases marked suspect carry a variant (a small, principled correction);
 both the stated and variant data are verified and reported.
 
-Solving for c at an exact (rational) point is decided in integers: a scan
-compiles the coefficient polynomials P, Q, R (residual = P + Q*lambda0 +
-R*c) of the residuals that are not identically zero to one
-`poly.IntegerKernel`, evaluates them once per point, and solves the point
-once for the whole lambda0 grid.  Against the first row with R_0 != 0, the
-rows at lambda0 = n/d are consistent exactly when d*u_i + n*v_i == 0, with
-u_i = R_i*P_0 - R_0*P_i and v_i = R_i*Q_0 - R_0*Q_i; this is the test
-a_i*b_0 == a_0*b_i on the rows (a, b) = (d*R, d*P + n*Q).  No division
-happens until that test passes; then c = -(d*P_0 + n*Q_0)/(d*R_0).
-`solve_for_c` uses the same solver at exact points.  Scan membership
-decides exact entries with each case compiled once per call: the
-polynomials that must vanish on its locus, the hypotheses that must not,
-and c - c_expr.  Float points, and float lambda0 values, keep the
-tolerance path.
+Each concept makes its exact-or-float choice in one place.  The c solve
+at a point is `_point_solver`: the coefficient polynomials P, Q, R
+(residual = P + Q*lambda0 + R*c) of the residuals that are not identically
+zero are compiled to one `poly.IntegerKernel`, an exact point is evaluated
+once, and every exact lambda0 is decided in integers.  Against the first
+row with R_0 != 0, the rows at lambda0 = n/d are consistent exactly when
+d*u_i + n*v_i == 0, with u_i = R_i*P_0 - R_0*P_i and v_i = R_i*Q_0 - R_0*Q_i;
+this is the test a_i*b_0 == a_0*b_i on the rows (a, b) = (d*R, d*P + n*Q).
+No division happens until that test passes; then c = -(d*P_0 + n*Q_0)/(d*R_0).
+A float point or a float lambda0 is solved against the tolerance.  `scan`
+builds one point solver per point for its whole lambda0 grid, and
+`solve_for_c` builds one for its single call.  Case membership is
+`_CompiledCase`: the polynomials that must vanish on a case's locus, the
+hypotheses that must not, and c - c_expr, decided in integers at an exact
+point with an exact lambda0 and by the tolerance otherwise.
+`case_matches_point` compiles one case; `scan_membership` compiles each
+case once per call.
 """
 
 from __future__ import annotations
@@ -186,9 +189,13 @@ class CSolution:
     residual_max: float = 0.0
 
 
-def _c_decomposition(system: SolitonSystem) -> list[tuple[Polynomial, Polynomial, Polynomial]]:
+Decomposition = list[tuple[Polynomial, Polynomial, Polynomial]]
+
+
+def _compiled_decomposition(system: SolitonSystem) -> tuple[Decomposition, IntegerKernel]:
     """Per residual that is not identically zero: (P, Q, R) with
-    residual = P + Q*lambda0 + R*c.  A zero residual holds for every c."""
+    residual = P + Q*lambda0 + R*c, and their integer form, as
+    `_point_solver` takes them.  A zero residual holds for every c."""
     out = []
     for r in system.residuals:
         if r.is_zero:
@@ -199,24 +206,8 @@ def _c_decomposition(system: SolitonSystem) -> list[tuple[Polynomial, Polynomial
         if "lambda0" in rc.variables() or "c" in rc.variables():
             raise PolynomialError("c coefficient unexpectedly involves lambda0 or c")
         rest = r.coefficient_of("c", 0)
-        q = rest.coefficient_of("lambda0", 1)
-        p0 = rest.coefficient_of("lambda0", 0)
-        out.append((p0, q, rc))
-    return out
-
-
-def _compiled_decomposition(
-    system: SolitonSystem,
-) -> tuple[list[tuple[Polynomial, Polynomial, Polynomial]], IntegerKernel]:
-    """The c-decomposition and its integer form, evaluated by `_exact_rows`."""
-    decomposition = _c_decomposition(system)
-    return decomposition, IntegerKernel(system.table, [q for triple in decomposition for q in triple])
-
-
-def _exact_rows(kernel: IntegerKernel, values: dict[str, Value]) -> list[tuple[int, int, int]]:
-    """Integer (P, Q, R) per residual at an exact point, scaled by one positive factor."""
-    out = kernel(values)
-    return list(zip(out[0::3], out[1::3], out[2::3]))
+        out.append((rest.coefficient_of("lambda0", 0), rest.coefficient_of("lambda0", 1), rc))
+    return out, IntegerKernel(system.table, [q for triple in out for q in triple])
 
 
 def _solve_rows(rows: list[tuple[Value, Value]], tolerance: float) -> CSolution:
@@ -272,14 +263,38 @@ def _exact_c_solver(rows: Sequence[tuple[Scalar, Scalar, Scalar]]) -> Callable[[
     return solve
 
 
-def _solve_exact(rows: Sequence[tuple[Scalar, Scalar]]) -> CSolution:
-    """Decide {a_i*c + b_i = 0} over the rationals without dividing: the
-    rows (P, Q, R) = (b_i, 0, a_i) of `_exact_c_solver` at lambda0 = 0."""
-    return _exact_c_solver([(b, 0, a) for a, b in rows])(0, 1)
-
-
 def _is_exact(values: Iterable[Value]) -> bool:
     return all(not isinstance(v, float) for v in values)
+
+
+def _point_solver(
+    compiled: tuple[Decomposition, IntegerKernel], values: dict[str, Value], tolerance: float
+) -> Callable[[Value], CSolution]:
+    """lambda0 -> the c solution at one point, from `_compiled_decomposition`.
+
+    The one place where the c solve picks exact or float: an exact point
+    is evaluated once by the kernel and an exact lambda0 is decided by
+    `_exact_c_solver`; a float point, or a float lambda0, goes to
+    `_solve_rows` with `tolerance`, the rows evaluated once per point.
+    """
+    decomposition, kernel = compiled
+    triples: Optional[list[tuple[Value, Value, Value]]] = None
+
+    def by_tolerance(lam: Value) -> CSolution:
+        nonlocal triples
+        if triples is None:
+            triples = [(p0.evaluate(values), q.evaluate(values), rc.evaluate(values)) for p0, q, rc in decomposition]
+        return _solve_rows([(a, b0 + b1 * lam) for b0, b1, a in triples], tolerance)
+
+    if not _is_exact(values.values()):
+        return by_tolerance
+    out = kernel(values)
+    exact = _exact_c_solver(list(zip(out[0::3], out[1::3], out[2::3])))
+
+    def solve(lam: Value) -> CSolution:
+        return by_tolerance(lam) if isinstance(lam, float) else exact(*lam.as_integer_ratio())
+
+    return solve
 
 
 def solve_for_c(
@@ -290,22 +305,12 @@ def solve_for_c(
 ) -> CSolution:
     """Solve all residuals simultaneously for c at a parameter point.
 
-    Exact (Fraction) points with an exact lambda0 are decided in integers by
-    the scan's compiled rows and division-free solver; float points use
-    `tolerance`.  Residuals are degree <= 1 in c by construction, so the
-    system is a set of scalar linear equations a_i*c + b_i = 0.
+    Residuals are degree <= 1 in c by construction, so the system is a set
+    of scalar linear equations a_i*c + b_i = 0, decided by `_point_solver`:
+    in integers at an exact point with an exact lambda0, else by `tolerance`.
     """
     values = point.values if isinstance(point, ParameterPoint) else dict(point)
-    if _is_exact(values.values()) and not isinstance(lambda0_value, float):
-        _, kernel = _compiled_decomposition(system)
-        solve = _exact_c_solver(_exact_rows(kernel, values))
-        return solve(lambda0_value.numerator, lambda0_value.denominator)
-    rows = []
-    for p0, q, rc in _c_decomposition(system):
-        a = rc.evaluate(values)
-        b = p0.evaluate(values) + q.evaluate(values) * lambda0_value
-        rows.append((a, b))
-    return _solve_rows(rows, tolerance)
+    return _point_solver(_compiled_decomposition(system), values, tolerance)(lambda0_value)
 
 
 # -- scanning -----------------------------------------------------------------
@@ -352,40 +357,23 @@ def scan(
     count: int = 100,
     lambda0_grid: Sequence[Value] = DEFAULT_LAMBDA0_GRID,
     tolerance: float = 1e-9,
-    mode: str = "exact",
 ) -> ScanReport:
     """Sample the constrained parameter space and solve for c everywhere.
 
     Deterministic for a fixed seed; entries are ordered point-major with
-    the lambda0 grid in the given order.  Each exact point is evaluated once
-    by the compiled rows and solved once for the whole grid by
-    `_exact_c_solver`; float points and float lambda0 values go through the
-    tolerance path.
+    the lambda0 grid in the given order.  Each point gets one
+    `_point_solver`, which serves the whole grid.
     """
-    system = soliton_system(fam, kind)
-    decomposition, kernel = _compiled_decomposition(system)
-    points = sample_parameters(fam, seed=seed, count=count, mode=mode)
-    # (n, d) of each exact lambda0 = n/d, None for a float one
-    ratios = [None if isinstance(lam, float) else (lam.numerator, lam.denominator) for lam in lambda0_grid]
+    compiled = _compiled_decomposition(soliton_system(fam, kind))
     entries: list[ScanEntry] = []
-    for idx, pt in enumerate(points):
-        values = pt.values
-        solve = _exact_c_solver(_exact_rows(kernel, values)) if _is_exact(values.values()) else None
-        triples = None
-        for lam, ratio in zip(lambda0_grid, ratios):
-            if solve is not None and ratio is not None:
-                sol = solve(*ratio)
-            else:
-                if triples is None:
-                    triples = [
-                        (p0.evaluate(values), q.evaluate(values), rc.evaluate(values))
-                        for p0, q, rc in decomposition
-                    ]
-                sol = _solve_rows([(a, b0 + b1 * lam) for b0, b1, a in triples], tolerance)
+    for idx, pt in enumerate(sample_parameters(fam, seed=seed, count=count)):
+        solve = _point_solver(compiled, pt.values, tolerance)
+        for lam in lambda0_grid:
+            sol = solve(lam)
             entries.append(
                 ScanEntry(
                     index=idx,
-                    values=values,
+                    values=pt.values,
                     lambda0=lam,
                     status=sol.status,
                     c=sol.value,
@@ -808,10 +796,11 @@ def case_matches_point(
     tolerance: float = 1e-9,
 ) -> bool:
     """Does a solvable scan entry fall inside the case's (effective) locus?"""
+    if case.empty:
+        return False
     tol = _match_tolerance(values, lambda0_value, tolerance)
-    return _locus_holds(case, eta, values, table, tol) and _c_matches(
-        case, eta, values, lambda0_value, c_solution, table, tol
-    )
+    compiled = _CompiledCase(case, eta, table)
+    return compiled.locus_holds(values, tol) and compiled.c_matches(values, lambda0_value, c_solution, tol)
 
 
 def _match_tolerance(values: dict[str, Value], lambda0_value: Value, tolerance: float) -> float:
@@ -819,57 +808,44 @@ def _match_tolerance(values: dict[str, Value], lambda0_value: Value, tolerance: 
     return 0 if _is_exact(values.values()) and not isinstance(lambda0_value, float) else tolerance
 
 
-def _locus_holds(case: TheoremCase, eta, values: dict[str, Value], table: VariableTable, tol) -> bool:
-    """The lambda0-free half: substitutions, quadratic relations, hypotheses."""
-    if case.empty:
-        return False
-    subs, _, reductions = case.effective()
-    for var, expr in subs:
-        if abs(values[var] - instantiate_eta(expr, eta, table).evaluate(values)) > tol:
-            return False
-    for var, rhs in reductions:
-        if abs(values[var] ** 2 - instantiate_eta(rhs, eta, table).evaluate(values)) > tol:
-            return False
-    return all(abs(instantiate_eta(q, eta, table).evaluate(values)) > tol for q in case.nonzero)
-
-
-def _c_matches(case: TheoremCase, eta, values, lambda0_value, c_solution: CSolution, table, tol) -> bool:
-    """The c half: the solved c equals the case's c at this lambda0."""
-    _, c_expr, _ = case.effective()
-    if c_expr is None or c_solution.status == "any":
-        return True
-    expected_c = instantiate_eta(c_expr, eta, table).evaluate({**values, "lambda0": lambda0_value})
-    return abs(c_solution.value - expected_c) <= tol
-
-
 class _CompiledCase:
-    """A case's membership test at exact points, compiled for one
-    `scan_membership` call: the polynomials that must vanish on its locus
-    (var - expr per substitution, var^2 - rhs per reduction), the ones that
-    must not (its nonzero hypotheses), and c - c_expr, which must vanish at
-    the point, lambda0 and the solved c (None when the case leaves c free)."""
+    """The membership test of one case on one eta branch: the polynomials
+    that must vanish on its locus (var - expr per substitution, var^2 - rhs
+    per reduction), the ones that must not (its nonzero hypotheses), and
+    c - c_expr, which must vanish at the point, lambda0 and the solved c
+    (None when the case leaves c free).  At tolerance 0 each test is decided
+    in integers by its `IntegerKernel`; otherwise by `Polynomial.evaluate`
+    against the tolerance."""
 
-    __slots__ = ("locus", "split", "c")
+    __slots__ = ("vanish", "nonzero", "locus", "c", "c_kernel")
 
     def __init__(self, case: TheoremCase, eta: Optional[int], table: VariableTable):
         subs, c_expr, reductions = case.effective()
-        vanish = [table.var(var) - instantiate_eta(expr, eta, table) for var, expr in subs]
-        vanish += [table.var(var) ** 2 - instantiate_eta(rhs, eta, table) for var, rhs in reductions]
-        nonzero = [instantiate_eta(q, eta, table) for q in case.nonzero]
-        self.split = len(vanish)
-        self.locus = IntegerKernel(table, vanish + nonzero)
-        self.c = None
-        if c_expr is not None:
-            self.c = IntegerKernel(table, [table.var("c") - instantiate_eta(c_expr, eta, table)])
+        self.vanish = [table.var(var) - instantiate_eta(expr, eta, table) for var, expr in subs]
+        self.vanish += [table.var(var) ** 2 - instantiate_eta(rhs, eta, table) for var, rhs in reductions]
+        self.nonzero = [instantiate_eta(q, eta, table) for q in case.nonzero]
+        self.locus = IntegerKernel(table, self.vanish + self.nonzero)
+        self.c = None if c_expr is None else table.var("c") - instantiate_eta(c_expr, eta, table)
+        self.c_kernel = None if self.c is None else IntegerKernel(table, [self.c])
 
-    def locus_holds(self, values: dict[str, Value]) -> bool:
-        out = self.locus(values)
-        return not any(out[: self.split]) and all(out[self.split :])
+    def locus_holds(self, values: dict[str, Value], tol: float) -> bool:
+        """The lambda0-free half: substitutions, quadratic relations, hypotheses."""
+        if tol == 0:
+            out = self.locus(values)
+            split = len(self.vanish)
+            return not any(out[:split]) and all(out[split:])
+        return all(abs(q.evaluate(values)) <= tol for q in self.vanish) and all(
+            abs(q.evaluate(values)) > tol for q in self.nonzero
+        )
 
-    def c_matches(self, values: dict[str, Value], lambda0_value: Value, c_solution: CSolution) -> bool:
+    def c_matches(self, values: dict[str, Value], lambda0_value: Value, c_solution: CSolution, tol: float) -> bool:
+        """The c half: the solved c equals the case's c at this lambda0."""
         if self.c is None or c_solution.status == "any":
             return True
-        return not self.c({**values, "lambda0": lambda0_value, "c": c_solution.value})[0]
+        point = {**values, "lambda0": lambda0_value, "c": c_solution.value}
+        if tol == 0:
+            return not self.c_kernel(point)[0]
+        return abs(self.c.evaluate(point)) <= tol
 
 
 def scan_membership(
@@ -877,24 +853,19 @@ def scan_membership(
 ) -> list[bool]:
     """Per solvable entry of `report`: does it fall inside one of `cases`?
 
-    Equal to `any(case_matches_point(...))` entry by entry, but the
-    lambda0-free locus test runs once per (point, tolerance), since the
-    entries of one point differ only in lambda0 and c.  Entries with
-    tolerance 0 are decided in integers by each case's compiled form.
+    Equal to `any(case_matches_point(...))` entry by entry, but each case
+    is compiled once per call, and the lambda0-free locus test runs once
+    per (point, tolerance), since the entries of one point differ only in
+    lambda0 and c.
     """
     compiled = [_CompiledCase(case, report.eta, table) for case in cases if not case.empty]
-    loci: dict[tuple[int, float], list] = {}  # compiled cases at tol 0, else cases
+    loci: dict[tuple[int, float], list[_CompiledCase]] = {}
     out = []
     for e in report.solvable:
         tol = _match_tolerance(e.values, e.lambda0, tolerance)
         key = (e.index, tol)
+        if key not in loci:
+            loci[key] = [c for c in compiled if c.locus_holds(e.values, tol)]
         sol = CSolution(e.status, e.c, e.residual_max)
-        if tol == 0:
-            if key not in loci:
-                loci[key] = [c for c in compiled if c.locus_holds(e.values)]
-            out.append(any(c.c_matches(e.values, e.lambda0, sol) for c in loci[key]))
-        else:
-            if key not in loci:
-                loci[key] = [c for c in cases if _locus_holds(c, report.eta, e.values, table, tol)]
-            out.append(any(_c_matches(c, report.eta, e.values, e.lambda0, sol, table, tol) for c in loci[key]))
+        out.append(any(c.c_matches(e.values, e.lambda0, sol, tol) for c in loci[key]))
     return out

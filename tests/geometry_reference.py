@@ -4,27 +4,64 @@ Each is written out here from its definition, independently of the shared
 curvature helper in `lieschouten.geometry` and of the way `soliton_system`
 builds its residuals:
 
+* `reference_canonical` and `reference_kobayashi_nomizu`: the derived
+  connections from their defining formulas, nabla - 1/2 (nabla J) J and
+  nabla0 - 1/4 [(nabla_Y J) J X - (nabla_{JY} J) X], with nabla J formed
+  here from the Levi-Civita coefficients,
 * `reference_curvature`: every component of R(e_i, e_j) e_k, term by term,
 * `reference_ricci_form`: the weighted contraction of that full tensor,
 * `derivation_candidate`: D = Sch~ - c*Id with the Schouten form raised,
   built from the reference Ricci form,
-* `generated_families`: seeded custom algebras with affine bracket entries.
+* `generated_families`: seeded custom algebras with affine bracket entries,
+* `G5_ON_A_CIRCLE`: g5 restricted to alpha^2 + beta^2 = 4, a custom algebra
+  whose quadratic constraint has no linear split, so its points are floats.
 """
 
 import random
 from fractions import Fraction
 
-from lieschouten.algebras import custom_family
+from lieschouten.algebras import PRODUCT_STRUCTURE_J, custom_family
 from lieschouten.geometry import (
     LEVI_CIVITA,
     BilinearForm,
     OperatorMatrix,
     connection,
+    levi_civita,
     ricci_operator,
     scalar_curvature,
     schouten_form,
     symmetrize,
 )
+
+
+def _nabla_j(gamma):
+    """nj[i][j][k]: the e_k component of (nabla_{e_i} J) e_j
+    = nabla_{e_i}(J e_j) - J nabla_{e_i} e_j = Gamma_ij^k (sigma_j - sigma_k)."""
+    sigma = PRODUCT_STRUCTURE_J
+    return [[[gamma[i][j][k] * (sigma[j] - sigma[k]) for k in range(3)] for j in range(3)] for i in range(3)]
+
+
+def reference_canonical(fam):
+    """Gamma0_ij^k = Gamma_ij^k - 1/2 sigma_j (nabla_{e_i} J)_j^k."""
+    g = levi_civita(fam).gamma
+    nj = _nabla_j(g)
+    sigma = PRODUCT_STRUCTURE_J
+    half = Fraction(1, 2)
+    return [[[g[i][j][k] - half * sigma[j] * nj[i][j][k] for k in range(3)] for j in range(3)] for i in range(3)]
+
+
+def reference_kobayashi_nomizu(fam):
+    """Gamma1_ij^k = Gamma0_ij^k - 1/4 (sigma_i - sigma_j) (nabla_{e_j} J)_i^k:
+    on (X, Y) = (e_i, e_j), (nabla_Y J) J X - (nabla_{JY} J) X is
+    (sigma_i - sigma_j) (nabla_{e_j} J) e_i."""
+    nj = _nabla_j(levi_civita(fam).gamma)
+    g0 = reference_canonical(fam)
+    sigma = PRODUCT_STRUCTURE_J
+    quarter = Fraction(1, 4)
+    return [
+        [[g0[i][j][k] - quarter * (sigma[i] - sigma[j]) * nj[j][i][k] for k in range(3)] for j in range(3)]
+        for i in range(3)
+    ]
 
 
 def reference_curvature(conn, fam):
@@ -100,3 +137,13 @@ def generated_families(seed, count):
         lines = [f"bracket.{key} = " + ", ".join(entry() for _ in range(3)) for key in ("12", "13", "23")]
         out.append(custom_family("\n".join(lines) + "\n"))
     return out
+
+
+# The quadratic constraint is solved by the sampler's numerical search for
+# beta, and the linear one for delta through the float linear root.
+G5_ON_A_CIRCLE = """
+bracket.13 = alpha, beta, 0
+bracket.23 = gamma, delta, 0
+constraints = alpha^2 + beta^2 - 4; alpha*gamma + beta*delta
+nonvanishing = alpha + delta
+"""

@@ -22,6 +22,8 @@ from lieschouten.algebras import (
 )
 from lieschouten.poly import DEFAULT_TABLE, Polynomial, parse_polynomial
 
+from geometry_reference import G5_ON_A_CIRCLE
+
 T = DEFAULT_TABLE
 
 
@@ -183,21 +185,21 @@ class TestSampling:
             assert pt.values["alpha"] * pt.values["gamma"] == 0
             assert pt.values["alpha"] + pt.values["delta"] != 0
 
-    def test_float_mode(self):
-        points = sample_parameters(build_family("g5"), seed=2, count=10, mode="float")
-        for pt in points:
+    def test_float_points_satisfy_both_constraints(self):
+        # beta by the numerical search, delta by the float linear root
+        for pt in sample_parameters(custom_family(G5_ON_A_CIRCLE), seed=2, count=10):
             assert not pt.exact
-            con = p("alpha*gamma + beta*delta")
-            assert abs(con.evaluate(pt.values)) < 1e-6
+            assert abs(pt.values["alpha"] ** 2 + pt.values["beta"] ** 2 - 4) < 1e-6
+            assert abs(p("alpha*gamma + beta*delta").evaluate(pt.values)) < 1e-6
+            assert abs(pt.values["alpha"] + pt.values["delta"]) > 1e-6
 
-    def test_quadratic_constraint_falls_back_with_warning(self):
-        fam = custom_family(
-            "bracket.12 = alpha, 0, 0\nconstraints = alpha^2 + beta^2 - 4\nnonvanishing = alpha"
-        )
-        points = sample_parameters(fam, seed=4, count=5, mode="exact")
-        for pt in points:
-            assert pt.warning and not pt.exact
-            assert abs((pt.values["alpha"] ** 2 + pt.values["beta"] ** 2) - 4) < 1e-6
+    def test_constraint_without_linear_split_forces_float_points(self):
+        floats = sample_parameters(custom_family(G5_ON_A_CIRCLE), seed=4, count=5)
+        assert all(not pt.exact and all(type(v) is float for v in pt.values.values()) for pt in floats)
+        # the same algebra without the quadratic constraint samples exactly
+        linear_only = G5_ON_A_CIRCLE.replace("alpha^2 + beta^2 - 4; ", "")
+        exact = sample_parameters(custom_family(linear_only), seed=4, count=5)
+        assert all(pt.exact and all(type(v) is Fraction for v in pt.values.values()) for pt in exact)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -255,7 +257,7 @@ def reference_sample(fam, seed, count):
 def test_sampler_matches_evaluate_reference(fam, seed):
     got = sample_parameters(fam, seed=seed, count=200)
     expected, _ = reference_sample(fam, seed, 200)
-    assert all(pt.exact and not pt.warning for pt in got)
+    assert all(pt.exact for pt in got)
     assert [pt.values for pt in got] == expected
     assert [{k: type(v) for k, v in pt.values.items()} for pt in got] == [
         {k: type(v) for k, v in e.items()} for e in expected
@@ -306,4 +308,4 @@ class TestCustomFiles:
 
     def test_parameter_point_type(self):
         pt = ParameterPoint(values={"alpha": Fraction(1)}, exact=True)
-        assert pt.exact and not pt.warning
+        assert pt.exact and pt.values == {"alpha": Fraction(1)}

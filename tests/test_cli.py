@@ -55,8 +55,15 @@ class TestExitCodes:
         assert code == 3
 
     def test_nonpositive_tolerance_rejected(self, capsys):
-        code, _, err = run(capsys, "scan", "--family", "g1", "--kind", "lc", "--tolerance", "-1")
-        assert code == 2
+        # nan and inf pass a plain `<= 0` check; they are usage errors too
+        for command in (("scan", "--family", "g1", "--kind", "lc"), ("verify", "--only", "4.11.2")):
+            for value in ("-1", "nan", "inf"):
+                code, out, err = run(capsys, *command, "--tolerance", value)
+                assert (code, out) == (2, "") and "positive finite" in err, (command, value)
+
+    def test_lambda0_division_by_zero_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "scan", "--family", "g1", "--lambda0", "0,1/0")
+        assert (code, out) == (2, "") and "bad lambda0 value '1/0'" in err
 
 
 class TestRicci:

@@ -6,6 +6,7 @@ identities it must satisfy for every family and through a few hand-typed
 reference entries.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,13 @@ from lieschouten.geometry import (
 )
 from lieschouten.poly import DEFAULT_TABLE, parse_polynomial
 
-from geometry_reference import generated_families, reference_curvature, reference_ricci_form
+from geometry_reference import (
+    generated_families,
+    reference_canonical,
+    reference_curvature,
+    reference_kobayashi_nomizu,
+    reference_ricci_form,
+)
 
 T = DEFAULT_TABLE
 ABELIAN = custom_family("")
@@ -143,6 +150,21 @@ class TestDerivedConnections:
 
 
 GENERATED = generated_families(seed=11, count=6)
+
+
+@pytest.mark.parametrize(
+    "build, reference",
+    [(canonical_connection, reference_canonical), (kobayashi_nomizu, reference_kobayashi_nomizu)],
+    ids=[CANONICAL, KOBAYASHI_NOMIZU],
+)
+@pytest.mark.parametrize("fams", [FAMILIES, generated_families(seed=5, count=48)], ids=["catalogue", "custom"])
+def test_closed_form_derived_connections_match_their_definitions(fams, build, reference):
+    # float evaluation sums in dict order, so the term order is pinned too
+    for fam in fams:
+        got = build(fam).gamma
+        expected = reference(fam)
+        for i, j, k in itertools.product(range(3), repeat=3):
+            assert list(got[i][j][k].terms.items()) == list(expected[i][j][k].terms.items())
 
 
 @pytest.mark.parametrize(

@@ -28,9 +28,10 @@ from lieschouten.soliton import (
     soliton_system,
     verify_case,
 )
-from lieschouten.soliton import _exact_c_solver, _exact_or_float_sqrt, _sample_case_locus, _solve_exact
+from lieschouten.soliton import _exact_c_solver, _exact_or_float_sqrt, _sample_case_locus
 
-from geometry_reference import derivation_candidate, generated_families
+from geometry_reference import G5_ON_A_CIRCLE, derivation_candidate, generated_families
+from membership_reference import reference_case_matches_point
 
 T = DEFAULT_TABLE
 ABELIAN = custom_family("")
@@ -401,16 +402,21 @@ def c_rows(draw):
     return rows
 
 
+def solve_at_lambda0_zero(rows):
+    """{a_i*c + b_i = 0} as the rows (P, Q, R) = (b_i, 0, a_i) at lambda0 = 0."""
+    return _exact_c_solver([(b, 0, a) for a, b in rows])(0, 1)
+
+
 @given(c_rows(), st.integers(1, 12))
 def test_exact_solver_matches_fraction_reference(rows, scale):
     expected = reference_solve(rows)
-    assert _solve_exact(rows) == expected
+    assert solve_at_lambda0_zero(rows) == expected
     # the scan kernel feeds rows scaled by a positive integer to cleared ints
     den = 1
     for a, b in rows:
         den = den * a.denominator * b.denominator
     int_rows = [(int(a * den * scale), int(b * den * scale)) for a, b in rows]
-    sol = _solve_exact(int_rows)
+    sol = solve_at_lambda0_zero(int_rows)
     assert sol == expected
     assert type(sol.value) is type(expected.value)
 
@@ -438,7 +444,10 @@ def test_exact_c_solver_matches_fraction_reference_at_each_lambda0(drawn, other)
         assert solve(lam0.numerator, lam0.denominator) == reference_solve([(r, p + q * lam0) for p, q, r in rows])
 
 
-def test_float_mode_scan_uses_tolerance_path(monkeypatch):
+FLOAT_G5 = custom_family(G5_ON_A_CIRCLE)  # its sample points are floats
+
+
+def test_float_points_scan_through_tolerance_path(monkeypatch):
     calls = []
     solve_rows = soliton._solve_rows
 
@@ -450,8 +459,8 @@ def test_float_mode_scan_uses_tolerance_path(monkeypatch):
         raise AssertionError("exact solver reached from a float point")
 
     monkeypatch.setattr(soliton, "_solve_rows", counting)
-    monkeypatch.setattr(soliton, "_solve_exact", refuse)
-    report = scan(build_family("g5"), "canonical", seed=0, count=20, mode="float", tolerance=1e-7)
+    monkeypatch.setattr(soliton, "_exact_c_solver", refuse)
+    report = scan(FLOAT_G5, "canonical", seed=0, count=20, tolerance=1e-7)
     assert calls == [1e-7] * len(report.entries)
     assert all(isinstance(v, float) for e in report.entries for v in e.values.values())
     assert all(e.status == "unique" and isinstance(e.c, float) and abs(e.c) <= 1e-7 for e in report.entries)
@@ -617,12 +626,11 @@ MEMBERSHIP_GRID = DEFAULT_LAMBDA0_GRID + (Fraction(-7, 3), 0.3)
 CATALOG_CASES = load_catalog().cases
 
 
-def reference_membership(report, cases, eta):
+def memberships(matches, report, cases, eta, tolerance=1e-9):
+    """Per solvable entry: does `matches` place it inside one of `cases`?"""
     return [
         any(
-            case_matches_point(
-                case, eta, e.values, e.lambda0, CSolution(e.status, e.c, e.residual_max), T
-            )
+            matches(case, eta, e.values, e.lambda0, CSolution(e.status, e.c, e.residual_max), T, tolerance)
             for case in cases
         )
         for e in report.solvable
@@ -636,7 +644,49 @@ def test_scan_membership_equals_case_matches_point(fam, kind):
     report = scan(fam, kind, seed=0, count=60, lambda0_grid=MEMBERSHIP_GRID)
     # each case alone also yields entries outside it, so both verdicts occur
     for subset in [cases] + [[case] for case in cases]:
-        assert scan_membership(report, subset, T) == reference_membership(report, subset, fam.eta)
+        expected = memberships(reference_case_matches_point, report, subset, fam.eta)
+        assert scan_membership(report, subset, T) == expected
+        assert memberships(case_matches_point, report, subset, fam.eta) == expected
+
+
+def test_membership_at_float_points_matches_the_reference():
+    # at float points every test is a tolerance test; a wide tolerance
+    # makes each half of the membership hold at some entries and fail at others
+    case = TheoremCase(
+        label="f.1",
+        family_id="custom",
+        kind="canonical",
+        substitutions=(("gamma", p("delta")),),
+        c_expr=p("lambda0 - 5/4"),
+        reductions=(("beta", p("4 - alpha^2")),),
+        nonzero=(p("alpha + delta"), p("delta - 1")),
+    )
+    report = scan(FLOAT_G5, "canonical", seed=1, count=60, lambda0_grid=MEMBERSHIP_GRID)
+    expected = memberships(reference_case_matches_point, report, [case], None, tolerance=0.5)
+    assert scan_membership(report, [case], T, tolerance=0.5) == expected
+    assert memberships(case_matches_point, report, [case], None, tolerance=0.5) == expected
+    assert any(expected) and not all(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fam=st.sampled_from(all_family_branches() + [FLOAT_G5]),
+    kind=st.sampled_from(CONNECTION_KINDS),
+    seed=st.integers(0, 1000),
+    grid=st.lists(rational, min_size=1, max_size=4),
+    with_float=st.booleans(),
+)
+def test_solve_for_c_equals_the_scan_entry(fam, kind, seed, grid, with_float):
+    grid = grid + [0.3] if with_float else grid
+    report = scan(fam, kind, seed=seed, count=4, lambda0_grid=grid)
+    system = soliton_system(fam, kind)
+    for e in report.entries:
+        sol = solve_for_c(system, e.values, e.lambda0)
+        assert sol == CSolution(e.status, e.c, e.residual_max)
+        assert type(sol.value) is type(e.c)
+        if sol.status == "unique":  # the solved c, plugged back, solves
+            point = {**e.values, "lambda0": e.lambda0, "c": e.c}
+            assert all(abs(r.evaluate(point)) <= 1e-9 for r in system.residuals)
 
 
 def test_scan_membership_sees_float_lambda0_and_both_verdicts():
