@@ -288,6 +288,8 @@ def jacobi_residuals(fam: LieAlgebraFamily) -> Vector:
 _NUMERATORS = tuple(range(-3, 4))
 _DENOMINATORS = (1, 2, 3)
 _POOL = {(n, d): Fraction(n, d) for n in _NUMERATORS for d in _DENOMINATORS}
+# A float point must satisfy every equality constraint to within this.
+_FLOAT_TOLERANCE = 1e-9
 
 
 def draw_rational(rng: random.Random) -> Fraction:
@@ -335,14 +337,20 @@ def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[Para
     linearly in it, and the rest are drawn from a small rational pool.
     Only a constraint with no such variable forces floats: then every draw
     is a float, that constraint is solved by a numerical search and the
-    points are not exact.  Nonvanishing conditions are enforced by
-    rejection.  Exact draws are decided in integers: each split's (a, b)
-    and the nonvanishing polynomials are compiled once per call.
+    points are not exact.  Each constraint is solved after every other one
+    whose solved variable it reads, so no later step moves a variable that
+    an earlier one read, and a float point is kept only if every equality
+    constraint holds to within `_FLOAT_TOLERANCE`.  Nonvanishing conditions
+    are enforced by rejection.  Exact draws are decided in integers: each
+    split's (a, b) and the nonvanishing polynomials are compiled once per
+    call.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
     splits = {con: _linear_split(con) for con in fam.equality_constraints}
+    targets = {con: split[0] if split else _search_variable(con) for con, split in splits.items()}
+    splits = {con: splits[con] for con in _solve_order(targets)}
     exact = None not in splits.values()
     solved = {split[0] for split in splits.values() if split is not None}
     if exact:
@@ -380,20 +388,39 @@ def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[Para
         if exact:
             if not all(nonzero(values)):
                 continue
-        elif any(abs(q.evaluate(values)) <= 1e-6 for q in fam.nonvanishing):
+        elif any(abs(q.evaluate(values)) <= 1e-6 for q in fam.nonvanishing) or any(
+            abs(q.evaluate(values)) > _FLOAT_TOLERANCE for q in fam.equality_constraints
+        ):
             continue
         points.append(ParameterPoint(values=values, exact=exact))
     return points
+
+
+def _solve_order(targets: dict[Polynomial, Optional[str]]) -> list[Polynomial]:
+    """The constraints in listed order, except that each one comes after
+    every other one whose target variable it reads.  Where no such order
+    exists, as for two constraints with one target, the listed one stays."""
+    order, pending = [], list(targets)
+    while pending:
+        ready = [con for con in pending if not any(targets[o] in con.variables() for o in pending if o is not con)]
+        order.append(ready[0] if ready else pending[0])
+        pending.remove(order[-1])
+    return order
+
+
+def _search_variable(constraint: Polynomial) -> Optional[str]:
+    """The variable that `_float_project` solves for: the last one present."""
+    present = [n for n in constraint.table.names if n in constraint.variables()]
+    return present[-1] if present else None
 
 
 def _float_project(
     constraint: Polynomial, values: dict[str, Union[Fraction, float]], rng: random.Random
 ) -> bool:
     """Numerically solve `constraint` == 0 for its last present variable."""
-    present = [n for n in constraint.table.names if n in constraint.variables()]
-    if not present:
-        return abs(constraint.evaluate(values)) < 1e-9
-    var = present[-1]
+    var = _search_variable(constraint)
+    if var is None:
+        return abs(constraint.evaluate(values)) <= _FLOAT_TOLERANCE
 
     def f(x: float) -> float:
         probe = dict(values)

@@ -23,10 +23,11 @@ import sys
 from fractions import Fraction
 
 from .algebras import FAMILY_IDS, build_family, family_branches, jacobi_residuals, load_family, sample_parameters
-from .catalog import CatalogError, load_catalog, verify_all
 from .geometry import KIND_ALIASES, LEVI_CIVITA, ricci_pipeline
 from .poly import ParseError, PolynomialError
-from .soliton import DEFAULT_LAMBDA0_GRID, scan, serialize_system, soliton_system
+
+# `soliton` and `catalog` are imported by the commands that run them, so a
+# one-shot `ricci`, `scalar`, `jacobi` or `families` call never loads them.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -132,6 +133,8 @@ def cmd_scalar(args) -> int:
 
 
 def cmd_system(args) -> int:
+    from .soliton import serialize_system, soliton_system
+
     fam = _resolve_family(args)
     system = soliton_system(fam, KIND_ALIASES[args.kind])
     if args.format == "machine":
@@ -177,6 +180,8 @@ def cmd_jacobi(args) -> int:
 
 
 def _parse_lambda0_grid(text):
+    from .soliton import DEFAULT_LAMBDA0_GRID
+
     if not text:
         return DEFAULT_LAMBDA0_GRID
     out = []
@@ -190,6 +195,8 @@ def _parse_lambda0_grid(text):
 
 
 def cmd_scan(args) -> int:
+    from .soliton import scan
+
     fam = _resolve_family(args)
     grid = _parse_lambda0_grid(args.lambda0)
     report = scan(
@@ -223,6 +230,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .catalog import CatalogError, load_catalog, verify_all
+
     try:
         catalog = load_catalog()
     except CatalogError as err:
@@ -330,9 +339,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except CatalogError as err:
-        print(f"catalog error: {err}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -101,21 +101,22 @@ class OperatorMatrix:
 
 
 def levi_civita(fam: LieAlgebraFamily) -> ConnectionCoefficients:
-    """Koszul-formula Levi-Civita connection of the family's metric."""
+    """Koszul-formula Levi-Civita connection of the family's metric.
+
+    2 eps_k Gamma^k_ij = C^k_ij eps_k - C^i_jk eps_i + C^j_ki eps_j: the
+    nonzero constants are added or subtracted by the sign of their eps
+    factor, and the sum is scaled once by eps_k / 2.
+    """
     c = fam.structure.c
     eps = fam.metric.eps
-    half = Fraction(1, 2)
     gamma = [[[None] * 3 for _ in range(3)] for _ in range(3)]
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                # 2 eps_k Gamma^k_ij = C^k_ij eps_k - C^i_jk eps_i + C^j_ki eps_j
-                val = (
-                    c[i][j][k] * eps[k]
-                    - c[j][k][i] * eps[i]
-                    + c[k][i][j] * eps[j]
-                ) * (half * eps[k])
-                gamma[i][j][k] = val
+                acc = fam.table.zero
+                for sign, q in ((eps[k], c[i][j][k]), (-eps[i], c[j][k][i]), (eps[j], c[k][i][j])):
+                    acc = acc + q if sign > 0 else acc - q
+                gamma[i][j][k] = acc if acc.is_zero else acc * Fraction(eps[k], 2)
     return ConnectionCoefficients(LEVI_CIVITA, _freeze3([_freeze3(g) for g in gamma]))
 
 

@@ -1,26 +1,24 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a mapping from monomials to nonzero Fraction coefficients,
-relative to a fixed, ordered variable table.  A monomial is an exponent
-tuple with one entry per table variable:
+A polynomial stores integer numerators over one positive common
+denominator, keyed by monomials of a fixed, ordered variable table.  A
+monomial is an exponent tuple with one entry per table variable:
 
-    3/2*alpha*beta^2  over  (alpha, beta, gamma, ...)
-        ->  {(1, 2, 0, ...): Fraction(3, 2)}
+    3/2*alpha*beta^2 - 1/3*gamma  over  (alpha, beta, gamma, ...)
+        ->  _num = {(1, 2, 0, ...): 9, (0, 0, 1, ...): -2},  _den = 6
 
-The zero polynomial stores no terms.  Because zero coefficients are never
-kept, two polynomials are equal exactly when their term dicts are equal,
-so the dict is the canonical form and symbolic identities can be tested
-with ``==``.
+The storage is normalised (no zero numerator, gcd(_den, *_num) == 1, and
+zero is ({}, 1)), so two polynomials are equal exactly when their
+(denominator, numerators) pairs are, and symbolic identities can be
+tested with ``==``.  ``terms`` derives the monomial -> Fraction view, in
+storage order.
 
 Only the public constructor ``Polynomial(table, terms)`` checks its input:
-it rejects a monomial of the wrong length, drops zero coefficients and
-converts the rest to Fraction.  Ring operations build their results with
-the unchecked ``Polynomial._trusted``, because those results are canonical
-by construction: every monomial is a sum of checked monomials, ``+`` and
-``-`` delete a key the moment its coefficient cancels, and ``*`` keeps
-only the nonzero sums of its integer convolution (both operands scaled
-by their least common denominator), each divided once by the product of
-the two denominators.
+it rejects a monomial of the wrong length and drops zero coefficients.
+The ring operations form no Fraction: ``+`` and ``-`` merge numerators
+over the lcm of the denominators, deleting a key the moment it cancels,
+``*`` convolves them over the product of the denominators, and each
+result is divided once by its one common gcd.
 
 Printing uses graded lexicographic monomial order (higher total degree
 first, ties broken by the exponent vector), which makes rendered output
@@ -40,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -69,13 +67,6 @@ def _grlex(m: Monomial) -> tuple[int, Monomial]:
 def _divides(a: Monomial, b: Monomial) -> bool:
     """Whether the monomial `a` divides `b`."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def _integer_terms(terms: Mapping[Monomial, Fraction]) -> tuple[list[tuple[Monomial, int]], int]:
-    """The terms over their least common denominator d: (monomial, c*d)
-    pairs in the dict's order, and d."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()], d
 
 
 class PolynomialError(ValueError):
@@ -134,15 +125,15 @@ class VariableTable:
         """The polynomial consisting of the single variable `name`."""
         exps = [0] * len(self.names)
         exps[self.index(name)] = 1
-        return Polynomial._trusted(self, {tuple(exps): Fraction(1)})
+        return Polynomial._make(self, {tuple(exps): 1}, 1)
 
     def const(self, value: Scalar) -> "Polynomial":
-        coeff = Fraction(value)
-        return Polynomial._trusted(self, {(0,) * len(self.names): coeff} if coeff else {})
+        coeff = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return Polynomial._make(self, {(0,) * len(self.names): coeff.numerator} if coeff else {}, coeff.denominator)
 
     @property
     def zero(self) -> "Polynomial":
-        return Polynomial._trusted(self, {})
+        return Polynomial._make(self, {}, 1)
 
     @property
     def one(self) -> "Polynomial":
@@ -159,7 +150,7 @@ DEFAULT_TABLE = VariableTable()
 class Polynomial:
     """Immutable multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "_num", "_den")
 
     def __init__(self, table: VariableTable, terms: Mapping[Monomial, Scalar]):
         clean: dict[Monomial, Fraction] = {}
@@ -170,19 +161,34 @@ class Polynomial:
                 )
             if c:
                 clean[m] = Fraction(c)
+        # Reduced fractions over their lcm already have numerator gcd 1 with it.
+        den = lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_num", {m: c.numerator * (den // c.denominator) for m, c in clean.items()})
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _trusted(cls, table: VariableTable, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        """Wrap a term dict that is canonical by construction, unchecked."""
+    def _make(cls, table: VariableTable, num: dict[Monomial, int], den: int) -> "Polynomial":
+        """Wrap nonzero numerators over den > 0, unchecked, in lowest terms."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {m: n // g for m, n in num.items()}
+                den //= g
         self = object.__new__(cls)
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
         return self
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """A fresh dict monomial -> Fraction coefficient, in storage order."""
+        den = self._den
+        return {m: Fraction(n, den) for m, n in self._num.items()}
 
     # -- ring structure ----------------------------------------------------
 
@@ -196,27 +202,29 @@ class Polynomial:
         return NotImplemented  # type: ignore[return-value]
 
     def _merge(self, other, subtract: bool) -> "Polynomial":
-        """self + other, or self - other: other's terms merged into a copy of
-        self's, a key deleted the moment its coefficient cancels.  A zero
-        operand returns the other one itself; polynomials are immutable."""
+        """self + other, or self - other, over the lcm of the denominators.
+        A zero operand returns the other one itself; polynomials are immutable."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.terms:
+        if not other._num:
             return self
-        if not self.terms and not subtract:
+        if not self._num and not subtract:
             return other
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        out = dict(self._num) if fa == 1 else {m: n * fa for m, n in self._num.items()}
+        pairs = other._num.items() if fb == 1 else [(m, n * fb) for m, n in other._num.items()]
+        for m, n in pairs:
             if m in out:
-                total = out[m] - c if subtract else out[m] + c
+                total = out[m] - n if subtract else out[m] + n
                 if total:
                     out[m] = total
                 else:
                     del out[m]
             else:
-                out[m] = -c if subtract else c
-        return Polynomial._trusted(self.table, out)
+                out[m] = -n if subtract else n
+        return Polynomial._make(self.table, out, den)
 
     def __add__(self, other) -> "Polynomial":
         return self._merge(other, False)
@@ -224,7 +232,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.table, {m: -c for m, c in self.terms.items()})
+        return Polynomial._make(self.table, {m: -n for m, n in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "Polynomial":
         return self._merge(other, True)
@@ -237,22 +245,22 @@ class Polynomial:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             if not other:
-                return Polynomial._trusted(self.table, {})
-            return Polynomial._trusted(self.table, {m: c * other for m, c in self.terms.items()})
+                return self.table.zero
+            p = other.numerator
+            return Polynomial._make(
+                self.table, {m: n * p for m, n in self._num.items()}, self._den * other.denominator
+            )
         other = self._coerce(other)
-        if not self.terms or not other.terms:
-            return Polynomial._trusted(self.table, {})
-        # Convolve integer coefficients over the two common denominators,
-        # then divide once per output term.
-        a, da = _integer_terms(self.terms)
-        b, db = _integer_terms(other.terms)
+        if not self._num or not other._num:
+            return self.table.zero
+        # Convolve the integer numerators over the product of the denominators.
         out: dict[Monomial, int] = {}
-        for ma, ca in a:
+        b = other._num.items()
+        for ma, ca in self._num.items():
             for mb, cb in b:
                 m = tuple(map(add, ma, mb))
                 out[m] = out.get(m, 0) + ca * cb
-        den = da * db
-        return Polynomial._trusted(self.table, {m: Fraction(n, den) for m, n in out.items() if n})
+        return Polynomial._make(self.table, {m: n for m, n in out.items() if n}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -273,48 +281,49 @@ class Polynomial:
             other = self.table.const(other)
         if not isinstance(other, Polynomial) or other.table != self.table:
             return False
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        if not any(map(any, self.terms)):
+        if not any(map(any, self._num)):
             # a constant equals its scalar value, so it hashes like it
-            return hash(next(iter(self.terms.values()), 0))
-        return hash((self.table, frozenset(self.terms.items())))
+            n = next(iter(self._num.values()), 0)
+            return hash(n if self._den == 1 else Fraction(n, self._den))
+        return hash((self.table, self._den, frozenset(self._num.items())))
 
     # -- queries -----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def variables(self) -> set[str]:
         """Names of variables that actually occur (nonzero exponent)."""
         used: set[str] = set()
-        for m in self.terms:
+        for m in self._num:
             for name, e in zip(self.table.names, m):
                 if e:
                     used.add(name)
         return used
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return max((sum(m) for m in self._num), default=0)
 
     def degree_in(self, var: str) -> int:
         i = self.table.index(var)
-        return max((m[i] for m in self.terms), default=0)
+        return max((m[i] for m in self._num), default=0)
 
     def coefficient_of(self, var: str, power: int) -> "Polynomial":
         """The coefficient of var^power, as a polynomial without `var`."""
         i = self.table.index(var)
-        return Polynomial._trusted(
-            self.table, {m[:i] + (0,) + m[i + 1 :]: c for m, c in self.terms.items() if m[i] == power}
+        return Polynomial._make(
+            self.table, {m[:i] + (0,) + m[i + 1 :]: n for m, n in self._num.items() if m[i] == power}, self._den
         )
 
     def constant_value(self) -> Fraction:
         """The value of a degree-0 polynomial; error if any variable occurs."""
         if self.total_degree() > 0:
             raise PolynomialError(f"{self} is not constant")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(next(iter(self._num.values()), 0), self._den)
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -348,13 +357,13 @@ class Polynomial:
         i = self.table.index(var)
         # Group by exponent of var so each power of the replacement is
         # computed once.
-        by_power: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
+        by_power: dict[int, dict[Monomial, int]] = {}
+        for m, n in self._num.items():
             stripped = m[:i] + (0,) + m[i + 1 :]
-            by_power.setdefault(m[i], {})[stripped] = c
+            by_power.setdefault(m[i], {})[stripped] = n
         result = self.table.zero
-        for power, terms in sorted(by_power.items()):
-            partial = Polynomial._trusted(self.table, terms)
+        for power, num in sorted(by_power.items()):
+            partial = Polynomial._make(self.table, num, self._den)
             result = result + partial * replacement**power
         return result
 
@@ -380,9 +389,9 @@ class Polynomial:
 
     def leading_monomial(self) -> Monomial:
         """Graded-lex largest monomial; error on the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             raise PolynomialError("zero polynomial has no leading monomial")
-        return max(self.terms, key=_grlex)
+        return max(self._num, key=_grlex)
 
     def reduce_by_relation(self, relation: "Polynomial", pivot: Monomial | None = None) -> "Polynomial":
         """Remainder modulo one relation, eliminating one of its monomials.
@@ -399,7 +408,7 @@ class Polynomial:
         if relation.is_zero:
             return self
         lead = relation.leading_monomial() if pivot is None else pivot
-        if lead not in relation.terms:
+        if lead not in relation._num:
             raise PolynomialError("pivot is not a monomial of the relation")
         return self._divide([(lead, relation)])
 
@@ -414,16 +423,17 @@ class Polynomial:
     def _divide(self, divisors: Sequence[tuple[Monomial, "Polynomial"]]) -> "Polynomial":
         """Multivariate division, largest term first: a term divisible by the
         pivot of some (pivot, g) is cancelled by a multiple of the first
-        such g, any other term moves to the remainder."""
-        out = dict(self.terms)
+        such g, any other term moves to the remainder, in Fractions."""
+        out = self.terms
         rem: dict[Monomial, Fraction] = {}
+        divisor_terms = [(pivot, g.terms) for pivot, g in divisors]
         while out:
             m = max(out, key=_grlex)
-            for pivot, g in divisors:
+            for pivot, g in divisor_terms:
                 if _divides(pivot, m):
                     shift = tuple(e - pe for e, pe in zip(m, pivot))
-                    factor = out[m] / g.terms[pivot]
-                    for gm, gc in g.terms.items():
+                    factor = out[m] / g[pivot]
+                    for gm, gc in g.items():
                         key = tuple(a + b for a, b in zip(shift, gm))
                         out[key] = out.get(key, 0) - factor * gc
                         if not out[key]:
@@ -435,63 +445,49 @@ class Polynomial:
 
     def project_to(self, table: VariableTable) -> "Polynomial":
         """Re-express over `table`; every used variable must exist there."""
-        positions = []
-        for name, used in zip(self.table.names, self._used_mask()):
-            if name in table:
-                positions.append(table.index(name))
-            elif used:
-                raise PolynomialError(
-                    f"variable {name!r} still occurs; cannot project"
-                )
-            else:
-                positions.append(None)
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
+        used = self.variables()
+        for name in self.table.names:
+            if name in used and name not in table:
+                raise PolynomialError(f"variable {name!r} still occurs; cannot project")
+        positions = [table.index(name) if name in table else None for name in self.table.names]
+        out: dict[Monomial, int] = {}
+        for m, n in self._num.items():
             exps = [0] * len(table)
             for e, pos in zip(m, positions):
                 if e:
                     exps[pos] = e  # type: ignore[index]
-            out[tuple(exps)] = c
-        return Polynomial._trusted(table, out)
-
-    def _used_mask(self) -> list[bool]:
-        mask = [False] * len(self.table)
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    mask[i] = True
-        return mask
+            out[tuple(exps)] = n
+        return Polynomial._make(table, out, self._den)
 
     # -- printing ------------------------------------------------------------
 
-    def _sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        # Graded lexicographic, largest first (earlier variables weigh more).
-        return sorted(self.terms.items(), key=lambda item: _grlex(item[0]), reverse=True)
-
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         pieces: list[str] = []
-        for n, (m, c) in enumerate(self._sorted_terms()):
+        den = self._den
+        # Graded lexicographic, largest first (earlier variables weigh more).
+        ordered = sorted(self._num.items(), key=lambda item: _grlex(item[0]), reverse=True)
+        for k, (m, n) in enumerate(ordered):
             factors = []
             for name, e in zip(self.table.names, m):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            # the magnitude as str(abs(c)) spells it, read off the integers
-            num, den = c.numerator, c.denominator
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            # the magnitude of n/den in lowest terms, as str(Fraction) spells it
+            g = gcd(n, den)
+            mag = str(abs(n) // g) if den == g else f"{abs(n) // g}/{den // g}"
             if not factors:
                 body = mag
             elif mag == "1":
                 body = "*".join(factors)
             else:
                 body = "*".join([mag] + factors)
-            if n == 0:
-                pieces.append(body if num > 0 else f"-{body}")
+            if k == 0:
+                pieces.append(body if n > 0 else f"-{body}")
             else:
-                pieces.append(f"+ {body}" if num > 0 else f"- {body}")
+                pieces.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(pieces)
 
     def __repr__(self) -> str:
@@ -542,7 +538,7 @@ def _monic_multiple(q: Polynomial, top: Monomial) -> Polynomial:
     """The multiple of `q` whose leading term is exactly the monomial `top`."""
     lead = q.leading_monomial()
     shift = tuple(t - e for t, e in zip(top, lead))
-    return Polynomial(q.table, {shift: 1 / q.terms[lead]}) * q
+    return Polynomial(q.table, {shift: Fraction(q._den, q._num[lead])}) * q
 
 
 class IntegerKernel:
@@ -565,20 +561,21 @@ class IntegerKernel:
         self.names = tuple(n for n in table.names if n in used)
         positions = [table.index(n) for n in self.names]
         self.degree = max((poly.total_degree() for poly in polys), default=0)
-        denominator = lcm(*(c.denominator for poly in polys for c in poly.terms.values()))
+        denominator = lcm(*(poly._den for poly in polys))
         width = self.degree + 1
         monomials: dict[Monomial, int] = {}
         self.monomials: list[tuple[int, ...]] = []  # flat power-table indices
         self.polys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for poly in polys:
             slots, coeffs = [], []
-            for mono, coeff in poly.terms.items():
+            scale = denominator // poly._den
+            for mono, n in poly._num.items():
                 if mono not in monomials:
                     exps = [mono[i] for i in positions] + [self.degree - sum(mono)]
                     monomials[mono] = len(self.monomials)
                     self.monomials.append(tuple(j * width + e for j, e in enumerate(exps) if e))
                 slots.append(monomials[mono])
-                coeffs.append(coeff.numerator * (denominator // coeff.denominator))
+                coeffs.append(n * scale)
             self.polys.append((tuple(slots), tuple(coeffs)))
 
     def __call__(self, point: Mapping[str, Scalar]) -> list[int]:

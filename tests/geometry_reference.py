@@ -4,6 +4,8 @@ Each is written out here from its definition, independently of the shared
 curvature helper in `lieschouten.geometry` and of the way `soliton_system`
 builds its residuals:
 
+* `reference_levi_civita`: the Koszul formula with every eps factor
+  multiplied in, zero constants included,
 * `reference_canonical` and `reference_kobayashi_nomizu`: the derived
   connections from their defining formulas, nabla - 1/2 (nabla J) J and
   nabla0 - 1/4 [(nabla_Y J) J X - (nabla_{JY} J) X], with nabla J formed
@@ -32,6 +34,20 @@ from lieschouten.geometry import (
     schouten_form,
     symmetrize,
 )
+
+
+def reference_levi_civita(fam):
+    """Gamma^k_ij from 2 eps_k Gamma^k_ij = C^k_ij eps_k - C^i_jk eps_i + C^j_ki eps_j."""
+    c = fam.structure.c
+    eps = fam.metric.eps
+    half = Fraction(1, 2)
+    return [
+        [
+            [(c[i][j][k] * eps[k] - c[j][k][i] * eps[i] + c[k][i][j] * eps[j]) * (half * eps[k]) for k in range(3)]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
 
 
 def _nabla_j(gamma):

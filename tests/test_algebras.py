@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieschouten import algebras
 from lieschouten.algebras import (
     FAMILY_IDS,
     LORENTZIAN,
@@ -41,6 +42,13 @@ def all_families():
 
 
 ABELIAN = custom_family("")
+# The numerical search for delta reads gamma, which the linear split solves,
+# so the split runs first; in G5_ON_A_CIRCLE the search runs first.
+SPLIT_READ_BY_SEARCH = """
+bracket.13 = alpha, beta, 0
+bracket.23 = gamma, delta, 0
+constraints = alpha*beta + gamma; gamma^2 + delta^2 - 4
+"""
 
 
 class TestBuildFamily:
@@ -192,6 +200,36 @@ class TestSampling:
             assert abs(pt.values["alpha"] ** 2 + pt.values["beta"] ** 2 - 4) < 1e-6
             assert abs(p("alpha*gamma + beta*delta").evaluate(pt.values)) < 1e-6
             assert abs(pt.values["alpha"] + pt.values["delta"]) > 1e-6
+
+    @pytest.mark.parametrize("text", [G5_ON_A_CIRCLE, SPLIT_READ_BY_SEARCH], ids=["search-first", "split-first"])
+    def test_listed_order_of_float_constraints_does_not_matter(self, text):
+        line = next(row for row in text.splitlines() if row.startswith("constraints = "))
+        first, second = line[len("constraints = ") :].split("; ")
+        fams = [custom_family(text), custom_family(text.replace(line, f"constraints = {second}; {first}"))]
+        assert fams[1].equality_constraints == fams[0].equality_constraints[::-1]
+        points = [sample_parameters(fam, seed=0, count=5) for fam in fams]
+        assert points[0] == points[1]
+        for pt in points[0]:
+            assert not pt.exact
+            assert all(abs(q.evaluate(pt.values)) <= 1e-9 for q in fams[0].equality_constraints)
+
+    def test_float_point_off_a_constraint_is_rejected(self, monkeypatch):
+        searches = []
+        float_project = algebras._float_project
+
+        def every_other_search_misses(constraint, values, rng):
+            found = float_project(constraint, values, rng)
+            searches.append(constraint)
+            if len(searches) % 2:  # G5_ON_A_CIRCLE's search solves for beta
+                values["beta"] += 1e-6
+            return found
+
+        monkeypatch.setattr(algebras, "_float_project", every_other_search_misses)
+        fam = custom_family(G5_ON_A_CIRCLE)
+        points = sample_parameters(fam, seed=0, count=5)
+        assert len(searches) >= 2 * len(points)  # each kept point cost a missed search
+        for pt in points:
+            assert all(abs(q.evaluate(pt.values)) <= 1e-9 for q in fam.equality_constraints)
 
     def test_constraint_without_linear_split_forces_float_points(self):
         floats = sample_parameters(custom_family(G5_ON_A_CIRCLE), seed=4, count=5)

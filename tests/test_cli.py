@@ -212,12 +212,29 @@ print(json.dumps({"codes": codes, "loaded": loaded}), file=sys.stderr)
     assert result == {"codes": [0, 0], "loaded": []}
 
 
+def test_one_shot_ricci_loads_neither_soliton_nor_catalog():
+    child = """
+import json, sys
+import lieschouten
+from lieschouten.cli import main
+code = main(["ricci", "--family", "g1", "--format", "machine"])
+loaded = sorted(name for name in ("lieschouten.soliton", "lieschouten.catalog") if name in sys.modules)
+missing = [name for name in lieschouten.__all__ if getattr(lieschouten, name, None) is None]
+print(json.dumps({"code": code, "loaded": loaded, "missing": missing}), file=sys.stderr)
+"""
+    src = str(pathlib.Path(lieschouten.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr.strip().splitlines()[-1]) == {"code": 0, "loaded": [], "missing": []}
+
+
 class TestVerifyFailurePath:
     def test_exit_code_1_on_nonsuspect_failure(self, capsys, monkeypatch):
         # corrupt one matrix fixture so the battery must report a real failure
         import importlib.resources
 
-        import lieschouten.cli as cli_mod
+        import lieschouten.catalog as catalog_mod
         from lieschouten.catalog import load_catalog
 
         text = (
@@ -230,18 +247,18 @@ class TestVerifyFailurePath:
             "row1 = beta^2, alpha*beta, alpha*beta",
             1,
         )
-        monkeypatch.setattr(cli_mod, "load_catalog", lambda: load_catalog(text=broken))
+        monkeypatch.setattr(catalog_mod, "load_catalog", lambda: load_catalog(text=broken))
         code, out, _ = run(capsys, "verify", "--only", "3.9", "--format", "machine")
         assert code == 1
         assert "RESULT\tmatrix\t3.9\tfail" in out
 
     def test_exit_code_3_on_catalog_parse_error(self, capsys, monkeypatch):
-        import lieschouten.cli as cli_mod
+        import lieschouten.catalog as catalog_mod
         from lieschouten.catalog import CatalogError
 
         def boom():
             raise CatalogError("[matrix 3.9] cannot parse")
 
-        monkeypatch.setattr(cli_mod, "load_catalog", boom)
+        monkeypatch.setattr(catalog_mod, "load_catalog", boom)
         code, _, err = run(capsys, "verify", "--only", "3.9")
         assert code == 3 and "catalog error" in err

@@ -40,6 +40,7 @@ from geometry_reference import (
     reference_canonical,
     reference_curvature,
     reference_kobayashi_nomizu,
+    reference_levi_civita,
     reference_ricci_form,
 )
 
@@ -154,8 +155,12 @@ GENERATED = generated_families(seed=11, count=6)
 
 @pytest.mark.parametrize(
     "build, reference",
-    [(canonical_connection, reference_canonical), (kobayashi_nomizu, reference_kobayashi_nomizu)],
-    ids=[CANONICAL, KOBAYASHI_NOMIZU],
+    [
+        (levi_civita, reference_levi_civita),
+        (canonical_connection, reference_canonical),
+        (kobayashi_nomizu, reference_kobayashi_nomizu),
+    ],
+    ids=[LEVI_CIVITA, CANONICAL, KOBAYASHI_NOMIZU],
 )
 @pytest.mark.parametrize("fams", [FAMILIES, generated_families(seed=5, count=48)], ids=["catalogue", "custom"])
 def test_closed_form_derived_connections_match_their_definitions(fams, build, reference):

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -435,6 +436,40 @@ def test_ring_operations_match_dict_reference(a, data, k, n):
     ]
     for got, expected in cases:
         _assert_canonical(got, expected)
+
+
+def _assert_normalised(q):
+    """Integer numerators over a positive denominator, in lowest terms."""
+    assert type(q._den) is int and q._den > 0
+    assert all(type(n) is int and n != 0 for n in q._num.values())
+    assert gcd(q._den, *q._num.values()) == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=polynomials(), data=st.data(), k=_scalars, n=st.integers(0, 3), d=st.integers(1, 6))
+def test_ring_results_are_normalised_and_equal_values_are_equal(a, data, k, n, d):
+    # test_ring_operations_match_dict_reference checks the terms view of the
+    # same results against the dict reference, in order
+    b = data.draw(st.one_of(polynomials(), overlapping(a)))
+    results = (a + b, a - b, -a, a * b, a**n, a * k, k - a, (a + b) - a, a.substitute("beta", b))
+    for q in results + (a.coefficient_of("alpha", 1), a.project_to(_small_table)):
+        _assert_normalised(q)
+    # the same value built another way has the same storage and hash
+    part = a * Fraction(1, d)
+    for same in (sum([part] * d, _small_table.zero), part * d, (a * d) * Fraction(1, d), a + b - b):
+        _assert_normalised(same)
+        assert same == a and hash(same) == hash(a)
+        assert (same._den, same._num) == (a._den, a._num)
+
+
+def test_equal_values_built_differently_share_storage_and_hash():
+    x = T.var("alpha")
+    for same in (x * Fraction(1, 2) + x * Fraction(1, 2), (x * Fraction(1, 3)) * 3, p("2/4*alpha") * 2):
+        assert same == x and hash(same) == hash(x) and (same._den, same._num) == (1, x._num)
+    third = T.one * Fraction(1, 3)
+    assert third + third + third == 1 and hash(third * 3) == hash(1)
+    assert hash(third) == hash(Fraction(1, 3)) and (T.zero._den, T.zero._num) == (1, {})
+    assert (x - x)._den == 1 and (x * Fraction(1, 3) - x * Fraction(1, 3))._den == 1
 
 
 @settings(max_examples=200, deadline=None)

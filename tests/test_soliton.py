@@ -689,6 +689,41 @@ def test_solve_for_c_equals_the_scan_entry(fam, kind, seed, grid, with_float):
             assert all(abs(r.evaluate(point)) <= 1e-9 for r in system.residuals)
 
 
+def reference_float_c(system, values, lam, tolerance=1e-9):
+    """The rows a_i*c + b_i of the residuals, evaluated in floats at the
+    point and lambda0, solved here: (status, c)."""
+    point = {**{n: float(v) for n, v in values.items()}, "lambda0": lam}
+    rows = [
+        (float(r.coefficient_of("c", 1).evaluate(point)), float(r.coefficient_of("c", 0).evaluate(point)))
+        for r in system.residuals
+    ]
+    candidates = [-b / a for a, b in rows if abs(a) > tolerance]
+    if not candidates:
+        return ("any" if all(abs(b) <= tolerance for _, b in rows) else "none"), None
+    c = candidates[0]
+    if any(abs(c - other) > tolerance for other in candidates) or any(abs(a * c + b) > tolerance for a, b in rows):
+        return "none", None
+    return "unique", c
+
+
+def test_float_lambda0_at_an_exact_point_matches_the_float_reference():
+    lambda_moves_c = 0
+    for fam in all_family_branches():
+        for kind in CONNECTION_KINDS:
+            system = soliton_system(fam, kind)
+            s = ricci_pipeline(fam, kind)[2]
+            for pt in sample_parameters(fam, seed=0, count=12):
+                for lam in (0.3, -1.7, 2.5):
+                    sol = solve_for_c(system, pt, lam)
+                    status, c = reference_float_c(system, pt.values, lam)
+                    assert sol.status == status
+                    if status == "unique":
+                        assert type(sol.value) is float
+                        assert abs(sol.value - c) <= 1e-9 * max(1.0, abs(c))
+                        lambda_moves_c += s.evaluate(pt.values) != 0
+    assert lambda_moves_c  # some solved c depends on lambda0 through s*lambda0
+
+
 def test_scan_membership_sees_float_lambda0_and_both_verdicts():
     fam = build_family("g3")
     cases = [c for c in CATALOG_CASES if c.family_id == "g3" and c.kind == "lc"]
