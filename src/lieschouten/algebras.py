@@ -297,12 +297,13 @@ def draw_rational(rng: random.Random) -> Fraction:
     return _POOL[rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)]
 
 
-def _linear_split(constraint: Polynomial) -> Optional[tuple[str, Polynomial, Polynomial]]:
+def _linear_split(constraint: Polynomial, taken: set[str]) -> Optional[tuple[str, Polynomial, Polynomial]]:
     """(var, a, b) with constraint = a*var + b, for the last table variable
-    in which `constraint` is linear with a free of it; None if there is none."""
+    outside `taken` in which `constraint` is linear with a free of it; None
+    if there is none."""
     chosen = None
     for name in constraint.table.names:
-        if constraint.degree_in(name) == 1:
+        if name not in taken and constraint.degree_in(name) == 1:
             a = constraint.coefficient_of(name, 1)
             if name not in a.variables():
                 chosen = (name, a, constraint.coefficient_of(name, 0))
@@ -333,29 +334,41 @@ def solve_constraint_for(
 def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[ParameterPoint]:
     """Deterministic parameter points satisfying the family side conditions.
 
-    Each equality constraint is solved for the last variable that appears
-    linearly in it, and the rest are drawn from a small rational pool.
-    Only a constraint with no such variable forces floats: then every draw
-    is a float, that constraint is solved by a numerical search and the
-    points are not exact.  Each constraint is solved after every other one
-    whose solved variable it reads, so no later step moves a variable that
-    an earlier one read, and a float point is kept only if every equality
-    constraint holds to within `_FLOAT_TOLERANCE`.  Nonvanishing conditions
-    are enforced by rejection.  Exact draws are decided in integers: each
-    split's (a, b) and the nonvanishing polynomials are compiled once per
-    call.
+    Each equality constraint, in listed order, is solved for the last
+    variable that appears linearly in it and that no earlier constraint
+    solves, and the rest are drawn from a small rational pool.  Only a
+    constraint with no such variable forces floats: then every draw is a
+    float, that constraint is solved by a numerical search and the points
+    are not exact.  Each constraint is solved after every other one whose
+    solved variable it reads, so no later step moves a variable that an
+    earlier one read, where such an order exists.  A point is kept only if
+    every equality constraint holds: exactly at an exact point, to within
+    `_FLOAT_TOLERANCE` at a float one.  Nonvanishing conditions are
+    enforced by rejection.  Exact draws are decided in integers: each
+    split's (a, b), and the nonvanishing polynomials with the constraints,
+    are compiled once per call.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
-    splits = {con: _linear_split(con) for con in fam.equality_constraints}
+    splits: dict[Polynomial, Optional[tuple[str, Polynomial, Polynomial]]] = {}
+    for con in fam.equality_constraints:
+        splits[con] = _linear_split(con, {split[0] for split in splits.values() if split is not None})
     targets = {con: split[0] if split else _search_variable(con) for con, split in splits.items()}
     splits = {con: splits[con] for con in _solve_order(targets)}
     exact = None not in splits.values()
-    solved = {split[0] for split in splits.values() if split is not None}
+    # a target that a constraint solved before it reads is drawn as well
+    solved: set[str] = set()
+    read: set[str] = set()
+    for con, split in splits.items():
+        if split is not None and split[0] not in read:
+            solved.add(split[0])
+        read |= con.variables()
     if exact:
         roots = {con: IntegerKernel(fam.table, (a, b)) for con, (_, a, b) in splits.items()}
-        nonzero = IntegerKernel(fam.table, fam.nonvanishing)
+        # nonzero where it must be, then zero on every constraint
+        side_conditions = IntegerKernel(fam.table, fam.nonvanishing + fam.equality_constraints)
+        split_at = len(fam.nonvanishing)
 
     draw = partial(draw_rational, rng) if exact else partial(rng.uniform, -3.0, 3.0)
 
@@ -386,7 +399,8 @@ def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[Para
         if not ok:
             continue
         if exact:
-            if not all(nonzero(values)):
+            side = side_conditions(values)
+            if not all(side[:split_at]) or any(side[split_at:]):
                 continue
         elif any(abs(q.evaluate(values)) <= 1e-6 for q in fam.nonvanishing) or any(
             abs(q.evaluate(values)) > _FLOAT_TOLERANCE for q in fam.equality_constraints
@@ -399,7 +413,8 @@ def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[Para
 def _solve_order(targets: dict[Polynomial, Optional[str]]) -> list[Polynomial]:
     """The constraints in listed order, except that each one comes after
     every other one whose target variable it reads.  Where no such order
-    exists, as for two constraints with one target, the listed one stays."""
+    exists, as for two constraints that read each other's targets, the
+    listed one stays."""
     order, pending = [], list(targets)
     while pending:
         ready = [con for con in pending if not any(targets[o] in con.variables() for o in pending if o is not con)]

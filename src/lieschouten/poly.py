@@ -28,18 +28,22 @@ deterministic and parse/print round-trips exact.
 ``IntegerKernel`` is the one compiled form for bulk exact evaluation: a
 list of polynomials over one common coefficient denominator, homogenised
 to one degree, evaluated at a point of ints or Fractions to one integer per
-polynomial, all scaled by one positive factor.  The sampler, the c solve at
-a point (`scan`, `solve_for_c`) and case membership (`case_matches_point`,
-`scan_membership`) compile their polynomials once per call and evaluate
-every exact point with it.
+polynomial, all scaled by one positive factor.  At construction the list
+is compiled to Python source for one straight-line function of the cleared
+numerators and their common denominator: a chain of powers, one local per
+shared monomial and one balanced sum per polynomial, with only integer
+literals and generated names in it.  The c solve at a point (`scan`,
+`solve_for_c`) compiles its polynomials once per soliton system; the
+sampler and case membership (`case_matches_point`, `scan_membership`) once
+per call.  Every exact point is then evaluated by the compiled function.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import gcd, lcm, prod
-from operator import add, mul
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -150,7 +154,7 @@ DEFAULT_TABLE = VariableTable()
 class Polynomial:
     """Immutable multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("table", "_num", "_den")
+    __slots__ = ("table", "_num", "_den", "_hash")  # _hash is set on first use
 
     def __init__(self, table: VariableTable, terms: Mapping[Monomial, Scalar]):
         clean: dict[Monomial, Fraction] = {}
@@ -284,11 +288,18 @@ class Polynomial:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         if not any(map(any, self._num)):
             # a constant equals its scalar value, so it hashes like it
             n = next(iter(self._num.values()), 0)
-            return hash(n if self._den == 1 else Fraction(n, self._den))
-        return hash((self.table, self._den, frozenset(self._num.items())))
+            value = hash(n if self._den == 1 else Fraction(n, self._den))
+        else:
+            value = hash((self.table, self._den, frozenset(self._num.items())))
+        object.__setattr__(self, "_hash", value)
+        return value
 
     # -- queries -----------------------------------------------------------
 
@@ -547,36 +558,26 @@ class IntegerKernel:
     The polynomials share one coefficient denominator D and are homogenised
     to their maximum total degree G with an extra base.  At a point whose
     values are n_j / L, with L the lcm of the value denominators, every
-    polynomial f then takes the value F / (D * L**G) for an integer F
-    computed from the power table of (n_1, ..., n_k, L).  Calling the kernel
-    at a point of ints or Fractions returns those integers F, one per
-    polynomial.  The common factor D * L**G is positive, so the F keep the
-    zeros, the signs and the ratios of the values, and no Fraction is formed.
+    polynomial f then takes the value F / (D * L**G) for an integer F.
+    Calling the kernel at a point of ints or Fractions returns those
+    integers F, one per polynomial.  The common factor D * L**G is
+    positive, so the F keep the zeros, the signs and the ratios of the
+    values, and no Fraction is formed.
+
+    The list is compiled once, at construction, to the straight-line
+    function in `source` (see `_kernel_source`), which takes the numerators
+    n_j as x0, x1, ... and L as its last argument.
     """
 
-    __slots__ = ("names", "degree", "monomials", "polys")
+    __slots__ = ("names", "source", "_run")
 
     def __init__(self, table: VariableTable, polys: Sequence[Polynomial]):
         used = set().union(*(poly.variables() for poly in polys))
         self.names = tuple(n for n in table.names if n in used)
-        positions = [table.index(n) for n in self.names]
-        self.degree = max((poly.total_degree() for poly in polys), default=0)
-        denominator = lcm(*(poly._den for poly in polys))
-        width = self.degree + 1
-        monomials: dict[Monomial, int] = {}
-        self.monomials: list[tuple[int, ...]] = []  # flat power-table indices
-        self.polys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for poly in polys:
-            slots, coeffs = [], []
-            scale = denominator // poly._den
-            for mono, n in poly._num.items():
-                if mono not in monomials:
-                    exps = [mono[i] for i in positions] + [self.degree - sum(mono)]
-                    monomials[mono] = len(self.monomials)
-                    self.monomials.append(tuple(j * width + e for j, e in enumerate(exps) if e))
-                slots.append(monomials[mono])
-                coeffs.append(n * scale)
-            self.polys.append((tuple(slots), tuple(coeffs)))
+        self.source = _kernel_source([table.index(n) for n in self.names], polys)
+        namespace: dict = {"__builtins__": {}}
+        exec(compile(self.source, "<IntegerKernel>", "exec"), namespace)
+        self._run = namespace["kernel"]
 
     def __call__(self, point: Mapping[str, Scalar]) -> list[int]:
         """One integer per polynomial, all scaled by one positive factor."""
@@ -585,11 +586,66 @@ class IntegerKernel:
         except KeyError as missing:
             raise PolynomialError(f"unassigned variable {missing.args[0]!r}") from None
         scale = lcm(*(v.denominator for v in vals))
-        powers: list[int] = []
-        for base in [v.numerator * (scale // v.denominator) for v in vals] + [scale]:
-            powers += accumulate(repeat(base, self.degree), mul, initial=1)
-        mono = [prod(map(powers.__getitem__, idx)) for idx in self.monomials]
-        return [sum(map(mul, coeffs, map(mono.__getitem__, slots))) for slots, coeffs in self.polys]
+        return self._run(*[v.numerator * (scale // v.denominator) for v in vals], scale)
+
+
+def _kernel_source(positions: Sequence[int], polys: Sequence[Polynomial]) -> str:
+    """Python source of `kernel(x0, ..., L)` for `IntegerKernel`.
+
+    Each power of a base is built once by a chain (x0_3 = x0_2 * x0), each
+    homogenised monomial that more than one term uses gets one local, and
+    each polynomial is the sum of its integer coefficients times its
+    monomials, as a balanced tree of parenthesised `+`: a flat chain of a
+    few thousand terms overflows the compiler's recursion limit.  Only
+    integer literals and generated identifiers enter the source.
+    """
+    degree = max((poly.total_degree() for poly in polys), default=0)
+    denominator = lcm(*(poly._den for poly in polys))
+    bases = [f"x{j}" for j in range(len(positions))] + ["L"]
+    slots: dict[Monomial, int] = {}
+    exponents: list[tuple[int, ...]] = []  # homogenised, over `bases`
+    rows: list[list[tuple[int, int]]] = []  # per polynomial: (slot, coefficient)
+    for poly in polys:
+        scale = denominator // poly._den
+        row = []
+        for mono, n in poly._num.items():
+            if mono not in slots:
+                slots[mono] = len(exponents)
+                exponents.append(tuple(mono[i] for i in positions) + (degree - sum(mono),))
+            row.append((slots[mono], n * scale))
+        rows.append(row)
+
+    lines = [f"def kernel({', '.join(bases)}):"]
+    for j, base in enumerate(bases):
+        top = max((exps[j] for exps in exponents), default=0)
+        lines += [f"    {base}_{e} = {base if e == 2 else f'{base}_{e - 1}'} * {base}" for e in range(2, top + 1)]
+    uses = Counter(slot for row in rows for slot, _ in row)
+    monomials = []
+    for slot, exps in enumerate(exponents):
+        product = " * ".join(base if e == 1 else f"{base}_{e}" for base, e in zip(bases, exps) if e)
+        if uses[slot] > 1 and "*" in product:
+            lines.append(f"    m{slot} = {product}")
+            product = f"m{slot}"
+        monomials.append(product)
+
+    def term(slot: int, coeff: int) -> str:
+        # hex keeps a literal of any size below the decimal-digit limit of int/str conversion
+        literal = str(coeff) if coeff.bit_length() < 10_000 else hex(coeff)
+        if not monomials[slot]:
+            return literal
+        return monomials[slot] if coeff == 1 else f"{literal} * {monomials[slot]}"
+
+    sums = [_balanced_sum([term(slot, coeff) for slot, coeff in row]) for row in rows]
+    lines.append(f"    return [{', '.join(sums)}]")
+    return "\n".join(lines) + "\n"
+
+
+def _balanced_sum(terms: Sequence[str]) -> str:
+    """`terms` added as a balanced tree of parenthesised `+`, or "0"."""
+    if len(terms) <= 1:
+        return terms[0] if terms else "0"
+    mid = len(terms) // 2
+    return f"({_balanced_sum(terms[:mid])} + {_balanced_sum(terms[mid:])})"
 
 
 # -- parsing -----------------------------------------------------------------

@@ -39,7 +39,8 @@ row with R_0 != 0, the rows at lambda0 = n/d are consistent exactly when
 d*u_i + n*v_i == 0, with u_i = R_i*P_0 - R_0*P_i and v_i = R_i*Q_0 - R_0*Q_i;
 this is the test a_i*b_0 == a_0*b_i on the rows (a, b) = (d*R, d*P + n*Q).
 No division happens until that test passes; then c = -(d*P_0 + n*Q_0)/(d*R_0).
-A float point or a float lambda0 is solved against the tolerance.  `scan`
+A float point or a float lambda0 is solved against the tolerance.  The
+kernel is compiled once per system (`_compiled_decomposition`); `scan`
 builds one point solver per point for its whole lambda0 grid, and
 `solve_for_c` builds one for its single call.  Case membership is
 `_CompiledCase`: the polynomials that must vanish on a case's locus, the
@@ -189,13 +190,15 @@ class CSolution:
     residual_max: float = 0.0
 
 
-Decomposition = list[tuple[Polynomial, Polynomial, Polynomial]]
+Decomposition = tuple[tuple[Polynomial, Polynomial, Polynomial], ...]
 
 
+@lru_cache(maxsize=BRANCH_CACHE_SIZE)
 def _compiled_decomposition(system: SolitonSystem) -> tuple[Decomposition, IntegerKernel]:
     """Per residual that is not identically zero: (P, Q, R) with
     residual = P + Q*lambda0 + R*c, and their integer form, as
-    `_point_solver` takes them.  A zero residual holds for every c."""
+    `_point_solver` takes them, compiled once per system value.  A zero
+    residual holds for every c."""
     out = []
     for r in system.residuals:
         if r.is_zero:
@@ -207,7 +210,7 @@ def _compiled_decomposition(system: SolitonSystem) -> tuple[Decomposition, Integ
             raise PolynomialError("c coefficient unexpectedly involves lambda0 or c")
         rest = r.coefficient_of("c", 0)
         out.append((rest.coefficient_of("lambda0", 0), rest.coefficient_of("lambda0", 1), rc))
-    return out, IntegerKernel(system.table, [q for triple in out for q in triple])
+    return tuple(out), IntegerKernel(system.table, [q for triple in out for q in triple])
 
 
 def _solve_rows(rows: list[tuple[Value, Value]], tolerance: float) -> CSolution:

@@ -51,6 +51,21 @@ constraints = alpha*beta + gamma; gamma^2 + delta^2 - 4
 """
 
 
+# Both constraints are linear in gamma, so only one of them may solve for it.
+SHARED_LINEAR_TARGET = """
+bracket.13 = alpha, beta, 0
+bracket.23 = gamma, delta, 0
+constraints = alpha*beta + gamma; gamma + delta^2 - 4
+"""
+# The constraints solve for delta and gamma, and each reads the other's
+# target, so no solve order keeps both: only the final check does.
+TARGETS_READ_BOTH_WAYS = """
+bracket.13 = alpha, beta, 0
+bracket.23 = gamma, delta, 0
+constraints = gamma + delta; alpha*delta + gamma
+"""
+
+
 class TestBuildFamily:
     def test_g1_bracket_23(self):
         fam = build_family("g1")
@@ -238,6 +253,23 @@ class TestSampling:
         linear_only = G5_ON_A_CIRCLE.replace("alpha^2 + beta^2 - 4; ", "")
         exact = sample_parameters(custom_family(linear_only), seed=4, count=5)
         assert all(pt.exact and all(type(v) is Fraction for v in pt.values.values()) for pt in exact)
+
+    @pytest.mark.parametrize("text", [SHARED_LINEAR_TARGET, TARGETS_READ_BOTH_WAYS], ids=["shared", "read-both-ways"])
+    def test_every_point_satisfies_every_constraint(self, text):
+        fam = custom_family(text)
+        points = sample_parameters(fam, seed=0, count=20)
+        assert len(points) == 20
+        for pt in points:
+            values = [q.evaluate(pt.values) for q in fam.equality_constraints]
+            assert all(v == 0 for v in values) if pt.exact else all(abs(v) <= 1e-9 for v in values)
+        if text == TARGETS_READ_BOTH_WAYS:
+            assert all(pt.exact for pt in points)
+
+    @pytest.mark.parametrize("fam", list(all_families()), ids=lambda f: f.describe())
+    def test_catalogued_points_satisfy_constraints_exactly(self, fam):
+        for pt in sample_parameters(fam, seed=0, count=200):
+            assert pt.exact
+            assert all(q.evaluate(pt.values) == 0 for q in fam.equality_constraints)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):

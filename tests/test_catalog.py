@@ -2,6 +2,7 @@
 
 import pytest
 
+from lieschouten import soliton
 from lieschouten.catalog import (
     MATRIX_LABELS,
     Catalog,
@@ -228,7 +229,7 @@ class TestSuspectEvidence:
 def test_verify_builds_each_branch_once():
     # g5 has one branch per connection kind: three builds of each, and
     # every later section reuses them
-    cached = (connection, ricci_pipeline, soliton_system)
+    cached = (connection, ricci_pipeline, soliton_system, soliton._compiled_decomposition)
     for fn in cached:
         fn.cache_clear()
     summary = verify_all(only="g5", scan_count=20)

@@ -574,6 +574,48 @@ def test_integer_kernel_ignores_unused_and_needs_used_variables():
     assert IntegerKernel(T, [])({}) == []
 
 
+def _scaled_reference(table, polys, point):
+    """The kernel's integers beside the constant 1, and the evaluate values
+    times the kernel's factor, which must be equal."""
+    *scaled, factor = IntegerKernel(table, list(polys) + [table.one])(point)
+    assert factor > 0
+    return scaled, [q.evaluate(point) * factor for q in polys]
+
+
+def test_integer_kernel_sums_thousands_of_terms():
+    # every monomial of degree <= 8 in the seven default variables: 6435
+    # terms, far past the length at which a flat `a + b + ...` chain
+    # overflows the compiler's recursion limit
+    monomials = [m for m in itertools.product(range(9), repeat=len(T)) if sum(m) <= 8]
+    big = Polynomial(T, {m: Fraction(k % 13 - 6, 1 + k % 5) for k, m in enumerate(monomials)})
+    assert len(big.terms) >= 5000
+    point = dict(zip(T.names, [Fraction(1, 2), -2, Fraction(3, 7), 1, 0, Fraction(-5, 3), 4]))
+    scaled, reference = _scaled_reference(T, [big, -big], point)
+    assert scaled == reference
+
+
+def test_integer_kernel_source_holds_no_variable_name():
+    table = VariableTable(("lambda", "import", "x0", "f"))
+    polys = [
+        parse_polynomial("lambda^2*import - 3/2*x0*f + f^3 - 2", table),
+        parse_polynomial("x0 - 1/3*lambda", table),
+    ]
+    kernel = IntegerKernel(table, polys)
+    assert "lambda" not in kernel.source and "import" not in kernel.source
+    point = {"lambda": Fraction(2, 3), "import": -1, "x0": 5, "f": Fraction(-1, 2)}
+    scaled, reference = _scaled_reference(table, polys, point)
+    assert scaled == reference
+
+
+def test_integer_kernel_degenerate_lists():
+    assert IntegerKernel(T, [T.zero])({}) == [0]
+    # constants only: coefficient denominator 6, no base to homogenise
+    assert IntegerKernel(T, [p("3"), p("-1/2"), T.zero, p("1/3")])({"alpha": 7}) == [18, -3, 0, 2]
+    # a coefficient too long for a decimal literal under the int/str digit limit
+    huge = Polynomial(T, {(1, 0, 0, 0, 0, 0, 0): 2**40000 + 1, (0,) * len(T): -1})
+    assert IntegerKernel(T, [huge])({"alpha": 3}) == [3 * (2**40000 + 1) - 1]
+
+
 # -- sympy as an independent oracle (test-only dependency) --------------------
 
 

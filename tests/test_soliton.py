@@ -617,6 +617,10 @@ class TestBranchMemo:
         assert soliton_system(build_family("g2"), "kn") is first
         assert soliton_system.cache_info().misses == 1
 
+    def test_decomposition_compiled_once_per_system(self):
+        system = soliton_system(build_family("g2"), "kn")
+        assert soliton._compiled_decomposition(system) is soliton._compiled_decomposition(system)
+
     def test_cache_is_bounded_but_holds_one_sweep(self):
         size = soliton_system.cache_info().maxsize
         assert size is not None and size >= 3 * len(all_family_branches())
