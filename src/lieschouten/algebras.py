@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional, Sequence, Union
 
 from .poly import DEFAULT_TABLE, IntegerKernel, Polynomial, PolynomialError, VariableTable, parse_polynomial
@@ -26,6 +26,14 @@ from .poly import DEFAULT_TABLE, IntegerKernel, Polynomial, PolynomialError, Var
 Vector = tuple[Polynomial, Polynomial, Polynomial]
 
 FAMILY_IDS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
+
+# Per-branch derived data (family, sample, connection, Ricci data, soliton
+# system) is memoized on its arguments' values.  Each verify_all section
+# sweeps all 24 catalogued branches (8 family branches, g4 having two
+# signs, x 3 kinds) in turn, and an LRU smaller than one sweep never hits;
+# the bound stays finite so that a caller building many custom families
+# does not keep all of them alive.
+BRANCH_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -138,12 +146,13 @@ def _assemble_family(
     )
 
 
+@lru_cache(maxsize=BRANCH_CACHE_SIZE)
 def build_family(
     family_id: str,
     eta: Optional[int] = None,
     table: VariableTable = DEFAULT_TABLE,
 ) -> LieAlgebraFamily:
-    """Construct one of g1..g7 over `table`.
+    """Construct one of g1..g7 over `table`, once per argument value.
 
     `eta` must be +1 or -1 for g4 and omitted otherwise.
     """

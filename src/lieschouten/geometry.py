@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebras import PRODUCT_STRUCTURE_J, LieAlgebraFamily, MetricSignature
+from .algebras import BRANCH_CACHE_SIZE, PRODUCT_STRUCTURE_J, LieAlgebraFamily, MetricSignature
 from .poly import Polynomial
 
 LEVI_CIVITA = "lc"
@@ -44,14 +44,6 @@ KOBAYASHI_NOMIZU = "kn"
 CONNECTION_KINDS = (LEVI_CIVITA, CANONICAL, KOBAYASHI_NOMIZU)
 # Accepted spellings of a connection kind, in the catalog and on the CLI.
 KIND_ALIASES = {"lc": LEVI_CIVITA, "canonical": CANONICAL, "kn": KOBAYASHI_NOMIZU}
-
-# Per-branch derived data (connection, Ricci data, soliton system) is
-# memoized on the value of (family, kind).  Each verify_all section sweeps
-# all 24 catalogued branches (8 family branches, g4 having two signs, x 3
-# kinds) in turn, and an LRU smaller than one sweep never hits; the bound
-# stays finite so that a caller building many custom families does not
-# keep all of them alive.
-BRANCH_CACHE_SIZE = 32
 
 Matrix3 = tuple[tuple[Polynomial, ...], ...]
 Array3 = tuple[tuple[tuple[Polynomial, ...], ...], ...]

@@ -39,15 +39,17 @@ row with R_0 != 0, the rows at lambda0 = n/d are consistent exactly when
 d*u_i + n*v_i == 0, with u_i = R_i*P_0 - R_0*P_i and v_i = R_i*Q_0 - R_0*Q_i;
 this is the test a_i*b_0 == a_0*b_i on the rows (a, b) = (d*R, d*P + n*Q).
 No division happens until that test passes; then c = -(d*P_0 + n*Q_0)/(d*R_0).
+The solvable lambda0 (all, one or none) are decided once per point.
 A float point or a float lambda0 is solved against the tolerance.  The
-kernel is compiled once per system (`_compiled_decomposition`); `scan`
-builds one point solver per point for its whole lambda0 grid, and
-`solve_for_c` builds one for its single call.  Case membership is
-`_CompiledCase`: the polynomials that must vanish on a case's locus, the
-hypotheses that must not, and c - c_expr, decided in integers at an exact
-point with an exact lambda0 and by the tolerance otherwise.
-`case_matches_point` compiles one case; `scan_membership` compiles each
-case once per call.
+kernel is compiled once per system (`_compiled_decomposition`).  `scan`
+draws its sample once per family branch (`_branch_sample`), shared by the
+connections, and builds one point solver per distinct point for its whole
+lambda0 grid; `solve_for_c` builds one for its single call.  Case
+membership is `_CompiledCase`, compiled once per (case, eta, table): the
+polynomials that must vanish on a case's locus, the hypotheses that must
+not, and c - c_expr, decided in integers at an exact point with an exact
+lambda0 and by the tolerance otherwise.  `scan_membership` decides each
+distinct point once.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from math import isqrt
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebras import (
+    BRANCH_CACHE_SIZE,
     LieAlgebraFamily,
     ParameterPoint,
     build_family,
@@ -69,7 +72,7 @@ from .algebras import (
     sample_parameters,
     solve_constraint_for,
 )
-from .geometry import BRANCH_CACHE_SIZE, OperatorMatrix, ricci_pipeline
+from .geometry import OperatorMatrix, ricci_pipeline
 from .poly import (
     DEFAULT_TABLE,
     IntegerKernel,
@@ -233,6 +236,22 @@ def _solve_rows(rows: list[tuple[Value, Value]], tolerance: float) -> CSolution:
     return CSolution("unique", value=candidate, residual_max=float(worst))
 
 
+_NO_SOLUTION = CSolution("none")
+_ANY_C = CSolution("any")
+
+
+def _lambda0_line(pairs: Iterable[tuple[Scalar, Scalar]]) -> tuple[Scalar, Scalar]:
+    """One (u, v) whose d*u + n*v == 0 holds at lambda0 = n/d, d > 0, exactly
+    when every d*u_i + n*v_i == 0 does: (0, 0), every lambda0, when no pair
+    is nonzero; the first nonzero pair when every pair is proportional to
+    it, one lambda0 or none; else (1, 0), none."""
+    nonzero = [(u, v) for u, v in pairs if u or v]
+    if not nonzero:
+        return 0, 0
+    u0, v0 = nonzero[0]
+    return (u0, v0) if all(u * v0 == u0 * v for u, v in nonzero) else (1, 0)
+
+
 def _exact_c_solver(rows: Sequence[tuple[Scalar, Scalar, Scalar]]) -> Callable[[int, int], CSolution]:
     """Decide {P_i + Q_i*lambda0 + R_i*c = 0} over the rationals, for every
     exact lambda0 at once: the result maps (n, d), lambda0 = n/d with d > 0,
@@ -241,26 +260,23 @@ def _exact_c_solver(rows: Sequence[tuple[Scalar, Scalar, Scalar]]) -> Callable[[
     At lambda0 = n/d the rows are (a_i, b_i) = (d*R_i, d*P_i + n*Q_i).  The
     first row with R != 0 is the pivot, and every row must satisfy
     a_i*b_0 == a_0*b_i, which also forces b_i == 0 where a_i == 0.  That is
-    d*u_i + n*v_i == 0 with u_i = R_i*P_0 - R_0*P_i and v_i = R_i*Q_0 - R_0*Q_i,
-    computed here once.  The one division forms c = -b_0/a_0 after the test
-    has passed.
+    d*u_i + n*v_i == 0 with u_i = R_i*P_0 - R_0*P_i and v_i = R_i*Q_0 - R_0*Q_i;
+    with no pivot, every b_i == 0, which is the same test on (P_i, Q_i).
+    `_lambda0_line` folds the test into one pair here, once, so each lambda0
+    costs one comparison.  The one division forms c = -b_0/a_0 after the
+    test has passed.
     """
     for p0, q0, r0 in rows:
         if r0:
             break
     else:
-        pq = [(p, q) for p, q, _ in rows if p or q]
-
-        def no_pivot(n: int, d: int) -> CSolution:
-            return CSolution("none" if any(d * p + n * q for p, q in pq) else "any")
-
-        return no_pivot
-    uv = [(r * p0 - r0 * p, r * q0 - r0 * q) for p, q, r in rows]
-    uv = [(u, v) for u, v in uv if u or v]
+        u, v = _lambda0_line((p, q) for p, q, _ in rows)
+        return lambda n, d: _NO_SOLUTION if d * u + n * v else _ANY_C
+    u, v = _lambda0_line((r * p0 - r0 * p, r * q0 - r0 * q) for p, q, r in rows)
 
     def solve(n: int, d: int) -> CSolution:
-        if any(d * u + n * v for u, v in uv):
-            return CSolution("none")
+        if d * u + n * v:
+            return _NO_SOLUTION
         return CSolution("unique", value=Fraction(-(d * p0 + n * q0), d * r0))
 
     return solve
@@ -353,6 +369,19 @@ class ScanReport:
         return tuple(e for e in self.entries if e.status in ("unique", "any"))
 
 
+@lru_cache(maxsize=BRANCH_CACHE_SIZE)
+def _branch_sample(fam: LieAlgebraFamily, seed: int, count: int) -> tuple[ParameterPoint, ...]:
+    """`sample_parameters` once per (family, seed, count) value: the three
+    connections of a branch scan one shared draw, which no caller writes.
+    A repeated exact point is the object of its first occurrence, so a
+    repeat is known by identity; float points stay apart, as -0.0 == 0.0."""
+    first: dict[tuple, ParameterPoint] = {}
+    return tuple(
+        first.setdefault(tuple(pt.values.items()), pt) if pt.exact else pt
+        for pt in sample_parameters(fam, seed=seed, count=count)
+    )
+
+
 def scan(
     fam: LieAlgebraFamily,
     kind: str,
@@ -364,32 +393,30 @@ def scan(
     """Sample the constrained parameter space and solve for c everywhere.
 
     Deterministic for a fixed seed; entries are ordered point-major with
-    the lambda0 grid in the given order.  Each point gets one
-    `_point_solver`, which serves the whole grid.
+    the lambda0 grid in the given order.  The sample is drawn once per
+    branch (`_branch_sample`), and each distinct point gets one
+    `_point_solver`, which solves the whole grid; a repeated point reuses
+    its solutions.
     """
     compiled = _compiled_decomposition(soliton_system(fam, kind))
+    grid = tuple(lambda0_grid)
+    solved: dict[int, list[CSolution]] = {}  # by id of the shared point
     entries: list[ScanEntry] = []
-    for idx, pt in enumerate(sample_parameters(fam, seed=seed, count=count)):
-        solve = _point_solver(compiled, pt.values, tolerance)
-        for lam in lambda0_grid:
-            sol = solve(lam)
-            entries.append(
-                ScanEntry(
-                    index=idx,
-                    values=pt.values,
-                    lambda0=lam,
-                    status=sol.status,
-                    c=sol.value,
-                    residual_max=sol.residual_max,
-                )
-            )
+    for idx, pt in enumerate(_branch_sample(fam, seed, count)):
+        if id(pt) not in solved:
+            solve = _point_solver(compiled, pt.values, tolerance)
+            solved[id(pt)] = [solve(lam) for lam in grid]
+        entries += (
+            ScanEntry(index=idx, values=pt.values, lambda0=lam, status=sol.status, c=sol.value, residual_max=sol.residual_max)
+            for lam, sol in zip(grid, solved[id(pt)])
+        )
     return ScanReport(
         family_id=fam.family_id,
         kind=kind,
         eta=fam.eta,
         seed=seed,
         count=count,
-        lambda0_grid=tuple(lambda0_grid),
+        lambda0_grid=grid,
         entries=tuple(entries),
     )
 
@@ -802,7 +829,7 @@ def case_matches_point(
     if case.empty:
         return False
     tol = _match_tolerance(values, lambda0_value, tolerance)
-    compiled = _CompiledCase(case, eta, table)
+    compiled = _compiled_case(case, eta, table)
     return compiled.locus_holds(values, tol) and compiled.c_matches(values, lambda0_value, c_solution, tol)
 
 
@@ -851,24 +878,35 @@ class _CompiledCase:
         return abs(self.c.evaluate(point)) <= tol
 
 
+# One `_CompiledCase` per (case, eta, table) value; the bound holds one sweep
+# of the catalogue's 45 cases, 48 with both g4 signs.
+_compiled_case = lru_cache(maxsize=64)(_CompiledCase)
+
+
 def scan_membership(
     report: ScanReport, cases: Sequence[TheoremCase], table: VariableTable, tolerance: float = 1e-9
 ) -> list[bool]:
     """Per solvable entry of `report`: does it fall inside one of `cases`?
 
-    Equal to `any(case_matches_point(...))` entry by entry, but each case
-    is compiled once per call, and the lambda0-free locus test runs once
-    per (point, tolerance), since the entries of one point differ only in
-    lambda0 and c.
+    Equal to `any(case_matches_point(...))` entry by entry, but each point
+    is decided once: the lambda0-free locus test once per (point,
+    tolerance), since the entries of one point differ only in lambda0 and
+    c, and the whole test once per (point, lambda0, c).  Points, lambda0
+    and c are told apart by identity, which `scan` shares between the
+    entries of a repeated point, so a repeat costs one lookup.
     """
-    compiled = [_CompiledCase(case, report.eta, table) for case in cases if not case.empty]
+    compiled = [_compiled_case(case, report.eta, table) for case in cases if not case.empty]
     loci: dict[tuple[int, float], list[_CompiledCase]] = {}
+    decided: dict[tuple[int, int, int], bool] = {}
     out = []
     for e in report.solvable:
-        tol = _match_tolerance(e.values, e.lambda0, tolerance)
-        key = (e.index, tol)
-        if key not in loci:
-            loci[key] = [c for c in compiled if c.locus_holds(e.values, tol)]
-        sol = CSolution(e.status, e.c, e.residual_max)
-        out.append(any(c.c_matches(e.values, e.lambda0, sol, tol) for c in loci[key]))
+        key = (id(e.values), id(e.lambda0), id(e.c))
+        if key not in decided:
+            tol = _match_tolerance(e.values, e.lambda0, tolerance)
+            point = (id(e.values), tol)
+            if point not in loci:
+                loci[point] = [c for c in compiled if c.locus_holds(e.values, tol)]
+            sol = CSolution(e.status, e.c, e.residual_max)
+            decided[key] = any(c.c_matches(e.values, e.lambda0, sol, tol) for c in loci[point])
+        out.append(decided[key])
     return out

@@ -91,6 +91,14 @@ class TestBuildFamily:
         with pytest.raises(ValueError):
             build_family("g9")
 
+    def test_built_once_per_branch_and_errors_not_cached(self):
+        assert build_family("g4", eta=-1) is build_family("g4", eta=-1)
+        assert build_family("g4", eta=1) is not build_family("g4", eta=-1)
+        assert build_family.cache_info().maxsize is not None
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                build_family("g4", eta=2)
+
     def test_side_conditions(self):
         assert build_family("g1").nonvanishing == (p("alpha"),)
         assert build_family("g2").nonvanishing == (p("gamma"),)

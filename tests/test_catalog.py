@@ -3,6 +3,7 @@
 import pytest
 
 from lieschouten import soliton
+from lieschouten.algebras import build_family, sample_parameters
 from lieschouten.catalog import (
     MATRIX_LABELS,
     Catalog,
@@ -228,9 +229,9 @@ class TestSuspectEvidence:
 
 def test_verify_builds_each_branch_once():
     # g5 has one branch per connection kind: three builds of each, and
-    # every later section reuses them
+    # every later section reuses them; the three scans share one sample
     cached = (connection, ricci_pipeline, soliton_system, soliton._compiled_decomposition)
-    for fn in cached:
+    for fn in cached + (soliton._branch_sample,):
         fn.cache_clear()
     summary = verify_all(only="g5", scan_count=20)
     assert summary.ok and summary.records
@@ -238,3 +239,12 @@ def test_verify_builds_each_branch_once():
         assert fn.cache_info().misses == 3, fn.__name__
     assert ricci_pipeline.cache_info().hits > 0
     assert soliton_system.cache_info().hits > 0
+    assert soliton._branch_sample.cache_info().misses == 1
+
+
+def test_verify_leaves_the_shared_sample_untouched():
+    # the memoised points are shared by every scan: no caller may write them
+    soliton._branch_sample.cache_clear()
+    verify_all(only="g5", scan_count=20)
+    g5 = build_family("g5")
+    assert list(soliton._branch_sample(g5, 0, 20)) == sample_parameters(g5, seed=0, count=20)

@@ -412,36 +412,65 @@ def test_exact_solver_matches_fraction_reference(rows, scale):
     expected = reference_solve(rows)
     assert solve_at_lambda0_zero(rows) == expected
     # the scan kernel feeds rows scaled by a positive integer to cleared ints
-    den = 1
-    for a, b in rows:
-        den = den * a.denominator * b.denominator
-    int_rows = [(int(a * den * scale), int(b * den * scale)) for a, b in rows]
-    sol = solve_at_lambda0_zero(int_rows)
+    sol = solve_at_lambda0_zero(cleared(rows, scale))
     assert sol == expected
     assert type(sol.value) is type(expected.value)
 
 
 @st.composite
 def pqr_rows(draw):
-    """Rows (P, Q, R) of P + Q*lambda0 + R*c = 0, and a lambda0 to try."""
+    """Rows (P, Q, R) of P + Q*lambda0 + R*c = 0, and a lambda0 to try: the
+    one lambda0 that solves, where the shape has one.  A stray last row
+    spoils that lambda0, which every other row still agrees on."""
     n = draw(st.integers(1, 9))
-    shape = draw(st.sampled_from(["random", "zero R", "solvable at one lambda0"]))
+    shape = draw(
+        st.sampled_from(
+            [
+                "random",
+                "zero R",
+                "solvable at one lambda0",
+                "zero R, solvable at one lambda0",
+                "every lambda0 solves",
+                "solvable at one lambda0, stray row",
+                "zero R, stray row",
+            ]
+        )
+    )
     lam, c = draw(rational), draw(rational)
+    if shape == "every lambda0 solves":
+        # multiples of one row: a unique c at each lambda0 when its R != 0,
+        # every c when the row is zero
+        base_r = draw(rational)
+        base = (draw(rational), draw(rational), base_r) if base_r else (Fraction(0),) * 3
+        return [tuple(k * x for x in base) for k in (draw(rational) for _ in range(n))], lam
     rows = []
     for _ in range(n):
-        q = draw(rational)
-        r = Fraction(0) if shape == "zero R" else draw(rational)
+        q = draw(rational.filter(bool)) if shape == "zero R, solvable at one lambda0" else draw(rational)
+        r = Fraction(0) if shape.startswith("zero R") else draw(rational)
         p = draw(rational) if shape == "random" else -r * c - q * lam
         rows.append((p, q, r))
+    if shape.endswith("stray row"):
+        p, q, r = rows[-1]
+        rows[-1] = (p + draw(rational.filter(bool)), q, r)
     return rows, lam
 
 
-@given(pqr_rows(), rational)
-def test_exact_c_solver_matches_fraction_reference_at_each_lambda0(drawn, other):
+def cleared(rows, scale=1):
+    """The rows times a positive integer that makes every entry an integer,
+    as the scan kernel feeds them."""
+    den = scale
+    for row in rows:
+        for x in row:
+            den *= x.denominator
+    return [tuple(int(x * den) for x in row) for row in rows]
+
+
+@given(pqr_rows(), rational, st.integers(1, 12))
+def test_exact_c_solver_matches_fraction_reference_at_each_lambda0(drawn, other, scale):
     rows, lam = drawn
-    solve = _exact_c_solver(rows)
-    for lam0 in (lam, other):
-        assert solve(lam0.numerator, lam0.denominator) == reference_solve([(r, p + q * lam0) for p, q, r in rows])
+    for solve in (_exact_c_solver(rows), _exact_c_solver(cleared(rows, scale))):
+        for lam0 in (lam, other):
+            assert solve(lam0.numerator, lam0.denominator) == reference_solve([(r, p + q * lam0) for p, q, r in rows])
 
 
 FLOAT_G5 = custom_family(G5_ON_A_CIRCLE)  # its sample points are floats
@@ -624,6 +653,45 @@ class TestBranchMemo:
     def test_cache_is_bounded_but_holds_one_sweep(self):
         size = soliton_system.cache_info().maxsize
         assert size is not None and size >= 3 * len(all_family_branches())
+
+    @pytest.mark.parametrize("fam", all_family_branches(), ids=lambda f: f.describe())
+    def test_memoised_sample_is_a_fresh_draw(self, fam):
+        assert list(soliton._branch_sample(fam, 0, 500)) == sample_parameters(fam, seed=0, count=500)
+
+    def test_sample_memo_is_bounded_and_shared_by_the_connections(self):
+        soliton._branch_sample.cache_clear()
+        for kind in CONNECTION_KINDS:
+            scan(build_family("g3"), kind, seed=5, count=30)
+        info = soliton._branch_sample.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert info.maxsize is not None and info.maxsize >= len(all_family_branches())
+
+    def test_bad_count_still_raises_through_the_memo(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                scan(build_family("g1"), "lc", seed=0, count=0)
+
+    def test_each_case_compiled_once(self):
+        soliton._compiled_case.cache_clear()
+        case = next(c for c in CATALOG_CASES if c.family_id == "g1" and not c.empty)
+        witness = soliton.resolve_witness(case, None, T)
+        system = soliton_system(build_family("g1"), case.kind)
+        sol = solve_for_c(system, witness, Fraction(1, 2))
+        for _ in range(3):
+            assert case_matches_point(case, None, witness, Fraction(1, 2), sol, T)
+        assert soliton._compiled_case.cache_info().misses == 1
+        assert soliton._compiled_case.cache_info().maxsize >= len(CATALOG_CASES) + 3  # g4 has two signs
+
+
+@pytest.mark.parametrize("kind", CONNECTION_KINDS)
+def test_scan_of_a_sample_with_repeats_equals_the_per_entry_reference(kind):
+    fam, count = build_family("g1"), 60
+    points = sample_parameters(fam, seed=0, count=count)
+    assert len({tuple(pt.values.items()) for pt in points}) < count  # repeats occur
+    report = scan(fam, kind, seed=0, count=count)
+    got = [(e.values, e.lambda0, e.status, e.c, e.residual_max) for e in report.entries]
+    assert got == reference_scan(fam, kind, 0, count, DEFAULT_LAMBDA0_GRID)
+    assert [e.index for e in report.entries] == [i for i in range(count) for _ in DEFAULT_LAMBDA0_GRID]
 
 
 MEMBERSHIP_GRID = DEFAULT_LAMBDA0_GRID + (Fraction(-7, 3), 0.3)
