@@ -16,10 +16,9 @@ quotient-ring arithmetic into the whole pipeline).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .poly import DEFAULT_TABLE, IntegerKernel, Polynomial, PolynomialError, VariableTable, parse_polynomial
 
@@ -36,15 +35,19 @@ FAMILY_IDS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
 BRANCH_CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
-class MetricSignature:
-    """Diagonal metric g(e_i, e_j) = eps_i * delta_ij with eps_i in {+1, -1}."""
-
+class _Signature(NamedTuple):
     eps: tuple[int, int, int] = (1, 1, -1)
 
-    def __post_init__(self):
-        if any(e not in (1, -1) for e in self.eps):
-            raise ValueError(f"signature entries must be +/-1, got {self.eps}")
+
+class MetricSignature(_Signature):
+    """Diagonal metric g(e_i, e_j) = eps_i * delta_ij with eps_i in {+1, -1}."""
+
+    __slots__ = ()
+
+    def __new__(cls, eps: tuple[int, int, int] = (1, 1, -1)):
+        if any(e not in (1, -1) for e in eps):
+            raise ValueError(f"signature entries must be +/-1, got {eps}")
+        return super().__new__(cls, eps)
 
 
 LORENTZIAN = MetricSignature((1, 1, -1))
@@ -53,8 +56,7 @@ LORENTZIAN = MetricSignature((1, 1, -1))
 PRODUCT_STRUCTURE_J = (1, 1, -1)
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(NamedTuple):
     """Brackets [e_i, e_j] = sum_k c[i][j][k] e_k, antisymmetric in (i, j)."""
 
     c: tuple[tuple[Vector, Vector, Vector], ...]
@@ -63,8 +65,7 @@ class StructureConstants:
         return self.c[i][j]
 
 
-@dataclass(frozen=True)
-class LieAlgebraFamily:
+class LieAlgebraFamily(NamedTuple):
     family_id: str
     structure: StructureConstants
     metric: MetricSignature
@@ -79,8 +80,7 @@ class LieAlgebraFamily:
         return f"{self.family_id}{eta}"
 
 
-@dataclass(frozen=True)
-class ParameterPoint:
+class ParameterPoint(NamedTuple):
     """A parameter assignment satisfying the family's side conditions."""
 
     values: dict[str, Union[Fraction, float]]

@@ -17,9 +17,8 @@ from __future__ import annotations
 import importlib.resources
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebras import LieAlgebraFamily, family_branches, instantiate_eta
 from .geometry import (
@@ -62,16 +61,14 @@ class CatalogError(Exception):
     """A fixture failed to parse; the message names the offending label."""
 
 
-@dataclass(frozen=True)
-class MatrixFixture:
+class MatrixFixture(NamedTuple):
     label: str
     family_id: str
     kind: str
     entries: tuple[tuple[Polynomial, ...], ...]
 
 
-@dataclass(frozen=True)
-class ScalarFixture:
+class ScalarFixture(NamedTuple):
     label: str
     family_id: str
     kind: str
@@ -81,8 +78,7 @@ class ScalarFixture:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     matrices: tuple[MatrixFixture, ...]
     scalars: tuple[ScalarFixture, ...]
     cases: tuple[TheoremCase, ...]
@@ -143,7 +139,11 @@ def _parse_defs(text: str, table: VariableTable, label: str) -> dict[str, Polyno
 def _expression(
     text: str, defs: dict[str, Polynomial], aux_table: VariableTable, label: str
 ) -> Polynomial:
+    """`text` over DEFAULT_TABLE; only a section with `defs` parses it over
+    the aux table, substitutes the definitions and projects back."""
     try:
+        if not defs:
+            return parse_polynomial(text)
         q = parse_polynomial(text, aux_table)
         for name, rhs in defs.items():
             q = q.substitute(name, rhs)
@@ -303,8 +303,7 @@ def load_catalog(text: Optional[str] = None) -> Catalog:
 # -- verification driver --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyRecord:
+class VerifyRecord(NamedTuple):
     section: str  # structural | matrix | scalar | case | control | witness | scan
     label: str
     status: str  # pass | fail | warn | skip
@@ -313,8 +312,7 @@ class VerifyRecord:
     selectors: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class VerifySummary:
+class VerifySummary(NamedTuple):
     records: tuple[VerifyRecord, ...]
     seed: int
 

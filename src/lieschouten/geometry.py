@@ -31,9 +31,9 @@ matrices are reproduced as exact identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebras import BRANCH_CACHE_SIZE, PRODUCT_STRUCTURE_J, LieAlgebraFamily, MetricSignature
 from .poly import Polynomial
@@ -53,23 +53,20 @@ def _freeze3(rows) -> Matrix3:
     return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
+class ConnectionCoefficients(NamedTuple):
     """Gamma[i][j][k]: nabla_{e_i} e_j = sum_k Gamma[i][j][k] e_k."""
 
     kind: str
     gamma: Array3
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
+class CurvatureTensor(NamedTuple):
     """r[i][j][k][l]: R(e_i, e_j) e_k = sum_l r[i][j][k][l] e_l."""
 
     r: tuple[Array3, ...]
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(NamedTuple):
     entries: Matrix3
 
     def __getitem__(self, ij: tuple[int, int]) -> Polynomial:
@@ -82,8 +79,7 @@ class BilinearForm:
         )
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(NamedTuple):
     """Row convention: row i holds the components of the image of e_i."""
 
     entries: Matrix3

@@ -40,6 +40,7 @@ per call.  Every exact point is then evaluated by the compiled function.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -658,50 +659,48 @@ def _balanced_sum(terms: Sequence[str]) -> str:
 #   rational := nat ('/' nat)?
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        for src, dst in _GREEK_INPUT.items():
-            text = text.replace(src, dst)
-        self.text = text
-        self.pos = 0
+# One token per match: leading whitespace (what `str.isspace` accepts in
+# ASCII), then a natural number, an identifier, an operator, or else one
+# stray character or the end of input.  Every pattern is ASCII, so a
+# superscript or a non-ASCII digit is a stray character, not a number.
+_TOKEN = re.compile(
+    r"[\s\x1c-\x1f]*(?:(?P<int>\d+)|(?P<ident>\w+)|(?P<op>[-+*^()/])|(?P<stray>.|\Z))",
+    re.ASCII | re.DOTALL,
+)
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def next(self) -> tuple[str, object, int]:
-        """Return (kind, value, position); kind 'end' at end of input."""
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", None, self.pos)
-        start = self.pos
-        ch = self.text[start]
-        if ch.isdigit():
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return ("int", int(self.text[start : self.pos]), start)
-        if ch.isalpha() or ch == "_":
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            return ("ident", self.text[start : self.pos], start)
-        if ch in "+-*^()/":
-            self.pos += 1
-            return (ch, ch, start)
-        raise ParseError(f"unexpected character {ch!r}", start)
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """(kind, value, position) tokens of `text` after the Greek aliases are
+    spelled out, ending with ("end", None, position)."""
+    for src, dst in _GREEK_INPUT.items():
+        text = text.replace(src, dst)
+    tokens: list[tuple[str, object, int]] = []
+    match, end = _TOKEN.match, 0
+    while True:
+        m = match(text, end)  # never None: the last alternative takes anything
+        kind, end = m.lastgroup, m.end()
+        value, pos = m[kind], m.start(kind)
+        if kind == "int":
+            tokens.append(("int", int(value), pos))
+        elif kind == "ident":
+            tokens.append(("ident", value, pos))
+        elif kind == "op":
+            tokens.append((value, value, pos))
+        elif value:
+            raise ParseError(f"unexpected character {value!r}", pos)
+        else:
+            tokens.append(("end", None, pos))
+            return tokens
+
+
+def _found(token: tuple[str, object, int]) -> str:
+    return "end of input" if token[0] == "end" else f"token {token[1]!r}"
 
 
 class _Parser:
     def __init__(self, text: str, table: VariableTable):
         self.table = table
-        self.tokens: list[tuple[str, object, int]] = []
-        tok = _Tokenizer(text)
-        while True:
-            t = tok.next()
-            self.tokens.append(t)
-            if t[0] == "end":
-                break
+        self.tokens = _tokenize(text)
         self.i = 0
 
     def peek(self) -> tuple[str, object, int]:
@@ -716,7 +715,7 @@ class _Parser:
     def expect(self, kind: str) -> tuple[str, object, int]:
         t = self.advance()
         if t[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
+            raise ParseError(f"expected {kind!r}, found {_found(t)}", t[2])
         return t
 
     def parse(self) -> Polynomial:
@@ -771,7 +770,7 @@ class _Parser:
             return p
         if kind == "-":
             return -self.factor()
-        raise ParseError(f"unexpected token {value!r}", pos)
+        raise ParseError(f"unexpected {_found(t)}", pos)
 
 
 def parse_polynomial(text: str, table: VariableTable = DEFAULT_TABLE) -> Polynomial:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .algebras import (
     BRANCH_CACHE_SIZE,
@@ -89,6 +89,8 @@ Value = Union[Fraction, float]
 WitnessValue = Union[Fraction, float, Polynomial]
 
 
+# The one record that stays a frozen dataclass, the rest being named
+# tuples: a perturbed system is derived from it with `dataclasses.replace`.
 @dataclass(frozen=True)
 class SolitonSystem:
     """Nine derivation residuals plus the family side conditions."""
@@ -184,8 +186,7 @@ def serialize_system(system: SolitonSystem) -> str:
 # -- solving for c -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CSolution:
+class CSolution(NamedTuple):
     """Outcome of solving the residual system for c at one point."""
 
     status: str  # "unique" | "any" | "none"
@@ -344,8 +345,7 @@ DEFAULT_LAMBDA0_GRID: tuple[Fraction, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     index: int
     values: dict[str, Value]
     lambda0: Value
@@ -354,8 +354,7 @@ class ScanEntry:
     residual_max: float
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     family_id: str
     kind: str
     eta: Optional[int]
@@ -407,7 +406,7 @@ def scan(
             solve = _point_solver(compiled, pt.values, tolerance)
             solved[id(pt)] = [solve(lam) for lam in grid]
         entries += (
-            ScanEntry(index=idx, values=pt.values, lambda0=lam, status=sol.status, c=sol.value, residual_max=sol.residual_max)
+            ScanEntry(idx, pt.values, lam, sol.status, sol.value, sol.residual_max)
             for lam, sol in zip(grid, solved[id(pt)])
         )
     return ScanReport(
@@ -424,8 +423,7 @@ def scan(
 # -- theorem cases -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoremCase:
+class TheoremCase(NamedTuple):
     """One classification claim: a locus plus the c that should solve on it."""
 
     label: str
@@ -452,8 +450,7 @@ class TheoremCase:
         return subs, c, reds
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     label: str
     family_id: str
     kind: str

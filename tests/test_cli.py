@@ -218,7 +218,7 @@ import json, sys
 import lieschouten
 from lieschouten.cli import main
 code = main(["ricci", "--family", "g1", "--format", "machine"])
-loaded = sorted(name for name in ("lieschouten.soliton", "lieschouten.catalog") if name in sys.modules)
+loaded = sorted(name for name in ("lieschouten.soliton", "lieschouten.catalog", "dataclasses", "inspect") if name in sys.modules)
 missing = [name for name in lieschouten.__all__ if getattr(lieschouten, name, None) is None]
 print(json.dumps({"code": code, "loaded": loaded, "missing": missing}), file=sys.stderr)
 """

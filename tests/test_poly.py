@@ -15,9 +15,11 @@ from lieschouten.poly import (
     Polynomial,
     PolynomialError,
     VariableTable,
+    _tokenize,
     groebner_basis,
     parse_polynomial,
 )
+from tokenizer_reference import reference_tokens
 
 T = DEFAULT_TABLE
 
@@ -301,6 +303,32 @@ class TestParser:
         with pytest.raises(ParseError):
             p("alpha beta")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("2²", 1),  # str.isdigit accepts a superscript, int() does not
+            ("alpha^²", 6),
+            ("٣*alpha", 0),  # an Arabic-Indic digit is no number either
+            ("2³/4", 1),
+        ],
+    )
+    def test_non_ascii_digit_is_a_stray_character(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            p(text)
+        assert exc.value.position == position
+        assert "unexpected character" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("", 0), ("alpha +", 7), ("(alpha", 6), ("alpha^", 6), ("3/  ", 4)],
+    )
+    def test_end_of_input_is_named(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            p(text)
+        assert exc.value.position == position
+        assert "end of input" in str(exc.value)
+        assert "None" not in str(exc.value)
+
 
 class TestPrinting:
     @pytest.mark.parametrize(
@@ -320,6 +348,30 @@ class TestPrinting:
 
     def test_deterministic_order(self):
         assert str(p("beta + alpha + gamma^2")) == "gamma^2 + alpha + beta"
+
+
+# -- the tokenizer against its character-by-character reference -------------
+
+_token_pieces = st.sampled_from(
+    ("alpha", "beta", "lambda0", "c", "_x1", "0", "7", "12", "+", "-", "*", "^", "(", ")", "/",
+     " ", "\t", "\n", "α", "λ₀")
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.one_of(_token_pieces, st.characters(max_codepoint=127)), max_size=12).map("".join))
+def test_tokenizer_matches_reference(text):
+    """On the grammar's alphabet, whitespace and every other ASCII character,
+    the regex tokenizer and the reference yield one token list, or both raise
+    the same ParseError at one position."""
+
+    def outcome(tokenize):
+        try:
+            return tokenize(text)
+        except ParseError as err:
+            return ("ParseError", err.position, str(err))
+
+    assert outcome(_tokenize) == outcome(reference_tokens)
 
 
 # -- randomized ring and homomorphism properties -----------------------------
