@@ -1,41 +1,38 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial stores integer numerators over one positive common
-denominator, keyed by monomials of a fixed, ordered variable table.  A
-monomial is an exponent tuple with one entry per table variable:
+denominator, keyed by packed monomials of a fixed, ordered variable table:
+one `_FIELD`-bit field per variable, the first variable most significant,
+under a top field that holds the total degree.  Over (alpha, beta, gamma):
 
-    3/2*alpha*beta^2 - 1/3*gamma  over  (alpha, beta, gamma, ...)
-        ->  _num = {(1, 2, 0, ...): 9, (0, 0, 1, ...): -2},  _den = 6
+    3/2*alpha*beta^2 - 1/3*gamma
+        ->  _num = {3<<48 | 1<<32 | 2<<16: 9, 1<<48 | 1: -2},  _den = 6
+
+A product of monomials is the sum of their keys, and graded lexicographic
+order (higher total degree first, ties broken by the exponent vector) is
+integer order, which printing and division use.  Every exponent and total
+degree stays below 2**(_FIELD - 1), so the top bit of each field is a guard
+bit: p divides m when no guard bit of (m + guard) - p is borrowed.  The
+public constructor and every product check this bound; past it they raise
+PolynomialError.  ``terms`` and ``leading_monomial`` give exponent tuples.
 
 The storage is normalised (no zero numerator, gcd(_den, *_num) == 1, and
 zero is ({}, 1)), so two polynomials are equal exactly when their
-(denominator, numerators) pairs are, and symbolic identities can be
-tested with ``==``.  ``terms`` derives the monomial -> Fraction view, in
-storage order.
-
-Only the public constructor ``Polynomial(table, terms)`` checks its input:
-it rejects a monomial of the wrong length and drops zero coefficients.
-The ring operations form no Fraction: ``+`` and ``-`` merge numerators
-over the lcm of the denominators, deleting a key the moment it cancels,
-``*`` convolves them over the product of the denominators, and each
-result is divided once by its one common gcd.
-
-Printing uses graded lexicographic monomial order (higher total degree
-first, ties broken by the exponent vector), which makes rendered output
-deterministic and parse/print round-trips exact.
+(denominator, numerators) pairs are.  Only ``Polynomial(table, terms)``
+checks its input: the monomial lengths, the exponents (ints in range) and
+zero coefficients.  The ring operations form no Fraction: ``+`` and ``-``
+merge numerators over the lcm of the denominators, deleting a key the
+moment it cancels, ``*`` convolves them over the product of the
+denominators, and each result is divided once by its one common gcd.
 
 ``Polynomial.evaluate`` evaluates one polynomial over Fractions or floats.
 ``IntegerKernel`` is the one compiled form for bulk exact evaluation: a
 list of polynomials over one common coefficient denominator, homogenised
 to one degree, evaluated at a point of ints or Fractions to one integer per
-polynomial, all scaled by one positive factor.  At construction the list
-is compiled to Python source for one straight-line function of the cleared
-numerators and their common denominator: a chain of powers, one local per
-shared monomial and one balanced sum per polynomial, with only integer
-literals and generated names in it.  The c solve at a point (`scan`,
-`solve_for_c`) compiles its polynomials once per soliton system; the
-sampler and case membership (`case_matches_point`, `scan_membership`) once
-per call.  Every exact point is then evaluated by the compiled function.
+polynomial, all scaled by one positive factor.  The list is compiled once
+to one straight-line Python function (see `_kernel_source`): once per
+soliton system for the c solve, once per (case, eta, table) for case
+membership, once per memoised branch draw for the sampler.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -64,14 +60,11 @@ _GREEK_INPUT = {
 }
 
 
-def _grlex(m: Monomial) -> tuple[int, Monomial]:
-    """Graded-lex key: total degree first, then the exponent vector."""
-    return (sum(m), m)
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    """Whether the monomial `a` divides `b`."""
-    return all(x <= y for x, y in zip(a, b))
+# Bits per field of a packed monomial.  Exponents and total degrees stay
+# below _LIMIT, so the top bit of each field is a guard bit.
+_FIELD = 16
+_LIMIT = 1 << (_FIELD - 1)
+_MASK = (1 << _FIELD) - 1
 
 
 class PolynomialError(ValueError):
@@ -89,18 +82,24 @@ class ParseError(PolynomialError):
 class VariableTable:
     """An ordered, immutable set of variable names.
 
-    The order is fixed at construction and determines both the monomial
-    exponent layout and the printing order.
+    The order is fixed at construction and determines both the packed
+    monomial layout and the printing order: variable i has the field at bit
+    `_shifts[i]`, the first variable highest, and the total degree the field
+    at bit `_top` above them all.  `_guard` holds the top bit of every field.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_shifts", "_top", "_guard")
 
     def __init__(self, names: Iterable[str] = DEFAULT_VARIABLES):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise PolynomialError(f"duplicate variable names in {names!r}")
+        shifts = tuple(_FIELD * i for i in reversed(range(len(names))))
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_shifts", shifts)
+        object.__setattr__(self, "_top", _FIELD * len(names))
+        object.__setattr__(self, "_guard", sum(_LIMIT << s for s in shifts + (_FIELD * len(names),)))
 
     def __setattr__(self, *_):
         raise AttributeError("VariableTable is immutable")
@@ -126,15 +125,26 @@ class VariableTable:
         except KeyError:
             raise PolynomialError(f"unknown variable {name!r}") from None
 
+    def _pack(self, monomial: Monomial) -> int:
+        """The packed key of an exponent tuple, checked against the layout."""
+        n = len(self.names)
+        if len(monomial) != n or not all(isinstance(e, int) and e >= 0 for e in monomial) or sum(monomial) >= _LIMIT:
+            raise PolynomialError(f"monomial {monomial} is not {n} non-negative ints of sum below {_LIMIT}")
+        key = sum(monomial)  # the total degree, shifted up to the top field
+        for e in monomial:
+            key = key << _FIELD | e
+        return key
+
+    def _unpack(self, key: int) -> Monomial:
+        return tuple([key >> s & _MASK for s in self._shifts])
+
     def var(self, name: str) -> "Polynomial":
         """The polynomial consisting of the single variable `name`."""
-        exps = [0] * len(self.names)
-        exps[self.index(name)] = 1
-        return Polynomial._make(self, {tuple(exps): 1}, 1)
+        return Polynomial._make(self, {1 << self._top | 1 << self._shifts[self.index(name)]: 1}, 1)
 
     def const(self, value: Scalar) -> "Polynomial":
         coeff = value if isinstance(value, (int, Fraction)) else Fraction(value)
-        return Polynomial._make(self, {(0,) * len(self.names): coeff.numerator} if coeff else {}, coeff.denominator)
+        return Polynomial._make(self, {0: coeff.numerator} if coeff else {}, coeff.denominator)
 
     @property
     def zero(self) -> "Polynomial":
@@ -158,22 +168,13 @@ class Polynomial:
     __slots__ = ("table", "_num", "_den", "_hash")  # _hash is set on first use
 
     def __init__(self, table: VariableTable, terms: Mapping[Monomial, Scalar]):
-        clean: dict[Monomial, Fraction] = {}
-        for m, c in terms.items():
-            if len(m) != len(table):
-                raise PolynomialError(
-                    f"monomial {m} does not match table of size {len(table)}"
-                )
-            if c:
-                clean[m] = Fraction(c)
-        # Reduced fractions over their lcm already have numerator gcd 1 with it.
-        den = lcm(*(c.denominator for c in clean.values()))
+        num, den = _over_lcm({table._pack(m): Fraction(c) for m, c in terms.items()})
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_num", {m: c.numerator * (den // c.denominator) for m, c in clean.items()})
+        object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _make(cls, table: VariableTable, num: dict[Monomial, int], den: int) -> "Polynomial":
+    def _make(cls, table: VariableTable, num: dict[int, int], den: int) -> "Polynomial":
         """Wrap nonzero numerators over den > 0, unchecked, in lowest terms."""
         if den != 1:
             g = gcd(den, *num.values())
@@ -191,9 +192,9 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        """A fresh dict monomial -> Fraction coefficient, in storage order."""
-        den = self._den
-        return {m: Fraction(n, den) for m, n in self._num.items()}
+        """A fresh dict exponent tuple -> Fraction coefficient, in storage order."""
+        den, unpack = self._den, self.table._unpack
+        return {unpack(m): Fraction(n, den) for m, n in self._num.items()}
 
     # -- ring structure ----------------------------------------------------
 
@@ -258,20 +259,23 @@ class Polynomial:
         other = self._coerce(other)
         if not self._num or not other._num:
             return self.table.zero
-        # Convolve the integer numerators over the product of the denominators.
-        out: dict[Monomial, int] = {}
+        if (max(self._num) + max(other._num)) >> self.table._top >= _LIMIT:  # no field carries
+            raise PolynomialError(f"product of total degree beyond {_LIMIT - 1}")
+        # Convolve the integer numerators over the product of the denominators;
+        # a product of monomials is the sum of their keys.
+        out: dict[int, int] = {}
         b = other._num.items()
         for ma, ca in self._num.items():
             for mb, cb in b:
-                m = tuple(map(add, ma, mb))
+                m = ma + mb
                 out[m] = out.get(m, 0) + ca * cb
         return Polynomial._make(self.table, {m: n for m, n in out.items() if n}, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise PolynomialError("exponent must be a non-negative integer")
+        if not isinstance(n, int) or n < 0 or n * self.total_degree() >= _LIMIT:  # before any squaring
+            raise PolynomialError(f"exponent must be a non-negative integer that keeps the degree below {_LIMIT}")
         result = self.table.one
         base = self
         while n:
@@ -293,8 +297,8 @@ class Polynomial:
             return self._hash
         except AttributeError:
             pass
-        if not any(map(any, self._num)):
-            # a constant equals its scalar value, so it hashes like it
+        if not any(self._num):
+            # a constant (key 0 only) equals its scalar value, so it hashes like it
             n = next(iter(self._num.values()), 0)
             value = hash(n if self._den == 1 else Fraction(n, self._den))
         else:
@@ -308,28 +312,30 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._num
 
+    def _used(self) -> list[tuple[str, int]]:
+        """(name, field shift) of each variable that occurs, in table order."""
+        union = 0
+        for m in self._num:
+            union |= m
+        return [(name, s) for name, s in zip(self.table.names, self.table._shifts) if union >> s & _MASK]
+
     def variables(self) -> set[str]:
         """Names of variables that actually occur (nonzero exponent)."""
-        used: set[str] = set()
-        for m in self._num:
-            for name, e in zip(self.table.names, m):
-                if e:
-                    used.add(name)
-        return used
+        return {name for name, _ in self._used()}
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self._num), default=0)
+        return max(self._num, default=0) >> self.table._top
 
     def degree_in(self, var: str) -> int:
-        i = self.table.index(var)
-        return max((m[i] for m in self._num), default=0)
+        s = self.table._shifts[self.table.index(var)]
+        return max((m >> s & _MASK for m in self._num), default=0)
 
     def coefficient_of(self, var: str, power: int) -> "Polynomial":
         """The coefficient of var^power, as a polynomial without `var`."""
-        i = self.table.index(var)
-        return Polynomial._make(
-            self.table, {m[:i] + (0,) + m[i + 1 :]: n for m, n in self._num.items() if m[i] == power}, self._den
-        )
+        table = self.table
+        s = table._shifts[table.index(var)]
+        drop = power << s | power << table._top
+        return Polynomial._make(table, {m - drop: n for m, n in self._num.items() if m >> s & _MASK == power}, self._den)
 
     def constant_value(self) -> Fraction:
         """The value of a degree-0 polynomial; error if any variable occurs."""
@@ -346,33 +352,34 @@ class Polynomial:
         Fraction unless a float value is involved.  Variables that do not
         occur in the polynomial may be omitted from `point`.
         """
-        idx_vals = []
-        for name in self.variables():
+        shift_vals = []
+        for name, s in self._used():
             if name not in point:
                 raise PolynomialError(f"unassigned variable {name!r}")
-        for i, name in enumerate(self.table.names):
-            if name in point:
-                v = point[name]
-                idx_vals.append((i, v if isinstance(v, float) else Fraction(v)))
+            v = point[name]
+            shift_vals.append((s, v if isinstance(v, float) else Fraction(v)))
+        den = self._den
         total = Fraction(0)
-        for m, c in self.terms.items():
-            term = c
-            for i, v in idx_vals:
-                if m[i]:
-                    term = term * v ** m[i]
+        for m, n in self._num.items():
+            term = Fraction(n, den)
+            for s, v in shift_vals:
+                e = m >> s & _MASK
+                if e:
+                    term = term * v**e
             total = total + term
         return total
 
     def substitute(self, var: str, replacement: "Polynomial") -> "Polynomial":
         """Replace every occurrence of `var` by `replacement`, re-canonicalized."""
         replacement = self._coerce(replacement)
-        i = self.table.index(var)
+        s = self.table._shifts[self.table.index(var)]
+        unit = 1 << s | 1 << self.table._top
         # Group by exponent of var so each power of the replacement is
         # computed once.
-        by_power: dict[int, dict[Monomial, int]] = {}
+        by_power: dict[int, dict[int, int]] = {}
         for m, n in self._num.items():
-            stripped = m[:i] + (0,) + m[i + 1 :]
-            by_power.setdefault(m[i], {})[stripped] = n
+            e = m >> s & _MASK
+            by_power.setdefault(e, {})[m - e * unit] = n
         result = self.table.zero
         for power, num in sorted(by_power.items()):
             partial = Polynomial._make(self.table, num, self._den)
@@ -403,7 +410,7 @@ class Polynomial:
         """Graded-lex largest monomial; error on the zero polynomial."""
         if not self._num:
             raise PolynomialError("zero polynomial has no leading monomial")
-        return max(self._num, key=_grlex)
+        return self.table._unpack(max(self._num))
 
     def reduce_by_relation(self, relation: "Polynomial", pivot: Monomial | None = None) -> "Polynomial":
         """Remainder modulo one relation, eliminating one of its monomials.
@@ -419,7 +426,7 @@ class Polynomial:
         relation = self._coerce(relation)
         if relation.is_zero:
             return self
-        lead = relation.leading_monomial() if pivot is None else pivot
+        lead = max(relation._num) if pivot is None else self.table._pack(pivot)
         if lead not in relation._num:
             raise PolynomialError("pivot is not a monomial of the relation")
         return self._divide([(lead, relation)])
@@ -430,30 +437,38 @@ class Polynomial:
 
     def normal_form(self, basis: Sequence["Polynomial"]) -> "Polynomial":
         """Remainder of division by `basis`; unique when it is a Groebner basis."""
-        return self._divide([(g.leading_monomial(), g) for g in basis if not g.is_zero])
+        return self._divide([(max(g._num), g) for g in basis if g._num])
 
-    def _divide(self, divisors: Sequence[tuple[Monomial, "Polynomial"]]) -> "Polynomial":
+    def _divide(self, divisors: Sequence[tuple[int, "Polynomial"]]) -> "Polynomial":
         """Multivariate division, largest term first: a term divisible by the
-        pivot of some (pivot, g) is cancelled by a multiple of the first
-        such g, any other term moves to the remainder, in Fractions."""
-        out = self.terms
-        rem: dict[Monomial, Fraction] = {}
-        divisor_terms = [(pivot, g.terms) for pivot, g in divisors]
+        packed pivot of some (pivot, g) is cancelled by a multiple of the
+        first such g, any other term moves to the remainder, in Fractions.
+        A pivot below g's lead may raise the degree by their gap per step."""
+        guard, top = self.table._guard, self.table._top
+        den = self._den
+        out = {m: Fraction(n, den) for m, n in self._num.items()}
+        rem: dict[int, Fraction] = {}
+        divisor_terms = []
+        for pivot, g in divisors:
+            terms = {m: Fraction(n, g._den) for m, n in g._num.items()}
+            divisor_terms.append((pivot, (max(g._num) >> top) - (pivot >> top), terms[pivot], terms.items()))
         while out:
-            m = max(out, key=_grlex)
-            for pivot, g in divisor_terms:
-                if _divides(pivot, m):
-                    shift = tuple(e - pe for e, pe in zip(m, pivot))
-                    factor = out[m] / g[pivot]
-                    for gm, gc in g.items():
-                        key = tuple(a + b for a, b in zip(shift, gm))
+            m = max(out)
+            for pivot, growth, at_pivot, terms in divisor_terms:
+                if (m + guard - pivot) & guard == guard:
+                    if growth and (m >> top) + growth >= _LIMIT:
+                        raise PolynomialError(f"division beyond total degree {_LIMIT - 1}")
+                    shift = m - pivot
+                    factor = out[m] / at_pivot
+                    for gm, gc in terms:
+                        key = shift + gm
                         out[key] = out.get(key, 0) - factor * gc
                         if not out[key]:
                             del out[key]
                     break
             else:
                 rem[m] = rem.get(m, 0) + out.pop(m)
-        return Polynomial(self.table, rem)
+        return Polynomial._make(self.table, *_over_lcm(rem))
 
     def project_to(self, table: VariableTable) -> "Polynomial":
         """Re-express over `table`; every used variable must exist there."""
@@ -461,14 +476,13 @@ class Polynomial:
         for name in self.table.names:
             if name in used and name not in table:
                 raise PolynomialError(f"variable {name!r} still occurs; cannot project")
-        positions = [table.index(name) if name in table else None for name in self.table.names]
-        out: dict[Monomial, int] = {}
+        moves = [(s, table._shifts[table.index(name)]) for name, s in self._used()]
+        out: dict[int, int] = {}
         for m, n in self._num.items():
-            exps = [0] * len(table)
-            for e, pos in zip(m, positions):
-                if e:
-                    exps[pos] = e  # type: ignore[index]
-            out[tuple(exps)] = n
+            key = m >> self.table._top << table._top
+            for s, t in moves:
+                key |= (m >> s & _MASK) << t
+            out[key] = n
         return Polynomial._make(table, out, self._den)
 
     # -- printing ------------------------------------------------------------
@@ -478,11 +492,13 @@ class Polynomial:
             return "0"
         pieces: list[str] = []
         den = self._den
+        used = self._used()
         # Graded lexicographic, largest first (earlier variables weigh more).
-        ordered = sorted(self._num.items(), key=lambda item: _grlex(item[0]), reverse=True)
-        for k, (m, n) in enumerate(ordered):
+        for k, m in enumerate(sorted(self._num, reverse=True)):
+            n = self._num[m]
             factors = []
-            for name, e in zip(self.table.names, m):
+            for name, s in used:
+                e = m >> s & _MASK
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -518,39 +534,46 @@ def groebner_basis(relations: Iterable[Polynomial]) -> list[Polynomial]:
     to an earlier one's) is dropped, which leaves every normal form as it is.
     """
     basis: list[Polynomial] = []
-    pairs: list[tuple[Monomial, int, int]] = []
+    pairs: list[tuple[int, int, int]] = []  # (packed lcm, newer, older), so ties go in list order
 
     def admit(g: Polynomial) -> None:
         lead = g.leading_monomial()
         for k, f in enumerate(basis):
             lf = f.leading_monomial()
             if any(a and b for a, b in zip(lf, lead)):
-                pairs.append((tuple(map(max, lf, lead)), k, len(basis)))
+                pairs.append((g.table._pack(tuple(map(max, lf, lead))), len(basis), k))
         basis.append(g)
 
     for r in relations:
         if not r.is_zero:
             admit(r)
     while pairs:
-        pair = min(pairs, key=lambda pair: _grlex(pair[0]))
+        pair = min(pairs)
         pairs.remove(pair)
-        top, i, j = pair
+        top, j, i = pair
         remainder = (_monic_multiple(basis[i], top) - _monic_multiple(basis[j], top)).normal_form(basis)
         if not remainder.is_zero:
             admit(remainder)
-    leads = [g.leading_monomial() for g in basis]
+    leads = [max(g._num) for g in basis]
+    guard = basis[0].table._guard if basis else 0
     return [
         g
         for k, (g, lead) in enumerate(zip(basis, leads))
-        if not any(_divides(other, lead) and (other != lead or j < k) for j, other in enumerate(leads) if j != k)
+        if not any((lead + guard - o) & guard == guard and (o != lead or j < k) for j, o in enumerate(leads) if j != k)
     ]
 
 
-def _monic_multiple(q: Polynomial, top: Monomial) -> Polynomial:
-    """The multiple of `q` whose leading term is exactly the monomial `top`."""
-    lead = q.leading_monomial()
-    shift = tuple(t - e for t, e in zip(top, lead))
-    return Polynomial(q.table, {shift: Fraction(q._den, q._num[lead])}) * q
+def _monic_multiple(q: Polynomial, top: int) -> Polynomial:
+    """The multiple of `q` whose leading term is exactly the packed monomial `top`."""
+    lead = max(q._num)
+    c = Fraction(q._den, q._num[lead])
+    return Polynomial._make(q.table, {top - lead: c.numerator}, c.denominator) * q
+
+
+def _over_lcm(terms: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """Nonzero Fractions as numerators over their lcm, in lowest terms."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items() if c}, den
 
 
 class IntegerKernel:
@@ -575,7 +598,7 @@ class IntegerKernel:
     def __init__(self, table: VariableTable, polys: Sequence[Polynomial]):
         used = set().union(*(poly.variables() for poly in polys))
         self.names = tuple(n for n in table.names if n in used)
-        self.source = _kernel_source([table.index(n) for n in self.names], polys)
+        self.source = _kernel_source(table, self.names, polys)
         namespace: dict = {"__builtins__": {}}
         exec(compile(self.source, "<IntegerKernel>", "exec"), namespace)
         self._run = namespace["kernel"]
@@ -590,7 +613,7 @@ class IntegerKernel:
         return self._run(*[v.numerator * (scale // v.denominator) for v in vals], scale)
 
 
-def _kernel_source(positions: Sequence[int], polys: Sequence[Polynomial]) -> str:
+def _kernel_source(table: VariableTable, names: Sequence[str], polys: Sequence[Polynomial]) -> str:
     """Python source of `kernel(x0, ..., L)` for `IntegerKernel`.
 
     Each power of a base is built once by a chain (x0_3 = x0_2 * x0), each
@@ -602,8 +625,9 @@ def _kernel_source(positions: Sequence[int], polys: Sequence[Polynomial]) -> str
     """
     degree = max((poly.total_degree() for poly in polys), default=0)
     denominator = lcm(*(poly._den for poly in polys))
-    bases = [f"x{j}" for j in range(len(positions))] + ["L"]
-    slots: dict[Monomial, int] = {}
+    shifts, top = [table._shifts[table.index(n)] for n in names], table._top
+    bases = [f"x{j}" for j in range(len(names))] + ["L"]
+    slots: dict[int, int] = {}
     exponents: list[tuple[int, ...]] = []  # homogenised, over `bases`
     rows: list[list[tuple[int, int]]] = []  # per polynomial: (slot, coefficient)
     for poly in polys:
@@ -612,7 +636,7 @@ def _kernel_source(positions: Sequence[int], polys: Sequence[Polynomial]) -> str
         for mono, n in poly._num.items():
             if mono not in slots:
                 slots[mono] = len(exponents)
-                exponents.append(tuple(mono[i] for i in positions) + (degree - sum(mono),))
+                exponents.append(tuple([mono >> s & _MASK for s in shifts] + [degree - (mono >> top)]))
             row.append((slots[mono], n * scale))
         rows.append(row)
 

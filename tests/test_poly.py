@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -15,13 +16,17 @@ from lieschouten.poly import (
     Polynomial,
     PolynomialError,
     VariableTable,
+    _FIELD,
     _tokenize,
     groebner_basis,
     parse_polynomial,
 )
+from poly_reference import ReferencePolynomial
 from tokenizer_reference import reference_tokens
 
 T = DEFAULT_TABLE
+# every exponent and every total degree stays below this
+BOUND = 2 ** (_FIELD - 1)
 
 
 def p(text: str) -> Polynomial:
@@ -86,6 +91,48 @@ class TestConstructor:
         q = Polynomial(T, {p("beta").leading_monomial(): 2})
         assert q == p("2*beta")
         assert all(type(c) is Fraction for c in q.terms.values())
+
+    @pytest.mark.parametrize(
+        "exponent", [-1, 1.0, Fraction(1), "1", None, BOUND, 2**64]
+    )
+    @pytest.mark.parametrize("coefficient", [2, 0])
+    def test_impossible_exponents_are_rejected(self, exponent, coefficient):
+        # a monomial with a negative exponent used to print as its coefficient
+        # without being equal to it, and total_degree() returned -1
+        with pytest.raises(PolynomialError):
+            Polynomial(T, {(exponent,) + (0,) * (len(T) - 1): coefficient})
+
+    def test_total_degree_bound(self):
+        one = (0,) * len(T)
+        assert Polynomial(T, {(BOUND // 2, BOUND // 2 - 1) + one[2:]: 1}).total_degree() == BOUND - 1
+        with pytest.raises(PolynomialError):
+            Polynomial(T, {(BOUND // 2, BOUND // 2) + one[2:]: 1})
+
+    def test_power_at_the_bound(self):
+        top = T.var("alpha") ** (BOUND - 1)
+        assert top.leading_monomial() == (BOUND - 1,) + (0,) * (len(T) - 1)
+        assert top.total_degree() == top.degree_in("alpha") == BOUND - 1
+        assert str(top) == f"alpha^{BOUND - 1}"
+        assert top == Polynomial(T, {top.leading_monomial(): 1})
+        with pytest.raises(PolynomialError):
+            T.var("alpha") ** BOUND
+        with pytest.raises(PolynomialError):  # at once, not after squaring a long polynomial
+            p("alpha + beta^2 + gamma - 1") ** (BOUND // 2)
+        with pytest.raises(PolynomialError):
+            top * T.var("c")
+        with pytest.raises(PolynomialError):
+            top.substitute("alpha", p("2*beta^2"))
+        assert top.substitute("alpha", p("2*beta")) == 2 ** (BOUND - 1) * T.var("beta") ** (BOUND - 1)
+        assert top * 3 - top == 2 * top
+
+    def test_degree_bound_in_division_below_the_lead(self):
+        # the pivot c^2 sits below the lead beta^3 of the relation, so each
+        # rewrite of c^2 raises the degree by one until it passes the bound
+        high = T.var("c") ** (BOUND - 2)
+        relation = p("c^2 - beta^3")
+        assert p("c^3").reduce_square("c", p("beta^3")) == p("beta^3*c")
+        with pytest.raises(PolynomialError):
+            high.reduce_by_relation(relation, pivot=p("c^2").leading_monomial())
 
 
 class TestHash:
@@ -563,6 +610,116 @@ def _reference_str(a):
 @given(polynomials(), st.sampled_from((1, -1, 7, Fraction(-1, 12), Fraction(10**12 + 1, 3))))
 def test_print_matches_fraction_spelling(a, k):
     assert str(a * k) == _reference_str(a * k)
+
+
+# -- packed monomials against the tuple-keyed reference -----------------------
+
+# one variable, the default seven, and the default seven plus t0..t15
+_TABLES = {len(t): t for t in (VariableTable(("x",)), T, T.extended(f"t{i}" for i in range(16)))}
+
+
+@st.composite
+def _monomial(draw, n, cap, positions=None):
+    """An exponent tuple of total degree at most `cap` on up to four
+    variables (of `positions`, if given), each exponent small, up to the
+    cap, or the cap itself."""
+    exps, left = [0] * n, cap
+    for i in draw(st.lists(st.sampled_from(positions or range(n)), max_size=4)):
+        e = min(left, draw(st.one_of(st.integers(0, 3), st.integers(0, cap), st.just(cap))))
+        exps[i] += e
+        left -= e
+    return tuple(exps)
+
+
+_coefficients = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def _term_dicts(draw, n, cap=BOUND - 1, max_terms=5, stretch=1, coefficients=_coefficients, positions=None):
+    """Up to `max_terms` terms; `stretch` multiplies every exponent."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        m = tuple(e * stretch for e in draw(_monomial(n, cap, positions)))
+        terms[m] = terms.get(m, Fraction(0)) + draw(coefficients)
+    return terms
+
+
+def _assert_same(got, ref):
+    """The same terms in the same order, the same text and the same lead."""
+    assert list(got.terms.items()) == list(ref.terms.items())
+    assert str(got) == str(ref)
+    if ref.terms:
+        assert got.leading_monomial() == ref.leading_monomial()
+    else:
+        with pytest.raises(PolynomialError):
+            got.leading_monomial()
+
+
+def _both(table, terms):
+    return Polynomial(table, terms), ReferencePolynomial(table, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from(sorted(_TABLES)), data=st.data())
+def test_packed_ring_matches_tuple_reference(n, data):
+    table = _TABLES[n]
+    ta = data.draw(_term_dicts(n))
+    # half the time on a's monomials, so that terms cancel
+    cancelling = st.builds(lambda k: {m: -k * c for m, c in ta.items()}, st.sampled_from((1, 2)))
+    tb = data.draw(st.one_of(_term_dicts(n), cancelling))
+    (a, ra), (b, rb) = _both(table, ta), _both(table, tb)
+    for got, ref in ((a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb), (b - a, rb - ra), (-a, -ra)):
+        _assert_same(got, ref)
+    for name in table.names:
+        assert a.degree_in(name) == ra.degree_in(name)
+    name = data.draw(st.sampled_from(table.names))
+    for power in {0, data.draw(st.integers(0, 3)), *(m[table.index(name)] for m in ta)}:
+        _assert_same(a.coefficient_of(name, power), ra.coefficient_of(name, power))
+    if max(map(sum, ra.terms), default=0) + max(map(sum, rb.terms), default=0) < BOUND or a.is_zero or b.is_zero:
+        _assert_same(a * b, ra * rb)
+    else:
+        with pytest.raises(PolynomialError):
+            a * b
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from(sorted(_TABLES)), data=st.data())
+def test_packed_substitute_matches_tuple_reference(n, data):
+    table = _TABLES[n]
+    a, ra = _both(table, data.draw(_term_dicts(n)))
+    name = data.draw(st.sampled_from(table.names))
+    i = table.index(name)
+    # a power of a one-term replacement stays one term, with a coefficient of
+    # +-1 that prints at any power; a longer one only meets small powers
+    if a.degree_in(name) <= 4:
+        replacement = _term_dicts(n, cap=2, max_terms=3)
+    else:
+        replacement = _term_dicts(n, cap=2, max_terms=1, coefficients=st.sampled_from((1, -1)))
+    r, rr = _both(table, data.draw(replacement))
+    degree = r.total_degree()
+    if not r.is_zero and any(sum(m) - m[i] + m[i] * degree >= BOUND for m in ra.terms):
+        with pytest.raises(PolynomialError):
+            a.substitute(name, r)
+    else:
+        _assert_same(a.substitute(name, r), ra.substitute(name, rr))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from(sorted(_TABLES)),
+    stretch=st.sampled_from((1, 2, 1000, (BOUND - 1) // 3)),
+    data=st.data(),
+)
+def test_packed_normal_form_matches_tuple_reference(n, stretch, data):
+    # exponents times one stretch keep divisibility and graded-lex order, so
+    # the division takes the same steps up to degree BOUND - 1 as at degree 3;
+    # all terms share two or three variables, so that they divide each other
+    table = _TABLES[n]
+    positions = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    terms = partial(_term_dicts, n, cap=3, stretch=stretch, positions=positions)
+    f, rf = _both(table, data.draw(terms()))
+    basis = [_both(table, data.draw(terms(max_terms=3))) for _ in range(data.draw(st.integers(1, 3)))]
+    _assert_same(f.normal_form([g for g, _ in basis]), rf.normal_form([rg for _, rg in basis]))
 
 
 # -- the compiled integer form against Polynomial.evaluate --------------------

@@ -868,6 +868,51 @@ def test_serialized_system_matches_golden_file():
     assert current == golden.read_text(encoding="utf-8")
 
 
+# sha256 of `serialize_system` on every catalogued branch, taken while
+# monomials were still exponent tuples: the printed term order must not
+# depend on how the polynomial kernel stores its keys
+SYSTEM_SHA256 = {
+    ("g1", None, "lc"): "a16304d7c8c4dc6eeef1ba6d0df5641a1ef66580c5307da61363d69ff0798bd8",
+    ("g1", None, "canonical"): "4547c5c03d59646bf7cad1d5e62d8ed9f4d0e89189bd9d573a35e908611979df",
+    ("g1", None, "kn"): "0f2a6f9459cb32aa7601628ffcb49c70cb3ccd6082580bd9524c9bb8224d7f8b",
+    ("g2", None, "lc"): "e320be112785105fa39f34e7c94cc30caec3a66bd11f9fe4fafd7dbea52ee990",
+    ("g2", None, "canonical"): "96cd367745c5312426a39c2d72780988d567ce46849c4e61bf23236df3539385",
+    ("g2", None, "kn"): "165c9904bf399594fa86f5c2bf57340a12edbf70c7902cdc05d72eda1735cf96",
+    ("g3", None, "lc"): "ac449f2d53214a71575b2958019676b326f5dd424ac3226d7b08c779195ad34d",
+    ("g3", None, "canonical"): "e4448697d2742089834db90ac511f97318adfd02084db85a5cb1061ab3885d7f",
+    ("g3", None, "kn"): "c285f496a836c051ab34404567e3fccc6ebc8a50c069893b9e1a7a9aa3bba44c",
+    ("g4", 1, "lc"): "43c382cdb316f2b8c673234ea831bcfecd50dbabf877fde76c9e458f8d19045f",
+    ("g4", 1, "canonical"): "e10192350fd79a9ec6c782ad7ef5e459662126be68159c6421acc6b7cd1c6c64",
+    ("g4", 1, "kn"): "80f18f0108953db8e462e2e3f821bb5aab4d230fdc25a7e04427e41751df7035",
+    ("g4", -1, "lc"): "6e12050c420c013ca5fc2d652a8e4b9fe657bb97d9e9abce239f46bc15eed530",
+    ("g4", -1, "canonical"): "5c314eec6347d63a0e0cf90caedd41748abdf52758e958c41af7c31eef2b02e9",
+    ("g4", -1, "kn"): "f8514cf8c4fdeae60044a07f7864e583324d17336a0055804ff0c2f787f9ce38",
+    ("g5", None, "lc"): "05113a1149e0ae92c2d10e36e25ea65c92062ecf056558ada170d9488ad4c78c",
+    ("g5", None, "canonical"): "857742e4d8ba0861d6d637c788d7e5de85f44741ad1e3ed520526bc0feb78259",
+    ("g5", None, "kn"): "7d58bf4422b30381f9dcaa337b44c40297dd1b8c784d653a19c64fd8dff51758",
+    ("g6", None, "lc"): "d0f246acb0ea0c12cd9de8f0f4bc6bdf916344085e2c3f8975f18c3129286c27",
+    ("g6", None, "canonical"): "b8d3932bc5b3f7f87ba1dd08fb3f5aa3e5fbe516794d54296d63c3b94049005a",
+    ("g6", None, "kn"): "4fcb071a828e999664492fed8c7970fdd1caf9c7a01d34a1d56b0c05adfb1a99",
+    ("g7", None, "lc"): "78be477aa6e20bccb7518b478386e1f1aa4c1b4a068ff0746507ee93c4b813db",
+    ("g7", None, "canonical"): "0a65a8d6152c6fcc5fe6567e4636f2d9afc14f9981bf3589e6826393733a0396",
+    ("g7", None, "kn"): "b5c84885eb0db46233e2f27d0f76dd59ca3c93f5710eb2230967ed2b68ce20e6",
+}
+
+
+def test_serialized_systems_of_every_branch_match_pinned_digests():
+    import hashlib
+
+    from lieschouten.algebras import FAMILY_IDS, family_branches
+
+    current = {
+        (family_id, fam.eta, kind): hashlib.sha256(serialize_system(soliton_system(fam, kind)).encode()).hexdigest()
+        for family_id in FAMILY_IDS
+        for fam in family_branches(family_id)
+        for kind in CONNECTION_KINDS
+    }
+    assert current == SYSTEM_SHA256
+
+
 def test_g5_canonical_system_is_c_times_structure_constants():
     # the canonical Ricci of g5 vanishes, so D = -(c)Id and each residual
     # collapses to c times the matching structure constant
