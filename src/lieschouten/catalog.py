@@ -658,7 +658,7 @@ def _scan_records(
                     lambda0_grid=lambda0_grid,
                     tolerance=tolerance,
                 )
-                entry_total += len(report.entries)
+                entry_total += report.size
                 solvable = report.solvable
                 solvable_total += len(solvable)
                 for entry, inside in zip(solvable, scan_membership(report, cases, table, tolerance)):

@@ -214,11 +214,11 @@ def cmd_scan(args) -> int:
             point = ",".join(f"{n}={e.values[n]}" for n in sorted(e.values))
             c_text = "-" if e.c is None else str(e.c)
             print(f"point\t{e.index}\t{point}\tlambda0={e.lambda0}\t{e.status}\tc={c_text}")
-        print(f"summary\tsolvable={len(solvable)}\ttotal={len(report.entries)}")
+        print(f"summary\tsolvable={len(solvable)}\ttotal={report.size}")
         return EXIT_OK
     print(
         f"scan of {fam.describe()} under {args.kind}: "
-        f"{len(solvable)} solvable of {len(report.entries)} (points x lambda0 grid)"
+        f"{len(solvable)} solvable of {report.size} (points x lambda0 grid)"
     )
     for e in solvable[:10]:
         point = ", ".join(f"{n}={e.values[n]}" for n in sorted(e.values)) or "(no parameters)"

@@ -66,6 +66,12 @@ _FIELD = 16
 _LIMIT = 1 << (_FIELD - 1)
 _MASK = (1 << _FIELD) - 1
 
+# Decimal digits per piece when an integer is printed or parsed: below 640,
+# the least int/str digit limit the interpreter can be set to (4300 by
+# default), so coefficients of any size print and parse.
+_DIGITS = 600
+_PIECE = 10**_DIGITS
+
 
 class PolynomialError(ValueError):
     """Raised for ill-formed polynomial operations (table mismatch, bad eval)."""
@@ -505,7 +511,7 @@ class Polynomial:
                     factors.append(f"{name}^{e}")
             # the magnitude of n/den in lowest terms, as str(Fraction) spells it
             g = gcd(n, den)
-            mag = str(abs(n) // g) if den == g else f"{abs(n) // g}/{den // g}"
+            mag = _decimal(abs(n) // g) if den == g else f"{_decimal(abs(n) // g)}/{_decimal(den // g)}"
             if not factors:
                 body = mag
             elif mag == "1":
@@ -520,6 +526,16 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def _decimal(n: int) -> str:
+    """`str(n)` for an int n >= 0 of any size: split in two at a power of
+    ten until each piece has at most `_DIGITS` digits."""
+    if n < _PIECE:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 def groebner_basis(relations: Iterable[Polynomial]) -> list[Polynomial]:
@@ -654,8 +670,8 @@ def _kernel_source(table: VariableTable, names: Sequence[str], polys: Sequence[P
         monomials.append(product)
 
     def term(slot: int, coeff: int) -> str:
-        # hex keeps a literal of any size below the decimal-digit limit of int/str conversion
-        literal = str(coeff) if coeff.bit_length() < 10_000 else hex(coeff)
+        # hex keeps a literal of any size clear of the int/str digit limit
+        literal = str(coeff) if -_PIECE < coeff < _PIECE else hex(coeff)
         if not monomials[slot]:
             return literal
         return monomials[slot] if coeff == 1 else f"{literal} * {monomials[slot]}"
@@ -705,7 +721,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         kind, end = m.lastgroup, m.end()
         value, pos = m[kind], m.start(kind)
         if kind == "int":
-            tokens.append(("int", int(value), pos))
+            tokens.append(("int", _integer(value), pos))
         elif kind == "ident":
             tokens.append(("ident", value, pos))
         elif kind == "op":
@@ -715,6 +731,15 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         else:
             tokens.append(("end", None, pos))
             return tokens
+
+
+def _integer(digits: str) -> int:
+    """`int(digits)` for an ASCII digit run of any length, read in pieces of
+    at most `_DIGITS` digits."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _integer(digits[:-k]) * 10**k + _integer(digits[-k:])
 
 
 def _found(token: tuple[str, object, int]) -> str:

@@ -44,12 +44,15 @@ A float point or a float lambda0 is solved against the tolerance.  The
 kernel is compiled once per system (`_compiled_decomposition`).  `scan`
 draws its sample once per family branch (`_branch_sample`), shared by the
 connections, and builds one point solver per distinct point for its whole
-lambda0 grid; `solve_for_c` builds one for its single call.  Case
-membership is `_CompiledCase`, compiled once per (case, eta, table): the
-polynomials that must vanish on a case's locus, the hypotheses that must
-not, and c - c_expr, decided in integers at an exact point with an exact
-lambda0 and by the tolerance otherwise.  `scan_membership` decides each
-distinct point once.
+lambda0 grid; `solve_for_c` builds one for its single call.  A
+`ScanReport` is a table: the shared sample and one row of solutions per
+point, a repeated point sharing its first occurrence's row; its
+`ScanEntry` records are built only on request.  Case membership is
+`_CompiledCase`, compiled once per (case, eta, table): the polynomials that
+must vanish on a case's locus, the hypotheses that must not, and
+c - c_expr, decided in integers at an exact point with an exact lambda0 and
+by the tolerance otherwise.  `scan_membership` walks the rows and decides
+each distinct point once.
 """
 
 from __future__ import annotations
@@ -355,17 +358,42 @@ class ScanEntry(NamedTuple):
 
 
 class ScanReport(NamedTuple):
+    """A scan as a table: one row of c solutions, one per lambda0 of the
+    grid, for each sampled point.  A repeated point shares its first
+    occurrence's row object.  `entries` and `solvable` build their
+    `ScanEntry` records on request."""
+
     family_id: str
     kind: str
     eta: Optional[int]
     seed: int
     count: int
     lambda0_grid: tuple[Value, ...]
-    entries: tuple[ScanEntry, ...]
+    points: tuple[ParameterPoint, ...]
+    rows: tuple[tuple[CSolution, ...], ...]
+
+    @property
+    def size(self) -> int:
+        """The number of (point, lambda0) cells."""
+        return len(self.points) * len(self.lambda0_grid)
+
+    @property
+    def entries(self) -> tuple[ScanEntry, ...]:
+        return self._entries(("unique", "any", "none"))
 
     @property
     def solvable(self) -> tuple[ScanEntry, ...]:
-        return tuple(e for e in self.entries if e.status in ("unique", "any"))
+        return self._entries(("unique", "any"))
+
+    def _entries(self, statuses: tuple[str, ...]) -> tuple[ScanEntry, ...]:
+        """Point-major, the grid in its order, the cells with one of `statuses`."""
+        grid = self.lambda0_grid
+        return tuple(
+            ScanEntry(idx, pt.values, lam, sol.status, sol.value, sol.residual_max)
+            for idx, (pt, row) in enumerate(zip(self.points, self.rows))
+            for lam, sol in zip(grid, row)
+            if sol.status in statuses
+        )
 
 
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)
@@ -391,24 +419,18 @@ def scan(
 ) -> ScanReport:
     """Sample the constrained parameter space and solve for c everywhere.
 
-    Deterministic for a fixed seed; entries are ordered point-major with
-    the lambda0 grid in the given order.  The sample is drawn once per
-    branch (`_branch_sample`), and each distinct point gets one
-    `_point_solver`, which solves the whole grid; a repeated point reuses
-    its solutions.
+    Deterministic for a fixed seed.  The sample is drawn once per branch
+    (`_branch_sample`), and each distinct point gets one `_point_solver`,
+    which solves the whole grid into the point's row; a repeated point
+    shares that row.  No `ScanEntry` is built here.
     """
     compiled = _compiled_decomposition(soliton_system(fam, kind))
     grid = tuple(lambda0_grid)
-    solved: dict[int, list[CSolution]] = {}  # by id of the shared point
-    entries: list[ScanEntry] = []
-    for idx, pt in enumerate(_branch_sample(fam, seed, count)):
+    points = _branch_sample(fam, seed, count)
+    solved: dict[int, tuple[CSolution, ...]] = {}  # by id of the shared point
+    for pt in points:
         if id(pt) not in solved:
-            solve = _point_solver(compiled, pt.values, tolerance)
-            solved[id(pt)] = [solve(lam) for lam in grid]
-        entries += (
-            ScanEntry(idx, pt.values, lam, sol.status, sol.value, sol.residual_max)
-            for lam, sol in zip(grid, solved[id(pt)])
-        )
+            solved[id(pt)] = tuple(map(_point_solver(compiled, pt.values, tolerance), grid))
     return ScanReport(
         family_id=fam.family_id,
         kind=kind,
@@ -416,7 +438,8 @@ def scan(
         seed=seed,
         count=count,
         lambda0_grid=grid,
-        entries=tuple(entries),
+        points=points,
+        rows=tuple(solved[id(pt)] for pt in points),
     )
 
 
@@ -729,7 +752,7 @@ def _verify_empty(
     for fam in family_branches(case.family_id, table):
         report = scan(fam, case.kind, seed=seed, count=500, tolerance=tolerance)
         solvable += len(report.solvable)
-        total += len(report.entries)
+        total += report.size
     ok = solvable == 0
     return VerificationReport(
         label=case.label,
@@ -825,14 +848,14 @@ def case_matches_point(
     """Does a solvable scan entry fall inside the case's (effective) locus?"""
     if case.empty:
         return False
-    tol = _match_tolerance(values, lambda0_value, tolerance)
+    tol = _match_tolerance(_is_exact(values.values()), lambda0_value, tolerance)
     compiled = _compiled_case(case, eta, table)
     return compiled.locus_holds(values, tol) and compiled.c_matches(values, lambda0_value, c_solution, tol)
 
 
-def _match_tolerance(values: dict[str, Value], lambda0_value: Value, tolerance: float) -> float:
+def _match_tolerance(exact_point: bool, lambda0_value: Value, tolerance: float) -> float:
     """0 at an exact point with an exact lambda0; `tolerance` once a float enters."""
-    return 0 if _is_exact(values.values()) and not isinstance(lambda0_value, float) else tolerance
+    return 0 if exact_point and not isinstance(lambda0_value, float) else tolerance
 
 
 class _CompiledCase:
@@ -885,25 +908,39 @@ def scan_membership(
 ) -> list[bool]:
     """Per solvable entry of `report`: does it fall inside one of `cases`?
 
-    Equal to `any(case_matches_point(...))` entry by entry, but each point
-    is decided once: the lambda0-free locus test once per (point,
-    tolerance), since the entries of one point differ only in lambda0 and
-    c, and the whole test once per (point, lambda0, c).  Points, lambda0
-    and c are told apart by identity, which `scan` shares between the
-    entries of a repeated point, so a repeat costs one lookup.
+    Equal to `any(case_matches_point(...))` entry by entry, but decided
+    over the report's rows, one per distinct point: a point's exactness
+    and the lambda0-free locus test once per tolerance it meets, c - c_expr
+    once per solvable lambda0.  A repeated point shares its first
+    occurrence's row and so its verdicts.
     """
     compiled = [_compiled_case(case, report.eta, table) for case in cases if not case.empty]
-    loci: dict[tuple[int, float], list[_CompiledCase]] = {}
-    decided: dict[tuple[int, int, int], bool] = {}
+    grid = report.lambda0_grid
+    decided: dict[int, list[bool]] = {}  # by id of the shared row
+    out: list[bool] = []
+    for pt, row in zip(report.points, report.rows):
+        if id(row) not in decided:
+            decided[id(row)] = _row_membership(compiled, pt.values, grid, row, tolerance)
+        out += decided[id(row)]
+    return out
+
+
+def _row_membership(
+    compiled: Sequence[_CompiledCase],
+    values: dict[str, Value],
+    grid: Sequence[Value],
+    row: Sequence[CSolution],
+    tolerance: float,
+) -> list[bool]:
+    """Per solvable cell of one point's row: inside one of `compiled`?"""
+    exact = _is_exact(values.values())
+    loci: dict[float, list[_CompiledCase]] = {}  # the cases whose locus holds, by tolerance
     out = []
-    for e in report.solvable:
-        key = (id(e.values), id(e.lambda0), id(e.c))
-        if key not in decided:
-            tol = _match_tolerance(e.values, e.lambda0, tolerance)
-            point = (id(e.values), tol)
-            if point not in loci:
-                loci[point] = [c for c in compiled if c.locus_holds(e.values, tol)]
-            sol = CSolution(e.status, e.c, e.residual_max)
-            decided[key] = any(c.c_matches(e.values, e.lambda0, sol, tol) for c in loci[point])
-        out.append(decided[key])
+    for lam, sol in zip(grid, row):
+        if sol.status == "none":
+            continue
+        tol = _match_tolerance(exact, lam, tolerance)
+        if tol not in loci:
+            loci[tol] = [c for c in compiled if c.locus_holds(values, tol)]
+        out.append(any(c.c_matches(values, lam, sol, tol) for c in loci[tol]))
     return out

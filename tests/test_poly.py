@@ -396,6 +396,67 @@ class TestPrinting:
     def test_deterministic_order(self):
         assert str(p("beta + alpha + gamma^2")) == "gamma^2 + alpha + beta"
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: T.var("alpha") * Fraction(1, 2**20000),
+            lambda: parse_polynomial("1" * 5000 + "*alpha", T),
+        ],
+        ids=["6021-digit denominator", "5000-digit literal"],
+    )
+    def test_coefficients_past_the_int_str_digit_limit_print_and_parse(self, build):
+        # both sides are past the 4300-digit default limit of int/str conversion
+        q = build()
+        assert parse_polynomial(str(q), T) == q
+        assert repr(q) == f"Polynomial({q})"
+
+    def test_long_literal_reads_in_decimal(self):
+        q = parse_polynomial("1" * 5000 + "*alpha - 1/" + "9" * 4400, T)
+        assert q.coefficient_of("alpha", 1) == T.const((10**5000 - 1) // 9)
+        assert q.coefficient_of("alpha", 0) == T.const(Fraction(-1, 10**4400 - 1))
+        assert str(q) == "1" * 5000 + "*alpha - 1/" + "9" * 4400
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 7, 10**600 - 1, 10**600, 10**600 + 1, 10**1199, 3**20000, 10**9000 - 1],
+        ids=["0", "7", "10^600-1", "10^600", "10^600+1", "10^1199", "3^20000", "10^9000-1"],
+    )
+    def test_decimal_pieces_join_to_the_decimal_spelling(self, n):
+        q = T.const(n) * T.var("beta")
+        text = str(q)
+        assert text == ("0" if n == 0 else "beta" if n == 1 else f"{_spelled(n)}*beta")
+        assert parse_polynomial(text, T) == q
+
+
+def test_long_coefficients_under_the_least_digit_limit():
+    # 640 is the least limit the interpreter accepts; it applies to its whole
+    # process, so a child runs with it
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "from fractions import Fraction\n"
+        "from lieschouten.poly import DEFAULT_TABLE as T, IntegerKernel, parse_polynomial\n"
+        "q = T.var('alpha') * (10**1000 + 7) - Fraction(1, 3**1500)\n"
+        "assert parse_polynomial(str(q), T) == q\n"
+        "value, scale = IntegerKernel(T, [q, T.one])({'alpha': 1})\n"
+        "assert Fraction(value, scale) == q.evaluate({'alpha': 1})\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def _spelled(n: int) -> str:
+    """The decimal digits of n >= 0 by repeated division, as a reference."""
+    digits = []
+    while True:
+        n, d = divmod(n, 10)
+        digits.append("0123456789"[d])
+        if not n:
+            return "".join(reversed(digits))
+
 
 # -- the tokenizer against its character-by-character reference -------------
 

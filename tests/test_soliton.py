@@ -807,6 +807,58 @@ def test_scan_membership_sees_float_lambda0_and_both_verdicts():
     assert any(not v[k] for v in verdicts for k in floats)
 
 
+def assert_scan_report_contract(report):
+    """`solvable` is the solvable part of `entries`, `size` counts them, and
+    a repeated exact point shares its first occurrence's row; returns the
+    number of repeats."""
+    assert report.solvable == tuple(e for e in report.entries if e.status != "none")
+    assert report.size == len(report.entries) == len(report.points) * len(report.lambda0_grid)
+    assert len(report.rows) == len(report.points)
+    first_rows, exact = {}, 0
+    for pt, row in zip(report.points, report.rows):
+        assert len(row) == len(report.lambda0_grid)
+        if pt.exact:
+            exact += 1
+            assert row is first_rows.setdefault(tuple(pt.values.items()), row)
+    return exact - len(first_rows)
+
+
+@pytest.mark.parametrize("kind", CONNECTION_KINDS)
+@pytest.mark.parametrize("fam", all_family_branches(), ids=lambda f: f.describe())
+def test_scan_report_is_a_table_of_point_rows(fam, kind):
+    report = scan(fam, kind, seed=0, count=60, lambda0_grid=MEMBERSHIP_GRID)
+    repeats = assert_scan_report_contract(report)
+    if fam.family_id == "g1":
+        assert repeats  # g1 draws repeated points at this count
+
+
+def test_scan_report_of_float_points_is_a_table_of_point_rows():
+    report = scan(FLOAT_G5, "canonical", seed=1, count=60, lambda0_grid=MEMBERSHIP_GRID)
+    assert not any(pt.exact for pt in report.points)
+    assert_scan_report_contract(report)
+    assert len({id(row) for row in report.rows}) == len(report.points)  # floats are never shared
+
+
+def test_verify_builds_scan_entries_only_for_solvable_cells(monkeypatch):
+    built = []
+
+    class CountingEntry(soliton.ScanEntry):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(soliton, "ScanEntry", CountingEntry)
+    summary = verify_all(only="g1", scan_count=60)
+    solvable = total = 0
+    for record in summary.records:
+        if record.section == "scan":
+            counts = record.detail.split(" ", 1)[0].split("/")
+            solvable, total = solvable + int(counts[0]), total + int(counts[1])
+    assert total == 3 * 60 * len(DEFAULT_LAMBDA0_GRID)
+    assert 0 < solvable < total
+    assert len(built) == solvable
+
+
 # -- float brute-force oracle for the derivation residuals ---------------------
 
 
@@ -866,6 +918,20 @@ def test_serialized_system_matches_golden_file():
     golden = pathlib.Path(__file__).parent / "data" / "golden_g1_lc_system.txt"
     current = serialize_system(soliton_system(build_family("g1"), "lc"))
     assert current == golden.read_text(encoding="utf-8")
+
+
+def test_machine_scan_output_matches_golden_file(capsys):
+    import pathlib
+
+    from lieschouten.cli import main
+
+    # taken while a scan still built one ScanEntry per cell: 12 solvable of 60
+    golden = pathlib.Path(__file__).parent / "data" / "golden_g6_lc_scan.txt"
+    argv = ["scan", "--family", "g6", "--kind", "lc", "--count", "20", "--lambda0", "0,1/2,-7/3", "--format", "machine"]
+    assert main(argv) == 0
+    current = capsys.readouterr().out
+    assert current == golden.read_text(encoding="utf-8")
+    assert current.endswith("summary\tsolvable=12\ttotal=60\n")
 
 
 # sha256 of `serialize_system` on every catalogued branch, taken while
