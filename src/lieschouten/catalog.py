@@ -659,13 +659,12 @@ def _scan_records(
                     tolerance=tolerance,
                 )
                 entry_total += report.size
-                solvable = report.solvable
-                solvable_total += len(solvable)
-                for entry, inside in zip(solvable, scan_membership(report, cases, table, tolerance)):
-                    if not inside and len(unmatched) < 3:
-                        unmatched.append(
-                            f"{fam.describe()} {_format_point(entry.values)}, lambda0={entry.lambda0}, c={entry.c}"
-                        )
+                verdicts = scan_membership(report, cases, table, tolerance)
+                solvable_total += len(verdicts)
+                if not all(verdicts):
+                    outside = (cell for cell, inside in zip(report.cells(), verdicts) if not inside)
+                    for _, pt, lam, sol in itertools.islice(outside, 3 - len(unmatched)):
+                        unmatched.append(f"{fam.describe()} {_format_point(pt.values)}, lambda0={lam}, c={sol.value}")
             has_nonempty_case = any(not c.empty for c in cases)
             if unmatched:
                 status = "fail"

@@ -13,10 +13,13 @@ Everything is computed symbolically from the structure constants:
   its symmetrization, the epsilon-weighted scalar curvature, and the
   lambda0-generalized Schouten form rho - s*lambda0*g.
 
-The Ricci form is contracted directly: `ricci_form` builds only the 18
-curvature components R^a_iaj (a != i) that its trace reads, through the
-one component helper that `curvature` also uses for the full tensor, and
-that helper forms no product with a zero factor.
+The Ricci form is contracted directly: `ricci_form` reads only the 18
+curvature components R^a_iaj (a != i) of its trace, through the one helper
+`_curvature_products` that `curvature` also uses for the full tensor.  That
+helper lists a component's nine signed products; `poly.sum_of_products`
+folds them, skipping any with a zero factor, into one integer
+accumulation: one per component in `curvature`, one per entry over both
+components' products in `ricci_form`.
 For the diagonal J the canonical and Kobayashi-Nomizu coefficients are
 written in closed form from the Levi-Civita ones, which is what the two
 defining formulas reduce to.
@@ -36,7 +39,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebras import BRANCH_CACHE_SIZE, PRODUCT_STRUCTURE_J, LieAlgebraFamily, MetricSignature
-from .poly import Polynomial
+from .poly import Polynomial, sum_of_products
 
 LEVI_CIVITA = "lc"
 CANONICAL = "canonical"
@@ -174,27 +177,22 @@ def connection(fam: LieAlgebraFamily, kind: str) -> ConnectionCoefficients:
     raise ValueError(f"unknown connection kind {kind!r}")
 
 
-def _curvature_component(
-    conn: ConnectionCoefficients, fam: LieAlgebraFamily, i: int, j: int, k: int, l: int
-) -> Polynomial:
-    """R^l_ijk, the e_l component of R(e_i, e_j) e_k:
+def _curvature_products(
+    conn: ConnectionCoefficients, fam: LieAlgebraFamily, i: int, j: int, k: int, l: int, sign: int = 1
+) -> list[tuple[int, Polynomial, Polynomial]]:
+    """sign * R^l_ijk, the e_l component of R(e_i, e_j) e_k, as the nine
+    signed products of
 
         sum_m (Gamma_jk^m Gamma_im^l - Gamma_ik^m Gamma_jm^l - C_ij^m Gamma_mk^l),
 
-    with a product formed only when both of its factors are nonzero.
+    for `sum_of_products`, which skips those with a zero factor.
     """
     g = conn.gamma
     c = fam.structure.c
-    acc = fam.table.zero
+    out = []
     for m in range(3):
-        for sign, a, b in (
-            (1, g[j][k][m], g[i][m][l]),
-            (-1, g[i][k][m], g[j][m][l]),
-            (-1, c[i][j][m], g[m][k][l]),
-        ):
-            if not a.is_zero and not b.is_zero:
-                acc = acc + a * b if sign > 0 else acc - a * b
-    return acc
+        out += ((sign, g[j][k][m], g[i][m][l]), (-sign, g[i][k][m], g[j][m][l]), (-sign, c[i][j][m], g[m][k][l]))
+    return out
 
 
 def curvature(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> CurvatureTensor:
@@ -203,13 +201,14 @@ def curvature(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> CurvatureT
     No plane is derived from another by antisymmetry, so the structural
     check R(e_i, e_j) = -R(e_j, e_i) tests the components themselves.
     """
-    zero = fam.table.zero
+    table = fam.table
+    zero = table.zero
     return CurvatureTensor(
         tuple(
             tuple(
                 tuple(
                     tuple(
-                        zero if i == j else _curvature_component(conn, fam, i, j, k, l)
+                        zero if i == j else sum_of_products(table, _curvature_products(conn, fam, i, j, k, l))
                         for l in range(3)
                     )
                     for k in range(3)
@@ -225,22 +224,25 @@ def ricci_form(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> BilinearF
     """rho(e_i, e_j) with the weights (-1, -1, +1) over the basis trace.
 
     The contraction is taken straight from the 18 components R^a_iaj with
-    a != i (R(e_i, e_i) = 0), without building the curvature tensor.  For
-    the Levi-Civita kind it is negated; see the module docstring for why
-    the two catalogued series need opposite signs.
+    a != i (R(e_i, e_i) = 0), without building the curvature tensor: each
+    entry is one `sum_of_products` over the 18 products of its two
+    components.  For the Levi-Civita kind it is negated, a sign folded into
+    the products' signs; see the module docstring for why the two
+    catalogued series need opposite signs.
     """
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            # the weight -eps_a times the eps_a of g(R(e_i, e_a) e_j, e_a) =
-            # R^a_iaj eps_a is -1 for every a, so the trace is -sum_a R^a_iaj
-            acc = fam.table.zero
-            for a in range(3):
-                if a != i:
-                    acc = acc + _curvature_component(conn, fam, i, a, j, a)
-            row.append(acc if conn.kind == LEVI_CIVITA else -acc)
-        rows.append(row)
+    # the weight -eps_a times the eps_a of g(R(e_i, e_a) e_j, e_a) = R^a_iaj
+    # eps_a is -1 for every a, so the trace is -sum_a R^a_iaj, which the
+    # Levi-Civita kind negates
+    sign = 1 if conn.kind == LEVI_CIVITA else -1
+    rows = [
+        [
+            sum_of_products(
+                fam.table, [t for a in range(3) if a != i for t in _curvature_products(conn, fam, i, a, j, a, sign)]
+            )
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
     return BilinearForm(_freeze3(rows))
 
 

@@ -24,6 +24,10 @@ zero coefficients.  The ring operations form no Fraction: ``+`` and ``-``
 merge numerators over the lcm of the denominators, deleting a key the
 moment it cancels, ``*`` convolves them over the product of the
 denominators, and each result is divided once by its one common gcd.
+``sum_of_products`` folds a signed sum of products, the shape of every
+curvature component, Ricci entry and soliton residual, into one such
+convolution over the lcm of the products' denominators: one dict and one
+gcd per sum, however many products it has.
 
 ``Polynomial.evaluate`` evaluates one polynomial over Fractions or floats.
 ``IntegerKernel`` is the one compiled form for bulk exact evaluation: a
@@ -526,6 +530,38 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def sum_of_products(table: VariableTable, products: Iterable[tuple[int, Polynomial, Polynomial]]) -> Polynomial:
+    """The sum of sign*a*b over (sign, a, b) triples, sign +1 or -1, as one
+    integer accumulation.
+
+    A triple with a zero factor is skipped; every other product is checked
+    against the degree bound as `*` checks it.  Each product's numerators
+    are convolved straight into one dict over D, the lcm of the products'
+    denominators a._den*b._den, and the result is built and reduced once:
+    no partial sum or product becomes a Polynomial.
+    """
+    live = []
+    for sign, a, b in products:
+        if a._num and b._num:
+            if (a.table is not table and a.table != table) or (b.table is not table and b.table != table):
+                raise PolynomialError("mismatched variable tables")
+            if (max(a._num) + max(b._num)) >> table._top >= _LIMIT:  # no field carries
+                raise PolynomialError(f"product of total degree beyond {_LIMIT - 1}")
+            live.append((sign, a, b))
+    den = lcm(*[a._den * b._den for _, a, b in live])
+    out: dict[int, int] = {}
+    get = out.get
+    for sign, a, b in live:
+        scale = sign * (den // (a._den * b._den))
+        nb = b._num.items()
+        for ma, ca in a._num.items():
+            ca *= scale
+            for mb, cb in nb:
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+    return Polynomial._make(table, {m: n for m, n in out.items() if n}, den)
 
 
 def _decimal(n: int) -> str:

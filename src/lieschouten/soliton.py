@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .algebras import (
     BRANCH_CACHE_SIZE,
@@ -84,6 +84,7 @@ from .poly import (
     Scalar,
     VariableTable,
     groebner_basis,
+    sum_of_products,
 )
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -110,30 +111,29 @@ class SolitonSystem:
         return [f"[e{i+1},e{j+1}].e{k+1}" for (i, j) in PAIRS for k in range(3)]
 
 
+def _residual_products(
+    d: OperatorMatrix, fam: LieAlgebraFamily, i: int, j: int, m: int
+) -> list[tuple[int, Polynomial, Polynomial]]:
+    """The e_m component of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] as the nine
+    signed products of sum_k (C_ij^k D_km - D_ik C_kj^m - D_jk C_ik^m), for
+    `sum_of_products`, which skips those with a zero factor."""
+    c = fam.structure.c
+    rows = d.entries
+    out = []
+    for k in range(3):
+        out += ((1, c[i][j][k], rows[k][m]), (-1, rows[i][k], c[k][j][m]), (-1, rows[j][k], c[i][k][m]))
+    return out
+
+
 def derivation_residuals(d: OperatorMatrix, fam: LieAlgebraFamily) -> list[Polynomial]:
     """Components of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] for the three pairs.
 
     Returns nine polynomials in the fixed order pair (1,2), (1,3), (2,3),
-    coordinates e1, e2, e3 within each pair.  A product is formed only
-    when both of its factors are nonzero.
+    coordinates e1, e2, e3 within each pair, each one `sum_of_products`
+    over its nine products.
     """
-    c = fam.structure.c
-    zero = fam.table.zero
-    rows = d.entries
-    out: list[Polynomial] = []
-    for (i, j) in PAIRS:
-        for m in range(3):
-            acc = zero
-            for k in range(3):
-                for sign, a, b in (
-                    (1, c[i][j][k], rows[k][m]),
-                    (-1, rows[i][k], c[k][j][m]),
-                    (-1, rows[j][k], c[i][k][m]),
-                ):
-                    if not a.is_zero and not b.is_zero:
-                        acc = acc + a * b if sign > 0 else acc - a * b
-            out.append(acc)
-    return out
+    table = fam.table
+    return [sum_of_products(table, _residual_products(d, fam, i, j, m)) for (i, j) in PAIRS for m in range(3)]
 
 
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)
@@ -143,15 +143,17 @@ def soliton_system(fam: LieAlgebraFamily, kind: str) -> SolitonSystem:
 
     The residuals are those of the Ricci operator, which is free of lambda0
     and c, plus mu*C_ij^m: the identity contributes -C_ij^m + C_ij^m +
-    C_ij^m to the residual on [e_i, e_j].e_m.
+    C_ij^m to the residual on [e_i, e_j].e_m.  That shift is one more
+    product, (1, mu, C_ij^m), in the residual's single `sum_of_products`.
     """
     _, op, s = ricci_pipeline(fam, kind)
     table = fam.table
     mu = s * table.var("lambda0") + table.var("c")
     c = fam.structure.c
-    shifts = [c[i][j][m] for (i, j) in PAIRS for m in range(3)]
     residuals = tuple(
-        r if q.is_zero else r + mu * q for r, q in zip(derivation_residuals(op, fam), shifts)
+        sum_of_products(table, _residual_products(op, fam, i, j, m) + [(1, mu, c[i][j][m])])
+        for (i, j) in PAIRS
+        for m in range(3)
     )
     for r in residuals:
         if r.degree_in("c") > 1 or r.degree_in("lambda0") > 1:
@@ -361,7 +363,8 @@ class ScanReport(NamedTuple):
     """A scan as a table: one row of c solutions, one per lambda0 of the
     grid, for each sampled point.  A repeated point shares its first
     occurrence's row object.  `entries` and `solvable` build their
-    `ScanEntry` records on request."""
+    `ScanEntry` records on request; `cells` walks the same cells and builds
+    none."""
 
     family_id: str
     kind: str
@@ -385,14 +388,22 @@ class ScanReport(NamedTuple):
     def solvable(self) -> tuple[ScanEntry, ...]:
         return self._entries(("unique", "any"))
 
-    def _entries(self, statuses: tuple[str, ...]) -> tuple[ScanEntry, ...]:
-        """Point-major, the grid in its order, the cells with one of `statuses`."""
+    def cells(
+        self, statuses: tuple[str, ...] = ("unique", "any")
+    ) -> Iterator[tuple[int, ParameterPoint, Value, CSolution]]:
+        """(index, point, lambda0, solution) of the cells with one of
+        `statuses`, the solvable ones by default: point-major, the grid in
+        its order, which is also the order of `scan_membership`'s verdicts."""
         grid = self.lambda0_grid
+        for idx, (pt, row) in enumerate(zip(self.points, self.rows)):
+            for lam, sol in zip(grid, row):
+                if sol.status in statuses:
+                    yield idx, pt, lam, sol
+
+    def _entries(self, statuses: tuple[str, ...]) -> tuple[ScanEntry, ...]:
         return tuple(
             ScanEntry(idx, pt.values, lam, sol.status, sol.value, sol.residual_max)
-            for idx, (pt, row) in enumerate(zip(self.points, self.rows))
-            for lam, sol in zip(grid, row)
-            if sol.status in statuses
+            for idx, pt, lam, sol in self.cells(statuses)
         )
 
 

@@ -14,6 +14,9 @@ builds its residuals:
 * `reference_ricci_form`: the weighted contraction of that full tensor,
 * `derivation_candidate`: D = Sch~ - c*Id with the Schouten form raised,
   built from the reference Ricci form,
+* `reference_derivation_residuals`: the components of
+  D[e_i,e_j] - [De_i,e_j] - [e_i,De_j], each bracket and image expanded
+  term by term with every product formed, zero factors included,
 * `generated_families`: seeded custom algebras with affine bracket entries,
 * `G5_ON_A_CIRCLE`: g5 restricted to alpha^2 + beta^2 = 4, a custom algebra
   whose quadratic constraint has no linear split, so its points are floats.
@@ -129,6 +132,25 @@ def derivation_candidate(fam, kind):
     c = table.var("c")
     rows = [[q - c if i == j else q for j, q in enumerate(row)] for i, row in enumerate(sch.entries)]
     return OperatorMatrix(tuple(tuple(r) for r in rows))
+
+
+def reference_derivation_residuals(d, fam):
+    """Nine components, pair (1,2), (1,3), (2,3) and e1, e2, e3 within each,
+    of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j], from D e_k = sum_m D_km e_m
+    (row k of `d` is the image of e_k) and [e_i,e_j] = sum_k C_ij^k e_k."""
+    c = fam.structure.c
+    rows = d.entries
+    zero = fam.table.zero
+    out = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        d_bracket, left, right = [zero] * 3, [zero] * 3, [zero] * 3
+        for k in range(3):
+            for m in range(3):
+                d_bracket[m] = d_bracket[m] + c[i][j][k] * rows[k][m]  # D(C_ij^k e_k)
+                left[m] = left[m] + rows[i][k] * c[k][j][m]  # [D_ik e_k, e_j]
+                right[m] = right[m] + rows[j][k] * c[i][k][m]  # [e_i, D_jk e_k]
+        out += [d_bracket[m] - left[m] - right[m] for m in range(3)]
+    return out
 
 
 _PARAMETERS = ("alpha", "beta", "gamma", "delta")

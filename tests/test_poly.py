@@ -20,6 +20,7 @@ from lieschouten.poly import (
     _tokenize,
     groebner_basis,
     parse_polynomial,
+    sum_of_products,
 )
 from poly_reference import ReferencePolynomial
 from tokenizer_reference import reference_tokens
@@ -781,6 +782,66 @@ def test_packed_normal_form_matches_tuple_reference(n, stretch, data):
     f, rf = _both(table, data.draw(terms()))
     basis = [_both(table, data.draw(terms(max_terms=3))) for _ in range(data.draw(st.integers(1, 3)))]
     _assert_same(f.normal_form([g for g, _ in basis]), rf.normal_form([rg for _, rg in basis]))
+
+
+# -- one accumulation against chained reference products ---------------------
+
+# denominators up to 12, so the products' denominators differ and their lcm
+# is more than any one of them
+_mixed_coefficients = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+
+
+def _degree(ref):
+    return max(map(sum, ref.terms), default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from(sorted(_TABLES)), cap=st.sampled_from((3, BOUND // 2, BOUND - 1)), data=st.data())
+def test_sum_of_products_matches_chained_reference(n, cap, data):
+    table = _TABLES[n]
+    factors = _term_dicts(n, cap=cap, coefficients=_mixed_coefficients)
+    triples = data.draw(st.lists(st.tuples(st.sampled_from((1, -1)), factors, factors), min_size=1, max_size=5))
+    if data.draw(st.integers(0, 3)) == 0:
+        # each product again, negated with its factors swapped: the sum is zero
+        triples += [(-sign, tb, ta) for sign, ta, tb in triples]
+    products, expected, past_bound = [], ReferencePolynomial(table, {}), []
+    for sign, ta, tb in triples:
+        (a, ra), (b, rb) = _both(table, ta), _both(table, tb)
+        products.append((sign, a, b))
+        if ra.terms and rb.terms and _degree(ra) + _degree(rb) >= BOUND:
+            past_bound.append((a, b))
+        elif sign > 0:
+            expected = expected + ra * rb
+        else:
+            expected = expected - ra * rb
+    if past_bound:
+        with pytest.raises(PolynomialError):
+            sum_of_products(table, products)
+        a, b = past_bound[0]
+        with pytest.raises(PolynomialError):
+            a * b
+        return
+    got = sum_of_products(table, products)
+    assert got.table is table
+    assert dict(got.terms) == dict(expected.terms)
+    assert str(got) == str(expected)
+    _assert_normalised(got)
+    if not expected.terms:
+        assert (got._num, got._den) == ({}, 1)
+        assert got == table.zero
+
+
+def test_sum_of_products_of_nothing_and_of_zero_factors_is_zero():
+    # a zero factor skips its product before the degree check, as `*` does
+    high = Polynomial(T, {(BOUND - 1, 0, 0, 0, 0, 0, 0): Fraction(1, 3)})
+    for products in ([], [(1, T.zero, high), (-1, high, T.zero)], [(1, p("alpha"), T.zero)]):
+        got = sum_of_products(T, products)
+        assert (got._num, got._den) == ({}, 1)
+    assert sum_of_products(T, [(1, high, T.one), (-1, T.zero, high)]) == high
+    with pytest.raises(PolynomialError):
+        sum_of_products(T, [(1, high, p("beta"))])
+    with pytest.raises(PolynomialError):
+        sum_of_products(T, [(1, p("alpha"), parse_polynomial("x", VariableTable(("x",))))])
 
 
 # -- the compiled integer form against Polynomial.evaluate --------------------

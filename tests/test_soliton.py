@@ -30,7 +30,12 @@ from lieschouten.soliton import (
 )
 from lieschouten.soliton import _exact_c_solver, _exact_or_float_sqrt, _sample_case_locus
 
-from geometry_reference import G5_ON_A_CIRCLE, derivation_candidate, generated_families
+from geometry_reference import (
+    G5_ON_A_CIRCLE,
+    derivation_candidate,
+    generated_families,
+    reference_derivation_residuals,
+)
 from membership_reference import reference_case_matches_point
 
 T = DEFAULT_TABLE
@@ -105,6 +110,22 @@ def test_identity_shift_adds_mu_times_the_bracket(fam, entries, shift):
     assert derivation_residuals(operator(shifted), fam) == expected
 
 
+_OPERATOR_ENTRIES = st.one_of(
+    _ENTRIES.map(T.const),
+    st.sampled_from(("alpha", "-2/3*beta*gamma + 1", "lambda0*delta - c", "1/5*alpha^2 - 7/2*c")).map(p),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fam=st.sampled_from(all_family_branches() + generated_families(seed=3, count=4)),
+    entries=st.lists(_OPERATOR_ENTRIES, min_size=9, max_size=9),
+)
+def test_derivation_residuals_match_the_term_by_term_reference(fam, entries):
+    d = operator([entries[3 * i : 3 * i + 3] for i in range(3)])
+    assert derivation_residuals(d, fam) == reference_derivation_residuals(d, fam)
+
+
 _GENERATED = generated_families(seed=7, count=6)
 
 
@@ -117,6 +138,17 @@ class TestSystems:
     @pytest.mark.parametrize("kind", CONNECTION_KINDS)
     def test_system_is_the_residuals_of_the_candidate(self, fam, kind):
         expected = derivation_residuals(derivation_candidate(fam, kind), fam)
+        assert list(soliton_system(fam, kind).residuals) == expected
+
+    @pytest.mark.parametrize(
+        "fam",
+        all_family_branches() + _GENERATED,
+        ids=[f.describe() for f in all_family_branches()] + [f"custom{k}" for k in range(len(_GENERATED))],
+    )
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    def test_system_is_the_reference_residuals_of_the_candidate(self, fam, kind):
+        # no fused sum on this side: every product of the candidate is formed
+        expected = reference_derivation_residuals(derivation_candidate(fam, kind), fam)
         assert list(soliton_system(fam, kind).residuals) == expected
 
     @pytest.mark.parametrize("fam", all_family_branches(), ids=lambda f: f.describe())
@@ -856,7 +888,37 @@ def test_verify_builds_scan_entries_only_for_solvable_cells(monkeypatch):
             solvable, total = solvable + int(counts[0]), total + int(counts[1])
     assert total == 3 * 60 * len(DEFAULT_LAMBDA0_GRID)
     assert 0 < solvable < total
-    assert len(built) == solvable
+    # the records pair the verdicts with `ScanReport.cells`, so none is built
+    assert len(built) == 0
+
+
+def test_scan_record_names_the_first_three_cells_outside_the_classification():
+    # g1/LC solves only on beta = 0 with c = 0, so a case claiming c = 1
+    # there leaves every solvable cell outside the classification
+    wrong = TheoremCase(
+        "x",
+        "g1",
+        "lc",
+        substitutions=(("beta", T.zero),),
+        c_expr=T.one,
+        witness=(("alpha", Fraction(1)), ("beta", Fraction(0))),
+    )
+    catalog = Catalog(matrices=(), scalars=(), cases=(wrong,))
+    summary = verify_all(catalog=catalog, only="g1-lc", scan_count=60, sample_count=4)
+    [record] = [r for r in summary.records if r.section == "scan"]
+    fam = build_family("g1")
+    report = scan(fam, "lc", seed=0, count=60)
+    verdicts = scan_membership(report, [wrong], T)
+    outside = [e for e, inside in zip(report.solvable, verdicts) if not inside]
+    assert len(outside) == len(report.solvable) > 3
+    named = [
+        f"{fam.describe()} {', '.join(f'{k}={v}' for k, v in sorted(e.values.items()))}, lambda0={e.lambda0}, c={e.c}"
+        for e in outside[:3]
+    ]
+    assert record.status == "fail"
+    assert record.detail == (
+        f"{len(outside)}/{report.size} solvable; outside classification: " + " | ".join(named)
+    )
 
 
 # -- float brute-force oracle for the derivation residuals ---------------------
@@ -932,6 +994,22 @@ def test_machine_scan_output_matches_golden_file(capsys):
     current = capsys.readouterr().out
     assert current == golden.read_text(encoding="utf-8")
     assert current.endswith("summary\tsolvable=12\ttotal=60\n")
+
+
+def test_custom_affine_systems_match_golden_file(capsys):
+    import pathlib
+
+    from lieschouten.cli import main
+
+    # taken while each residual was still folded product by product: a custom
+    # algebra of fractional affine brackets under a constraint, all three kinds
+    data = pathlib.Path(__file__).parent / "data"
+    for kind in ("lc", "canonical", "kn"):
+        argv = ["system", "--family", f"custom:{data / 'affine.alg'}", "--kind", kind, "--format", "machine"]
+        assert main(argv) == 0
+    current = capsys.readouterr().out
+    assert current == (data / "golden_affine_systems.txt").read_text(encoding="utf-8")
+    assert current.count("residual\t") == 27 and current.count("constraint\t") == 3
 
 
 # sha256 of `serialize_system` on every catalogued branch, taken while
