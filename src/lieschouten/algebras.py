@@ -204,8 +204,10 @@ def custom_family(
         constraints = expr; expr; ...     polynomials required to vanish
         nonvanishing = expr; expr; ...    polynomials required to be nonzero
 
-    Missing bracket keys default to zero.  The Jacobi identity is not
-    enforced; use `jacobi_residuals` to inspect it.
+    Missing bracket keys default to zero.  The names lambda0 and c are
+    reserved for the soliton unknowns: a value that uses one raises
+    ValueError naming its key.  The Jacobi identity is not enforced; use
+    `jacobi_residuals` to inspect it.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -217,6 +219,13 @@ def custom_family(
         key, value = line.split("=", 1)
         entries[key.strip()] = value.strip()
 
+    def parse(key: str, part: str) -> Polynomial:
+        q = parse_polynomial(part, table)
+        for name in ("lambda0", "c"):
+            if name in q.variables():
+                raise ValueError(f"{key}: {name} is reserved for the soliton unknowns")
+        return q
+
     def parse_vector(key: str) -> Vector:
         value = entries.get(key)
         if value is None:
@@ -224,13 +233,11 @@ def custom_family(
         parts = value.split(",")
         if len(parts) != 3:
             raise ValueError(f"{key}: expected three comma-separated expressions")
-        return tuple(parse_polynomial(part, table) for part in parts)  # type: ignore[return-value]
+        return tuple(parse(key, part) for part in parts)  # type: ignore[return-value]
 
     def parse_list(key: str) -> tuple[Polynomial, ...]:
         value = entries.get(key, "")
-        return tuple(
-            parse_polynomial(part, table) for part in value.split(";") if part.strip()
-        )
+        return tuple(parse(key, part) for part in value.split(";") if part.strip())
 
     rows = {
         (0, 1): parse_vector("bracket.12"),

@@ -4,16 +4,16 @@ For a family with (symmetrized where applicable) Ricci operator Ric~,
 scalar curvature s and raised Schouten form Sch~ (rho - s*lambda0*g with
 its index raised), the candidate derivation is
 
-    D = Sch~ - c * Id = Ric~ - (s*lambda0 + c) * Id,
+    D = Sch~ - c * Id = Ric~ - mu * Id,   mu = s*lambda0 + c,
 
 and the metric Lie algebra is an algebraic Schouten soliton exactly when D
 is a derivation of the bracket: D[X,Y] = [DX,Y] + [X,DY].  Expanding this
 over the basis pairs (e1,e2), (e1,e3), (e2,e3) gives nine polynomial
-residuals in the family parameters, lambda0, and c; each residual has
-degree at most one in lambda0 and in c, with no lambda0*c cross term,
-because D is affine in both.  Subtracting mu*Id from an operator adds
-mu*C_ij^m to its residual on [e_i,e_j].e_m, so the residuals are built as
-those of Ric~, which is free of lambda0 and c, plus (s*lambda0 + c)*C_ij^m.
+residuals in the family parameters, lambda0, and c.  Subtracting mu*Id
+from an operator adds mu*C_ij^m to its residual on [e_i,e_j].e_m, so the
+residuals are built as those of Ric~, which is free of lambda0 and c, plus
+mu*C_ij^m: lambda0 and c enter only through mu, and each residual is
+P + Q*lambda0 + R*c with Q = s*R.
 
 Classification claims are represented as TheoremCase values: parameter
 substitutions, an expression for c (or "c stays free"), optional quadratic
@@ -30,29 +30,23 @@ the case locus.  Verification climbs an evidence ladder:
 Cases marked suspect carry a variant (a small, principled correction);
 both the stated and variant data are verified and reported.
 
-Each concept makes its exact-or-float choice in one place.  The c solve
-at a point is `_point_solver`: the coefficient polynomials P, Q, R
-(residual = P + Q*lambda0 + R*c) of the residuals that are not identically
-zero are compiled to one `poly.IntegerKernel`, an exact point is evaluated
-once, and every exact lambda0 is decided in integers.  Against the first
-row with R_0 != 0, the rows at lambda0 = n/d are consistent exactly when
-d*u_i + n*v_i == 0, with u_i = R_i*P_0 - R_0*P_i and v_i = R_i*Q_0 - R_0*Q_i;
-this is the test a_i*b_0 == a_0*b_i on the rows (a, b) = (d*R, d*P + n*Q).
-No division happens until that test passes; then c = -(d*P_0 + n*Q_0)/(d*R_0).
-The solvable lambda0 (all, one or none) are decided once per point.
-A float point or a float lambda0 is solved against the tolerance.  The
-kernel is compiled once per system (`_compiled_decomposition`).  `scan`
-draws its sample once per family branch (`_branch_sample`), shared by the
-connections, and builds one point solver per distinct point for its whole
-lambda0 grid; `solve_for_c` builds one for its single call.  A
-`ScanReport` is a table: the shared sample and one row of solutions per
-point, a repeated point sharing its first occurrence's row; its
-`ScanEntry` records are built only on request.  Case membership is
+Each concept makes its exact-or-float choice in one place.  The c solve at a
+point is `_point_solver`.  `_compiled_decomposition` checks the residual
+shape once per system and compiles the P, Q, R of the nonzero residuals to
+one `poly.IntegerKernel`.  An exact point is evaluated once and decided
+once, with no lambda0 in the test, and each exact lambda0 then costs one
+division (`_exact_c_solver`).  A float point or a float lambda0 is solved
+against the tolerance.  `scan` draws its sample once per family branch
+(`_branch_sample`), shared by the connections, and builds one point solver
+per distinct point for its whole lambda0 grid; `solve_for_c` builds one for
+its single call.  A `ScanReport` is a table: the shared sample and one row
+of solutions per point, a repeated point sharing its first occurrence's
+row; its `ScanEntry` records are built only on request.  Case membership is
 `_CompiledCase`, compiled once per (case, eta, table): the polynomials that
 must vanish on a case's locus, the hypotheses that must not, and
 c - c_expr, decided in integers at an exact point with an exact lambda0 and
-by the tolerance otherwise.  `scan_membership` walks the rows and decides
-each distinct point once.
+by the tolerance otherwise.  `scan_membership` walks the rows and decides each
+distinct point once.
 """
 
 from __future__ import annotations
@@ -145,6 +139,7 @@ def soliton_system(fam: LieAlgebraFamily, kind: str) -> SolitonSystem:
     and c, plus mu*C_ij^m: the identity contributes -C_ij^m + C_ij^m +
     C_ij^m to the residual on [e_i, e_j].e_m.  That shift is one more
     product, (1, mu, C_ij^m), in the residual's single `sum_of_products`.
+    No family's brackets use lambda0 or c (`custom_family` rejects them).
     """
     _, op, s = ricci_pipeline(fam, kind)
     table = fam.table
@@ -155,11 +150,6 @@ def soliton_system(fam: LieAlgebraFamily, kind: str) -> SolitonSystem:
         for (i, j) in PAIRS
         for m in range(3)
     )
-    for r in residuals:
-        if r.degree_in("c") > 1 or r.degree_in("lambda0") > 1:
-            raise PolynomialError(
-                f"residual degree bound violated for {fam.family_id}/{kind}: {r}"
-            )
     return SolitonSystem(
         family_id=fam.family_id,
         kind=kind,
@@ -207,18 +197,29 @@ def _compiled_decomposition(system: SolitonSystem) -> tuple[Decomposition, Integ
     """Per residual that is not identically zero: (P, Q, R) with
     residual = P + Q*lambda0 + R*c, and their integer form, as
     `_point_solver` takes them, compiled once per system value.  A zero
-    residual holds for every c."""
+    residual holds for every c.  The one check of the residual shape: P, Q
+    and R are free of lambda0 and c, and Q = s*R for one polynomial s, that
+    is Q_i*R_0 == Q_0*R_i with R_0 | Q_0 for the first nonzero R_0, else
+    every Q is zero.  The division keeps every Q zero at a point where every
+    R is.  Any other system raises `PolynomialError`.
+    """
+    lam, c = system.table.var("lambda0"), system.table.var("c")
     out = []
     for r in system.residuals:
         if r.is_zero:
             continue
-        if r.degree_in("c") > 1 or r.degree_in("lambda0") > 1:
-            raise PolynomialError(f"residual not affine in c and lambda0: {r}")
-        rc = r.coefficient_of("c", 1)
-        if "lambda0" in rc.variables() or "c" in rc.variables():
-            raise PolynomialError("c coefficient unexpectedly involves lambda0 or c")
         rest = r.coefficient_of("c", 0)
-        out.append((rest.coefficient_of("lambda0", 0), rest.coefficient_of("lambda0", 1), rc))
+        p, q, rc = rest.coefficient_of("lambda0", 0), rest.coefficient_of("lambda0", 1), r.coefficient_of("c", 1)
+        if r != p + q * lam + rc * c or rc.degree_in("lambda0"):
+            raise PolynomialError(f"residual not of the form P + Q*lambda0 + R*c: {r}")
+        out.append((p, q, rc))
+    q0, r0 = next(((q, rc) for _, q, rc in out if not rc.is_zero), (None, None))
+    if r0 is None:
+        mu_form = all(q.is_zero for _, q, _ in out)
+    else:
+        mu_form = q0.normal_form([r0]).is_zero and all(q * r0 == q0 * rc for _, q, rc in out)
+    if not mu_form:
+        raise PolynomialError("lambda0 and c do not enter the residuals only through s*lambda0 + c")
     return tuple(out), IntegerKernel(system.table, [q for triple in out for q in triple])
 
 
@@ -246,46 +247,27 @@ _NO_SOLUTION = CSolution("none")
 _ANY_C = CSolution("any")
 
 
-def _lambda0_line(pairs: Iterable[tuple[Scalar, Scalar]]) -> tuple[Scalar, Scalar]:
-    """One (u, v) whose d*u + n*v == 0 holds at lambda0 = n/d, d > 0, exactly
-    when every d*u_i + n*v_i == 0 does: (0, 0), every lambda0, when no pair
-    is nonzero; the first nonzero pair when every pair is proportional to
-    it, one lambda0 or none; else (1, 0), none."""
-    nonzero = [(u, v) for u, v in pairs if u or v]
-    if not nonzero:
-        return 0, 0
-    u0, v0 = nonzero[0]
-    return (u0, v0) if all(u * v0 == u0 * v for u, v in nonzero) else (1, 0)
-
-
 def _exact_c_solver(rows: Sequence[tuple[Scalar, Scalar, Scalar]]) -> Callable[[int, int], CSolution]:
     """Decide {P_i + Q_i*lambda0 + R_i*c = 0} over the rationals, for every
     exact lambda0 at once: the result maps (n, d), lambda0 = n/d with d > 0,
-    to the solution.
+    to the solution.  The rows are in mu-form, Q_i = s*R_i, as
+    `_compiled_decomposition` checks, so each is R_i*(c + s*lambda0) + P_i.
 
-    At lambda0 = n/d the rows are (a_i, b_i) = (d*R_i, d*P_i + n*Q_i).  The
-    first row with R != 0 is the pivot, and every row must satisfy
-    a_i*b_0 == a_0*b_i, which also forces b_i == 0 where a_i == 0.  That is
-    d*u_i + n*v_i == 0 with u_i = R_i*P_0 - R_0*P_i and v_i = R_i*Q_0 - R_0*Q_i;
-    with no pivot, every b_i == 0, which is the same test on (P_i, Q_i).
-    `_lambda0_line` folds the test into one pair here, once, so each lambda0
-    costs one comparison.  The one division forms c = -b_0/a_0 after the
-    test has passed.
+    The point is decided once, with no lambda0 in the test: the first row
+    with R != 0 is the pivot, and every row must satisfy
+    R_i*P_0 == R_0*P_i, which also forces P_i == 0 where R_i == 0; then
+    c = -(d*P_0 + n*Q_0)/(d*R_0).  With no pivot every Q is zero too, and
+    every c solves exactly when every P is zero.
     """
-    for p0, q0, r0 in rows:
-        if r0:
-            break
+    pivot = next(((p, q, r) for p, q, r in rows if r), None)
+    if pivot is None:
+        outcome = _NO_SOLUTION if any(p for p, _, _ in rows) else _ANY_C
+    elif any(r * pivot[0] != pivot[2] * p for p, _, r in rows):
+        outcome = _NO_SOLUTION
     else:
-        u, v = _lambda0_line((p, q) for p, q, _ in rows)
-        return lambda n, d: _NO_SOLUTION if d * u + n * v else _ANY_C
-    u, v = _lambda0_line((r * p0 - r0 * p, r * q0 - r0 * q) for p, q, r in rows)
-
-    def solve(n: int, d: int) -> CSolution:
-        if d * u + n * v:
-            return _NO_SOLUTION
-        return CSolution("unique", value=Fraction(-(d * p0 + n * q0), d * r0))
-
-    return solve
+        p0, q0, r0 = pivot
+        return lambda n, d: CSolution("unique", value=Fraction(-(d * p0 + n * q0), d * r0))
+    return lambda n, d: outcome
 
 
 def _is_exact(values: Iterable[Value]) -> bool:
@@ -856,8 +838,9 @@ def case_matches_point(
     table: VariableTable,
     tolerance: float = 1e-9,
 ) -> bool:
-    """Does a solvable scan entry fall inside the case's (effective) locus?"""
-    if case.empty:
+    """Does a solvable scan entry fall inside the case's (effective) locus?
+    An unsolvable one lies in no case."""
+    if case.empty or c_solution.status == "none":
         return False
     tol = _match_tolerance(_is_exact(values.values()), lambda0_value, tolerance)
     compiled = _compiled_case(case, eta, table)

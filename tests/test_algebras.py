@@ -1,5 +1,6 @@
 """Tests for the algebra families: brackets, Jacobi, constraints, sampling."""
 
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -24,6 +25,8 @@ from lieschouten.algebras import (
 from lieschouten.poly import DEFAULT_TABLE, Polynomial, parse_polynomial
 
 from geometry_reference import G5_ON_A_CIRCLE
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 T = DEFAULT_TABLE
 
@@ -383,6 +386,23 @@ class TestCustomFiles:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
             custom_family("bracket.12 = alpha, 0")
+
+    @pytest.mark.parametrize(
+        "text, key, name",
+        [
+            ("bracket.12 = 0, 0, c", "bracket.12", "c"),
+            ("bracket.13 = 0, alpha*lambda0, 0", "bracket.13", "lambda0"),
+            ("bracket.23 = 1, 0, 0\nconstraints = alpha; beta - c", "constraints", "c"),
+            ("bracket.23 = 1, 0, 0\nnonvanishing = lambda0 + c", "nonvanishing", "lambda0"),
+        ],
+    )
+    def test_soliton_unknowns_are_reserved(self, text, key, name):
+        with pytest.raises(ValueError, match=f"^{key}: {name} is reserved for the soliton unknowns$"):
+            custom_family(text)
+
+    def test_reserved_file_is_rejected(self):
+        with pytest.raises(ValueError, match="^bracket.12: c is reserved"):
+            algebras.load_family(f"custom:{DATA / 'reserved.alg'}")
 
     def test_parameter_point_type(self):
         pt = ParameterPoint(values={"alpha": Fraction(1)}, exact=True)

@@ -54,6 +54,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "system", "--family", f"custom:{bad}")
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["system", "scan"])
+    def test_data_error_reserved_name_in_custom_file(self, capsys, command):
+        code, out, err = run(capsys, command, "--family", f"custom:{DATA / 'reserved.alg'}", "--format", "machine")
+        assert (code, out) == (3, "")
+        assert err == "data error: invalid custom algebra file: bracket.12: c is reserved for the soliton unknowns\n"
+
     def test_nonpositive_tolerance_rejected(self, capsys):
         # nan and inf pass a plain `<= 0` check; they are usage errors too
         for command in (("scan", "--family", "g1", "--kind", "lc"), ("verify", "--only", "4.11.2")):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieschouten import soliton
-from lieschouten.algebras import build_family, custom_family, sample_parameters
+from lieschouten.algebras import build_family, custom_family, family_branches, instantiate_eta, sample_parameters
 from lieschouten.catalog import Catalog, load_catalog, verify_all
 from lieschouten.geometry import CONNECTION_KINDS, OperatorMatrix, connection, ricci_pipeline
 from lieschouten.poly import DEFAULT_TABLE, PolynomialError, parse_polynomial
@@ -222,6 +222,42 @@ class TestSolveForC:
         )
         with pytest.raises(PolynomialError):
             solve_for_c(bad, {"alpha": Fraction(1)}, Fraction(0))
+
+    @pytest.mark.parametrize(
+        "residuals, solution",
+        [
+            (("lambda0 - 1",), None),
+            (("lambda0*c",), None),
+            (("c + lambda0", "c + 2*lambda0"), None),
+            (("alpha*c + lambda0",), None),
+            (("alpha*(2*lambda0 + c) + 1",), CSolution("unique", Fraction(-3))),
+            (("alpha*(2*lambda0 + c) + 1", "alpha^2*(2*lambda0 + c) + alpha"), CSolution("unique", Fraction(-3))),
+        ],
+        ids=["lambda0 without c", "lambda0 times c", "two ratios", "R does not divide Q", "mu-form", "mu-form rows"],
+    )
+    def test_only_mu_form_systems_are_solved(self, monkeypatch, residuals, solution):
+        system = SolitonSystem(
+            family_id="g1",
+            kind="lc",
+            eta=None,
+            table=T,
+            residuals=tuple(map(p, residuals)),
+            constraints=(),
+            nonvanishing=(),
+        )
+        monkeypatch.setattr(soliton, "soliton_system", lambda fam, kind: system)
+        if solution is None:
+            with pytest.raises(PolynomialError):
+                solve_for_c(system, {"alpha": Fraction(1)}, Fraction(1))
+            with pytest.raises(PolynomialError):
+                scan(build_family("g1"), "lc", seed=0, count=5)
+            return
+        assert solve_for_c(system, {"alpha": Fraction(1)}, Fraction(1)) == solution
+        report = scan(build_family("g1"), "lc", seed=0, count=20)
+        for e in report.entries:
+            alpha = e.values["alpha"]
+            expected = CSolution("unique", -1 / alpha - 2 * e.lambda0) if alpha else CSolution("none")
+            assert (e.status, e.c) == expected[:2]
 
 
 class TestVerifyCase:
@@ -451,40 +487,28 @@ def test_exact_solver_matches_fraction_reference(rows, scale):
 
 @st.composite
 def pqr_rows(draw):
-    """Rows (P, Q, R) of P + Q*lambda0 + R*c = 0, and a lambda0 to try: the
-    one lambda0 that solves, where the shape has one.  A stray last row
-    spoils that lambda0, which every other row still agrees on."""
+    """Rows (P, Q, R) of P + Q*lambda0 + R*c = 0 in mu-form, Q = s*R for a
+    drawn s, the only rows `_compiled_decomposition` admits.  A consistent
+    shape solves at mu = k; a stray row has R == 0 but P != 0 beside
+    consistent rows."""
     n = draw(st.integers(1, 9))
-    shape = draw(
-        st.sampled_from(
-            [
-                "random",
-                "zero R",
-                "solvable at one lambda0",
-                "zero R, solvable at one lambda0",
-                "every lambda0 solves",
-                "solvable at one lambda0, stray row",
-                "zero R, stray row",
-            ]
-        )
-    )
-    lam, c = draw(rational), draw(rational)
-    if shape == "every lambda0 solves":
-        # multiples of one row: a unique c at each lambda0 when its R != 0,
-        # every c when the row is zero
-        base_r = draw(rational)
-        base = (draw(rational), draw(rational), base_r) if base_r else (Fraction(0),) * 3
-        return [tuple(k * x for x in base) for k in (draw(rational) for _ in range(n))], lam
-    rows = []
-    for _ in range(n):
-        q = draw(rational.filter(bool)) if shape == "zero R, solvable at one lambda0" else draw(rational)
-        r = Fraction(0) if shape.startswith("zero R") else draw(rational)
-        p = draw(rational) if shape == "random" else -r * c - q * lam
-        rows.append((p, q, r))
-    if shape.endswith("stray row"):
-        p, q, r = rows[-1]
-        rows[-1] = (p + draw(rational.filter(bool)), q, r)
-    return rows, lam
+    shape = draw(st.sampled_from(["random", "zero R", "zero", "consistent", "inconsistent", "stray row"]))
+    if shape == "zero":
+        return [(Fraction(0),) * 3] * n
+    if shape == "zero R":
+        return [(draw(rational), Fraction(0), Fraction(0)) for _ in range(n)]
+    s, k = draw(rational), draw(rational)
+    rs = [draw(rational) for _ in range(n)]
+    if shape == "random":
+        return [(draw(rational), s * r, r) for r in rs]
+    rows = [(-k * r, s * r, r) for r in rs]
+    i = draw(st.integers(0, n - 1))
+    if shape == "inconsistent":
+        p, q, r = rows[i]
+        rows[i] = (p + draw(rational.filter(bool)), q, r)
+    elif shape == "stray row":
+        rows[i] = (draw(rational.filter(bool)), Fraction(0), Fraction(0))
+    return rows
 
 
 def cleared(rows, scale=1):
@@ -497,12 +521,13 @@ def cleared(rows, scale=1):
     return [tuple(int(x * den) for x in row) for row in rows]
 
 
-@given(pqr_rows(), rational, st.integers(1, 12))
-def test_exact_c_solver_matches_fraction_reference_at_each_lambda0(drawn, other, scale):
-    rows, lam = drawn
+@given(pqr_rows(), st.lists(rational, min_size=1, max_size=4), st.integers(1, 12))
+def test_exact_c_solver_matches_fraction_reference_at_each_lambda0(rows, lambdas, scale):
     for solve in (_exact_c_solver(rows), _exact_c_solver(cleared(rows, scale))):
-        for lam0 in (lam, other):
-            assert solve(lam0.numerator, lam0.denominator) == reference_solve([(r, p + q * lam0) for p, q, r in rows])
+        solutions = [solve(lam0.numerator, lam0.denominator) for lam0 in lambdas]
+        assert solutions == [reference_solve([(r, p + q * lam0) for p, q, r in rows]) for lam0 in lambdas]
+        # in mu-form a point is solvable at every lambda0 or at none
+        assert len({sol.status for sol in solutions}) == 1
 
 
 FLOAT_G5 = custom_family(G5_ON_A_CIRCLE)  # its sample points are floats
@@ -567,6 +592,13 @@ class TestCaseMembership:
         assert case_matches_point(case, None, inside, Fraction(1, 2), sol, T)
         outside = {"alpha": Fraction(2), "beta": Fraction(1)}
         assert not case_matches_point(case, None, outside, Fraction(1, 2), sol, T)
+
+    def test_unsolvable_cell_lies_in_no_case(self):
+        case = next(c for c in CATALOG_CASES if c.label == "3.3.7")
+        witness = soliton.resolve_witness(case, None, T)
+        sol = solve_for_c(soliton_system(build_family(case.family_id), case.kind), witness, Fraction(1, 2))
+        assert case_matches_point(case, None, witness, Fraction(1, 2), sol, T)
+        assert not case_matches_point(case, None, witness, Fraction(1, 2), CSolution("none"), T)
 
     def test_variant_is_effective_for_membership(self):
         case = TheoremCase(
@@ -645,6 +677,42 @@ class TestReduceLadder:
         # beta - gamma is in the basis, so beta + gamma is congruent to 2*gamma
         [reduced] = self.ladder([p("beta + gamma")])
         assert reduced == p("2*gamma")
+
+
+def test_lambda0_law_flags_exactly_six_stated_suspect_case_branches():
+    """A claim c = c_expr can hold for every lambda0 only if
+    mu = c_expr + s*lambda0 is free of lambda0 modulo the case ideal: the
+    case substitutions applied in listed order, as `_apply_case` does, then
+    the normal form of `_reduce_ladder`.  Checked on every stated and
+    variant case-branch with a c; it fails on six stated suspect ones."""
+    flagged, checked = set(), 0
+    for case in CATALOG_CASES:
+        data = [("stated", (case.substitutions, case.c_expr, case.reductions))]
+        if (case.variant_substitutions, case.variant_c, case.variant_reductions) != (None, None, None):
+            data.append(("variant", case.effective()))
+        for fam in family_branches(case.family_id, T):
+            system = soliton_system(fam, case.kind)
+            s = ricci_pipeline(fam, case.kind)[2]
+            for which, (subs, c_expr, reductions) in data:
+                if case.empty or c_expr is None:
+                    continue
+                mu = instantiate_eta(c_expr, fam.eta, T) + s * T.var("lambda0")
+                for var, expr in subs:
+                    mu = mu.substitute(var, instantiate_eta(expr, fam.eta, T))
+                [normal] = soliton._reduce_ladder([mu], system, subs, reductions, T)
+                checked += 1
+                if "lambda0" in normal.variables():
+                    flagged.add((case.label, fam.eta, which))
+    assert checked == 51
+    assert flagged == {
+        ("3.3.8", None, "stated"),
+        ("3.4.1", 1, "stated"),
+        ("3.4.1", -1, "stated"),
+        ("3.5.1", None, "stated"),
+        ("3.5.2", None, "stated"),
+        ("4.11.1", None, "stated"),
+    }
+    assert {label for label, _, _ in flagged} <= {c.label for c in CATALOG_CASES if c.suspect}
 
 
 # -- branch memo and the scan membership split ----------------------------------
