@@ -20,6 +20,7 @@ _EXPORTS = {
         "LieAlgebraFamily",
         "MetricSignature",
         "ParameterPoint",
+        "SamplingError",
         "StructureConstants",
         "bracket",
         "build_family",
@@ -59,7 +60,9 @@ _EXPORTS = {
         "ParseError",
         "Polynomial",
         "PolynomialError",
+        "Surd",
         "VariableTable",
+        "exact_sqrt",
         "parse_polynomial",
     ),
     "soliton": (

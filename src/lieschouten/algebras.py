@@ -17,12 +17,24 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .poly import DEFAULT_TABLE, IntegerKernel, Polynomial, PolynomialError, VariableTable, parse_polynomial
+from .poly import (
+    DEFAULT_TABLE,
+    IntegerKernel,
+    Polynomial,
+    PolynomialError,
+    Surd,
+    VariableTable,
+    exact_sqrt,
+    one_field,
+    parse_polynomial,
+    quotient,
+)
 
 Vector = tuple[Polynomial, Polynomial, Polynomial]
+Value = Union[Fraction, Surd]  # an exact parameter value
 
 FAMILY_IDS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
 
@@ -81,10 +93,9 @@ class LieAlgebraFamily(NamedTuple):
 
 
 class ParameterPoint(NamedTuple):
-    """A parameter assignment satisfying the family's side conditions."""
+    """An exact parameter assignment satisfying the family's side conditions."""
 
-    values: dict[str, Union[Fraction, float]]
-    exact: bool
+    values: dict[str, Value]
 
 
 # Bracket tables: entries are expressions for ([e1,e2], [e1,e3], [e2,e3]).
@@ -300,12 +311,16 @@ def jacobi_residuals(fam: LieAlgebraFamily) -> Vector:
 
 # -- constrained parameter sampling -------------------------------------------
 
-# Exact draws come from {-3..3} scaled by 1/d for d in {1,2,3}.
+# Draws come from {-3..3} scaled by 1/d for d in {1,2,3}.
 _NUMERATORS = tuple(range(-3, 4))
 _DENOMINATORS = (1, 2, 3)
 _POOL = {(n, d): Fraction(n, d) for n in _NUMERATORS for d in _DENOMINATORS}
-# A float point must satisfy every equality constraint to within this.
-_FLOAT_TOLERANCE = 1e-9
+
+
+class SamplingError(ValueError):
+    """The sampler cannot meet a family's side conditions: a constraint has
+    degree above 2 in every variable it could be solved for, or no draw
+    satisfies them all."""
 
 
 def draw_rational(rng: random.Random) -> Fraction:
@@ -313,30 +328,36 @@ def draw_rational(rng: random.Random) -> Fraction:
     return _POOL[rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)]
 
 
-def _linear_split(constraint: Polynomial, taken: set[str]) -> Optional[tuple[str, Polynomial, Polynomial]]:
-    """(var, a, b) with constraint = a*var + b, for the last table variable
-    outside `taken` in which `constraint` is linear with a free of it; None
-    if there is none."""
-    chosen = None
-    for name in constraint.table.names:
-        if name not in taken and constraint.degree_in(name) == 1:
-            a = constraint.coefficient_of(name, 1)
-            if name not in a.variables():
-                chosen = (name, a, constraint.coefficient_of(name, 0))
-    return chosen
+def _split(constraint: Polynomial, taken: set[str]) -> Optional[tuple[str, tuple[Polynomial, ...]]]:
+    """(var, (c0, c1)) with constraint = c1*var + c0, for the last table
+    variable outside `taken` in which `constraint` is linear, else
+    (var, (c0, c1, c2)) with c2*var^2 added, for the last one in which it is
+    quadratic; the c_k are free of var.  None if there is neither."""
+    for degree in (1, 2):
+        found = [n for n in constraint.table.names if n not in taken and constraint.degree_in(n) == degree]
+        if found:
+            return found[-1], tuple(constraint.coefficient_of(found[-1], k) for k in range(degree + 1))
+    return None
 
 
-def _linear_root(a: Polynomial, b: Polynomial, values: dict[str, Union[Fraction, float]]):
-    """The root of a*var + b at `values`, "free" if a = b = 0, else None."""
-    a_val, b_val = a.evaluate(values), b.evaluate(values)
-    if a_val != 0:
-        return -b_val / a_val
-    return "free" if b_val == 0 else None
+def _root(coefficients: Sequence[Value], rng: random.Random):
+    """A root of sum c_k*x^k over the values (c0, c1) or (c0, c1, c2): by
+    the quadratic formula when c2 != 0, the sign of its root drawn; "free"
+    if every c_k is 0; None if there is none, or if the discriminant is a
+    Surd, whose root would be a second root."""
+    if len(coefficients) == 3 and coefficients[2]:
+        c0, c1, c2 = coefficients
+        root = exact_sqrt(c1 * c1 - 4 * c2 * c0)
+        if root is None:
+            return None
+        return quotient(-c1 + (root if rng.random() < 0.5 else -root), 2 * c2)
+    c0, c1 = coefficients[:2]
+    if c1:
+        return quotient(-c0, c1)
+    return "free" if not c0 else None
 
 
-def solve_constraint_for(
-    constraint: Polynomial, var: str, values: dict[str, Union[Fraction, float]]
-):
+def solve_constraint_for(constraint: Polynomial, var: str, values: dict[str, Value]):
     """Solve constraint == 0 for `var` given the other values.
 
     Returns the solved value, the string "free" when the constraint is
@@ -344,35 +365,39 @@ def solve_constraint_for(
     """
     if constraint.degree_in(var) != 1:
         raise PolynomialError(f"constraint is not linear in {var!r}")
-    return _linear_root(constraint.coefficient_of(var, 1), constraint.coefficient_of(var, 0), values)
+    return _root([constraint.coefficient_of(var, k).evaluate(values) for k in (0, 1)], None)
 
 
 def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[ParameterPoint]:
-    """Deterministic parameter points satisfying the family side conditions.
+    """Deterministic exact parameter points satisfying the family side conditions.
 
     Each equality constraint, in listed order, is solved for the last
     variable that appears linearly in it and that no earlier constraint
-    solves, and the rest are drawn from a small rational pool.  Only a
-    constraint with no such variable forces floats: then every draw is a
-    float, that constraint is solved by a numerical search and the points
-    are not exact.  Each constraint is solved after every other one whose
-    solved variable it reads, so no later step moves a variable that an
-    earlier one read, where such an order exists.  A point is kept only if
-    every equality constraint holds: exactly at an exact point, to within
-    `_FLOAT_TOLERANCE` at a float one.  Nonvanishing conditions are
-    enforced by rejection.  Exact draws are decided in integers: each
-    split's (a, b), and the nonvanishing polynomials with the constraints,
-    are compiled once per call.
+    solves, else for the last such variable in which it is quadratic, and
+    the rest are drawn from a small rational pool.  A quadratic is solved by
+    the quadratic formula: an irrational root is a `Surd`, and a draw that
+    would need a second square root, beside one already drawn or nested in
+    it, is rejected.  A constraint of degree above 2 in every variable it
+    could be solved for raises SamplingError; one whose variables an
+    earlier constraint solves is only checked.  Each constraint is solved
+    after every other one whose solved variable it reads, so no later step
+    moves a variable that an earlier one read, where such an order exists.
+    A point is kept only if every equality constraint holds exactly and no
+    nonvanishing polynomial vanishes, decided in integers: each split's
+    coefficients, and the side conditions, are compiled once per call.
+    Without `count` points after 200*count + 1000 draws it raises
+    SamplingError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
-    splits: dict[Polynomial, Optional[tuple[str, Polynomial, Polynomial]]] = {}
+    splits: dict[Polynomial, Optional[tuple[str, tuple[Polynomial, ...]]]] = {}
     for con in fam.equality_constraints:
-        splits[con] = _linear_split(con, {split[0] for split in splits.values() if split is not None})
-    targets = {con: split[0] if split else _search_variable(con) for con, split in splits.items()}
-    splits = {con: splits[con] for con in _solve_order(targets)}
-    exact = None not in splits.values()
+        taken = {split[0] for split in splits.values() if split is not None}
+        splits[con] = _split(con, taken)
+        if splits[con] is None and con.variables() - taken:
+            raise SamplingError(f"constraint {con} has degree above 2 in every variable it could be solved for")
+    splits = {con: splits[con] for con in _solve_order({con: split and split[0] for con, split in splits.items()})}
     # a target that a constraint solved before it reads is drawn as well
     solved: set[str] = set()
     read: set[str] = set()
@@ -380,49 +405,32 @@ def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[Para
         if split is not None and split[0] not in read:
             solved.add(split[0])
         read |= con.variables()
-    if exact:
-        roots = {con: IntegerKernel(fam.table, (a, b)) for con, (_, a, b) in splits.items()}
-        # nonzero where it must be, then zero on every constraint
-        side_conditions = IntegerKernel(fam.table, fam.nonvanishing + fam.equality_constraints)
-        split_at = len(fam.nonvanishing)
-
-    draw = partial(draw_rational, rng) if exact else partial(rng.uniform, -3.0, 3.0)
+    roots = [(var, IntegerKernel(fam.table, coefficients)) for var, coefficients in filter(None, splits.values())]
+    # nonzero where it must be, then zero on every constraint
+    side_conditions = IntegerKernel(fam.table, fam.nonvanishing + fam.equality_constraints)
+    split_at = len(fam.nonvanishing)
 
     points: list[ParameterPoint] = []
     attempts = 0
     while len(points) < count:
         attempts += 1
         if attempts > 200 * count + 1000:
-            raise RuntimeError(f"sampling for {fam.family_id} keeps violating constraints")
-        values: dict[str, Union[Fraction, float]] = {name: draw() for name in fam.parameters if name not in solved}
-        ok = True
-        for con, split in splits.items():
-            if split is None:
-                if not _float_project(con, values, rng):
-                    ok = False
-                    break
-                continue
-            var, a, b = split
-            if exact:
-                a_val, b_val = roots[con](values)
-                sol = Fraction(-b_val, a_val) if a_val else ("free" if b_val == 0 else None)
-            else:
-                sol = _linear_root(a, b, values)
+            raise SamplingError(
+                f"no draw of {fam.family_id} meets its side conditions: {len(points)} of {count} points"
+                f" after {attempts - 1} draws"
+            )
+        values: dict[str, Value] = {name: draw_rational(rng) for name in fam.parameters if name not in solved}
+        for var, kernel in roots:
+            sol = _root(kernel(values), rng)
             if sol is None:
-                ok = False
                 break
-            values[var] = draw() if sol == "free" else sol
-        if not ok:
-            continue
-        if exact:
+            values[var] = draw_rational(rng) if sol == "free" else sol
+            if isinstance(sol, Surd) and not one_field(values.values()):
+                break
+        else:
             side = side_conditions(values)
-            if not all(side[:split_at]) or any(side[split_at:]):
-                continue
-        elif any(abs(q.evaluate(values)) <= 1e-6 for q in fam.nonvanishing) or any(
-            abs(q.evaluate(values)) > _FLOAT_TOLERANCE for q in fam.equality_constraints
-        ):
-            continue
-        points.append(ParameterPoint(values=values, exact=exact))
+            if all(side[:split_at]) and not any(side[split_at:]):
+                points.append(ParameterPoint(values))
     return points
 
 
@@ -437,44 +445,3 @@ def _solve_order(targets: dict[Polynomial, Optional[str]]) -> list[Polynomial]:
         order.append(ready[0] if ready else pending[0])
         pending.remove(order[-1])
     return order
-
-
-def _search_variable(constraint: Polynomial) -> Optional[str]:
-    """The variable that `_float_project` solves for: the last one present."""
-    present = [n for n in constraint.table.names if n in constraint.variables()]
-    return present[-1] if present else None
-
-
-def _float_project(
-    constraint: Polynomial, values: dict[str, Union[Fraction, float]], rng: random.Random
-) -> bool:
-    """Numerically solve `constraint` == 0 for its last present variable."""
-    var = _search_variable(constraint)
-    if var is None:
-        return abs(constraint.evaluate(values)) <= _FLOAT_TOLERANCE
-
-    def f(x: float) -> float:
-        probe = dict(values)
-        probe[var] = x
-        return float(constraint.evaluate(probe))
-
-    xs = [(-10.0 + 20.0 * k / 128.0) for k in range(129)]
-    prev_x, prev_f = xs[0], f(xs[0])
-    for x in xs[1:]:
-        fx = f(x)
-        if prev_f == 0.0:
-            values[var] = prev_x
-            return True
-        if prev_f * fx < 0:
-            lo, hi, flo = prev_x, x, prev_f
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            values[var] = 0.5 * (lo + hi)
-            return True
-        prev_x, prev_f = x, fx
-    return False

@@ -18,7 +18,7 @@ import importlib.resources
 import itertools
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .algebras import LieAlgebraFamily, family_branches, instantiate_eta
 from .geometry import (
@@ -34,10 +34,11 @@ from .geometry import (
     ricci_pipeline,
     torsion,
 )
-from .poly import DEFAULT_TABLE, ParseError, Polynomial, PolynomialError, VariableTable, parse_polynomial
+from .poly import DEFAULT_TABLE, ParseError, Polynomial, PolynomialError, VariableTable, exact_sqrt, parse_polynomial
 from .soliton import (
     DEFAULT_LAMBDA0_GRID,
     TheoremCase,
+    Value,
     case_matches_point,
     negative_control,
     resolve_witness,
@@ -47,8 +48,6 @@ from .soliton import (
     soliton_system,
     verify_case,
 )
-
-Value = Union[Fraction, float]
 
 MATRIX_LABELS = (
     "3.9", "3.12", "3.18", "3.23", "3.27", "3.31", "3.36",
@@ -99,6 +98,7 @@ class Catalog(NamedTuple):
 # -- data file parsing ---------------------------------------------------------
 
 _SECTION_RE = re.compile(r"^\[(matrix|scalar|case)\s+([^\]]+)\]$")
+_SQRT_RE = re.compile(r"^sqrt\((.*)\)$")
 _AUX_NAMES = ("a1", "a2", "a3", "b1", "b2", "b3")
 
 
@@ -184,6 +184,8 @@ def _parse_reductions(text: str, defs, aux_table, label: str):
 
 
 def _parse_witness(text: str, label: str) -> tuple[tuple[str, object], ...]:
+    """name = value entries: a rational, sqrt(rational) for an irrational
+    locus (a Surd), or an expression, which may use eta."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -193,9 +195,15 @@ def _parse_witness(text: str, label: str) -> tuple[tuple[str, object], ...]:
             raise CatalogError(f"[{label}] witness entry {part!r} lacks '='")
         name, value = part.split("=", 1)
         name, value = name.strip(), value.strip()
-        if "." in value:
-            # decimal witnesses stay floats (they mark irrational loci)
-            out.append((name, float(value)))
+        match = _SQRT_RE.match(value)
+        if match:
+            try:
+                root = exact_sqrt(Fraction(match.group(1)))
+            except (ValueError, ZeroDivisionError):
+                root = None
+            if root is None:
+                raise CatalogError(f"[{label}] witness {value!r} is not the square root of a rational >= 0")
+            out.append((name, root))
             continue
         try:
             out.append((name, Fraction(value)))
@@ -517,7 +525,6 @@ def _case_records(
     catalog: Catalog,
     table: VariableTable,
     seed: int,
-    tolerance: float,
     sample_count: int,
     only: Optional[str],
 ) -> list[VerifyRecord]:
@@ -527,9 +534,7 @@ def _case_records(
         selectors = (case.label, _theorem_prefix(case.label), case.family_id, tag, "case")
         if not _matches_only(selectors, only):
             continue
-        report = verify_case(
-            case, table=table, seed=seed, sample_count=sample_count, tolerance=tolerance
-        )
+        report = verify_case(case, table=table, seed=seed, sample_count=sample_count)
         if case.empty:
             records.append(
                 VerifyRecord(
@@ -568,16 +573,14 @@ def _case_records(
     return records
 
 
-def _control_records(
-    catalog: Catalog, table: VariableTable, tolerance: float, only: Optional[str]
-) -> list[VerifyRecord]:
+def _control_records(catalog: Catalog, table: VariableTable, only: Optional[str]) -> list[VerifyRecord]:
     records = []
     for case in catalog.cases:
         tag = f"{case.family_id}-{_kind_tag(case.kind)}"
         selectors = (case.label, _theorem_prefix(case.label), case.family_id, tag, "control")
         if not _matches_only(selectors, only):
             continue
-        report = negative_control(case, table=table, tolerance=tolerance)
+        report = negative_control(case, table=table)
         status = "skip" if report.method == "skipped" else ("pass" if report.ok else "fail")
         records.append(
             VerifyRecord(
@@ -592,9 +595,7 @@ def _control_records(
     return records
 
 
-def _witness_records(
-    catalog: Catalog, table: VariableTable, tolerance: float, only: Optional[str]
-) -> list[VerifyRecord]:
+def _witness_records(catalog: Catalog, table: VariableTable, only: Optional[str]) -> list[VerifyRecord]:
     """Each stated case must be witnessed by a solvable point in its locus."""
     records = []
     lam = Fraction(1, 2)
@@ -609,13 +610,11 @@ def _witness_records(
         for fam in family_branches(case.family_id, table):
             system = soliton_system(fam, case.kind)
             witness = resolve_witness(case, fam.eta, table)
-            sol = solve_for_c(system, witness, lam, tolerance=tolerance)
+            sol = solve_for_c(system, witness, lam)
             if sol.status == "none":
                 problems.append(f"{fam.describe()}: witness not solvable")
                 continue
-            if not case_matches_point(
-                case, fam.eta, witness, lam, sol, table, tolerance=tolerance
-            ):
+            if not case_matches_point(case, fam.eta, witness, lam, sol, table):
                 problems.append(f"{fam.describe()}: witness solves but falls outside the case")
         records.append(
             VerifyRecord(
@@ -635,7 +634,6 @@ def _scan_records(
     table: VariableTable,
     seed: int,
     scan_count: int,
-    tolerance: float,
     lambda0_grid,
     only: Optional[str],
 ) -> list[VerifyRecord]:
@@ -650,16 +648,9 @@ def _scan_records(
             entry_total = 0
             unmatched = []
             for fam in family_branches(fid, table):
-                report = scan(
-                    fam,
-                    kind,
-                    seed=seed,
-                    count=scan_count,
-                    lambda0_grid=lambda0_grid,
-                    tolerance=tolerance,
-                )
+                report = scan(fam, kind, seed=seed, count=scan_count, lambda0_grid=lambda0_grid)
                 entry_total += report.size
-                verdicts = scan_membership(report, cases, table, tolerance)
+                verdicts = scan_membership(report, cases, table)
                 solvable_total += len(verdicts)
                 if not all(verdicts):
                     outside = (cell for cell, inside in zip(report.cells(), verdicts) if not inside)
@@ -693,7 +684,6 @@ def _scan_records(
 
 def verify_all(
     seed: int = 0,
-    tolerance: float = 1e-9,
     scan_count: int = 500,
     sample_count: int = 120,
     only: Optional[str] = None,
@@ -713,10 +703,8 @@ def verify_all(
     records.extend(_structural_records(table, only))
     records.extend(_matrix_records(catalog, table, only))
     records.extend(_scalar_records(catalog, table, only))
-    records.extend(_case_records(catalog, table, seed, tolerance, sample_count, only))
-    records.extend(_control_records(catalog, table, tolerance, only))
-    records.extend(_witness_records(catalog, table, tolerance, only))
-    records.extend(
-        _scan_records(catalog, table, seed, scan_count, tolerance, lambda0_grid, only)
-    )
+    records.extend(_case_records(catalog, table, seed, sample_count, only))
+    records.extend(_control_records(catalog, table, only))
+    records.extend(_witness_records(catalog, table, only))
+    records.extend(_scan_records(catalog, table, seed, scan_count, lambda0_grid, only))
     return VerifySummary(records=tuple(records), seed=seed)

@@ -18,11 +18,18 @@ tab-separated records (byte-identical for identical invocations).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
-from .algebras import FAMILY_IDS, build_family, family_branches, jacobi_residuals, load_family, sample_parameters
+from .algebras import (
+    FAMILY_IDS,
+    SamplingError,
+    build_family,
+    family_branches,
+    jacobi_residuals,
+    load_family,
+    sample_parameters,
+)
 from .geometry import KIND_ALIASES, LEVI_CIVITA, ricci_pipeline
 from .poly import ParseError, PolynomialError
 
@@ -199,14 +206,7 @@ def cmd_scan(args) -> int:
 
     fam = _resolve_family(args)
     grid = _parse_lambda0_grid(args.lambda0)
-    report = scan(
-        fam,
-        KIND_ALIASES[args.kind],
-        seed=args.seed,
-        count=args.count,
-        lambda0_grid=grid,
-        tolerance=args.tolerance,
-    )
+    report = scan(fam, KIND_ALIASES[args.kind], seed=args.seed, count=args.count, lambda0_grid=grid)
     solvable = report.solvable
     if args.format == "machine":
         print(f"scan\t{fam.describe()}\t{args.kind}\tseed={args.seed}\tcount={args.count}")
@@ -237,13 +237,7 @@ def cmd_verify(args) -> int:
     except CatalogError as err:
         print(f"catalog error: {err}", file=sys.stderr)
         return EXIT_DATA
-    summary = verify_all(
-        seed=args.seed,
-        tolerance=args.tolerance,
-        scan_count=args.count,
-        only=args.only,
-        catalog=catalog,
-    )
+    summary = verify_all(seed=args.seed, scan_count=args.count, only=args.only, catalog=catalog)
     if args.format == "machine":
         for r in summary.records:
             print(f"RESULT\t{r.section}\t{r.label}\t{r.status}\t{r.method}\t{r.detail}")
@@ -308,14 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--lambda0", help="comma-separated rational lambda0 grid")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="replay the catalogued verification battery")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=500, help="scan points per family/kind")
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--only", help="restrict to one label/family/section")
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(func=cmd_verify)
@@ -326,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 0 < getattr(args, "tolerance", 1.0) < math.inf:  # also rejects nan
-        print("tolerance must be a positive finite number", file=sys.stderr)
-        return EXIT_USAGE
     if getattr(args, "count", 1) < 1:
         print("count must be at least 1", file=sys.stderr)
         return EXIT_USAGE
@@ -337,7 +326,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as err:
+    except (DataError, SamplingError) as err:  # a custom family the sampler cannot meet
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

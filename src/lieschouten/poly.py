@@ -29,14 +29,16 @@ curvature component, Ricci entry and soliton residual, into one such
 convolution over the lcm of the products' denominators: one dict and one
 gcd per sum, however many products it has.
 
-``Polynomial.evaluate`` evaluates one polynomial over Fractions or floats.
+A value is exact: an int, a Fraction, or a `Surd` a + b*sqrt(d) of one
+quadratic field, which is what an irrational root of a quadratic is.
+``Polynomial.evaluate`` evaluates one polynomial at such a point.
 ``IntegerKernel`` is the one compiled form for bulk exact evaluation: a
 list of polynomials over one common coefficient denominator, homogenised
-to one degree, evaluated at a point of ints or Fractions to one integer per
-polynomial, all scaled by one positive factor.  The list is compiled once
-to one straight-line Python function (see `_kernel_source`): once per
-soliton system for the c solve, once per (case, eta, table) for case
-membership, once per memoised branch draw for the sampler.
+to one degree, evaluated at a point of ints, Fractions or Surds to one
+integer (or integer Surd) per polynomial, all scaled by one positive
+factor.  The list is compiled once to one straight-line Python function
+(see `_kernel_source`): once per soliton system for the c solve, once per
+(case, eta, table) for case membership, once per sampler call.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from math import gcd, isqrt, lcm, sqrt
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -355,19 +357,19 @@ class Polynomial:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def evaluate(self, point: Mapping[str, Union[Scalar, float]]):
+    def evaluate(self, point: Mapping[str, Union[Scalar, "Surd"]]):
         """Evaluate at a point assigning every occurring variable.
 
-        Values may be ints, Fractions, or floats; the result is an exact
-        Fraction unless a float value is involved.  Variables that do not
-        occur in the polynomial may be omitted from `point`.
+        Values may be ints, Fractions or Surds; the result is a Fraction,
+        or a Surd when a Surd value leaves one.  Only `*`, `**` and `+` of
+        the values are used.  Variables that do not occur in the polynomial
+        may be omitted from `point`.
         """
         shift_vals = []
         for name, s in self._used():
             if name not in point:
                 raise PolynomialError(f"unassigned variable {name!r}")
-            v = point[name]
-            shift_vals.append((s, v if isinstance(v, float) else Fraction(v)))
+            shift_vals.append((s, point[name]))
         den = self._den
         total = Fraction(0)
         for m, n in self._num.items():
@@ -626,6 +628,164 @@ def _over_lcm(terms: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
     """Nonzero Fractions as numerators over their lcm, in lowest terms."""
     den = lcm(*(c.denominator for c in terms.values()))
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items() if c}, den
+
+
+# -- exact quadratic surds -------------------------------------------------------
+
+
+class Surd:
+    """The exact real number a + b*sqrt(d) of the quadratic field Q(sqrt(d)).
+
+    a and b are rationals (ints or Fractions) with b != 0 and d > 1 is not a
+    square, so a Surd is never rational, nor zero, and is always true:
+    `surd` and `exact_sqrt` give the rational a itself when b is 0.
+    `+ - * /` and `**` with rationals and with Surds of the same d are
+    exact; two different d raise PolynomialError.  Equality and `sign` are
+    exact: a + b*sqrt(d) has the sign of a where a and b agree, else that of
+    the larger of a^2 and b^2*d, which are never equal.  `numerator` and
+    `denominator` are its integer form, as for a Fraction: the Surd times
+    the lcm L of the denominators of a and b, and L, so an `IntegerKernel`
+    runs at a point of Surds unchanged.  `float` is an approximation, for
+    display only.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d: int):
+        self.a, self.b, self.d = a, b, d
+
+    def _pair(self, other):
+        """(a, b) of `other` in this field, None for a type it does not take."""
+        if isinstance(other, Surd):
+            if other.d != self.d:
+                raise PolynomialError(f"sqrt({self.d}) and sqrt({other.d}) lie in two quadratic fields")
+            return other.a, other.b
+        return (other, 0) if isinstance(other, (int, Fraction)) else None
+
+    def __add__(self, other):
+        o = self._pair(other)
+        return NotImplemented if o is None else surd(self.a + o[0], self.b + o[1], self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Surd":
+        return Surd(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        o = self._pair(other)
+        return NotImplemented if o is None else surd(self.a - o[0], self.b - o[1], self.d)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._pair(other)
+        if o is None:
+            return NotImplemented
+        (a, b, d), (c, e) = (self.a, self.b, self.d), o
+        return surd(a * c + b * e * d, a * e + b * c, d)
+
+    __rmul__ = __mul__
+
+    def _inverse(self) -> "Surd":
+        norm = self.a * self.a - self.b * self.b * self.d  # nonzero: d is not a square
+        return Surd(Fraction(self.a, norm), Fraction(-self.b, norm), self.d)
+
+    def __truediv__(self, other):
+        o = self._pair(other)
+        return NotImplemented if o is None else self * (other._inverse() if o[1] else Fraction(1, other))
+
+    def __rtruediv__(self, other):
+        return NotImplemented if self._pair(other) is None else self._inverse() * other
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return 1 / self**-n
+        out = 1
+        for _ in range(n):
+            out = self * out
+        return out
+
+    def sign(self) -> int:
+        a, b = self.a, self.b
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        return sa if sa == sb or a * a > b * b * self.d else sb
+
+    def _key(self) -> tuple:
+        # b*sqrt(d) is fixed by b^2*d and the sign of b, even if d kept a square factor
+        return self.a, self.b * self.b * self.d, self.b > 0
+
+    def __eq__(self, other):
+        if isinstance(other, Surd):
+            return self._key() == other._key()
+        return False if isinstance(other, (int, Fraction)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __float__(self) -> float:
+        return float(self.a) + float(self.b) * sqrt(self.d)
+
+    @property
+    def denominator(self) -> int:
+        return lcm(self.a.denominator, self.b.denominator)
+
+    @property
+    def numerator(self) -> "Surd":
+        den, a, b = self.denominator, self.a, self.b
+        return Surd(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), self.d)
+
+    def __str__(self) -> str:
+        """One ASCII form: `sqrt(2)`, `-3/2*sqrt(5)`, `1/2-sqrt(3)`."""
+        mag = abs(self.b)
+        body = f"sqrt({self.d})" if mag == 1 else f"{mag}*sqrt({self.d})"
+        return f"{self.a or ''}{'-' if self.b < 0 else '+' if self.a else ''}{body}"
+
+    __repr__ = __str__
+
+
+def surd(a, b, d: int):
+    """a + b*sqrt(d) for a non-square d > 1: the rational a itself when b is 0."""
+    return Surd(a, b, d) if b else a
+
+
+def exact_sqrt(x) -> Optional[Union[Fraction, Surd]]:
+    """The square root >= 0 of a rational x >= 0: a Fraction when x is the
+    square of one, else f*sqrt(d), d > 1 squarefree.  None when x < 0, and
+    None for a Surd x, whose root would be a second, nested root."""
+    if isinstance(x, Surd) or x < 0:
+        return None
+    x = Fraction(x)
+    f, d = _square_part(x.numerator * x.denominator)  # sqrt(p/q) = sqrt(p*q)/q
+    return surd(0, Fraction(f, x.denominator), d) if d > 1 else Fraction(f, x.denominator)
+
+
+def _square_part(n: int) -> tuple[int, int]:
+    """(f, d) with n = f^2 * d, for an int n >= 0, by trial division up to
+    the cube root of what is left, which then has at most two prime
+    factors.  So d is squarefree when n is below 2^42; above that, division
+    stops at 2^14, and d may keep the square of a prime above 2^14."""
+    f, d, k = 1, 1, 2
+    while k * k * k <= n and k < 1 << 14:
+        while n % (k * k) == 0:
+            n //= k * k
+            f *= k
+        if n % k == 0:
+            n //= k
+            d *= k
+        k += 1
+    root = isqrt(n)
+    return (f * root, d) if root * root == n else (f, d * n)
+
+
+def quotient(x, y):
+    """x / y, exactly: a Fraction of two rationals, else a Surd or rational."""
+    return x / y if isinstance(x, Surd) or isinstance(y, Surd) else Fraction(x, y)
+
+
+def one_field(values: Iterable) -> bool:
+    """Whether the Surds among `values` share one field: at most one d."""
+    return len({v.d for v in values if isinstance(v, Surd)}) < 2
 
 
 class IntegerKernel:

@@ -30,23 +30,26 @@ the case locus.  Verification climbs an evidence ladder:
 Cases marked suspect carry a variant (a small, principled correction);
 both the stated and variant data are verified and reported.
 
-Each concept makes its exact-or-float choice in one place.  The c solve at a
-point is `_point_solver`.  `_compiled_decomposition` checks the residual
-shape once per system and compiles the P, Q, R of the nonzero residuals to
-one `poly.IntegerKernel`.  An exact point is evaluated once and decided
-once, with no lambda0 in the test, and each exact lambda0 then costs one
-division (`_exact_c_solver`).  A float point or a float lambda0 is solved
-against the tolerance.  `scan` draws its sample once per family branch
-(`_branch_sample`), shared by the connections, and builds one point solver
-per distinct point for its whole lambda0 grid; `solve_for_c` builds one for
-its single call.  A `ScanReport` is a table: the shared sample and one row
-of solutions per point, a repeated point sharing its first occurrence's
-row; its `ScanEntry` records are built only on request.  Case membership is
-`_CompiledCase`, compiled once per (case, eta, table): the polynomials that
-must vanish on a case's locus, the hypotheses that must not, and
-c - c_expr, decided in integers at an exact point with an exact lambda0 and
-by the tolerance otherwise.  `scan_membership` walks the rows and decides each
-distinct point once.
+Everything is decided exactly.  A point's values are Fractions, or
+`poly.Surd`s of one quadratic field where a square root enters (a
+quadratic constraint, a case's relation var^2 - rhs, the witness
+beta = sqrt(2) of 4.11.2); lambda0 is rational, and any other lambda0
+raises TypeError.  The c solve at a point is `_point_solver`.
+`_compiled_decomposition` checks the residual shape once per system and
+compiles the P, Q, R of the nonzero residuals to one `poly.IntegerKernel`.
+A point is evaluated once and decided once, with no lambda0 in the test,
+and each lambda0 then costs one division (`_exact_c_solver`).  `scan`
+draws its sample once per family branch (`_branch_sample`), shared by the
+connections, and builds one point solver per distinct point for its whole
+lambda0 grid; `solve_for_c` builds one for its single call.  A
+`ScanReport` is a table: the shared sample and one row of solutions per
+point, a repeated point sharing its first occurrence's row; its
+`ScanEntry` records are built only on request.  A case's data on one eta
+branch is one `_Substitution`, which applies its substitutions in listed
+order for every consumer.  Case membership is `_CompiledCase`, compiled
+once per (case, eta, table): the polynomials that must vanish on a case's
+locus, the hypotheses that must not, and c - c_expr, decided in integers.
+`scan_membership` walks the rows and decides each distinct point once.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from numbers import Rational
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .algebras import (
@@ -75,16 +78,19 @@ from .poly import (
     IntegerKernel,
     Polynomial,
     PolynomialError,
-    Scalar,
+    Surd,
     VariableTable,
+    exact_sqrt,
     groebner_basis,
+    one_field,
+    quotient,
     sum_of_products,
 )
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
-Value = Union[Fraction, float]
-WitnessValue = Union[Fraction, float, Polynomial]
+Value = Union[Fraction, Surd]
+WitnessValue = Union[Fraction, Surd, Polynomial]
 
 
 # The one record that stays a frozen dataclass, the rest being named
@@ -186,22 +192,19 @@ class CSolution(NamedTuple):
 
     status: str  # "unique" | "any" | "none"
     value: Optional[Value] = None
-    residual_max: float = 0.0
-
-
-Decomposition = tuple[tuple[Polynomial, Polynomial, Polynomial], ...]
 
 
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)
-def _compiled_decomposition(system: SolitonSystem) -> tuple[Decomposition, IntegerKernel]:
-    """Per residual that is not identically zero: (P, Q, R) with
-    residual = P + Q*lambda0 + R*c, and their integer form, as
-    `_point_solver` takes them, compiled once per system value.  A zero
-    residual holds for every c.  The one check of the residual shape: P, Q
-    and R are free of lambda0 and c, and Q = s*R for one polynomial s, that
-    is Q_i*R_0 == Q_0*R_i with R_0 | Q_0 for the first nonzero R_0, else
-    every Q is zero.  The division keeps every Q zero at a point where every
-    R is.  Any other system raises `PolynomialError`.
+def _compiled_decomposition(system: SolitonSystem) -> IntegerKernel:
+    """Per residual that is not identically zero, (P, Q, R) with
+    residual = P + Q*lambda0 + R*c, compiled to one integer kernel that
+    returns P_0, Q_0, R_0, P_1, ..., as `_point_solver` takes them, once per
+    system value.  A zero residual holds for every c.  The one check of the
+    residual shape: P, Q and R are free of lambda0 and c, and Q = s*R for
+    one polynomial s, that is Q_i*R_0 == Q_0*R_i with R_0 | Q_0 for the
+    first nonzero R_0, else every Q is zero.  The division keeps every Q
+    zero at a point where every R is.  Any other system raises
+    `PolynomialError`.
     """
     lam, c = system.table.var("lambda0"), system.table.var("c")
     out = []
@@ -220,37 +223,18 @@ def _compiled_decomposition(system: SolitonSystem) -> tuple[Decomposition, Integ
         mu_form = q0.normal_form([r0]).is_zero and all(q * r0 == q0 * rc for _, q, rc in out)
     if not mu_form:
         raise PolynomialError("lambda0 and c do not enter the residuals only through s*lambda0 + c")
-    return tuple(out), IntegerKernel(system.table, [q for triple in out for q in triple])
-
-
-def _solve_rows(rows: list[tuple[Value, Value]], tolerance: float) -> CSolution:
-    """Solve {a_i*c + b_i = 0} for one unknown c when a float is involved."""
-    candidate: Optional[Value] = None
-    for a, b in rows:
-        if abs(a) > tolerance:
-            c_here = -b / a
-            if candidate is None:
-                candidate = c_here
-            elif abs(candidate - c_here) > tolerance:
-                return CSolution("none")
-    if candidate is None:
-        if all(abs(b) <= tolerance for _, b in rows):
-            return CSolution("any", value=None)
-        return CSolution("none")
-    worst = max(abs(a * candidate + b) for a, b in rows)
-    if worst > tolerance:
-        return CSolution("none")
-    return CSolution("unique", value=candidate, residual_max=float(worst))
+    return IntegerKernel(system.table, [q for triple in out for q in triple])
 
 
 _NO_SOLUTION = CSolution("none")
 _ANY_C = CSolution("any")
 
 
-def _exact_c_solver(rows: Sequence[tuple[Scalar, Scalar, Scalar]]) -> Callable[[int, int], CSolution]:
-    """Decide {P_i + Q_i*lambda0 + R_i*c = 0} over the rationals, for every
-    exact lambda0 at once: the result maps (n, d), lambda0 = n/d with d > 0,
-    to the solution.  The rows are in mu-form, Q_i = s*R_i, as
+def _exact_c_solver(rows: Sequence[tuple[Value, Value, Value]]) -> Callable[[int, int], CSolution]:
+    """Decide {P_i + Q_i*lambda0 + R_i*c = 0} exactly, in the rationals or
+    in the one quadratic field of the point, for every rational lambda0 at
+    once: the result maps (n, d), lambda0 = n/d with d > 0, to the
+    solution.  The rows are in mu-form, Q_i = s*R_i, as
     `_compiled_decomposition` checks, so each is R_i*(c + s*lambda0) + P_i.
 
     The point is decided once, with no lambda0 in the test: the first row
@@ -266,58 +250,46 @@ def _exact_c_solver(rows: Sequence[tuple[Scalar, Scalar, Scalar]]) -> Callable[[
         outcome = _NO_SOLUTION
     else:
         p0, q0, r0 = pivot
-        return lambda n, d: CSolution("unique", value=Fraction(-(d * p0 + n * q0), d * r0))
+        return lambda n, d: CSolution("unique", value=quotient(-(d * p0 + n * q0), d * r0))
     return lambda n, d: outcome
 
 
-def _is_exact(values: Iterable[Value]) -> bool:
-    return all(not isinstance(v, float) for v in values)
+def _rational(lambda0_values: Iterable[Rational]) -> tuple[Rational, ...]:
+    """The lambda0 values, each an int or a Fraction, else TypeError: the
+    c solve is exact, so lambda0 is a rational."""
+    out = tuple(lambda0_values)
+    for lam in out:
+        if not isinstance(lam, Rational):
+            raise TypeError(f"lambda0 must be an int or a Fraction, not {lam!r}")
+    return out
 
 
-def _point_solver(
-    compiled: tuple[Decomposition, IntegerKernel], values: dict[str, Value], tolerance: float
-) -> Callable[[Value], CSolution]:
+def _point_solver(kernel: IntegerKernel, values: dict[str, Value]) -> Callable[[Rational], CSolution]:
     """lambda0 -> the c solution at one point, from `_compiled_decomposition`.
 
-    The one place where the c solve picks exact or float: an exact point
-    is evaluated once by the kernel and an exact lambda0 is decided by
-    `_exact_c_solver`; a float point, or a float lambda0, goes to
-    `_solve_rows` with `tolerance`, the rows evaluated once per point.
+    The point is evaluated once by the kernel, in integers or, at a point
+    of Surds, in integer Surds, and decided once by `_exact_c_solver`; each
+    rational lambda0 then costs one division.
     """
-    decomposition, kernel = compiled
-    triples: Optional[list[tuple[Value, Value, Value]]] = None
-
-    def by_tolerance(lam: Value) -> CSolution:
-        nonlocal triples
-        if triples is None:
-            triples = [(p0.evaluate(values), q.evaluate(values), rc.evaluate(values)) for p0, q, rc in decomposition]
-        return _solve_rows([(a, b0 + b1 * lam) for b0, b1, a in triples], tolerance)
-
-    if not _is_exact(values.values()):
-        return by_tolerance
     out = kernel(values)
     exact = _exact_c_solver(list(zip(out[0::3], out[1::3], out[2::3])))
-
-    def solve(lam: Value) -> CSolution:
-        return by_tolerance(lam) if isinstance(lam, float) else exact(*lam.as_integer_ratio())
-
-    return solve
+    return lambda lam: exact(lam.numerator, lam.denominator)
 
 
 def solve_for_c(
     system: SolitonSystem,
     point: Union[ParameterPoint, dict[str, Value]],
-    lambda0_value: Value,
-    tolerance: float = 1e-9,
+    lambda0_value: Rational,
 ) -> CSolution:
     """Solve all residuals simultaneously for c at a parameter point.
 
     Residuals are degree <= 1 in c by construction, so the system is a set
-    of scalar linear equations a_i*c + b_i = 0, decided by `_point_solver`:
-    in integers at an exact point with an exact lambda0, else by `tolerance`.
+    of scalar linear equations a_i*c + b_i = 0, decided exactly by
+    `_point_solver`.
     """
     values = point.values if isinstance(point, ParameterPoint) else dict(point)
-    return _point_solver(_compiled_decomposition(system), values, tolerance)(lambda0_value)
+    [lam] = _rational([lambda0_value])
+    return _point_solver(_compiled_decomposition(system), values)(lam)
 
 
 # -- scanning -----------------------------------------------------------------
@@ -335,10 +307,9 @@ DEFAULT_LAMBDA0_GRID: tuple[Fraction, ...] = (
 class ScanEntry(NamedTuple):
     index: int
     values: dict[str, Value]
-    lambda0: Value
+    lambda0: Rational
     status: str
     c: Optional[Value]
-    residual_max: float
 
 
 class ScanReport(NamedTuple):
@@ -353,7 +324,7 @@ class ScanReport(NamedTuple):
     eta: Optional[int]
     seed: int
     count: int
-    lambda0_grid: tuple[Value, ...]
+    lambda0_grid: tuple[Rational, ...]
     points: tuple[ParameterPoint, ...]
     rows: tuple[tuple[CSolution, ...], ...]
 
@@ -372,7 +343,7 @@ class ScanReport(NamedTuple):
 
     def cells(
         self, statuses: tuple[str, ...] = ("unique", "any")
-    ) -> Iterator[tuple[int, ParameterPoint, Value, CSolution]]:
+    ) -> Iterator[tuple[int, ParameterPoint, Rational, CSolution]]:
         """(index, point, lambda0, solution) of the cells with one of
         `statuses`, the solvable ones by default: point-major, the grid in
         its order, which is also the order of `scan_membership`'s verdicts."""
@@ -384,7 +355,7 @@ class ScanReport(NamedTuple):
 
     def _entries(self, statuses: tuple[str, ...]) -> tuple[ScanEntry, ...]:
         return tuple(
-            ScanEntry(idx, pt.values, lam, sol.status, sol.value, sol.residual_max)
+            ScanEntry(idx, pt.values, lam, sol.status, sol.value)
             for idx, pt, lam, sol in self.cells(statuses)
         )
 
@@ -393,13 +364,11 @@ class ScanReport(NamedTuple):
 def _branch_sample(fam: LieAlgebraFamily, seed: int, count: int) -> tuple[ParameterPoint, ...]:
     """`sample_parameters` once per (family, seed, count) value: the three
     connections of a branch scan one shared draw, which no caller writes.
-    A repeated exact point is the object of its first occurrence, so a
-    repeat is known by identity; float points stay apart, as -0.0 == 0.0."""
+    A repeated point is the object of its first occurrence, so a repeat is
+    known by identity."""
     first: dict[tuple, ParameterPoint] = {}
-    return tuple(
-        first.setdefault(tuple(pt.values.items()), pt) if pt.exact else pt
-        for pt in sample_parameters(fam, seed=seed, count=count)
-    )
+    points = sample_parameters(fam, seed=seed, count=count)
+    return tuple(first.setdefault(tuple(pt.values.items()), pt) for pt in points)
 
 
 def scan(
@@ -407,8 +376,7 @@ def scan(
     kind: str,
     seed: int = 0,
     count: int = 100,
-    lambda0_grid: Sequence[Value] = DEFAULT_LAMBDA0_GRID,
-    tolerance: float = 1e-9,
+    lambda0_grid: Sequence[Rational] = DEFAULT_LAMBDA0_GRID,
 ) -> ScanReport:
     """Sample the constrained parameter space and solve for c everywhere.
 
@@ -418,12 +386,12 @@ def scan(
     shares that row.  No `ScanEntry` is built here.
     """
     compiled = _compiled_decomposition(soliton_system(fam, kind))
-    grid = tuple(lambda0_grid)
+    grid = _rational(lambda0_grid)
     points = _branch_sample(fam, seed, count)
     solved: dict[int, tuple[CSolution, ...]] = {}  # by id of the shared point
     for pt in points:
         if id(pt) not in solved:
-            solved[id(pt)] = tuple(map(_point_solver(compiled, pt.values, tolerance), grid))
+            solved[id(pt)] = tuple(map(_point_solver(compiled, pt.values), grid))
     return ScanReport(
         family_id=fam.family_id,
         kind=kind,
@@ -474,7 +442,7 @@ class VerificationReport(NamedTuple):
     ok: bool
     suspect: bool
     residual_zero: bool
-    max_float_residual: float = 0.0
+    max_float_residual: float = 0.0  # the negative control's largest residual, for display
     witness: Optional[dict[str, Value]] = None
     counterexample: Optional[dict[str, Value]] = None
     variant_method: Optional[str] = None
@@ -482,6 +450,11 @@ class VerificationReport(NamedTuple):
 
 
 _METHOD_ORDER = {"exact": 0, "reduced": 1, "sampled": 2, "unsampled": 3, "failed": 4}
+
+
+def _report(case: TheoremCase, method: str, ok: bool, residual_zero: bool, **rest) -> VerificationReport:
+    """A report on `case`, with its label, family, kind and suspect flag."""
+    return VerificationReport(case.label, case.family_id, case.kind, method, ok, case.suspect, residual_zero, **rest)
 
 
 def resolve_witness(
@@ -496,21 +469,40 @@ def resolve_witness(
     return out
 
 
+class _Substitution:
+    """A case's substitutions var := expr on one eta branch, in listed
+    order: `pairs` holds them with eta instantiated, and calling it on a
+    polynomial instantiates eta and applies them one after another, each
+    rewriting the result of the ones before it.  The one reading of a
+    case's data that the ladder, the locus sampler and case membership
+    share."""
+
+    __slots__ = ("pairs", "eta", "table")
+
+    def __init__(self, subs: Sequence[tuple[str, Polynomial]], eta: Optional[int], table: VariableTable):
+        self.eta, self.table = eta, table
+        self.pairs = tuple((var, instantiate_eta(expr, eta, table)) for var, expr in subs)
+
+    def __call__(self, q: Polynomial) -> Polynomial:
+        q = instantiate_eta(q, self.eta, self.table)
+        for var, expr in self.pairs:
+            q = q.substitute(var, expr)
+        return q
+
+
 def _apply_case(
     system: SolitonSystem,
     subs: Sequence[tuple[str, Polynomial]],
     c_expr: Optional[Polynomial],
     table: VariableTable,
 ) -> list[Polynomial]:
-    eta = system.eta
+    """The residuals with c := c_expr, then the case's substitutions."""
+    on_locus = _Substitution(subs, system.eta, table)
     residuals = list(system.residuals)
     if c_expr is not None:
-        c_poly = instantiate_eta(c_expr, eta, table)
+        c_poly = instantiate_eta(c_expr, system.eta, table)
         residuals = [r.substitute("c", c_poly) for r in residuals]
-    for var, expr in subs:
-        expr = instantiate_eta(expr, eta, table)
-        residuals = [r.substitute(var, expr) for r in residuals]
-    return residuals
+    return [on_locus(r) for r in residuals]
 
 
 def _reduce_ladder(
@@ -523,17 +515,14 @@ def _reduce_ladder(
     """Normal forms of the residuals modulo the case ideal.
 
     The ideal is generated by the family constraints under the case
-    substitutions and one relation var^2 - rhs per quadratic reduction.
-    One Groebner basis serves all nine residuals, and a residual reduces to
-    zero exactly when it lies in the ideal.
+    substitutions and one relation var^2 - rhs per quadratic reduction, its
+    rhs under the substitutions too.  One Groebner basis serves all nine
+    residuals, and a residual reduces to zero exactly when it lies in the
+    ideal.
     """
-    eta = system.eta
-    sub_map = {var: instantiate_eta(expr, eta, table) for var, expr in subs}
-    relations = [q.substitute_all(sub_map) for q in system.constraints]
-    relations += [
-        table.var(var) ** 2 - instantiate_eta(rhs, eta, table).substitute_all(sub_map)
-        for var, rhs in reductions
-    ]
+    on_locus = _Substitution(subs, system.eta, table)
+    relations = [on_locus(q) for q in system.constraints]
+    relations += [table.var(var) ** 2 - on_locus(rhs) for var, rhs in reductions]
     basis = groebner_basis(relations)
     return [r.normal_form(basis) for r in residuals]
 
@@ -546,42 +535,39 @@ def _sample_case_locus(
     table: VariableTable,
     rng: random.Random,
 ) -> Optional[dict[str, Value]]:
-    """One random point on the case locus, or None for a rejected draw."""
-    eta = system.eta
-    sub_map = {var: instantiate_eta(expr, eta, table) for var, expr in subs}
-    sample_map = {var: instantiate_eta(expr, eta, table) for var, expr in case.sample_subs}
+    """One random point on the case locus, or None for a rejected draw.
+
+    A relation var^2 = rhs that fixes var takes an exact root of its value,
+    a Surd where it is irrational; a draw whose relations would need a
+    second square root is rejected."""
+    on_locus = _Substitution(subs, system.eta, table)
+    sample = _Substitution(case.sample_subs, system.eta, table)
 
     def composed(q: Polynomial) -> Polynomial:
-        return q.substitute_all(sub_map).substitute_all(sample_map)
+        return sample(on_locus(q))
 
-    fam_params = build_family(case.family_id, eta=eta, table=table).parameters
-    consumed = set(sub_map) | set(sample_map)
-    if not sample_map:
+    fam_params = build_family(case.family_id, eta=system.eta, table=table).parameters
+    consumed = {var for var, _ in on_locus.pairs + sample.pairs}
+    if not sample.pairs:
         # no explicit parametrization: quadratic relations fix their vars
         consumed |= {var for var, _ in reductions}
-    free = [v for v in fam_params if v not in consumed]
-
-    values: dict[str, Value] = {}
-    for v in free:
-        values[v] = draw_rational(rng)
-    for var, expr in sample_map.items():
+    values: dict[str, Value] = {v: draw_rational(rng) for v in fam_params if v not in consumed}
+    for var, expr in sample.pairs:
         values[var] = expr.evaluate(values)
 
-    def tol() -> float:
-        # exact points are decided exactly; only a float root brings slack
-        return 0 if _is_exact(values.values()) else 1e-12
-
     for var, rhs in reductions:
-        rhs_val = composed(instantiate_eta(rhs, eta, table)).evaluate(values)
+        rhs_val = composed(rhs).evaluate(values)
         if var in values:
             # parametrized locus must satisfy the relation on its own
-            if abs(values[var] ** 2 - rhs_val) > tol():
+            if values[var] ** 2 != rhs_val:
                 return None
             continue
-        if rhs_val < 0:
+        root = exact_sqrt(rhs_val)
+        if root is None:  # a negative rhs, or a Surd one
             return None
-        root = _exact_or_float_sqrt(rhs_val)
         values[var] = root if rng.random() < 0.5 else -root
+        if not one_field(values.values()):
+            return None
     # family equality constraints on the composed locus
     for con in system.constraints:
         con = composed(con)
@@ -597,24 +583,14 @@ def _sample_case_locus(
                 values[var] = draw_rational(rng) if sol == "free" else sol
                 continue
             return None
-        if abs(con.evaluate(values)) > tol():
+        if con.evaluate(values):
             return None
     # nonvanishing: family side conditions and the case hypotheses
-    nonzero_tol = 0 if _is_exact(values.values()) else 1e-9
     for q in tuple(system.nonvanishing) + tuple(case.nonzero):
-        q = composed(instantiate_eta(q, eta, table))
-        if q.is_zero or abs(q.evaluate(values)) <= nonzero_tol:
+        q = composed(q)
+        if q.is_zero or not q.evaluate(values):
             return None
     return values
-
-
-def _exact_or_float_sqrt(value: Value) -> Value:
-    if isinstance(value, Fraction) and value >= 0:
-        num, den = value.numerator, value.denominator
-        rn, rd = isqrt(num), isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return Fraction(rn, rd)
-    return float(value) ** 0.5
 
 
 def _verify_single(
@@ -626,29 +602,27 @@ def _verify_single(
     table: VariableTable,
     seed: int,
     sample_count: int,
-    tolerance: float,
-) -> tuple[str, float, Optional[dict[str, Value]], str]:
+) -> tuple[str, Optional[dict[str, Value]], str]:
     """Run the exact -> reduced -> sampled ladder on one system branch.
 
-    Returns (method, max_float_residual, counterexample_point, detail); the
-    detail is empty except for "unsampled", where it gives the draw counts.
+    Returns (method, counterexample_point, detail); the detail is empty
+    except for "unsampled", where it gives the draw counts.
     """
     residuals = _apply_case(system, subs, c_expr, table)
     if all(r.is_zero for r in residuals):
-        return "exact", 0.0, None, ""
+        return "exact", None, ""
     reduced = _reduce_ladder(residuals, system, subs, reductions, table)
     if all(r.is_zero for r in reduced):
-        return "reduced", 0.0, None, ""
+        return "reduced", None, ""
     rng = random.Random(seed)
     checked = rejected = 0
-    worst = 0.0
     while checked < sample_count:
         if checked + rejected >= 50 * sample_count:
             detail = (
                 f"locus sampler gave up after {checked + rejected} draws: "
                 f"{rejected} rejected, {checked} of {sample_count} samples checked"
             )
-            return "unsampled", worst, None, detail
+            return "unsampled", None, detail
         values = _sample_case_locus(system, case, subs, reductions, table, rng)
         if values is None:
             rejected += 1
@@ -657,15 +631,10 @@ def _verify_single(
         full["lambda0"] = draw_rational(rng)
         if c_expr is None:
             full["c"] = draw_rational(rng)
-        tol = 0 if _is_exact(full.values()) else tolerance
-        for r in residuals:
-            val = r.evaluate(full)
-            mag = abs(float(val))
-            worst = max(worst, mag)
-            if abs(val) > tol:
-                return "failed", worst, full, ""
+        if any(r.evaluate(full) for r in residuals):
+            return "failed", full, ""
         checked += 1
-    return "sampled", worst, None, ""
+    return "sampled", None, ""
 
 
 def verify_case(
@@ -673,7 +642,6 @@ def verify_case(
     table: VariableTable = DEFAULT_TABLE,
     seed: int = 0,
     sample_count: int = 120,
-    tolerance: float = 1e-9,
 ) -> VerificationReport:
     """Verify a claimed case against the generated soliton system.
 
@@ -682,53 +650,32 @@ def verify_case(
     data's counterexample (if any) is preserved as evidence.
     """
     if case.empty:
-        return _verify_empty(case, table, seed, tolerance)
+        return _verify_empty(case, table, seed)
 
     stated_method = "exact"
-    stated_worst = 0.0
     stated_counter = None
     stated_detail = ""
     variant_method: Optional[str] = None
+    stated = (case.substitutions, case.c_expr, case.reductions)
     for fam in family_branches(case.family_id, table):
         system = soliton_system(fam, case.kind)
-        method, worst, counter, detail = _verify_single(
-            system,
-            case,
-            case.substitutions,
-            case.c_expr,
-            case.reductions,
-            table,
-            seed,
-            sample_count,
-            tolerance,
-        )
+        method, counter, detail = _verify_single(system, case, *stated, table, seed, sample_count)
         if _METHOD_ORDER[method] > _METHOD_ORDER[stated_method]:
             stated_method, stated_counter, stated_detail = method, counter, detail
-        stated_worst = max(stated_worst, worst)
-        if (
-            case.variant_substitutions is not None
-            or case.variant_c is not None
-            or case.variant_reductions is not None
-        ):
+        if (case.variant_substitutions, case.variant_c, case.variant_reductions) != (None, None, None):
             v_subs, v_c, v_reds = case.effective()
-            v_method, _, _, _ = _verify_single(
-                system, case, v_subs, v_c, v_reds, table, seed, sample_count, tolerance
-            )
+            v_method, _, _ = _verify_single(system, case, v_subs, v_c, v_reds, table, seed, sample_count)
             if variant_method is None or _METHOD_ORDER[v_method] > _METHOD_ORDER[variant_method]:
                 variant_method = v_method
 
     ok = stated_method in ("exact", "reduced") or (
         case.suspect and variant_method in ("exact", "reduced")
     )
-    return VerificationReport(
-        label=case.label,
-        family_id=case.family_id,
-        kind=case.kind,
-        method=stated_method,
-        ok=ok,
-        suspect=case.suspect,
-        residual_zero=stated_method in ("exact", "reduced"),
-        max_float_residual=stated_worst,
+    return _report(
+        case,
+        stated_method,
+        ok,
+        stated_method in ("exact", "reduced"),
         witness=resolve_witness(case, 1 if case.family_id == "g4" else None, table) or None,
         counterexample=stated_counter,
         variant_method=variant_method,
@@ -736,56 +683,37 @@ def verify_case(
     )
 
 
-def _verify_empty(
-    case: TheoremCase, table: VariableTable, seed: int, tolerance: float
-) -> VerificationReport:
+def _verify_empty(case: TheoremCase, table: VariableTable, seed: int) -> VerificationReport:
     """A no-solutions claim: scan both branches and demand zero solvable."""
     solvable = 0
     total = 0
     for fam in family_branches(case.family_id, table):
-        report = scan(fam, case.kind, seed=seed, count=500, tolerance=tolerance)
+        report = scan(fam, case.kind, seed=seed, count=500)
         solvable += len(report.solvable)
         total += report.size
     ok = solvable == 0
-    return VerificationReport(
-        label=case.label,
-        family_id=case.family_id,
-        kind=case.kind,
-        method="scan-empty",
-        ok=ok,
-        suspect=case.suspect,
-        residual_zero=ok,
-        detail=f"{solvable} solvable of {total} scanned {case.note}".strip(),
-    )
+    return _report(case, "scan-empty", ok, ok, detail=f"{solvable} solvable of {total} scanned {case.note}".strip())
 
 
 def negative_control(
     case: TheoremCase,
     perturbation: Fraction = Fraction(1),
     table: VariableTable = DEFAULT_TABLE,
-    lambda0_value: Value = Fraction(1, 2),
-    tolerance: float = 1e-9,
+    lambda0_value: Rational = Fraction(1, 2),
 ) -> VerificationReport:
     """Perturb the case's c at its witness and demand a nonzero residual.
 
     Guards against vacuously-zero systems.  Not applicable (reported ok,
     method "skipped") when the claim holds for every c, which happens
-    exactly when the bracket vanishes on the case locus.
+    exactly when the bracket vanishes on the case locus.  The residuals are
+    decided exactly; the largest one's size is reported for display.
     """
     if perturbation == 0:
         raise ValueError("perturbation must be nonzero")
+    [lambda0_value] = _rational([lambda0_value])
     _, c_expr, _ = case.effective()
     if case.empty or c_expr is None:
-        return VerificationReport(
-            label=case.label,
-            family_id=case.family_id,
-            kind=case.kind,
-            method="skipped",
-            ok=True,
-            suspect=case.suspect,
-            residual_zero=False,
-            detail="not applicable: every c solves on this locus",
-        )
+        return _report(case, "skipped", True, False, detail="not applicable: every c solves on this locus")
     best = 0.0
     witness: dict[str, Value] = {}
     for fam in family_branches(case.family_id, table):
@@ -793,37 +721,14 @@ def negative_control(
         witness = resolve_witness(case, system.eta, table)
         point = dict(witness)
         point["lambda0"] = lambda0_value
-        c_val = instantiate_eta(c_expr, system.eta, table).evaluate(point)
-        point["c"] = c_val + perturbation
-        branch_max = 0.0
-        for r in system.residuals:
-            val = r.evaluate(point)
-            branch_max = max(branch_max, abs(float(val)))
-        if branch_max <= (0.0 if _is_exact(point.values()) else tolerance):
-            return VerificationReport(
-                label=case.label,
-                family_id=case.family_id,
-                kind=case.kind,
-                method="control",
-                ok=False,
-                suspect=case.suspect,
-                residual_zero=True,
-                witness=witness,
-                detail="perturbed c still solves: system may be vacuous",
-            )
-        best = max(best, branch_max)
-    return VerificationReport(
-        label=case.label,
-        family_id=case.family_id,
-        kind=case.kind,
-        method="control",
-        ok=True,
-        suspect=case.suspect,
-        residual_zero=False,
-        max_float_residual=best,
-        witness=witness,
-        detail=f"perturbation {perturbation} raises residual {best:g}",
-    )
+        point["c"] = instantiate_eta(c_expr, system.eta, table).evaluate(point) + perturbation
+        values = [r.evaluate(point) for r in system.residuals]
+        if not any(values):
+            detail = "perturbed c still solves: system may be vacuous"
+            return _report(case, "control", False, True, witness=witness, detail=detail)
+        best = max(best, *(abs(float(v)) for v in values))
+    detail = f"perturbation {perturbation} raises residual {best:g}"
+    return _report(case, "control", True, False, max_float_residual=best, witness=witness, detail=detail)
 
 
 # -- membership of scan hits in a stated classification ------------------------
@@ -833,23 +738,17 @@ def case_matches_point(
     case: TheoremCase,
     eta: Optional[int],
     values: dict[str, Value],
-    lambda0_value: Value,
+    lambda0_value: Rational,
     c_solution: CSolution,
     table: VariableTable,
-    tolerance: float = 1e-9,
 ) -> bool:
     """Does a solvable scan entry fall inside the case's (effective) locus?
     An unsolvable one lies in no case."""
     if case.empty or c_solution.status == "none":
         return False
-    tol = _match_tolerance(_is_exact(values.values()), lambda0_value, tolerance)
+    [lambda0_value] = _rational([lambda0_value])
     compiled = _compiled_case(case, eta, table)
-    return compiled.locus_holds(values, tol) and compiled.c_matches(values, lambda0_value, c_solution, tol)
-
-
-def _match_tolerance(exact_point: bool, lambda0_value: Value, tolerance: float) -> float:
-    """0 at an exact point with an exact lambda0; `tolerance` once a float enters."""
-    return 0 if exact_point and not isinstance(lambda0_value, float) else tolerance
+    return compiled.locus_holds(values) and compiled.c_matches(values, lambda0_value, c_solution)
 
 
 class _CompiledCase:
@@ -857,39 +756,34 @@ class _CompiledCase:
     that must vanish on its locus (var - expr per substitution, var^2 - rhs
     per reduction), the ones that must not (its nonzero hypotheses), and
     c - c_expr, which must vanish at the point, lambda0 and the solved c
-    (None when the case leaves c free).  At tolerance 0 each test is decided
-    in integers by its `IntegerKernel`; otherwise by `Polynomial.evaluate`
-    against the tolerance."""
+    (None when the case leaves c free).  Each test is decided exactly by
+    its `IntegerKernel`, in integers or, at a point of Surds, in integer
+    Surds."""
 
-    __slots__ = ("vanish", "nonzero", "locus", "c", "c_kernel")
+    __slots__ = ("split", "locus", "c_kernel")
 
     def __init__(self, case: TheoremCase, eta: Optional[int], table: VariableTable):
         subs, c_expr, reductions = case.effective()
-        self.vanish = [table.var(var) - instantiate_eta(expr, eta, table) for var, expr in subs]
-        self.vanish += [table.var(var) ** 2 - instantiate_eta(rhs, eta, table) for var, rhs in reductions]
-        self.nonzero = [instantiate_eta(q, eta, table) for q in case.nonzero]
-        self.locus = IntegerKernel(table, self.vanish + self.nonzero)
-        self.c = None if c_expr is None else table.var("c") - instantiate_eta(c_expr, eta, table)
-        self.c_kernel = None if self.c is None else IntegerKernel(table, [self.c])
+        on_locus = _Substitution(subs, eta, table)
+        vanish = [table.var(var) - expr for var, expr in on_locus.pairs]
+        vanish += [table.var(var) ** 2 - instantiate_eta(rhs, eta, table) for var, rhs in reductions]
+        nonzero = [instantiate_eta(q, eta, table) for q in case.nonzero]
+        self.split = len(vanish)
+        self.locus = IntegerKernel(table, vanish + nonzero)
+        self.c_kernel = None
+        if c_expr is not None:
+            self.c_kernel = IntegerKernel(table, [table.var("c") - instantiate_eta(c_expr, eta, table)])
 
-    def locus_holds(self, values: dict[str, Value], tol: float) -> bool:
+    def locus_holds(self, values: dict[str, Value]) -> bool:
         """The lambda0-free half: substitutions, quadratic relations, hypotheses."""
-        if tol == 0:
-            out = self.locus(values)
-            split = len(self.vanish)
-            return not any(out[:split]) and all(out[split:])
-        return all(abs(q.evaluate(values)) <= tol for q in self.vanish) and all(
-            abs(q.evaluate(values)) > tol for q in self.nonzero
-        )
+        out = self.locus(values)
+        return not any(out[: self.split]) and all(out[self.split :])
 
-    def c_matches(self, values: dict[str, Value], lambda0_value: Value, c_solution: CSolution, tol: float) -> bool:
+    def c_matches(self, values: dict[str, Value], lambda0_value: Rational, c_solution: CSolution) -> bool:
         """The c half: the solved c equals the case's c at this lambda0."""
-        if self.c is None or c_solution.status == "any":
+        if self.c_kernel is None or c_solution.status == "any":
             return True
-        point = {**values, "lambda0": lambda0_value, "c": c_solution.value}
-        if tol == 0:
-            return not self.c_kernel(point)[0]
-        return abs(self.c.evaluate(point)) <= tol
+        return not self.c_kernel({**values, "lambda0": lambda0_value, "c": c_solution.value})[0]
 
 
 # One `_CompiledCase` per (case, eta, table) value; the bound holds one sweep
@@ -897,16 +791,13 @@ class _CompiledCase:
 _compiled_case = lru_cache(maxsize=64)(_CompiledCase)
 
 
-def scan_membership(
-    report: ScanReport, cases: Sequence[TheoremCase], table: VariableTable, tolerance: float = 1e-9
-) -> list[bool]:
+def scan_membership(report: ScanReport, cases: Sequence[TheoremCase], table: VariableTable) -> list[bool]:
     """Per solvable entry of `report`: does it fall inside one of `cases`?
 
     Equal to `any(case_matches_point(...))` entry by entry, but decided
-    over the report's rows, one per distinct point: a point's exactness
-    and the lambda0-free locus test once per tolerance it meets, c - c_expr
-    once per solvable lambda0.  A repeated point shares its first
-    occurrence's row and so its verdicts.
+    over the report's rows, one per distinct point: the lambda0-free locus
+    test once per point, c - c_expr once per solvable lambda0.  A repeated
+    point shares its first occurrence's row and so its verdicts.
     """
     compiled = [_compiled_case(case, report.eta, table) for case in cases if not case.empty]
     grid = report.lambda0_grid
@@ -914,7 +805,7 @@ def scan_membership(
     out: list[bool] = []
     for pt, row in zip(report.points, report.rows):
         if id(row) not in decided:
-            decided[id(row)] = _row_membership(compiled, pt.values, grid, row, tolerance)
+            decided[id(row)] = _row_membership(compiled, pt.values, grid, row)
         out += decided[id(row)]
     return out
 
@@ -922,19 +813,17 @@ def scan_membership(
 def _row_membership(
     compiled: Sequence[_CompiledCase],
     values: dict[str, Value],
-    grid: Sequence[Value],
+    grid: Sequence[Rational],
     row: Sequence[CSolution],
-    tolerance: float,
 ) -> list[bool]:
-    """Per solvable cell of one point's row: inside one of `compiled`?"""
-    exact = _is_exact(values.values())
-    loci: dict[float, list[_CompiledCase]] = {}  # the cases whose locus holds, by tolerance
+    """Per solvable cell of one point's row: inside one of `compiled`?  The
+    locus test runs only for a row with a solvable cell."""
+    holding: Optional[list[_CompiledCase]] = None  # the cases whose locus holds
     out = []
     for lam, sol in zip(grid, row):
         if sol.status == "none":
             continue
-        tol = _match_tolerance(exact, lam, tolerance)
-        if tol not in loci:
-            loci[tol] = [c for c in compiled if c.locus_holds(values, tol)]
-        out.append(any(c.c_matches(values, lam, sol, tol) for c in loci[tol]))
+        if holding is None:
+            holding = [c for c in compiled if c.locus_holds(values)]
+        out.append(any(c.c_matches(values, lam, sol) for c in holding))
     return out

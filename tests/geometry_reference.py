@@ -19,7 +19,7 @@ builds its residuals:
   term by term with every product formed, zero factors included,
 * `generated_families`: seeded custom algebras with affine bracket entries,
 * `G5_ON_A_CIRCLE`: g5 restricted to alpha^2 + beta^2 = 4, a custom algebra
-  whose quadratic constraint has no linear split, so its points are floats.
+  whose quadratic constraint has no linear split, so its points carry Surds.
 """
 
 import random
@@ -177,8 +177,9 @@ def generated_families(seed, count):
     return out
 
 
-# The quadratic constraint is solved by the sampler's numerical search for
-# beta, and the linear one for delta through the float linear root.
+# The quadratic constraint is solved for beta by the quadratic formula, often
+# a Surd, and the linear one for delta in beta's quadratic field.  The same
+# algebra is tests/data/circle.alg.
 G5_ON_A_CIRCLE = """
 bracket.13 = alpha, beta, 0
 bracket.23 = gamma, delta, 0

@@ -49,7 +49,7 @@ def catalog():
 
 @pytest.fixture(scope="module")
 def summary(catalog):
-    return verify_all(seed=SEED, tolerance=TOLERANCE, scan_count=SCAN_COUNT, catalog=catalog)
+    return verify_all(seed=SEED, scan_count=SCAN_COUNT, catalog=catalog)
 
 
 def records(summary, section):

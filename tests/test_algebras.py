@@ -13,6 +13,7 @@ from lieschouten.algebras import (
     LORENTZIAN,
     PRODUCT_STRUCTURE_J,
     ParameterPoint,
+    SamplingError,
     basis_vector,
     bracket,
     build_family,
@@ -22,7 +23,7 @@ from lieschouten.algebras import (
     sample_parameters,
     solve_constraint_for,
 )
-from lieschouten.poly import DEFAULT_TABLE, Polynomial, parse_polynomial
+from lieschouten.poly import DEFAULT_TABLE, Polynomial, Surd, one_field, parse_polynomial
 
 from geometry_reference import G5_ON_A_CIRCLE
 
@@ -45,9 +46,9 @@ def all_families():
 
 
 ABELIAN = custom_family("")
-# The numerical search for delta reads gamma, which the linear split solves,
-# so the split runs first; in G5_ON_A_CIRCLE the search runs first.
-SPLIT_READ_BY_SEARCH = """
+# The quadratic solve for delta reads gamma, which the linear split solves,
+# so the split runs first; in G5_ON_A_CIRCLE the quadratic solve runs first.
+SPLIT_READ_BY_QUADRATIC = """
 bracket.13 = alpha, beta, 0
 bracket.23 = gamma, delta, 0
 constraints = alpha*beta + gamma; gamma^2 + delta^2 - 4
@@ -66,6 +67,13 @@ TARGETS_READ_BOTH_WAYS = """
 bracket.13 = alpha, beta, 0
 bracket.23 = gamma, delta, 0
 constraints = gamma + delta; alpha*delta + gamma
+"""
+# Two circles: beta and delta are each a root of a quadratic, mostly in two
+# different quadratic fields.
+TWO_CIRCLES = """
+bracket.13 = alpha, beta, 0
+bracket.23 = gamma, delta, 0
+constraints = alpha^2 + beta^2 - 4; gamma^2 + delta^2 - 2
 """
 
 
@@ -195,7 +203,6 @@ class TestSampling:
     def test_g5_constraint_exact(self):
         con = p("alpha*gamma + beta*delta")
         for point in sample_parameters(build_family("g5"), seed=1, count=40):
-            assert point.exact
             assert con.evaluate(point.values) == 0
 
     def test_solve_linear_constraint(self):
@@ -219,51 +226,67 @@ class TestSampling:
             assert pt.values["alpha"] * pt.values["gamma"] == 0
             assert pt.values["alpha"] + pt.values["delta"] != 0
 
-    def test_float_points_satisfy_both_constraints(self):
-        # beta by the numerical search, delta by the float linear root
-        for pt in sample_parameters(custom_family(G5_ON_A_CIRCLE), seed=2, count=10):
-            assert not pt.exact
-            assert abs(pt.values["alpha"] ** 2 + pt.values["beta"] ** 2 - 4) < 1e-6
-            assert abs(p("alpha*gamma + beta*delta").evaluate(pt.values)) < 1e-6
-            assert abs(pt.values["alpha"] + pt.values["delta"]) > 1e-6
+    def test_surd_points_satisfy_both_constraints(self):
+        # beta by the quadratic formula, delta by the linear root in beta's field
+        points = sample_parameters(custom_family(G5_ON_A_CIRCLE), seed=2, count=10)
+        assert any(isinstance(pt.values["beta"], Surd) for pt in points)
+        for pt in points:
+            assert pt.values["alpha"] ** 2 + pt.values["beta"] ** 2 == 4
+            assert p("alpha*gamma + beta*delta").evaluate(pt.values) == 0
+            assert pt.values["alpha"] + pt.values["delta"] != 0
 
-    @pytest.mark.parametrize("text", [G5_ON_A_CIRCLE, SPLIT_READ_BY_SEARCH], ids=["search-first", "split-first"])
-    def test_listed_order_of_float_constraints_does_not_matter(self, text):
+    @pytest.mark.parametrize("text", [G5_ON_A_CIRCLE, SPLIT_READ_BY_QUADRATIC], ids=["quadratic-first", "split-first"])
+    def test_listed_order_of_quadratics_does_not_matter(self, text):
         line = next(row for row in text.splitlines() if row.startswith("constraints = "))
         first, second = line[len("constraints = ") :].split("; ")
         fams = [custom_family(text), custom_family(text.replace(line, f"constraints = {second}; {first}"))]
         assert fams[1].equality_constraints == fams[0].equality_constraints[::-1]
         points = [sample_parameters(fam, seed=0, count=5) for fam in fams]
         assert points[0] == points[1]
+        assert any(isinstance(v, Surd) for pt in points[0] for v in pt.values.values())
         for pt in points[0]:
-            assert not pt.exact
-            assert all(abs(q.evaluate(pt.values)) <= 1e-9 for q in fams[0].equality_constraints)
+            assert all(q.evaluate(pt.values) == 0 for q in fams[0].equality_constraints)
 
-    def test_float_point_off_a_constraint_is_rejected(self, monkeypatch):
-        searches = []
-        float_project = algebras._float_project
+    def test_draw_needing_a_second_square_root_is_rejected(self, monkeypatch):
+        verdicts = []
 
-        def every_other_search_misses(constraint, values, rng):
-            found = float_project(constraint, values, rng)
-            searches.append(constraint)
-            if len(searches) % 2:  # G5_ON_A_CIRCLE's search solves for beta
-                values["beta"] += 1e-6
-            return found
+        def recording(values):
+            verdicts.append(one_field(values))
+            return verdicts[-1]
 
-        monkeypatch.setattr(algebras, "_float_project", every_other_search_misses)
-        fam = custom_family(G5_ON_A_CIRCLE)
-        points = sample_parameters(fam, seed=0, count=5)
-        assert len(searches) >= 2 * len(points)  # each kept point cost a missed search
+        monkeypatch.setattr(algebras, "one_field", recording)
+        fam = custom_family(TWO_CIRCLES)
+        points = sample_parameters(fam, seed=0, count=20)
+        assert False in verdicts  # some draws put beta and delta in two fields
         for pt in points:
-            assert all(abs(q.evaluate(pt.values)) <= 1e-9 for q in fam.equality_constraints)
+            assert one_field(pt.values.values())
+            assert all(q.evaluate(pt.values) == 0 for q in fam.equality_constraints)
+        assert any(isinstance(pt.values["beta"], Surd) and isinstance(pt.values["delta"], Surd) for pt in points)
 
-    def test_constraint_without_linear_split_forces_float_points(self):
-        floats = sample_parameters(custom_family(G5_ON_A_CIRCLE), seed=4, count=5)
-        assert all(not pt.exact and all(type(v) is float for v in pt.values.values()) for pt in floats)
-        # the same algebra without the quadratic constraint samples exactly
+    def test_constraint_without_linear_split_gives_surd_points(self):
+        points = sample_parameters(custom_family(G5_ON_A_CIRCLE), seed=4, count=5)
+        assert any(type(pt.values["beta"]) is Surd for pt in points)
+        assert all(type(v) in (Fraction, Surd) for pt in points for v in pt.values.values())
+        # the same algebra without the quadratic constraint samples rationals
         linear_only = G5_ON_A_CIRCLE.replace("alpha^2 + beta^2 - 4; ", "")
-        exact = sample_parameters(custom_family(linear_only), seed=4, count=5)
-        assert all(pt.exact and all(type(v) is Fraction for v in pt.values.values()) for pt in exact)
+        rational = sample_parameters(custom_family(linear_only), seed=4, count=5)
+        assert all(type(v) is Fraction for pt in rational for v in pt.values.values())
+
+    @pytest.mark.parametrize(
+        "constraint", ["alpha^3 - 2", "alpha^3 + beta^3 - 2", "alpha^3*beta^4 + 1"], ids=["one", "two", "product"]
+    )
+    def test_constraint_of_degree_above_two_is_a_sampling_error(self, constraint):
+        fam = custom_family(f"bracket.13 = alpha, beta, 0\nconstraints = {constraint}\n")
+        with pytest.raises(SamplingError, match="has degree above 2 in every variable"):
+            sample_parameters(fam, seed=0, count=1)
+
+    def test_constraint_of_solved_variables_is_only_checked(self):
+        # alpha^2 - 1 has no variable left once alpha - 1 has solved for alpha
+        fam = custom_family("bracket.13 = alpha, beta, 0\nconstraints = alpha - 1; alpha^2 - 1\n")
+        assert all(pt.values["alpha"] == 1 for pt in sample_parameters(fam, seed=0, count=5))
+        never = custom_family("bracket.13 = alpha, beta, 0\nconstraints = alpha - 1; alpha - 2\n")
+        with pytest.raises(SamplingError, match="no draw of custom meets its side conditions"):
+            sample_parameters(never, seed=0, count=1)
 
     @pytest.mark.parametrize("text", [SHARED_LINEAR_TARGET, TARGETS_READ_BOTH_WAYS], ids=["shared", "read-both-ways"])
     def test_every_point_satisfies_every_constraint(self, text):
@@ -271,15 +294,11 @@ class TestSampling:
         points = sample_parameters(fam, seed=0, count=20)
         assert len(points) == 20
         for pt in points:
-            values = [q.evaluate(pt.values) for q in fam.equality_constraints]
-            assert all(v == 0 for v in values) if pt.exact else all(abs(v) <= 1e-9 for v in values)
-        if text == TARGETS_READ_BOTH_WAYS:
-            assert all(pt.exact for pt in points)
+            assert all(q.evaluate(pt.values) == 0 for q in fam.equality_constraints)
 
     @pytest.mark.parametrize("fam", list(all_families()), ids=lambda f: f.describe())
     def test_catalogued_points_satisfy_constraints_exactly(self, fam):
         for pt in sample_parameters(fam, seed=0, count=200):
-            assert pt.exact
             assert all(q.evaluate(pt.values) == 0 for q in fam.equality_constraints)
 
     def test_count_validation(self):
@@ -338,7 +357,6 @@ def reference_sample(fam, seed, count):
 def test_sampler_matches_evaluate_reference(fam, seed):
     got = sample_parameters(fam, seed=seed, count=200)
     expected, _ = reference_sample(fam, seed, 200)
-    assert all(pt.exact for pt in got)
     assert [pt.values for pt in got] == expected
     assert [{k: type(v) for k, v in pt.values.items()} for pt in got] == [
         {k: type(v) for k, v in e.items()} for e in expected
@@ -405,5 +423,5 @@ class TestCustomFiles:
             algebras.load_family(f"custom:{DATA / 'reserved.alg'}")
 
     def test_parameter_point_type(self):
-        pt = ParameterPoint(values={"alpha": Fraction(1)}, exact=True)
-        assert pt.exact and pt.values == {"alpha": Fraction(1)}
+        pt = ParameterPoint(values={"alpha": Fraction(1)})
+        assert pt.values == {"alpha": Fraction(1)} and pt == ParameterPoint({"alpha": Fraction(1)})

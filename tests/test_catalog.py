@@ -12,6 +12,7 @@ from lieschouten.catalog import (
     verify_all,
 )
 from lieschouten.geometry import connection, ricci_pipeline
+from lieschouten.poly import exact_sqrt
 from lieschouten.soliton import soliton_system
 
 # the documented set of claims whose stated form is internally inconsistent
@@ -87,6 +88,15 @@ class TestLoading:
         with pytest.raises(CatalogError) as err:
             load_catalog(text=bad)
         assert "zeta" in str(err.value)
+
+    def test_irrational_witness_is_an_exact_root(self, catalog):
+        # 4.11.2's locus beta^2 = 2*alpha^2 is witnessed by beta = sqrt(2), exactly
+        witness = dict(catalog.case("4.11.2").witness)
+        assert witness["beta"] == exact_sqrt(2) and witness["beta"] ** 2 == 2
+        case = "[case x]\nfamily = g6\nkind = canonical\nc = 0\nwitness = alpha = 1, beta = {}\n"
+        for bad in ("sqrt(-2)", "sqrt(alpha)", "sqrt(1/0)"):
+            with pytest.raises(CatalogError, match=r"^\[case x\] witness .* is not the square root"):
+                load_catalog(text=case.format(bad))
 
     def test_suspect_flags_match_documentation(self, catalog):
         assert {c.label for c in catalog.cases if c.suspect} == SUSPECT_CASES

@@ -61,11 +61,31 @@ class TestExitCodes:
         assert err == "data error: invalid custom algebra file: bracket.12: c is reserved for the soliton unknowns\n"
 
     def test_nonpositive_tolerance_rejected(self, capsys):
-        # nan and inf pass a plain `<= 0` check; they are usage errors too
+        # every decision is exact, so --tolerance is no option at all, whatever its value
         for command in (("scan", "--family", "g1", "--kind", "lc"), ("verify", "--only", "4.11.2")):
-            for value in ("-1", "nan", "inf"):
-                code, out, err = run(capsys, *command, "--tolerance", value)
-                assert (code, out) == (2, "") and "positive finite" in err, (command, value)
+            for value in ("-1", "1e-9"):
+                with pytest.raises(SystemExit) as exit_:
+                    main([*command, "--tolerance", value])
+                captured = capsys.readouterr()
+                assert (exit_.value.code, captured.out) == (2, "")
+                assert "unrecognized arguments: --tolerance" in captured.err, (command, value)
+
+    SAMPLING_ERRORS = {
+        "cubic": "constraint alpha^3 + beta^3 - 2 has degree above 2 in every variable it could be solved for",
+        "unsatisfiable": "no draw of custom meets its side conditions: 0 of 100 points after 21000 draws",
+    }
+
+    @pytest.mark.parametrize("command", ["scan", "jacobi"])
+    @pytest.mark.parametrize("name", list(SAMPLING_ERRORS))
+    def test_data_error_when_the_sampler_cannot_meet_the_side_conditions(self, capsys, command, name):
+        code, out, err = run(capsys, command, "--family", f"custom:{DATA / f'{name}.alg'}", "--format", "machine")
+        assert (code, out, err) == (3, "", f"data error: {self.SAMPLING_ERRORS[name]}\n")
+
+    @pytest.mark.parametrize("command", ["system", "ricci"])
+    @pytest.mark.parametrize("name", ["cubic", "unsatisfiable"])
+    def test_commands_that_do_not_sample_accept_such_files(self, capsys, command, name):
+        code, out, _ = run(capsys, command, "--family", f"custom:{DATA / f'{name}.alg'}", "--format", "machine")
+        assert code == 0 and out
 
     def test_lambda0_division_by_zero_is_usage_error(self, capsys):
         code, out, err = run(capsys, "scan", "--family", "g1", "--lambda0", "0,1/0")
@@ -149,6 +169,16 @@ class TestScan:
             capsys, "scan", "--family", "g4", "--eta", "1", "--kind", "kn", "--count", "40"
         )
         assert code == 0 and "0 solvable of 240" in out
+
+    def test_circle_scan_matches_golden_file(self, capsys):
+        # points with a quadratic root, printed exactly as surds, one ASCII form
+        code, out, _ = run(
+            capsys, "scan", "--family", f"custom:{DATA / 'circle.alg'}", "--kind", "canonical",
+            "--count", "20", "--format", "machine",
+        )
+        assert code == 0
+        assert out == (DATA / "golden_circle_scan.txt").read_text(encoding="utf-8")
+        assert "*sqrt(" in out and "-0.0" not in out
 
     def test_custom_lambda0_grid(self, capsys):
         code, out, _ = run(

@@ -15,9 +15,11 @@ from lieschouten.poly import (
     ParseError,
     Polynomial,
     PolynomialError,
+    Surd,
     VariableTable,
     _FIELD,
     _tokenize,
+    exact_sqrt,
     groebner_basis,
     parse_polynomial,
     sum_of_products,
@@ -1046,3 +1048,80 @@ def test_parse_print_roundtrip_through_sympy(sympy, q):
         "*".join([f"({c})"] + [f"{n}^{e}" for n, e in zip(names, m) if e]) for m, c in monomials
     )
     assert parse_polynomial(text or "0", _small_table) == q
+
+
+# -- exact quadratic surds against sympy ----------------------------------------
+
+_RADICANDS = (2, 3, 5, 6, 8, 12, 18, 50, 99, Fraction(1, 2), Fraction(9, 8), Fraction(35, 9), 2**45 * 3)
+_PARTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def surd_to_sympy(sympy, x):
+    def q(v):
+        return sympy.Rational(v.numerator, v.denominator)
+
+    return q(x.a) + q(x.b) * sympy.sqrt(x.d) if isinstance(x, Surd) else q(x)
+
+
+def sympy_zero(sympy, expr):
+    return sympy.expand(sympy.radsimp(expr)) == 0
+
+
+def sign_of(x):
+    return x.sign() if isinstance(x, Surd) else (x > 0) - (x < 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    radicand=st.sampled_from(_RADICANDS),
+    parts=st.lists(_PARTS, min_size=4, max_size=4),
+    op=st.sampled_from(["+", "-", "*", "/", "**"]),
+    exponent=st.integers(-3, 4),
+)
+def test_surd_arithmetic_zero_test_and_sign_match_sympy(sympy, radicand, parts, op, exponent):
+    root = exact_sqrt(radicand)
+    assert sympy_zero(sympy, surd_to_sympy(sympy, root) - sympy.sqrt(sympy.Rational(str(radicand))))
+    x, y = parts[0] + parts[1] * root, parts[2] + parts[3] * root
+    sx, sy = surd_to_sympy(sympy, x), surd_to_sympy(sympy, y)
+    if sympy_zero(sympy, sy if op == "/" else sx) and (op == "/" or (op == "**" and exponent < 0)):
+        with pytest.raises(ZeroDivisionError):
+            x / y if op == "/" else x**exponent
+        return
+    got, expected = {
+        "+": (lambda: (x + y, sx + sy)),
+        "-": (lambda: (x - y, sx - sy)),
+        "*": (lambda: (x * y, sx * sy)),
+        "/": (lambda: (x / y, sx / sy)),
+        "**": (lambda: (x**exponent, sx**exponent)),
+    }[op]()
+    assert sympy_zero(sympy, surd_to_sympy(sympy, got) - expected)
+    # a Surd is never zero; a zero result is the rational 0
+    assert bool(got) == (not sympy_zero(sympy, expected))
+    assert isinstance(got, (int, Fraction, Surd)) and not (isinstance(got, Surd) and got.b == 0)
+    assert sign_of(got) == int(sympy.sign(expected))
+    assert (x == y) == sympy_zero(sympy, sx - sy) and (x == y) <= (hash(x) == hash(y))
+    # the integer form is the value times its positive denominator
+    if isinstance(got, Surd):
+        num = got.numerator
+        assert got.denominator > 0 and num == got * got.denominator
+        assert all(type(part) is int or part.denominator == 1 for part in (num.a, num.b))
+        assert sympy_zero(sympy, sympy.sympify(str(got)) - surd_to_sympy(sympy, got))
+
+
+def test_surds_of_two_fields_do_not_mix():
+    with pytest.raises(PolynomialError, match="two quadratic fields"):
+        exact_sqrt(2) + exact_sqrt(3)
+    assert exact_sqrt(8) == 2 * exact_sqrt(2) and exact_sqrt(2) != exact_sqrt(3)
+    assert exact_sqrt(-1) is None and exact_sqrt(exact_sqrt(2)) is None
+
+
+def test_polynomial_evaluates_at_a_surd_point():
+    q = parse_polynomial("alpha^2 + beta^2 - 4")
+    beta = exact_sqrt(3)
+    assert q.evaluate({"alpha": 1, "beta": beta}) == 0
+    assert type(q.evaluate({"alpha": 1, "beta": beta})) is Fraction
+    assert parse_polynomial("alpha*beta").evaluate({"alpha": 2, "beta": beta}) == 2 * beta
+    # the compiled integer form runs unchanged, on integer Surds
+    kernel = IntegerKernel(DEFAULT_TABLE, [q, parse_polynomial("alpha*beta - 1/2")])
+    zero, other = kernel({"alpha": Fraction(1, 2), "beta": exact_sqrt(Fraction(15, 4))})
+    assert zero == 0 and isinstance(other, Surd) and other.sign() > 0  # sqrt(15)/4 - 1/2

@@ -12,7 +12,7 @@ from lieschouten import soliton
 from lieschouten.algebras import build_family, custom_family, family_branches, instantiate_eta, sample_parameters
 from lieschouten.catalog import Catalog, load_catalog, verify_all
 from lieschouten.geometry import CONNECTION_KINDS, OperatorMatrix, connection, ricci_pipeline
-from lieschouten.poly import DEFAULT_TABLE, PolynomialError, parse_polynomial
+from lieschouten.poly import DEFAULT_TABLE, PolynomialError, Surd, exact_sqrt, parse_polynomial
 from lieschouten.soliton import (
     DEFAULT_LAMBDA0_GRID,
     CSolution,
@@ -28,7 +28,7 @@ from lieschouten.soliton import (
     soliton_system,
     verify_case,
 )
-from lieschouten.soliton import _exact_c_solver, _exact_or_float_sqrt, _sample_case_locus
+from lieschouten.soliton import _apply_case, _CompiledCase, _exact_c_solver, _reduce_ladder, _sample_case_locus
 
 from geometry_reference import (
     G5_ON_A_CIRCLE,
@@ -421,7 +421,7 @@ def reference_solve(rows):
 
 
 def reference_scan(fam, kind, seed, count, grid):
-    """(values, lambda0, status, c, residual_max) per entry via Polynomial.evaluate."""
+    """(values, lambda0, status, c) per entry via Polynomial.evaluate."""
     split = []
     for r in soliton_system(fam, kind).residuals:
         rest = r.coefficient_of("c", 0)
@@ -431,7 +431,7 @@ def reference_scan(fam, kind, seed, count, grid):
         evaluated = [(p0.evaluate(pt.values), q.evaluate(pt.values), rc.evaluate(pt.values)) for p0, q, rc in split]
         for lam in grid:
             sol = reference_solve([(a, b0 + b1 * lam) for b0, b1, a in evaluated])
-            out.append((pt.values, lam, sol.status, sol.value, sol.residual_max))
+            out.append((pt.values, lam, sol.status, sol.value))
     return out
 
 
@@ -439,7 +439,7 @@ def reference_scan(fam, kind, seed, count, grid):
 @pytest.mark.parametrize("fam", all_family_branches(), ids=lambda f: f.describe())
 def test_scan_kernel_matches_fraction_reference(fam, kind):
     report = scan(fam, kind, seed=0, count=60, lambda0_grid=EXTENDED_GRID)
-    got = [(e.values, e.lambda0, e.status, e.c, e.residual_max) for e in report.entries]
+    got = [(e.values, e.lambda0, e.status, e.c) for e in report.entries]
     expected = reference_scan(fam, kind, 0, 60, EXTENDED_GRID)
     assert got == expected
     assert [tuple(map(type, g)) for g in got] == [tuple(map(type, e)) for e in expected]
@@ -530,34 +530,38 @@ def test_exact_c_solver_matches_fraction_reference_at_each_lambda0(rows, lambdas
         assert len({sol.status for sol in solutions}) == 1
 
 
-FLOAT_G5 = custom_family(G5_ON_A_CIRCLE)  # its sample points are floats
+SURD_G5 = custom_family(G5_ON_A_CIRCLE)  # its sample points are Surds
 
 
-def test_float_points_scan_through_tolerance_path(monkeypatch):
-    calls = []
-    solve_rows = soliton._solve_rows
-
-    def counting(rows, tolerance):
-        calls.append(tolerance)
-        return solve_rows(rows, tolerance)
-
-    def refuse(rows):
-        raise AssertionError("exact solver reached from a float point")
-
-    monkeypatch.setattr(soliton, "_solve_rows", counting)
-    monkeypatch.setattr(soliton, "_exact_c_solver", refuse)
-    report = scan(FLOAT_G5, "canonical", seed=0, count=20, tolerance=1e-7)
-    assert calls == [1e-7] * len(report.entries)
-    assert all(isinstance(v, float) for e in report.entries for v in e.values.values())
-    assert all(e.status == "unique" and isinstance(e.c, float) and abs(e.c) <= 1e-7 for e in report.entries)
+@pytest.mark.parametrize("kind", CONNECTION_KINDS)
+def test_surd_points_scan_exactly(kind):
+    # the kernel runs in integer Surds and matches the reference, which
+    # evaluates and divides the Surds themselves
+    report = scan(SURD_G5, kind, seed=0, count=20, lambda0_grid=EXTENDED_GRID)
+    assert any(isinstance(v, Surd) for pt in report.points for v in pt.values.values())
+    got = [(e.values, e.lambda0, e.status, e.c) for e in report.entries]
+    assert got == reference_scan(SURD_G5, kind, 0, 20, EXTENDED_GRID)
+    if kind == "canonical":
+        assert all(e.status == "unique" and type(e.c) is Fraction and e.c == 0 for e in report.entries)
 
 
 class TestExactLocus:
     def test_sqrt_of_large_perfect_square_is_exact(self):
-        assert _exact_or_float_sqrt(Fraction((2**60 + 1) ** 2, 9)) == Fraction(2**60 + 1, 3)
+        assert exact_sqrt(Fraction((2**60 + 1) ** 2, 9)) == Fraction(2**60 + 1, 3)
 
     def test_sqrt_beyond_float_range_is_exact(self):
-        assert _exact_or_float_sqrt(Fraction(10**400)) == Fraction(10**200)
+        assert exact_sqrt(Fraction(10**400)) == Fraction(10**200)
+        assert exact_sqrt(Fraction(2 * 10**400, 9)) == Fraction(10**200, 3) * exact_sqrt(2)
+
+    def test_irrational_root_of_a_relation_is_a_surd(self):
+        # 4.11.2's locus: beta^2 = 2*alpha^2 with alpha drawn, so beta is alpha*sqrt(2)
+        case = next(c for c in CATALOG_CASES if c.label == "4.11.2")
+        system = soliton_system(build_family("g6"), "canonical")
+        draws = (random.Random(k) for k in range(20))
+        points = [_sample_case_locus(system, case, case.substitutions, case.reductions, T, rng) for rng in draws]
+        points = [pt for pt in points if pt is not None]
+        assert points and all(type(pt["beta"]) is Surd and pt["beta"].d == 2 for pt in points)
+        assert all(pt["beta"] ** 2 == 2 * pt["alpha"] ** 2 for pt in points)
 
     def test_parametrized_relation_is_checked_without_tolerance(self):
         def case(rhs):
@@ -679,6 +683,58 @@ class TestReduceLadder:
         assert reduced == p("2*gamma")
 
 
+class TestListedOrderSubstitution:
+    # gamma := beta - alpha; beta := alpha, listed against table order: in
+    # listed order gamma becomes beta - alpha and then alpha - alpha = 0, so
+    # the locus is gamma = 0, beta = alpha.  In table order beta := alpha
+    # would run first and leave gamma = beta - alpha with beta free.  On g6
+    # the constraint alpha*gamma - beta*delta becomes -alpha*delta.
+    SYSTEM = soliton_system(build_family("g6"), "lc")
+    CASE = TheoremCase(
+        label="o.1",
+        family_id="g6",
+        kind="lc",
+        substitutions=(("gamma", p("beta - alpha")), ("beta", p("alpha"))),
+        c_expr=p("alpha^2 - lambda0"),
+        nonzero=(p("alpha"),),
+    )
+    RESOLVED = {"gamma": T.zero, "beta": p("alpha")}
+
+    def resolved(self, q):
+        return q.substitute("gamma", T.zero).substitute("beta", p("alpha"))
+
+    def test_ladder_applies_the_listed_order(self):
+        applied = _apply_case(self.SYSTEM, self.CASE.substitutions, self.CASE.c_expr, T)
+        c_poly = self.CASE.c_expr
+        assert applied == [self.resolved(r.substitute("c", c_poly)) for r in self.SYSTEM.residuals]
+        # the constraint becomes -alpha*delta, so alpha*delta is in the ideal
+        [reduced] = _reduce_ladder([p("alpha*delta")], self.SYSTEM, self.CASE.substitutions, (), T)
+        assert reduced.is_zero
+
+    def test_sampler_and_membership_agree_with_the_ladder(self):
+        compiled = _CompiledCase(self.CASE, None, T)
+        applied = _apply_case(self.SYSTEM, self.CASE.substitutions, self.CASE.c_expr, T)
+        points = [
+            _sample_case_locus(self.SYSTEM, self.CASE, self.CASE.substitutions, (), T, random.Random(k))
+            for k in range(60)
+        ]
+        points = [pt for pt in points if pt is not None]
+        assert points
+        for pt in points:
+            assert set(pt) == {"alpha", "delta"}
+            full = {**pt, **{var: expr.evaluate(pt) for var, expr in self.RESOLVED.items()}}
+            assert compiled.locus_holds(full)
+            assert all(q.evaluate(full) == 0 for q in self.SYSTEM.constraints)
+            at = {**pt, "lambda0": Fraction(1, 2)}
+            assert [r.evaluate(at) for r in applied] == [
+                r.evaluate({**full, "lambda0": Fraction(1, 2), "c": self.CASE.c_expr.evaluate(at)})
+                for r in self.SYSTEM.residuals
+            ]
+        # the table-order reading, gamma = beta - alpha with beta free, is off the locus
+        off = {"alpha": Fraction(1), "beta": Fraction(2), "gamma": Fraction(1), "delta": Fraction(0)}
+        assert not compiled.locus_holds(off)
+
+
 def test_lambda0_law_flags_exactly_six_stated_suspect_case_branches():
     """A claim c = c_expr can hold for every lambda0 only if
     mu = c_expr + s*lambda0 is free of lambda0 modulo the case ideal: the
@@ -789,22 +845,19 @@ def test_scan_of_a_sample_with_repeats_equals_the_per_entry_reference(kind):
     points = sample_parameters(fam, seed=0, count=count)
     assert len({tuple(pt.values.items()) for pt in points}) < count  # repeats occur
     report = scan(fam, kind, seed=0, count=count)
-    got = [(e.values, e.lambda0, e.status, e.c, e.residual_max) for e in report.entries]
+    got = [(e.values, e.lambda0, e.status, e.c) for e in report.entries]
     assert got == reference_scan(fam, kind, 0, count, DEFAULT_LAMBDA0_GRID)
     assert [e.index for e in report.entries] == [i for i in range(count) for _ in DEFAULT_LAMBDA0_GRID]
 
 
-MEMBERSHIP_GRID = DEFAULT_LAMBDA0_GRID + (Fraction(-7, 3), 0.3)
+MEMBERSHIP_GRID = DEFAULT_LAMBDA0_GRID + (Fraction(-7, 3), Fraction(3, 10))
 CATALOG_CASES = load_catalog().cases
 
 
-def memberships(matches, report, cases, eta, tolerance=1e-9):
+def memberships(matches, report, cases, eta):
     """Per solvable entry: does `matches` place it inside one of `cases`?"""
     return [
-        any(
-            matches(case, eta, e.values, e.lambda0, CSolution(e.status, e.c, e.residual_max), T, tolerance)
-            for case in cases
-        )
+        any(matches(case, eta, e.values, e.lambda0, CSolution(e.status, e.c), T) for case in cases)
         for e in report.solvable
     ]
 
@@ -821,106 +874,85 @@ def test_scan_membership_equals_case_matches_point(fam, kind):
         assert memberships(case_matches_point, report, subset, fam.eta) == expected
 
 
-def test_membership_at_float_points_matches_the_reference():
-    # at float points every test is a tolerance test; a wide tolerance
-    # makes each half of the membership hold at some entries and fail at others
+def test_membership_at_surd_points_matches_the_reference():
+    # on the circle every sampled point meets the relation beta^2 = 4 - alpha^2
+    # exactly; gamma = delta holds only where both are 0, and c = 0 equals
+    # lambda0 - 1 only at lambda0 = 1, so each half holds at some entries only
     case = TheoremCase(
         label="f.1",
         family_id="custom",
         kind="canonical",
         substitutions=(("gamma", p("delta")),),
-        c_expr=p("lambda0 - 5/4"),
+        c_expr=p("lambda0 - 1"),
         reductions=(("beta", p("4 - alpha^2")),),
         nonzero=(p("alpha + delta"), p("delta - 1")),
     )
-    report = scan(FLOAT_G5, "canonical", seed=1, count=60, lambda0_grid=MEMBERSHIP_GRID)
-    expected = memberships(reference_case_matches_point, report, [case], None, tolerance=0.5)
-    assert scan_membership(report, [case], T, tolerance=0.5) == expected
-    assert memberships(case_matches_point, report, [case], None, tolerance=0.5) == expected
+    report = scan(SURD_G5, "canonical", seed=1, count=60, lambda0_grid=MEMBERSHIP_GRID)
+    expected = memberships(reference_case_matches_point, report, [case], None)
+    assert scan_membership(report, [case], T) == expected
+    assert memberships(case_matches_point, report, [case], None) == expected
     assert any(expected) and not all(expected)
+    assert any(isinstance(pt.values["beta"], Surd) for pt in report.points)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    fam=st.sampled_from(all_family_branches() + [FLOAT_G5]),
+    fam=st.sampled_from(all_family_branches() + [SURD_G5]),
     kind=st.sampled_from(CONNECTION_KINDS),
     seed=st.integers(0, 1000),
     grid=st.lists(rational, min_size=1, max_size=4),
-    with_float=st.booleans(),
 )
-def test_solve_for_c_equals_the_scan_entry(fam, kind, seed, grid, with_float):
-    grid = grid + [0.3] if with_float else grid
+def test_solve_for_c_equals_the_scan_entry(fam, kind, seed, grid):
     report = scan(fam, kind, seed=seed, count=4, lambda0_grid=grid)
     system = soliton_system(fam, kind)
     for e in report.entries:
         sol = solve_for_c(system, e.values, e.lambda0)
-        assert sol == CSolution(e.status, e.c, e.residual_max)
+        assert sol == CSolution(e.status, e.c)
         assert type(sol.value) is type(e.c)
-        if sol.status == "unique":  # the solved c, plugged back, solves
+        if sol.status == "unique":  # the solved c, plugged back, solves exactly
             point = {**e.values, "lambda0": e.lambda0, "c": e.c}
-            assert all(abs(r.evaluate(point)) <= 1e-9 for r in system.residuals)
+            assert all(r.evaluate(point) == 0 for r in system.residuals)
 
 
-def reference_float_c(system, values, lam, tolerance=1e-9):
-    """The rows a_i*c + b_i of the residuals, evaluated in floats at the
-    point and lambda0, solved here: (status, c)."""
-    point = {**{n: float(v) for n, v in values.items()}, "lambda0": lam}
-    rows = [
-        (float(r.coefficient_of("c", 1).evaluate(point)), float(r.coefficient_of("c", 0).evaluate(point)))
-        for r in system.residuals
-    ]
-    candidates = [-b / a for a, b in rows if abs(a) > tolerance]
-    if not candidates:
-        return ("any" if all(abs(b) <= tolerance for _, b in rows) else "none"), None
-    c = candidates[0]
-    if any(abs(c - other) > tolerance for other in candidates) or any(abs(a * c + b) > tolerance for a, b in rows):
-        return "none", None
-    return "unique", c
+@pytest.mark.parametrize("lam", [0.3, 2.0, exact_sqrt(2)], ids=["float", "integral float", "surd"])
+def test_lambda0_that_is_not_rational_is_a_type_error(lam):
+    fam = build_family("g2")
+    system = soliton_system(fam, "lc")
+    [pt] = sample_parameters(fam, seed=0, count=1)
+    case = next(c for c in CATALOG_CASES if c.family_id == "g2" and c.c_expr is not None)
+    for call in (
+        lambda: solve_for_c(system, pt, lam),
+        lambda: scan(fam, "lc", seed=0, count=3, lambda0_grid=[Fraction(1), lam]),
+        lambda: case_matches_point(case, None, pt.values, lam, CSolution("unique", Fraction(0)), T),
+        lambda: negative_control(case, lambda0_value=lam),
+    ):
+        with pytest.raises(TypeError, match="lambda0 must be an int or a Fraction"):
+            call()
 
 
-def test_float_lambda0_at_an_exact_point_matches_the_float_reference():
-    lambda_moves_c = 0
-    for fam in all_family_branches():
-        for kind in CONNECTION_KINDS:
-            system = soliton_system(fam, kind)
-            s = ricci_pipeline(fam, kind)[2]
-            for pt in sample_parameters(fam, seed=0, count=12):
-                for lam in (0.3, -1.7, 2.5):
-                    sol = solve_for_c(system, pt, lam)
-                    status, c = reference_float_c(system, pt.values, lam)
-                    assert sol.status == status
-                    if status == "unique":
-                        assert type(sol.value) is float
-                        assert abs(sol.value - c) <= 1e-9 * max(1.0, abs(c))
-                        lambda_moves_c += s.evaluate(pt.values) != 0
-    assert lambda_moves_c  # some solved c depends on lambda0 through s*lambda0
-
-
-def test_scan_membership_sees_float_lambda0_and_both_verdicts():
+def test_scan_membership_sees_both_verdicts_off_the_default_grid():
     fam = build_family("g3")
     cases = [c for c in CATALOG_CASES if c.family_id == "g3" and c.kind == "lc"]
     report = scan(fam, "lc", seed=0, count=60, lambda0_grid=MEMBERSHIP_GRID)
-    floats = [k for k, e in enumerate(report.solvable) if isinstance(e.lambda0, float)]
-    assert floats
+    extra = [k for k, e in enumerate(report.solvable) if e.lambda0 not in DEFAULT_LAMBDA0_GRID]
+    assert extra
     verdicts = [scan_membership(report, [case], T) for case in cases]
-    assert any(v[k] for v in verdicts for k in floats)
-    assert any(not v[k] for v in verdicts for k in floats)
+    assert any(v[k] for v in verdicts for k in extra)
+    assert any(not v[k] for v in verdicts for k in extra)
 
 
 def assert_scan_report_contract(report):
     """`solvable` is the solvable part of `entries`, `size` counts them, and
-    a repeated exact point shares its first occurrence's row; returns the
-    number of repeats."""
+    a repeated point shares its first occurrence's row; returns the number
+    of repeats."""
     assert report.solvable == tuple(e for e in report.entries if e.status != "none")
     assert report.size == len(report.entries) == len(report.points) * len(report.lambda0_grid)
     assert len(report.rows) == len(report.points)
-    first_rows, exact = {}, 0
+    first_rows = {}
     for pt, row in zip(report.points, report.rows):
         assert len(row) == len(report.lambda0_grid)
-        if pt.exact:
-            exact += 1
-            assert row is first_rows.setdefault(tuple(pt.values.items()), row)
-    return exact - len(first_rows)
+        assert row is first_rows.setdefault(tuple(pt.values.items()), row)
+    return len(report.points) - len(first_rows)
 
 
 @pytest.mark.parametrize("kind", CONNECTION_KINDS)
@@ -932,11 +964,10 @@ def test_scan_report_is_a_table_of_point_rows(fam, kind):
         assert repeats  # g1 draws repeated points at this count
 
 
-def test_scan_report_of_float_points_is_a_table_of_point_rows():
-    report = scan(FLOAT_G5, "canonical", seed=1, count=60, lambda0_grid=MEMBERSHIP_GRID)
-    assert not any(pt.exact for pt in report.points)
-    assert_scan_report_contract(report)
-    assert len({id(row) for row in report.rows}) == len(report.points)  # floats are never shared
+def test_scan_report_of_surd_points_is_a_table_of_point_rows():
+    report = scan(SURD_G5, "canonical", seed=1, count=60, lambda0_grid=MEMBERSHIP_GRID)
+    assert any(isinstance(v, Surd) for pt in report.points for v in pt.values.values())
+    assert assert_scan_report_contract(report)  # repeated Surd points share one row
 
 
 def test_verify_builds_scan_entries_only_for_solvable_cells(monkeypatch):
