@@ -15,6 +15,8 @@ degree stays below 2**(_FIELD - 1), so the top bit of each field is a guard
 bit: p divides m when no guard bit of (m + guard) - p is borrowed.  The
 public constructor and every product check this bound; past it they raise
 PolynomialError.  ``terms`` and ``leading_monomial`` give exponent tuples.
+Printing takes each monomial's text from its table's memo, which spells a
+packed key once, on first use, so a term costs one gcd and one lookup.
 
 The storage is normalised (no zero numerator, gcd(_den, *_num) == 1, and
 zero is ({}, 1)), so two polynomials are equal exactly when their
@@ -98,9 +100,10 @@ class VariableTable:
     monomial layout and the printing order: variable i has the field at bit
     `_shifts[i]`, the first variable highest, and the total degree the field
     at bit `_top` above them all.  `_guard` holds the top bit of every field.
+    `_text` is the memo of printed monomials, `_MonomialText`.
     """
 
-    __slots__ = ("names", "_index", "_shifts", "_top", "_guard")
+    __slots__ = ("names", "_index", "_shifts", "_top", "_guard", "_text")
 
     def __init__(self, names: Iterable[str] = DEFAULT_VARIABLES):
         names = tuple(names)
@@ -112,6 +115,7 @@ class VariableTable:
         object.__setattr__(self, "_shifts", shifts)
         object.__setattr__(self, "_top", _FIELD * len(names))
         object.__setattr__(self, "_guard", sum(_LIMIT << s for s in shifts + (_FIELD * len(names),)))
+        object.__setattr__(self, "_text", _MonomialText(zip(names, shifts)))
 
     def __setattr__(self, *_):
         raise AttributeError("VariableTable is immutable")
@@ -169,6 +173,20 @@ class VariableTable:
     def extended(self, extra: Iterable[str]) -> "VariableTable":
         """A new table with `extra` names appended after the current ones."""
         return VariableTable(self.names + tuple(extra))
+
+
+class _MonomialText(dict):
+    """Packed monomial -> its printed factors, "alpha*beta^2" ("" for 1),
+    each built on first use from the (name, shift) pairs of one table."""
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, fields: Iterable[tuple[str, int]]):
+        self._fields = tuple(fields)
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = "*".join(n if e == 1 else f"{n}^{e}" for n, s in self._fields if (e := key >> s & _MASK))
+        return text
 
 
 DEFAULT_TABLE = VariableTable()
@@ -398,14 +416,6 @@ class Polynomial:
             result = result + partial * replacement**power
         return result
 
-    def substitute_all(self, assignments: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Apply several single-variable substitutions in table order."""
-        out = self
-        for name in self.table.names:
-            if name in assignments:
-                out = out.substitute(name, assignments[name])
-        return out
-
     def reduce_square(self, var: str, rhs: "Polynomial") -> "Polynomial":
         """Rewrite var^2 -> rhs until the degree in `var` is at most 1.
 
@@ -500,35 +510,25 @@ class Polynomial:
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
+        """The terms largest first in graded-lex order, each its coefficient's
+        magnitude as str(Fraction) spells it (left out when 1) times the
+        table's text of its monomial, joined by " + " and " - "; "0" for zero."""
         if not self._num:
             return "0"
-        pieces: list[str] = []
-        den = self._den
-        used = self._used()
-        # Graded lexicographic, largest first (earlier variables weigh more).
-        for k, m in enumerate(sorted(self._num, reverse=True)):
-            n = self._num[m]
-            factors = []
-            for name, s in used:
-                e = m >> s & _MASK
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            # the magnitude of n/den in lowest terms, as str(Fraction) spells it
+        den, num, text = self._den, self._num, self.table._text
+        pieces = []
+        for m in sorted(num, reverse=True):
+            n = num[m]
             g = gcd(n, den)
-            mag = _decimal(abs(n) // g) if den == g else f"{_decimal(abs(n) // g)}/{_decimal(den // g)}"
-            if not factors:
-                body = mag
-            elif mag == "1":
-                body = "*".join(factors)
-            else:
-                body = "*".join([mag] + factors)
-            if k == 0:
-                pieces.append(body if n > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if n > 0 else f"- {body}")
-        return " ".join(pieces)
+            a, d = abs(n) // g, den // g
+            mag = str(a) if a < _PIECE else _decimal(a)
+            if d != 1:
+                mag = f"{mag}/{d if d < _PIECE else _decimal(d)}"
+            factors = text[m]
+            body = mag if not factors else factors if mag == "1" else f"{mag}*{factors}"
+            pieces.append(f"+ {body}" if n > 0 else f"- {body}")
+        out = " ".join(pieces)
+        return out[2:] if out[0] == "+" else f"-{out[2:]}"
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

@@ -539,7 +539,9 @@ def _sample_case_locus(
 
     A relation var^2 = rhs that fixes var takes an exact root of its value,
     a Surd where it is irrational; a draw whose relations would need a
-    second square root is rejected."""
+    second square root is rejected.  A family constraint left with unassigned
+    variables is solved for the last of them in table order, which it must
+    be linear in, after the others are drawn."""
     on_locus = _Substitution(subs, system.eta, table)
     sample = _Substitution(case.sample_subs, system.eta, table)
 
@@ -573,10 +575,11 @@ def _sample_case_locus(
         con = composed(con)
         if con.is_zero:
             continue
-        remaining = [v for v in con.variables() if v not in values]
+        remaining = [v for v in table.names if v not in values and con.degree_in(v)]
         if remaining:
             var = remaining[-1]
             if con.degree_in(var) == 1:
+                values.update((v, draw_rational(rng)) for v in remaining[:-1])
                 sol = solve_constraint_for(con, var, values)
                 if sol is None:
                     return None

@@ -18,6 +18,7 @@ from lieschouten.poly import (
     Surd,
     VariableTable,
     _FIELD,
+    _PIECE,
     _tokenize,
     exact_sqrt,
     groebner_basis,
@@ -670,12 +671,6 @@ def _reference_str(a):
     return " ".join(pieces) or "0"
 
 
-@settings(max_examples=300, deadline=None)
-@given(polynomials(), st.sampled_from((1, -1, 7, Fraction(-1, 12), Fraction(10**12 + 1, 3))))
-def test_print_matches_fraction_spelling(a, k):
-    assert str(a * k) == _reference_str(a * k)
-
-
 # -- packed monomials against the tuple-keyed reference -----------------------
 
 # one variable, the default seven, and the default seven plus t0..t15
@@ -706,6 +701,49 @@ def _term_dicts(draw, n, cap=BOUND - 1, max_terms=5, stretch=1, coefficients=_co
         m = tuple(e * stretch for e in draw(_monomial(n, cap, positions)))
         terms[m] = terms.get(m, Fraction(0)) + draw(coefficients)
     return terms
+
+
+# numerators and denominators on both sides of _PIECE, past which printing
+# spells an integer in decimal pieces; all stay below the int/str digit limit
+# that the reference's str(Fraction) meets
+_print_coefficients = st.builds(
+    Fraction,
+    st.one_of(st.integers(-6, 6), st.sampled_from((_PIECE - 1, _PIECE, -(_PIECE + 7), 3**1300))),
+    st.one_of(st.integers(1, 12), st.sampled_from((_PIECE - 1, _PIECE + 1, 7**800))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from(sorted(_TABLES)),
+    cap=st.sampled_from((3, BOUND - 1)),
+    k=st.sampled_from((1, -1, 7, Fraction(-1, 12), Fraction(10**12 + 1, 3))),
+    data=st.data(),
+)
+def test_print_matches_fraction_spelling(n, cap, k, data):
+    a = Polynomial(_TABLES[n], data.draw(_term_dicts(n, cap=cap, coefficients=_print_coefficients))) * k
+    assert str(a) == _reference_str(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tables_of_one_layout_print_their_own_names(data):
+    # the same packed keys over T and over T's names reversed
+    terms = data.draw(_term_dicts(len(T), cap=BOUND - 1))
+    a, b = Polynomial(T, terms), Polynomial(VariableTable(reversed(T.names)), terms)
+    assert a._num == b._num
+    assert (str(a), str(b)) == (_reference_str(a), _reference_str(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_equal_tables_built_apart_print_alike(data):
+    names = ("x", "y", "z")
+    first, second = VariableTable(names), VariableTable(names)
+    assert first == second and first._text is not second._text
+    terms = data.draw(_term_dicts(len(names)))
+    texts = [str(Polynomial(table, terms)) for table in (first, second, first)]
+    assert texts == [_reference_str(Polynomial(first, terms))] * 3
 
 
 def _assert_same(got, ref):

@@ -1,7 +1,12 @@
 """Tests for derivation residuals, soliton systems, solving, and scanning."""
 
+import contextlib
+import io
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -733,6 +738,44 @@ class TestListedOrderSubstitution:
         # the table-order reading, gamma = beta - alpha with beta free, is off the locus
         off = {"alpha": Fraction(1), "beta": Fraction(2), "gamma": Fraction(1), "delta": Fraction(0)}
         assert not compiled.locus_holds(off)
+
+
+# alpha := lambda0, beta := eta turns g5's constraint alpha*gamma + beta*delta
+# into lambda0*gamma + eta*delta: gamma and delta are drawn, and the locus
+# sampler is left with two unassigned names to draw one of and solve for the
+# other.  Which one it solves for must not follow the string-hash seed.
+_HASH_SEED_PROBE = """
+import random
+from lieschouten.algebras import build_family
+from lieschouten.poly import DEFAULT_TABLE as T, parse_polynomial as p
+from lieschouten.soliton import TheoremCase, _sample_case_locus, soliton_system, verify_case
+case = TheoremCase("h.1", "g5", "lc", substitutions=(("alpha", p("lambda0")), ("beta", p("eta"))), c_expr=p("0"))
+system = soliton_system(build_family("g5"), "lc")
+points = [_sample_case_locus(system, case, case.substitutions, (), T, random.Random(k)) for k in range(8)]
+report = verify_case(case, T, seed=0, sample_count=20)
+print(repr([points, report.method, report.counterexample]))
+"""
+
+
+def test_locus_sampler_does_not_follow_the_string_hash_seed():
+    src = os.path.dirname(os.path.dirname(soliton.__file__))
+    outputs = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as here:
+        exec(_HASH_SEED_PROBE, namespace)
+    assert outputs == {here.getvalue()}
+    # eta is drawn and lambda0, the last in table order, solved for
+    points = [pt for pt in namespace["points"] if pt is not None]
+    assert points
+    for pt in points:
+        assert set(pt) == {"gamma", "delta", "eta", "lambda0"}
+        assert pt["lambda0"] * pt["gamma"] + pt["eta"] * pt["delta"] == 0
+    assert namespace["report"].method == "failed"
 
 
 def test_lambda0_law_flags_exactly_six_stated_suspect_case_branches():
