@@ -24,7 +24,6 @@ from .poly import (
     DEFAULT_TABLE,
     IntegerKernel,
     Polynomial,
-    PolynomialError,
     Surd,
     VariableTable,
     exact_sqrt,
@@ -357,17 +356,6 @@ def _root(coefficients: Sequence[Value], rng: random.Random):
     return "free" if not c0 else None
 
 
-def solve_constraint_for(constraint: Polynomial, var: str, values: dict[str, Value]):
-    """Solve constraint == 0 for `var` given the other values.
-
-    Returns the solved value, the string "free" when the constraint is
-    already satisfied for every value of `var`, or None when inconsistent.
-    """
-    if constraint.degree_in(var) != 1:
-        raise PolynomialError(f"constraint is not linear in {var!r}")
-    return _root([constraint.coefficient_of(var, k).evaluate(values) for k in (0, 1)], None)
-
-
 def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[ParameterPoint]:
     """Deterministic exact parameter points satisfying the family side conditions.
 
@@ -384,9 +372,9 @@ def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[Para
     moves a variable that an earlier one read, where such an order exists.
     A point is kept only if every equality constraint holds exactly and no
     nonvanishing polynomial vanishes, decided in integers: each split's
-    coefficients, and the side conditions, are compiled once per call.
-    Without `count` points after 200*count + 1000 draws it raises
-    SamplingError.
+    coefficients, and the side conditions, are compiled once per call, and
+    each draw is one `draw_point`.  Without `count` points after
+    200*count + 1000 draws it raises SamplingError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -405,10 +393,10 @@ def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[Para
         if split is not None and split[0] not in read:
             solved.add(split[0])
         read |= con.variables()
+    pool = [name for name in fam.parameters if name not in solved]
     roots = [(var, IntegerKernel(fam.table, coefficients)) for var, coefficients in filter(None, splits.values())]
     # nonzero where it must be, then zero on every constraint
-    side_conditions = IntegerKernel(fam.table, fam.nonvanishing + fam.equality_constraints)
-    split_at = len(fam.nonvanishing)
+    side = IntegerKernel(fam.table, fam.nonvanishing + fam.equality_constraints)
 
     points: list[ParameterPoint] = []
     attempts = 0
@@ -419,19 +407,39 @@ def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[Para
                 f"no draw of {fam.family_id} meets its side conditions: {len(points)} of {count} points"
                 f" after {attempts - 1} draws"
             )
-        values: dict[str, Value] = {name: draw_rational(rng) for name in fam.parameters if name not in solved}
-        for var, kernel in roots:
-            sol = _root(kernel(values), rng)
-            if sol is None:
-                break
-            values[var] = draw_rational(rng) if sol == "free" else sol
-            if isinstance(sol, Surd) and not one_field(values.values()):
-                break
-        else:
-            side = side_conditions(values)
-            if all(side[:split_at]) and not any(side[split_at:]):
-                points.append(ParameterPoint(values))
+        values = draw_point(rng, pool, roots, side, len(fam.nonvanishing))
+        if values is not None:
+            points.append(ParameterPoint(values))
     return points
+
+
+def draw_point(
+    rng: random.Random,
+    pool: Sequence[str],
+    roots: Sequence[tuple[str, IntegerKernel]],
+    side: IntegerKernel,
+    nonzero: int,
+) -> Optional[dict[str, Value]]:
+    """One draw of a constrained point, or None for a rejected draw.
+
+    Each name of `pool` is drawn from the sampling pool, in order.  Then
+    each (var, kernel) of `roots` sets var to a root, by `_root`, of the
+    kernel's coefficients (c0, c1) or (c0, c1, c2) at the values so far: a
+    var they leave free is drawn, and a draw with no root, or whose root
+    is a second square root, is rejected.  The point is kept only if the
+    first `nonzero` values of `side` are nonzero and the rest are zero.
+    The one draw of `sample_parameters` and of the sampled ladder rung.
+    """
+    values: dict[str, Value] = {name: draw_rational(rng) for name in pool}
+    for var, kernel in roots:
+        sol = _root(kernel(values), rng)
+        if sol is None:
+            return None
+        values[var] = draw_rational(rng) if sol == "free" else sol
+        if isinstance(sol, Surd) and not one_field(values.values()):
+            return None
+    out = side(values)
+    return values if all(out[:nonzero]) and not any(out[nonzero:]) else None
 
 
 def _solve_order(targets: dict[Polynomial, Optional[str]]) -> list[Polynomial]:

@@ -18,7 +18,7 @@ import importlib.resources
 import itertools
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .algebras import LieAlgebraFamily, family_branches, instantiate_eta
 from .geometry import (
@@ -123,17 +123,18 @@ def _read_sections(text: str) -> list[tuple[str, str, dict[str, str], int]]:
     return sections
 
 
-def _parse_defs(text: str, table: VariableTable, label: str) -> dict[str, Polynomial]:
-    out: dict[str, Polynomial] = {}
+def _entries(text: str, what: str, label: str) -> Iterator[tuple[str, str]]:
+    """(name, expression text) of each `name := expr` entry of a ';' list.
+    A generator: an entry's error is raised when the caller reaches it, so
+    the caller's own errors and these keep list order."""
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         if ":=" not in part:
-            raise CatalogError(f"[{label}] defs entry {part!r} lacks ':='")
+            raise CatalogError(f"[{label}] {what} {part!r} lacks ':='")
         name, expr = part.split(":=", 1)
-        out[name.strip()] = parse_polynomial(expr, table)
-    return out
+        yield name.strip(), expr
 
 
 def _expression(
@@ -152,31 +153,14 @@ def _expression(
         raise CatalogError(f"[{label}] cannot parse {text!r}: {err}") from err
 
 
-def _parse_assignments(
-    text: str, defs, aux_table, label: str, sep: str = ";"
-) -> tuple[tuple[str, Polynomial], ...]:
-    out = []
-    for part in text.split(sep):
-        part = part.strip()
-        if not part:
-            continue
-        if ":=" not in part:
-            raise CatalogError(f"[{label}] assignment {part!r} lacks ':='")
-        name, expr = part.split(":=", 1)
-        out.append((name.strip(), _expression(expr, defs, aux_table, label)))
-    return tuple(out)
+def _parse_assignments(text: str, defs, aux_table, label: str) -> tuple[tuple[str, Polynomial], ...]:
+    entries = _entries(text, "assignment", label)
+    return tuple((name, _expression(expr, defs, aux_table, label)) for name, expr in entries)
 
 
 def _parse_reductions(text: str, defs, aux_table, label: str):
     out = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if ":=" not in part:
-            raise CatalogError(f"[{label}] reduction {part!r} lacks ':='")
-        lhs, rhs = part.split(":=", 1)
-        lhs = lhs.strip()
+    for lhs, rhs in _entries(text, "reduction", label):
         if not lhs.endswith("^2"):
             raise CatalogError(f"[{label}] reduction lhs {lhs!r} must be var^2")
         out.append((lhs[:-2].strip(), _expression(rhs, defs, aux_table, label)))
@@ -233,7 +217,8 @@ def load_catalog(text: Optional[str] = None) -> Catalog:
     for stype, label, kv, _ in _read_sections(text):
         family_id = kv.get("family", "")
         kind = KIND_ALIASES.get(kv.get("kind", ""), kv.get("kind", ""))
-        defs = _parse_defs(kv.get("defs", ""), aux_table, label)
+        entries = _entries(kv.get("defs", ""), "defs entry", label)
+        defs = {name: parse_polynomial(expr, aux_table) for name, expr in entries}
         if stype == "matrix":
             rows = []
             for key in ("row1", "row2", "row3"):

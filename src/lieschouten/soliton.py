@@ -46,10 +46,15 @@ lambda0 grid; `solve_for_c` builds one for its single call.  A
 point, a repeated point sharing its first occurrence's row; its
 `ScanEntry` records are built only on request.  A case's data on one eta
 branch is one `_Substitution`, which applies its substitutions in listed
-order for every consumer.  Case membership is `_CompiledCase`, compiled
-once per (case, eta, table): the polynomials that must vanish on a case's
-locus, the hypotheses that must not, and c - c_expr, decided in integers.
-`scan_membership` walks the rows and decides each distinct point once.
+order for every consumer.  The sampled rung compiles the case locus once
+per ladder branch (`_locus_plan`) into the arguments of
+`algebras.draw_point`, the one draw that `sample_parameters` makes too;
+lambda0, and c where the claim leaves it free, are drawn after it only
+when the locus left them unassigned.  Case membership is `_CompiledCase`,
+compiled once per (case, eta, table): the polynomials that must vanish on
+a case's locus, the hypotheses that must not, and c - c_expr, decided in
+integers.  `scan_membership` walks the rows and decides each distinct
+point once.
 """
 
 from __future__ import annotations
@@ -65,12 +70,13 @@ from .algebras import (
     BRANCH_CACHE_SIZE,
     LieAlgebraFamily,
     ParameterPoint,
+    _split,
     build_family,
+    draw_point,
     draw_rational,
     family_branches,
     instantiate_eta,
     sample_parameters,
-    solve_constraint_for,
 )
 from .geometry import OperatorMatrix, ricci_pipeline
 from .poly import (
@@ -80,9 +86,7 @@ from .poly import (
     PolynomialError,
     Surd,
     VariableTable,
-    exact_sqrt,
     groebner_basis,
-    one_field,
     quotient,
     sum_of_products,
 )
@@ -441,9 +445,6 @@ class VerificationReport(NamedTuple):
     method: str  # "exact" | "reduced" | "sampled" | "unsampled" | "failed" | "scan-empty"
     ok: bool
     suspect: bool
-    residual_zero: bool
-    max_float_residual: float = 0.0  # the negative control's largest residual, for display
-    witness: Optional[dict[str, Value]] = None
     counterexample: Optional[dict[str, Value]] = None
     variant_method: Optional[str] = None
     detail: str = ""
@@ -452,9 +453,9 @@ class VerificationReport(NamedTuple):
 _METHOD_ORDER = {"exact": 0, "reduced": 1, "sampled": 2, "unsampled": 3, "failed": 4}
 
 
-def _report(case: TheoremCase, method: str, ok: bool, residual_zero: bool, **rest) -> VerificationReport:
+def _report(case: TheoremCase, method: str, ok: bool, **rest) -> VerificationReport:
     """A report on `case`, with its label, family, kind and suspect flag."""
-    return VerificationReport(case.label, case.family_id, case.kind, method, ok, case.suspect, residual_zero, **rest)
+    return VerificationReport(case.label, case.family_id, case.kind, method, ok, case.suspect, **rest)
 
 
 def resolve_witness(
@@ -474,7 +475,7 @@ class _Substitution:
     order: `pairs` holds them with eta instantiated, and calling it on a
     polynomial instantiates eta and applies them one after another, each
     rewriting the result of the ones before it.  The one reading of a
-    case's data that the ladder, the locus sampler and case membership
+    case's data that the ladder, the locus plan and case membership
     share."""
 
     __slots__ = ("pairs", "eta", "table")
@@ -527,73 +528,59 @@ def _reduce_ladder(
     return [r.normal_form(basis) for r in residuals]
 
 
-def _sample_case_locus(
+def _locus_plan(
     system: SolitonSystem,
     case: TheoremCase,
     subs: Sequence[tuple[str, Polynomial]],
     reductions: Sequence[tuple[str, Polynomial]],
     table: VariableTable,
-    rng: random.Random,
-) -> Optional[dict[str, Value]]:
-    """One random point on the case locus, or None for a rejected draw.
+) -> tuple[list[str], list[tuple[str, IntegerKernel]], IntegerKernel, int]:
+    """The case locus compiled once into the arguments of `draw_point` after
+    its rng: the pool names, the roots, the side kernel and its count of
+    polynomials that must not vanish.
 
-    A relation var^2 = rhs that fixes var takes an exact root of its value,
-    a Surd where it is irrational; a draw whose relations would need a
-    second square root is rejected.  A family constraint left with unassigned
-    variables is solved for the last of them in table order, which it must
-    be linear in, after the others are drawn."""
+    The composed data is the case's sample parametrization applied after
+    its substitutions.  The pool names are the family parameters that
+    neither assigns, nor, with no parametrization, a relation var^2 = rhs.
+    Each parametrization var := expr is the linear root of var - expr; each
+    relation whose var is still unassigned is the quadratic root of
+    var^2 - rhs, and the others are checked.  A family constraint left with
+    unassigned variables is split by `_split`, as `sample_parameters` splits
+    one, and its other unassigned variables join the pool.  The side kernel
+    holds the family and case nonvanishing polynomials, which must not
+    vanish, then the checked relations and every constraint, which must."""
     on_locus = _Substitution(subs, system.eta, table)
     sample = _Substitution(case.sample_subs, system.eta, table)
 
     def composed(q: Polynomial) -> Polynomial:
         return sample(on_locus(q))
 
-    fam_params = build_family(case.family_id, eta=system.eta, table=table).parameters
     consumed = {var for var, _ in on_locus.pairs + sample.pairs}
     if not sample.pairs:
-        # no explicit parametrization: quadratic relations fix their vars
         consumed |= {var for var, _ in reductions}
-    values: dict[str, Value] = {v: draw_rational(rng) for v in fam_params if v not in consumed}
-    for var, expr in sample.pairs:
-        values[var] = expr.evaluate(values)
-
+    fam_params = build_family(case.family_id, eta=system.eta, table=table).parameters
+    pool = [v for v in fam_params if v not in consumed]
+    roots = [(var, (-expr, table.one)) for var, expr in sample.pairs]
+    assigned = set(pool) | {var for var, _ in sample.pairs}
+    relations = []
     for var, rhs in reductions:
-        rhs_val = composed(rhs).evaluate(values)
-        if var in values:
-            # parametrized locus must satisfy the relation on its own
-            if values[var] ** 2 != rhs_val:
-                return None
-            continue
-        root = exact_sqrt(rhs_val)
-        if root is None:  # a negative rhs, or a Surd one
-            return None
-        values[var] = root if rng.random() < 0.5 else -root
-        if not one_field(values.values()):
-            return None
-    # family equality constraints on the composed locus
-    for con in system.constraints:
-        con = composed(con)
-        if con.is_zero:
-            continue
-        remaining = [v for v in table.names if v not in values and con.degree_in(v)]
-        if remaining:
-            var = remaining[-1]
-            if con.degree_in(var) == 1:
-                values.update((v, draw_rational(rng)) for v in remaining[:-1])
-                sol = solve_constraint_for(con, var, values)
-                if sol is None:
-                    return None
-                values[var] = draw_rational(rng) if sol == "free" else sol
-                continue
-            return None
-        if con.evaluate(values):
-            return None
-    # nonvanishing: family side conditions and the case hypotheses
-    for q in tuple(system.nonvanishing) + tuple(case.nonzero):
-        q = composed(q)
-        if q.is_zero or not q.evaluate(values):
-            return None
-    return values
+        if var in assigned:
+            relations.append(table.var(var) ** 2 - composed(rhs))
+        else:
+            roots.append((var, (-composed(rhs), table.zero, table.one)))
+            assigned.add(var)
+    constraints = [composed(con) for con in system.constraints]
+    for con in constraints:
+        unassigned = con.variables() - assigned
+        split = _split(con, assigned)
+        if split is not None:
+            roots.append(split)
+            unassigned.remove(split[0])
+        pool += [v for v in table.names if v in unassigned]
+        assigned |= con.variables()
+    nonzero = [composed(q) for q in system.nonvanishing + case.nonzero]
+    kernels = [(var, IntegerKernel(table, coefficients)) for var, coefficients in roots]
+    return pool, kernels, IntegerKernel(table, nonzero + relations + constraints), len(nonzero)
 
 
 def _verify_single(
@@ -617,6 +604,7 @@ def _verify_single(
     reduced = _reduce_ladder(residuals, system, subs, reductions, table)
     if all(r.is_zero for r in reduced):
         return "reduced", None, ""
+    plan = _locus_plan(system, case, subs, reductions, table)
     rng = random.Random(seed)
     checked = rejected = 0
     while checked < sample_count:
@@ -626,16 +614,17 @@ def _verify_single(
                 f"{rejected} rejected, {checked} of {sample_count} samples checked"
             )
             return "unsampled", None, detail
-        values = _sample_case_locus(system, case, subs, reductions, table, rng)
+        values = draw_point(rng, *plan)
         if values is None:
             rejected += 1
             continue
-        full = dict(values)
-        full["lambda0"] = draw_rational(rng)
-        if c_expr is None:
-            full["c"] = draw_rational(rng)
-        if any(r.evaluate(full) for r in residuals):
-            return "failed", full, ""
+        # lambda0, and c for a claim that leaves it free, where the locus left them unassigned
+        if "lambda0" not in values:
+            values["lambda0"] = draw_rational(rng)
+        if c_expr is None and "c" not in values:
+            values["c"] = draw_rational(rng)
+        if any(r.evaluate(values) for r in residuals):
+            return "failed", values, ""
         checked += 1
     return "sampled", None, ""
 
@@ -678,8 +667,6 @@ def verify_case(
         case,
         stated_method,
         ok,
-        stated_method in ("exact", "reduced"),
-        witness=resolve_witness(case, 1 if case.family_id == "g4" else None, table) or None,
         counterexample=stated_counter,
         variant_method=variant_method,
         detail=stated_detail or case.note,
@@ -695,7 +682,7 @@ def _verify_empty(case: TheoremCase, table: VariableTable, seed: int) -> Verific
         solvable += len(report.solvable)
         total += report.size
     ok = solvable == 0
-    return _report(case, "scan-empty", ok, ok, detail=f"{solvable} solvable of {total} scanned {case.note}".strip())
+    return _report(case, "scan-empty", ok, detail=f"{solvable} solvable of {total} scanned {case.note}".strip())
 
 
 def negative_control(
@@ -716,22 +703,20 @@ def negative_control(
     [lambda0_value] = _rational([lambda0_value])
     _, c_expr, _ = case.effective()
     if case.empty or c_expr is None:
-        return _report(case, "skipped", True, False, detail="not applicable: every c solves on this locus")
+        return _report(case, "skipped", True, detail="not applicable: every c solves on this locus")
     best = 0.0
-    witness: dict[str, Value] = {}
     for fam in family_branches(case.family_id, table):
         system = soliton_system(fam, case.kind)
-        witness = resolve_witness(case, system.eta, table)
-        point = dict(witness)
+        point = resolve_witness(case, system.eta, table)
         point["lambda0"] = lambda0_value
         point["c"] = instantiate_eta(c_expr, system.eta, table).evaluate(point) + perturbation
         values = [r.evaluate(point) for r in system.residuals]
         if not any(values):
             detail = "perturbed c still solves: system may be vacuous"
-            return _report(case, "control", False, True, witness=witness, detail=detail)
+            return _report(case, "control", False, detail=detail)
         best = max(best, *(abs(float(v)) for v in values))
     detail = f"perturbation {perturbation} raises residual {best:g}"
-    return _report(case, "control", True, False, max_float_residual=best, witness=witness, detail=detail)
+    return _report(case, "control", True, detail=detail)
 
 
 # -- membership of scan hits in a stated classification ------------------------

@@ -18,12 +18,12 @@ from lieschouten.algebras import (
     bracket,
     build_family,
     custom_family,
+    draw_point,
     draw_rational,
     jacobi_residuals,
     sample_parameters,
-    solve_constraint_for,
 )
-from lieschouten.poly import DEFAULT_TABLE, Polynomial, Surd, one_field, parse_polynomial
+from lieschouten.poly import DEFAULT_TABLE, IntegerKernel, Polynomial, Surd, one_field, parse_polynomial
 
 from geometry_reference import G5_ON_A_CIRCLE
 
@@ -205,11 +205,22 @@ class TestSampling:
         for point in sample_parameters(build_family("g5"), seed=1, count=40):
             assert con.evaluate(point.values) == 0
 
-    def test_solve_linear_constraint(self):
-        # alpha*gamma - beta*delta = 0 with beta=2, delta=1, gamma=3
+    def test_draw_point_solves_a_linear_root_exactly(self):
+        # alpha*gamma - beta*delta = 0 solved for alpha at the drawn beta,
+        # delta and gamma; gamma must not vanish
         con = p("alpha*gamma - beta*delta")
-        got = solve_constraint_for(con, "alpha", {"beta": 2, "delta": 1, "gamma": 3})
-        assert got == Fraction(2, 3)
+        roots = [("alpha", IntegerKernel(T, [con.coefficient_of("alpha", k) for k in (0, 1)]))]
+        side = IntegerKernel(T, [p("gamma"), con])
+        pool = ["beta", "delta", "gamma"]
+        for seed in range(40):
+            ref = random.Random(seed)
+            drawn = {name: draw_rational(ref) for name in pool}
+            got = draw_point(random.Random(seed), pool, roots, side, 1)
+            if drawn["gamma"]:
+                assert got == {**drawn, "alpha": drawn["beta"] * drawn["delta"] / drawn["gamma"]}
+                assert type(got["alpha"]) is Fraction
+            else:
+                assert got is None
 
     def test_reproducible(self):
         a = sample_parameters(build_family("g6"), seed=9, count=15)

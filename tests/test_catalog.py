@@ -89,6 +89,23 @@ class TestLoading:
             load_catalog(text=bad)
         assert "zeta" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("defs = a1 = alpha", "[x] defs entry 'a1 = alpha' lacks ':='"),
+            ("subs = beta := 0; gamma 0", "[case x] assignment 'gamma 0' lacks ':='"),
+            ("reduce = beta^2 alpha", "[case x] reduction 'beta^2 alpha' lacks ':='"),
+            # an entry's errors come in list order, before a later entry's
+            ("subs = beta := alpha +; gamma 0", "[case x] cannot parse ' alpha +'"),
+            ("reduce = beta := alpha; gamma^2 0", "[case x] reduction lhs 'beta' must be var^2"),
+        ],
+        ids=["defs", "assignment", "reduction", "parse-first", "lhs-first"],
+    )
+    def test_assignment_list_errors_name_the_entry(self, line, message):
+        with pytest.raises(CatalogError) as err:
+            load_catalog(text=f"[case x]\nfamily = g1\nkind = lc\nc = 0\n{line}\n")
+        assert str(err.value).startswith(message)
+
     def test_irrational_witness_is_an_exact_root(self, catalog):
         # 4.11.2's locus beta^2 = 2*alpha^2 is witnessed by beta = sqrt(2), exactly
         witness = dict(catalog.case("4.11.2").witness)

@@ -19,6 +19,13 @@ DATA = pathlib.Path(__file__).parent / "data"
 SEED0_SUMMARY = "SUMMARY\tpass=194\twarn=9\tskip=4\tfail=0"
 SEED0_SHA256 = "c066eb2997606f0e2de257a1ba9a5e5787fec8cd17c61f6256588795cca7f77e"
 
+# The sha256 of `verify --only case --seed S --format machine` for S = 1, 2
+# and 3: the sampled ladder rung's draws past seed 0, which its
+# counterexamples print.
+CASE_SEED1_SHA256 = "d2c83437e82019234e16b4c8c1d7cd7bb9ef998bba633f0bf2eebf6c9d828caa"
+CASE_SEED2_SHA256 = "8202e8ce0269d2a4a1c1ce64ab404c942a6b952ca1a2b00cb39b8ce6355953c7"
+CASE_SEED3_SHA256 = "ad9091e588626731489619cb36fa50585c775d2acb2ae573ab711b3377c2bdb7"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -225,6 +232,14 @@ class TestVerify:
         assert code == 0
         assert SEED0_SUMMARY in out.splitlines()
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SEED0_SHA256
+
+    @pytest.mark.parametrize(
+        "seed, digest", [(1, CASE_SEED1_SHA256), (2, CASE_SEED2_SHA256), (3, CASE_SEED3_SHA256)]
+    )
+    def test_case_section_past_seed0_is_pinned(self, capsys, seed, digest):
+        code, out, _ = run(capsys, "verify", "--only", "case", "--seed", str(seed), "--format", "machine")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_runtime_imports_no_test_only_dependency():

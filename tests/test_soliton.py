@@ -14,10 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieschouten import soliton
-from lieschouten.algebras import build_family, custom_family, family_branches, instantiate_eta, sample_parameters
+from lieschouten.algebras import (
+    build_family,
+    custom_family,
+    draw_point,
+    family_branches,
+    instantiate_eta,
+    sample_parameters,
+)
 from lieschouten.catalog import Catalog, load_catalog, verify_all
 from lieschouten.geometry import CONNECTION_KINDS, OperatorMatrix, connection, ricci_pipeline
-from lieschouten.poly import DEFAULT_TABLE, PolynomialError, Surd, exact_sqrt, parse_polynomial
+from lieschouten.poly import DEFAULT_TABLE, Polynomial, PolynomialError, Surd, exact_sqrt, parse_polynomial
 from lieschouten.soliton import (
     DEFAULT_LAMBDA0_GRID,
     CSolution,
@@ -33,7 +40,7 @@ from lieschouten.soliton import (
     soliton_system,
     verify_case,
 )
-from lieschouten.soliton import _apply_case, _CompiledCase, _exact_c_solver, _reduce_ladder, _sample_case_locus
+from lieschouten.soliton import _apply_case, _CompiledCase, _exact_c_solver, _locus_plan, _reduce_ladder
 
 from geometry_reference import (
     G5_ON_A_CIRCLE,
@@ -276,7 +283,7 @@ class TestVerifyCase:
             witness=(("alpha", Fraction(1)), ("beta", Fraction(0))),
         )
         report = verify_case(case)
-        assert report.method == "exact" and report.ok and report.residual_zero
+        assert report.method == "exact" and report.ok and report.detail == ""
 
     def test_reduced_case(self):
         case = TheoremCase(
@@ -354,7 +361,8 @@ class TestNegativeControl:
         report = negative_control(case)
         assert report.ok and report.method == "control"
         # at alpha=1, beta=0 the first residual with c perturbed to 1 is alpha*c = 1
-        assert report.max_float_residual >= 1.0
+        prefix = "perturbation 1 raises residual "
+        assert report.detail.startswith(prefix) and float(report.detail[len(prefix) :]) >= 1.0
 
     def test_skipped_for_free_c(self):
         case = TheoremCase(
@@ -562,8 +570,8 @@ class TestExactLocus:
         # 4.11.2's locus: beta^2 = 2*alpha^2 with alpha drawn, so beta is alpha*sqrt(2)
         case = next(c for c in CATALOG_CASES if c.label == "4.11.2")
         system = soliton_system(build_family("g6"), "canonical")
-        draws = (random.Random(k) for k in range(20))
-        points = [_sample_case_locus(system, case, case.substitutions, case.reductions, T, rng) for rng in draws]
+        plan = _locus_plan(system, case, case.substitutions, case.reductions, T)
+        points = [draw_point(random.Random(k), *plan) for k in range(20)]
         points = [pt for pt in points if pt is not None]
         assert points and all(type(pt["beta"]) is Surd and pt["beta"].d == 2 for pt in points)
         assert all(pt["beta"] ** 2 == 2 * pt["alpha"] ** 2 for pt in points)
@@ -581,9 +589,10 @@ class TestExactLocus:
 
         system = soliton_system(build_family("g3"), "lc")
         near, on = case("beta^2 + 1/10000000000000"), case("beta^2")
+        near_plan, on_plan = (_locus_plan(system, c, (), c.reductions, T) for c in (near, on))
         for seed in range(10):
-            assert _sample_case_locus(system, near, (), near.reductions, T, random.Random(seed)) is None
-            assert _sample_case_locus(system, on, (), on.reductions, T, random.Random(seed)) is not None
+            assert draw_point(random.Random(seed), *near_plan) is None
+            assert draw_point(random.Random(seed), *on_plan) is not None
 
 
 class TestCaseMembership:
@@ -719,10 +728,8 @@ class TestListedOrderSubstitution:
     def test_sampler_and_membership_agree_with_the_ladder(self):
         compiled = _CompiledCase(self.CASE, None, T)
         applied = _apply_case(self.SYSTEM, self.CASE.substitutions, self.CASE.c_expr, T)
-        points = [
-            _sample_case_locus(self.SYSTEM, self.CASE, self.CASE.substitutions, (), T, random.Random(k))
-            for k in range(60)
-        ]
+        plan = _locus_plan(self.SYSTEM, self.CASE, self.CASE.substitutions, (), T)
+        points = [draw_point(random.Random(k), *plan) for k in range(60)]
         points = [pt for pt in points if pt is not None]
         assert points
         for pt in points:
@@ -748,10 +755,12 @@ _HASH_SEED_PROBE = """
 import random
 from lieschouten.algebras import build_family
 from lieschouten.poly import DEFAULT_TABLE as T, parse_polynomial as p
-from lieschouten.soliton import TheoremCase, _sample_case_locus, soliton_system, verify_case
+from lieschouten.algebras import draw_point
+from lieschouten.soliton import TheoremCase, _locus_plan, soliton_system, verify_case
 case = TheoremCase("h.1", "g5", "lc", substitutions=(("alpha", p("lambda0")), ("beta", p("eta"))), c_expr=p("0"))
 system = soliton_system(build_family("g5"), "lc")
-points = [_sample_case_locus(system, case, case.substitutions, (), T, random.Random(k)) for k in range(8)]
+plan = _locus_plan(system, case, case.substitutions, (), T)
+points = [draw_point(random.Random(k), *plan) for k in range(8)]
 report = verify_case(case, T, seed=0, sample_count=20)
 print(repr([points, report.method, report.counterexample]))
 """
@@ -775,7 +784,53 @@ def test_locus_sampler_does_not_follow_the_string_hash_seed():
     for pt in points:
         assert set(pt) == {"gamma", "delta", "eta", "lambda0"}
         assert pt["lambda0"] * pt["gamma"] + pt["eta"] * pt["delta"] == 0
-    assert namespace["report"].method == "failed"
+    # the counterexample keeps the lambda0 that the locus solved, so it lies on the locus
+    report = namespace["report"]
+    assert report.method == "failed"
+    point = report.counterexample
+    assert point["lambda0"] * point["gamma"] + point["eta"] * point["delta"] == 0
+
+
+def test_constraint_quadratic_in_its_free_variable_is_solved():
+    # alpha := eta and gamma := eta turn g5's constraint into eta^2 + beta*delta:
+    # beta and delta are drawn and eta is solved by the quadratic formula
+    case = TheoremCase("q.1", "g5", "lc", substitutions=(("alpha", p("eta")), ("gamma", p("eta"))), c_expr=T.zero)
+    system = soliton_system(build_family("g5"), "lc")
+    plan = _locus_plan(system, case, case.substitutions, (), T)
+    assert plan[0] == ["beta", "delta"] and [var for var, _ in plan[1]] == ["eta"]
+    points = [pt for pt in (draw_point(random.Random(k), *plan) for k in range(40)) if pt is not None]
+    assert points and any(isinstance(pt["eta"], Surd) for pt in points)
+    for pt in points:
+        assert pt["eta"] ** 2 + pt["beta"] * pt["delta"] == 0
+        assert pt["eta"] + pt["delta"] != 0
+
+
+def test_sampled_rung_compiles_the_locus_once_per_ladder_branch(monkeypatch):
+    # the sampled rung of g6/lc without the quadratic rewrite: the draws
+    # substitute nothing, so more samples make no more substitutions
+    case = TheoremCase(
+        label="t.3",
+        family_id="g6",
+        kind="lc",
+        substitutions=(("gamma", T.zero), ("delta", T.zero)),
+        c_expr=p("1/2*alpha^2 - 3/2*alpha^2*lambda0"),
+        nonzero=(p("alpha"),),
+        sample_subs=(("beta", p("alpha")),),
+    )
+    calls = []
+    original = Polynomial.substitute
+
+    def counting(self, var, replacement):
+        calls.append(var)
+        return original(self, var, replacement)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    counts = []
+    for sample_count in (10, 60):
+        calls.clear()
+        assert verify_case(case, sample_count=sample_count).method == "sampled"
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_lambda0_law_flags_exactly_six_stated_suspect_case_branches():
