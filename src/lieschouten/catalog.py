@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import importlib.resources
 import itertools
+import os
 import re
+import threading
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .algebras import LieAlgebraFamily, family_branches, instantiate_eta
+from .algebras import FAMILY_IDS, LieAlgebraFamily, family_branches, instantiate_eta
 from .geometry import (
     CANONICAL,
     CONNECTION_KINDS,
@@ -361,7 +363,7 @@ def _vanishes(planes) -> bool:
 
 def _structural_records(table: VariableTable, only: Optional[str]) -> list[VerifyRecord]:
     records = []
-    for fid in ("g1", "g2", "g3", "g4", "g5", "g6", "g7"):
+    for fid in FAMILY_IDS:
         for fam in family_branches(fid, table):
             selectors = (fam.describe(), fid, "structural")
             if not _matches_only(selectors, only):
@@ -614,57 +616,174 @@ def _witness_records(catalog: Catalog, table: VariableTable, only: Optional[str]
     return records
 
 
-def _scan_records(
+def _scan_families(only: Optional[str]) -> list[str]:
+    """The families with at least one scan record that `only` selects."""
+    return [
+        fid
+        for fid in FAMILY_IDS
+        if any(_matches_only((f"{fid}-{_kind_tag(kind)}", fid, "scan"), only) for kind in CONNECTION_KINDS)
+    ]
+
+
+def _family_scan_records(
     catalog: Catalog,
     table: VariableTable,
+    fid: str,
     seed: int,
     scan_count: int,
     lambda0_grid,
     only: Optional[str],
 ) -> list[VerifyRecord]:
+    """The scan records of one family.  A family is the unit of work: its
+    three kinds share one `_branch_sample` draw."""
     records = []
-    for fid in ("g1", "g2", "g3", "g4", "g5", "g6", "g7"):
-        for kind in CONNECTION_KINDS:
-            tag = f"{fid}-{_kind_tag(kind)}"
-            if not _matches_only((tag, fid, "scan"), only):
-                continue
-            cases = [c for c in catalog.cases if c.family_id == fid and c.kind == kind]
-            solvable_total = 0
-            entry_total = 0
-            unmatched = []
-            for fam in family_branches(fid, table):
-                report = scan(fam, kind, seed=seed, count=scan_count, lambda0_grid=lambda0_grid)
-                entry_total += report.size
-                verdicts = scan_membership(report, cases, table)
-                solvable_total += len(verdicts)
-                if not all(verdicts):
-                    outside = (cell for cell, inside in zip(report.cells(), verdicts) if not inside)
-                    for _, pt, lam, sol in itertools.islice(outside, 3 - len(unmatched)):
-                        unmatched.append(f"{fam.describe()} {_format_point(pt.values)}, lambda0={lam}, c={sol.value}")
-            has_nonempty_case = any(not c.empty for c in cases)
-            if unmatched:
-                status = "fail"
-                detail = (
-                    f"{solvable_total}/{entry_total} solvable; outside classification: "
-                    + " | ".join(unmatched)
-                )
-            elif not has_nonempty_case and solvable_total > 0:
-                status = "fail"
-                detail = f"{solvable_total}/{entry_total} solvable but classification claims none"
-            else:
-                status = "pass"
-                detail = f"{solvable_total}/{entry_total} solvable, all inside the classification"
-            records.append(
-                VerifyRecord(
-                    section="scan",
-                    label=tag,
-                    status=status,
-                    method="scan",
-                    detail=detail,
-                    selectors=(tag, fid, "scan"),
-                )
+    for kind in CONNECTION_KINDS:
+        tag = f"{fid}-{_kind_tag(kind)}"
+        if not _matches_only((tag, fid, "scan"), only):
+            continue
+        cases = [c for c in catalog.cases if c.family_id == fid and c.kind == kind]
+        solvable_total = 0
+        entry_total = 0
+        unmatched = []
+        for fam in family_branches(fid, table):
+            report = scan(fam, kind, seed=seed, count=scan_count, lambda0_grid=lambda0_grid)
+            entry_total += report.size
+            verdicts = scan_membership(report, cases, table)
+            solvable_total += len(verdicts)
+            if not all(verdicts):
+                outside = (cell for cell, inside in zip(report.cells(), verdicts) if not inside)
+                for _, pt, lam, sol in itertools.islice(outside, 3 - len(unmatched)):
+                    unmatched.append(f"{fam.describe()} {_format_point(pt.values)}, lambda0={lam}, c={sol.value}")
+        has_nonempty_case = any(not c.empty for c in cases)
+        if unmatched:
+            status = "fail"
+            detail = (
+                f"{solvable_total}/{entry_total} solvable; outside classification: "
+                + " | ".join(unmatched)
             )
+        elif not has_nonempty_case and solvable_total > 0:
+            status = "fail"
+            detail = f"{solvable_total}/{entry_total} solvable but classification claims none"
+        else:
+            status = "pass"
+            detail = f"{solvable_total}/{entry_total} solvable, all inside the classification"
+        records.append(
+            VerifyRecord(
+                section="scan",
+                label=tag,
+                status=status,
+                method="scan",
+                detail=detail,
+                selectors=(tag, fid, "scan"),
+            )
+        )
     return records
+
+
+# -- the scan worker -------------------------------------------------------------
+
+
+def _work(queue: int, scan_family, families: Sequence[str]) -> dict[int, object]:
+    """{index: records} for each family index taken from the shared queue
+    until it is empty; the first exception is kept as that family's outcome
+    and ends the work.  A one-byte read from a pipe is atomic, so each index
+    reaches exactly one process."""
+    outcomes: dict[int, object] = {}
+    while byte := os.read(queue, 1):
+        index = byte[0]
+        try:
+            outcomes[index] = scan_family(families[index])
+        except Exception as exc:
+            outcomes[index] = exc
+            break
+    return outcomes
+
+
+def _may_fork(families: Sequence[str]) -> bool:
+    """A second process pays only for at least two families, on at least two
+    CPUs, and forking is safe only while this process runs one thread."""
+    if len(families) < 2 or not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 and threading.active_count() == 1
+
+
+class _ScanWorker:
+    """One forked process that scans families from a queue it shares with
+    the parent, and reports {index: records} through a pipe when the queue
+    is empty.  Start it with `start`; the parent calls `finish` once its
+    other sections are done and `close` in every case."""
+
+    def __init__(self, pid: int, queue: int, report: int, families: Sequence[str], scan_family):
+        self.pid: Optional[int] = pid
+        self._queue: Optional[int] = queue
+        self._report: Optional[int] = report
+        self._families = families
+        self._scan_family = scan_family
+
+    @classmethod
+    def start(cls, families: Sequence[str], scan_family) -> Optional["_ScanWorker"]:
+        """The worker, or None when the fork fails (the run stays serial)."""
+        import pickle
+
+        queue, queue_end = os.pipe()
+        os.write(queue_end, bytes(range(len(families))))
+        os.close(queue_end)
+        report, report_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (queue, report, report_end):
+                os.close(fd)
+            return None
+        if pid == 0:
+            # The worker never returns into the caller: whatever happens, it
+            # leaves by os._exit, so no buffer or handler of the parent's runs.
+            try:
+                os.close(report)
+                try:
+                    blob = pickle.dumps(_work(queue, scan_family, families))
+                except Exception:
+                    blob = b""  # the parent scans this worker's families itself
+                with os.fdopen(report_end, "wb") as out:
+                    out.write(blob)
+            finally:
+                os._exit(0)
+        os.close(report_end)
+        return cls(pid, queue, report, families, scan_family)
+
+    def finish(self) -> dict[int, object]:
+        """Drain the queue here, then merge the worker's report; a family
+        that neither process reports is left out, for the caller to scan."""
+        import pickle
+
+        outcomes = _work(self._queue, self._scan_family, self._families)
+        with os.fdopen(self._report, "rb") as report:
+            self._report = None
+            blob = report.read()
+        os.waitpid(self.pid, 0)
+        self.pid = None
+        try:
+            reported = pickle.loads(blob) if blob else {}
+        except Exception:
+            reported = {}  # e.g. an exception type that does not unpickle
+        return {**reported, **outcomes}
+
+    def close(self) -> None:
+        """Kill and reap a worker that `finish` did not reap; close the pipes."""
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        for fd in (self._queue, self._report):
+            if fd is not None:
+                os.close(fd)
+        self._queue = self._report = None
 
 
 def verify_all(
@@ -681,15 +800,37 @@ def verify_all(
     `only` restricts to records whose selector set contains it exactly: a
     case label ("3.3.7"), a theorem prefix ("3.3"), a matrix label ("3.9"),
     a family ("g5"), a family-kind tag ("g5-can"), or a section name.
+
+    When the scan section selects at least two families, one forked worker
+    scans families from a queue shared with this process while this
+    process runs the other sections; `_may_fork` lists when the run stays
+    serial.  The records are the same either way, in the same order.
     """
     if catalog is None:
         catalog = load_catalog()
-    records: list[VerifyRecord] = []
-    records.extend(_structural_records(table, only))
-    records.extend(_matrix_records(catalog, table, only))
-    records.extend(_scalar_records(catalog, table, only))
-    records.extend(_case_records(catalog, table, seed, sample_count, only))
-    records.extend(_control_records(catalog, table, only))
-    records.extend(_witness_records(catalog, table, only))
-    records.extend(_scan_records(catalog, table, seed, scan_count, lambda0_grid, only))
+    families = _scan_families(only)
+
+    def scan_family(fid: str) -> list[VerifyRecord]:
+        return _family_scan_records(catalog, table, fid, seed, scan_count, lambda0_grid, only)
+
+    worker = _ScanWorker.start(families, scan_family) if _may_fork(families) else None
+    try:
+        records: list[VerifyRecord] = []
+        records.extend(_structural_records(table, only))
+        records.extend(_matrix_records(catalog, table, only))
+        records.extend(_scalar_records(catalog, table, only))
+        records.extend(_case_records(catalog, table, seed, sample_count, only))
+        records.extend(_control_records(catalog, table, only))
+        records.extend(_witness_records(catalog, table, only))
+        outcomes = worker.finish() if worker is not None else {}
+    finally:
+        if worker is not None:
+            worker.close()
+    # listed family order, whichever process scanned a family: the first
+    # failure in that order is raised, as a serial run raises it
+    for index, fid in enumerate(families):
+        outcome = outcomes[index] if index in outcomes else scan_family(fid)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        records.extend(outcome)
     return VerifySummary(records=tuple(records), seed=seed)

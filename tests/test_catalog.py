@@ -1,9 +1,13 @@
-"""Catalog loading, label completeness, fault detection, and determinism."""
+"""Catalog loading, label completeness, fault detection, determinism, and the
+forked scan worker."""
+
+import os
 
 import pytest
 
+from lieschouten import catalog as catalog_module
 from lieschouten import soliton
-from lieschouten.algebras import build_family, sample_parameters
+from lieschouten.algebras import FAMILY_IDS, build_family, sample_parameters
 from lieschouten.catalog import (
     MATRIX_LABELS,
     Catalog,
@@ -12,8 +16,8 @@ from lieschouten.catalog import (
     verify_all,
 )
 from lieschouten.geometry import connection, ricci_pipeline
-from lieschouten.poly import exact_sqrt
-from lieschouten.soliton import soliton_system
+from lieschouten.poly import DEFAULT_TABLE, exact_sqrt
+from lieschouten.soliton import DEFAULT_LAMBDA0_GRID, soliton_system
 
 # the documented set of claims whose stated form is internally inconsistent
 SUSPECT_CASES = {"3.3.8", "3.3.11", "3.3.12", "3.4.1", "3.5.1", "3.5.2", "4.6.1", "4.11.1"}
@@ -275,3 +279,153 @@ def test_verify_leaves_the_shared_sample_untouched():
     verify_all(only="g5", scan_count=20)
     g5 = build_family("g5")
     assert list(soliton._branch_sample(g5, 0, 20)) == sample_parameters(g5, seed=0, count=20)
+
+
+# -- the scan worker: one forked process shares the scan families ---------------
+
+TWO_CPUS = hasattr(os, "fork") and (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+) >= 2
+
+
+class ScanFault(Exception):
+    """Raised by a patched per-family scan."""
+
+
+def serial_scan_records(catalog, seed, scan_count, only=None):
+    return [
+        record
+        for fid in FAMILY_IDS
+        for record in catalog_module._family_scan_records(
+            catalog, DEFAULT_TABLE, fid, seed, scan_count, DEFAULT_LAMBDA0_GRID, only
+        )
+    ]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the forks of the test; the forks themselves are real."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="the scan worker needs two CPUs")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forked_scan_records_equal_the_serial_ones(catalog, forks, seed):
+    summary = verify_all(seed=seed, scan_count=60, catalog=catalog)
+    assert len(forks) == 1
+    assert_no_child_left()
+    scanned = [r for r in summary.records if r.section == "scan"]
+    assert scanned == serial_scan_records(catalog, seed, 60)
+    assert summary.records[-len(scanned):] == tuple(scanned)
+
+
+def test_a_single_family_or_case_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked for a single family")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert verify_all(only="3.3.7").ok
+    assert verify_all(only="g5").ok
+
+
+def test_a_live_thread_or_one_cpu_keeps_the_run_serial(monkeypatch):
+    monkeypatch.setattr(catalog_module.threading, "active_count", lambda: 2)
+    assert not catalog_module._may_fork(FAMILY_IDS)
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not catalog_module._may_fork(FAMILY_IDS)
+    assert not catalog_module._may_fork(FAMILY_IDS[:1])
+
+
+def raising_for(fid):
+    real = catalog_module._family_scan_records
+
+    def patched(catalog, table, family, *args):
+        if family == fid:
+            raise ScanFault(family)
+        return real(catalog, table, family, *args)
+
+    return patched
+
+
+def test_a_family_that_raises_raises_the_serial_runs_type(catalog, monkeypatch):
+    monkeypatch.setattr(catalog_module, "_family_scan_records", raising_for("g6"))
+    with pytest.raises(ScanFault):
+        verify_all(only="scan", scan_count=20, catalog=catalog)
+    assert_no_child_left()
+    monkeypatch.setattr(catalog_module, "_may_fork", lambda families: False)
+    with pytest.raises(ScanFault):
+        verify_all(only="scan", scan_count=20, catalog=catalog)
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="the scan worker needs two CPUs")
+def test_the_workers_exception_is_raised_in_the_parent(catalog, forks, monkeypatch):
+    import select
+
+    parent = os.getpid()
+    started, started_end = os.pipe()
+    real_scan = catalog_module._family_scan_records
+    real_witness = catalog_module._witness_records
+
+    def scan_fails_in_the_worker(catalog, table, fid, *args):
+        if os.getpid() != parent:
+            os.write(started_end, b"x")
+            raise ScanFault(fid)
+        return real_scan(catalog, table, fid, *args)
+
+    def witness_once_the_worker_failed(*args):
+        # the parent waits, so the worker surely takes a family first
+        assert select.select([started], [], [], 60)[0]
+        return real_witness(*args)
+
+    monkeypatch.setattr(catalog_module, "_family_scan_records", scan_fails_in_the_worker)
+    monkeypatch.setattr(catalog_module, "_witness_records", witness_once_the_worker_failed)
+    try:
+        with pytest.raises(ScanFault):
+            verify_all(scan_count=20, only="scan", catalog=catalog)
+    finally:
+        os.close(started)
+        os.close(started_end)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="the scan worker needs two CPUs")
+def test_a_worker_that_vanishes_leaves_its_families_to_the_parent(catalog, forks, monkeypatch):
+    expected = serial_scan_records(catalog, 0, 20, only="scan")
+    parent = os.getpid()
+    real_scan = catalog_module._family_scan_records
+
+    def scan_dies_in_the_worker(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real_scan(*args)
+
+    monkeypatch.setattr(catalog_module, "_family_scan_records", scan_dies_in_the_worker)
+    summary = verify_all(scan_count=20, only="scan", catalog=catalog)
+    assert len(forks) == 1
+    assert list(summary.records) == expected
+    assert_no_child_left()
+
+
+def test_a_failing_section_leaves_no_child(catalog, monkeypatch):
+    def failing_cases(*args):
+        raise ScanFault("case section")
+
+    monkeypatch.setattr(catalog_module, "_case_records", failing_cases)
+    with pytest.raises(ScanFault):
+        verify_all(scan_count=20, catalog=catalog)
+    assert_no_child_left()
