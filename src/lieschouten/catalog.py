@@ -14,13 +14,15 @@ look for solvable points outside the catalogued classification.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import importlib.resources
 import itertools
 import os
 import re
 import threading
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebras import FAMILY_IDS, LieAlgebraFamily, family_branches, instantiate_eta
 from .geometry import (
@@ -334,8 +336,15 @@ def _kind_tag(kind: str) -> str:
     return {LEVI_CIVITA: "lc", CANONICAL: "can", KOBAYASHI_NOMIZU: "kn"}[kind]
 
 
-def _theorem_prefix(label: str) -> str:
-    return label.rsplit(".", 1)[0] if label.count(".") >= 2 else label
+def _family_tag(fid: str, kind: str) -> str:
+    """The family-kind tag, "g5-can"."""
+    return f"{fid}-{_kind_tag(kind)}"
+
+
+def _case_selectors(case: TheoremCase, section: str) -> tuple[str, ...]:
+    """(label, theorem prefix, family, family-kind tag, section) of a case."""
+    prefix = case.label.rsplit(".", 1)[0] if case.label.count(".") >= 2 else case.label
+    return (case.label, prefix, case.family_id, _family_tag(case.family_id, case.kind), section)
 
 
 def _matches_only(selectors: Sequence[str], only: Optional[str]) -> bool:
@@ -403,7 +412,7 @@ def _structural_records(table: VariableTable, only: Optional[str]) -> list[Verif
 def _matrix_records(catalog: Catalog, table: VariableTable, only: Optional[str]) -> list[VerifyRecord]:
     records = []
     for fixture in catalog.matrices:
-        tag = f"{fixture.family_id}-{_kind_tag(fixture.kind)}"
+        tag = _family_tag(fixture.family_id, fixture.kind)
         selectors = (fixture.label, fixture.family_id, tag, "matrix")
         if not _matches_only(selectors, only):
             continue
@@ -442,9 +451,7 @@ def _matrix_records(catalog: Catalog, table: VariableTable, only: Optional[str])
         m_flat = catalog.matrix("4.45")
     except KeyError:
         return records
-    same = all(
-        m_def.entries[i][j] == m_flat.entries[i][j] for i in range(3) for j in range(3)
-    )
+    same = m_def.entries == m_flat.entries
     records.append(
         VerifyRecord(
             section="matrix",
@@ -517,36 +524,27 @@ def _case_records(
 ) -> list[VerifyRecord]:
     records = []
     for case in catalog.cases:
-        tag = f"{case.family_id}-{_kind_tag(case.kind)}"
-        selectors = (case.label, _theorem_prefix(case.label), case.family_id, tag, "case")
+        selectors = _case_selectors(case, "case")
         if not _matches_only(selectors, only):
             continue
         report = verify_case(case, table=table, seed=seed, sample_count=sample_count)
         if case.empty:
-            records.append(
-                VerifyRecord(
-                    section="case",
-                    label=case.label,
-                    status="pass" if report.ok else "fail",
-                    method=report.method,
-                    detail=report.detail,
-                    selectors=selectors,
-                )
-            )
-            continue
-        detail = f"stated: {report.method}"
-        if report.method == "unsampled":
-            detail += f"; {report.detail}"
-        if report.variant_method is not None:
-            detail += f"; variant: {report.variant_method}"
-        if report.counterexample:
-            detail += f"; counterexample {_format_point(report.counterexample)}"
-        if case.note:
-            detail += f" [{case.note}]"
-        if case.suspect:
-            status = "warn" if report.ok else "fail"
+            status = "pass" if report.ok else "fail"
+            detail = report.detail
         else:
-            status = "pass" if report.ok and report.method in ("exact", "reduced") else "fail"
+            detail = f"stated: {report.method}"
+            if report.method == "unsampled":
+                detail += f"; {report.detail}"
+            if report.variant_method is not None:
+                detail += f"; variant: {report.variant_method}"
+            if report.counterexample:
+                detail += f"; counterexample {_format_point(report.counterexample)}"
+            if case.note:
+                detail += f" [{case.note}]"
+            if case.suspect:
+                status = "warn" if report.ok else "fail"
+            else:
+                status = "pass" if report.ok and report.method in ("exact", "reduced") else "fail"
         records.append(
             VerifyRecord(
                 section="case",
@@ -563,8 +561,7 @@ def _case_records(
 def _control_records(catalog: Catalog, table: VariableTable, only: Optional[str]) -> list[VerifyRecord]:
     records = []
     for case in catalog.cases:
-        tag = f"{case.family_id}-{_kind_tag(case.kind)}"
-        selectors = (case.label, _theorem_prefix(case.label), case.family_id, tag, "control")
+        selectors = _case_selectors(case, "control")
         if not _matches_only(selectors, only):
             continue
         report = negative_control(case, table=table)
@@ -589,8 +586,7 @@ def _witness_records(catalog: Catalog, table: VariableTable, only: Optional[str]
     for case in catalog.cases:
         if case.empty:
             continue
-        tag = f"{case.family_id}-{_kind_tag(case.kind)}"
-        selectors = (case.label, _theorem_prefix(case.label), case.family_id, tag, "witness")
+        selectors = _case_selectors(case, "witness")
         if not _matches_only(selectors, only):
             continue
         problems = []
@@ -621,7 +617,7 @@ def _scan_families(only: Optional[str]) -> list[str]:
     return [
         fid
         for fid in FAMILY_IDS
-        if any(_matches_only((f"{fid}-{_kind_tag(kind)}", fid, "scan"), only) for kind in CONNECTION_KINDS)
+        if any(_matches_only((_family_tag(fid, kind), fid, "scan"), only) for kind in CONNECTION_KINDS)
     ]
 
 
@@ -638,7 +634,7 @@ def _family_scan_records(
     three kinds share one `_branch_sample` draw."""
     records = []
     for kind in CONNECTION_KINDS:
-        tag = f"{fid}-{_kind_tag(kind)}"
+        tag = _family_tag(fid, kind)
         if not _matches_only((tag, fid, "scan"), only):
             continue
         cases = [c for c in catalog.cases if c.family_id == fid and c.kind == kind]
@@ -680,28 +676,13 @@ def _family_scan_records(
     return records
 
 
-# -- the scan worker -------------------------------------------------------------
-
-
-def _work(queue: int, scan_family, families: Sequence[str]) -> dict[int, object]:
-    """{index: records} for each family index taken from the shared queue
-    until it is empty; the first exception is kept as that family's outcome
-    and ends the work.  A one-byte read from a pipe is atomic, so each index
-    reaches exactly one process."""
-    outcomes: dict[int, object] = {}
-    while byte := os.read(queue, 1):
-        index = byte[0]
-        try:
-            outcomes[index] = scan_family(families[index])
-        except Exception as exc:
-            outcomes[index] = exc
-            break
-    return outcomes
+# -- the job runner ------------------------------------------------------------
 
 
 def _may_fork(families: Sequence[str]) -> bool:
-    """A second process pays only for at least two families, on at least two
-    CPUs, and forking is safe only while this process runs one thread."""
+    """A second process pays only for at least two scan families, on at
+    least two CPUs, and forking is safe only while this process runs one
+    thread."""
     if len(families) < 2 or not hasattr(os, "fork"):
         return False
     if hasattr(os, "sched_getaffinity"):
@@ -711,79 +692,73 @@ def _may_fork(families: Sequence[str]) -> bool:
     return cpus >= 2 and threading.active_count() == 1
 
 
-class _ScanWorker:
-    """One forked process that scans families from a queue it shares with
-    the parent, and reports {index: records} through a pipe when the queue
-    is empty.  Start it with `start`; the parent calls `finish` once its
-    other sections are done and `close` in every case."""
+def _run_jobs(jobs: Sequence[Callable[[], list]], fork: bool) -> list[list]:
+    """The results of the zero-argument `jobs` (at most 256), in listed order.
 
-    def __init__(self, pid: int, queue: int, report: int, families: Sequence[str], scan_family):
-        self.pid: Optional[int] = pid
-        self._queue: Optional[int] = queue
-        self._report: Optional[int] = report
-        self._families = families
-        self._scan_family = scan_family
+    With `fork`, one forked worker and this process share the jobs: their
+    indices sit in a pipe that both read one byte at a time, and a one-byte
+    read is atomic, so each job runs in exactly one process.  A process
+    stops at its first exception and keeps it as that job's outcome.  The
+    worker sends {index: outcome} back pickled through a second pipe and
+    leaves by os._exit.  A job that neither process reports runs here, and
+    the first exception in listed order is raised, as a serial run raises
+    it."""
+    if not fork:
+        return [job() for job in jobs]
+    import pickle
+    import signal
 
-    @classmethod
-    def start(cls, families: Sequence[str], scan_family) -> Optional["_ScanWorker"]:
-        """The worker, or None when the fork fails (the run stays serial)."""
-        import pickle
+    def drain(queue) -> dict[int, object]:
+        outcomes: dict[int, object] = {}
+        while byte := queue.read(1):
+            try:
+                outcomes[byte[0]] = jobs[byte[0]]()
+            except Exception as exc:
+                outcomes[byte[0]] = exc
+                break
+        return outcomes
 
-        queue, queue_end = os.pipe()
-        os.write(queue_end, bytes(range(len(families))))
-        os.close(queue_end)
-        report, report_end = os.pipe()
+    queue_fd, queue_end_fd = os.pipe()
+    with os.fdopen(queue_end_fd, "wb") as out:
+        out.write(bytes(range(len(jobs))))
+    report_fd, report_end_fd = os.pipe()
+    with (
+        os.fdopen(queue_fd, "rb", buffering=0) as queue,
+        os.fdopen(report_fd, "rb") as report,
+        os.fdopen(report_end_fd, "wb") as report_end,
+    ):
         try:
             pid = os.fork()
         except OSError:
-            for fd in (queue, report, report_end):
-                os.close(fd)
-            return None
+            return [job() for job in jobs]
         if pid == 0:
             # The worker never returns into the caller: whatever happens, it
             # leaves by os._exit, so no buffer or handler of the parent's runs.
+            # A report that does not pickle is never written: the parent
+            # then runs this worker's jobs itself.
             try:
-                os.close(report)
-                try:
-                    blob = pickle.dumps(_work(queue, scan_family, families))
-                except Exception:
-                    blob = b""  # the parent scans this worker's families itself
-                with os.fdopen(report_end, "wb") as out:
-                    out.write(blob)
+                report_end.write(pickle.dumps(drain(queue)))
+                report_end.flush()
             finally:
                 os._exit(0)
-        os.close(report_end)
-        return cls(pid, queue, report, families, scan_family)
-
-    def finish(self) -> dict[int, object]:
-        """Drain the queue here, then merge the worker's report; a family
-        that neither process reports is left out, for the caller to scan."""
-        import pickle
-
-        outcomes = _work(self._queue, self._scan_family, self._families)
-        with os.fdopen(self._report, "rb") as report:
-            self._report = None
-            blob = report.read()
-        os.waitpid(self.pid, 0)
-        self.pid = None
         try:
-            reported = pickle.loads(blob) if blob else {}
-        except Exception:
-            reported = {}  # e.g. an exception type that does not unpickle
-        return {**reported, **outcomes}
-
-    def close(self) -> None:
-        """Kill and reap a worker that `finish` did not reap; close the pipes."""
-        if self.pid is not None:
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        for fd in (self._queue, self._report):
-            if fd is not None:
-                os.close(fd)
-        self._queue = self._report = None
+            report_end.close()
+            outcomes = drain(queue)
+            blob = report.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+    with contextlib.suppress(Exception):  # no report, or one that does not unpickle
+        outcomes.update(pickle.loads(blob))
+    results = []
+    for index, job in enumerate(jobs):
+        outcome = outcomes[index] if index in outcomes else job()
+        if isinstance(outcome, BaseException):
+            raise outcome
+        results.append(outcome)
+    return results
 
 
 def verify_all(
@@ -801,36 +776,26 @@ def verify_all(
     case label ("3.3.7"), a theorem prefix ("3.3"), a matrix label ("3.9"),
     a family ("g5"), a family-kind tag ("g5-can"), or a section name.
 
-    When the scan section selects at least two families, one forked worker
-    scans families from a queue shared with this process while this
-    process runs the other sections; `_may_fork` lists when the run stays
-    serial.  The records are the same either way, in the same order.
+    The run is one job list: the structural, matrix, scalar, case, control
+    and witness sections, then one scan job per selected family.  When the
+    scan section selects at least two families, `_run_jobs` shares the list
+    between this process and one forked worker; `_may_fork` lists when the
+    run stays serial.  The records are the same either way, in the same
+    order.
     """
     if catalog is None:
         catalog = load_catalog()
     families = _scan_families(only)
-
-    def scan_family(fid: str) -> list[VerifyRecord]:
-        return _family_scan_records(catalog, table, fid, seed, scan_count, lambda0_grid, only)
-
-    worker = _ScanWorker.start(families, scan_family) if _may_fork(families) else None
-    try:
-        records: list[VerifyRecord] = []
-        records.extend(_structural_records(table, only))
-        records.extend(_matrix_records(catalog, table, only))
-        records.extend(_scalar_records(catalog, table, only))
-        records.extend(_case_records(catalog, table, seed, sample_count, only))
-        records.extend(_control_records(catalog, table, only))
-        records.extend(_witness_records(catalog, table, only))
-        outcomes = worker.finish() if worker is not None else {}
-    finally:
-        if worker is not None:
-            worker.close()
-    # listed family order, whichever process scanned a family: the first
-    # failure in that order is raised, as a serial run raises it
-    for index, fid in enumerate(families):
-        outcome = outcomes[index] if index in outcomes else scan_family(fid)
-        if isinstance(outcome, BaseException):
-            raise outcome
-        records.extend(outcome)
+    jobs = [
+        functools.partial(_structural_records, table, only),
+        functools.partial(_matrix_records, catalog, table, only),
+        functools.partial(_scalar_records, catalog, table, only),
+        functools.partial(_case_records, catalog, table, seed, sample_count, only),
+        functools.partial(_control_records, catalog, table, only),
+        functools.partial(_witness_records, catalog, table, only),
+    ] + [
+        functools.partial(_family_scan_records, catalog, table, fid, seed, scan_count, lambda0_grid, only)
+        for fid in families
+    ]
+    records = [record for result in _run_jobs(jobs, _may_fork(families)) for record in result]
     return VerifySummary(records=tuple(records), seed=seed)

@@ -679,7 +679,7 @@ def _verify_empty(case: TheoremCase, table: VariableTable, seed: int) -> Verific
     total = 0
     for fam in family_branches(case.family_id, table):
         report = scan(fam, case.kind, seed=seed, count=500)
-        solvable += len(report.solvable)
+        solvable += sum(1 for _ in report.cells())
         total += report.size
     ok = solvable == 0
     return _report(case, "scan-empty", ok, detail=f"{solvable} solvable of {total} scanned {case.note}".strip())

@@ -1,7 +1,9 @@
 """Catalog loading, label completeness, fault detection, determinism, and the
-forked scan worker."""
+two-process job runner."""
 
 import os
+import select
+import time
 
 import pytest
 
@@ -281,7 +283,7 @@ def test_verify_leaves_the_shared_sample_untouched():
     assert list(soliton._branch_sample(g5, 0, 20)) == sample_parameters(g5, seed=0, count=20)
 
 
-# -- the scan worker: one forked process shares the scan families ---------------
+# -- the job runner: one forked worker shares the section and scan jobs ----------
 
 TWO_CPUS = hasattr(os, "fork") and (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -321,15 +323,44 @@ def forks(monkeypatch):
     return calls
 
 
-@pytest.mark.skipif(not TWO_CPUS, reason="the scan worker needs two CPUs")
+@pytest.mark.skipif(not TWO_CPUS, reason="the worker needs two CPUs")
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_forked_scan_records_equal_the_serial_ones(catalog, forks, seed):
+def test_forked_scan_records_equal_the_serial_ones(catalog, forks, monkeypatch, seed):
     summary = verify_all(seed=seed, scan_count=60, catalog=catalog)
     assert len(forks) == 1
     assert_no_child_left()
     scanned = [r for r in summary.records if r.section == "scan"]
     assert scanned == serial_scan_records(catalog, seed, 60)
     assert summary.records[-len(scanned):] == tuple(scanned)
+    # the whole stream, every section included, equals the serial run's
+    monkeypatch.setattr(catalog_module, "_may_fork", lambda families: False)
+    assert verify_all(seed=seed, scan_count=60, catalog=catalog) == summary
+    assert len(forks) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the runner forks")
+def test_two_processes_share_the_job_list(forks):
+    # job 0 waits for job 1, so whichever process takes job 0 leaves job 1
+    # to the other one
+    ready, ready_end = os.pipe()
+
+    def first():
+        assert select.select([ready], [], [], 60)[0], "job 1 never ran"
+        return ["first", os.getpid()]
+
+    def second():
+        os.write(ready_end, b"x")
+        return ["second", os.getpid()]
+
+    try:
+        (name0, pid0), (name1, pid1) = catalog_module._run_jobs([first, second], True)
+    finally:
+        os.close(ready)
+        os.close(ready_end)
+    assert (name0, name1) == ("first", "second")
+    assert pid0 != pid1 and os.getpid() in (pid0, pid1)
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 def test_a_single_family_or_case_never_forks(monkeypatch):
@@ -371,39 +402,40 @@ def test_a_family_that_raises_raises_the_serial_runs_type(catalog, monkeypatch):
         verify_all(only="scan", scan_count=20, catalog=catalog)
 
 
-@pytest.mark.skipif(not TWO_CPUS, reason="the scan worker needs two CPUs")
-def test_the_workers_exception_is_raised_in_the_parent(catalog, forks, monkeypatch):
-    import select
-
+def fail_in_the_worker(monkeypatch):
+    """Patch the family scan to raise ScanFault in the worker only.  The
+    parent's first scan waits until the worker has failed, so the worker
+    surely takes the next scan job.  Returns the pipe for the caller to
+    close."""
     parent = os.getpid()
-    started, started_end = os.pipe()
+    failed, failed_end = os.pipe()
     real_scan = catalog_module._family_scan_records
-    real_witness = catalog_module._witness_records
 
     def scan_fails_in_the_worker(catalog, table, fid, *args):
         if os.getpid() != parent:
-            os.write(started_end, b"x")
+            os.write(failed_end, b"x")
             raise ScanFault(fid)
+        assert select.select([failed], [], [], 60)[0], "the worker never failed"
         return real_scan(catalog, table, fid, *args)
 
-    def witness_once_the_worker_failed(*args):
-        # the parent waits, so the worker surely takes a family first
-        assert select.select([started], [], [], 60)[0]
-        return real_witness(*args)
-
     monkeypatch.setattr(catalog_module, "_family_scan_records", scan_fails_in_the_worker)
-    monkeypatch.setattr(catalog_module, "_witness_records", witness_once_the_worker_failed)
+    return failed, failed_end
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="the worker needs two CPUs")
+def test_the_workers_exception_is_raised_in_the_parent(catalog, forks, monkeypatch):
+    pipe = fail_in_the_worker(monkeypatch)
     try:
         with pytest.raises(ScanFault):
             verify_all(scan_count=20, only="scan", catalog=catalog)
     finally:
-        os.close(started)
-        os.close(started_end)
+        for fd in pipe:
+            os.close(fd)
     assert len(forks) == 1
     assert_no_child_left()
 
 
-@pytest.mark.skipif(not TWO_CPUS, reason="the scan worker needs two CPUs")
+@pytest.mark.skipif(not TWO_CPUS, reason="the worker needs two CPUs")
 def test_a_worker_that_vanishes_leaves_its_families_to_the_parent(catalog, forks, monkeypatch):
     expected = serial_scan_records(catalog, 0, 20, only="scan")
     parent = os.getpid()
@@ -428,4 +460,51 @@ def test_a_failing_section_leaves_no_child(catalog, monkeypatch):
     monkeypatch.setattr(catalog_module, "_case_records", failing_cases)
     with pytest.raises(ScanFault):
         verify_all(scan_count=20, catalog=catalog)
+    assert_no_child_left()
+
+
+class ParentInterrupt(BaseException):
+    """Raised in the parent, outside any job's outcome, like a ^C."""
+
+
+@pytest.mark.skipif(
+    not (TWO_CPUS and os.path.isdir("/proc/self/fd")), reason="needs two CPUs and /proc/self/fd"
+)
+def test_no_run_leaves_an_open_fd(catalog, forks, monkeypatch):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    assert verify_all(scan_count=20, only="scan", catalog=catalog).ok
+    assert open_fds() == before
+
+    pipe = fail_in_the_worker(monkeypatch)
+    with pytest.raises(ScanFault):
+        verify_all(scan_count=20, only="scan", catalog=catalog)
+    for fd in pipe:
+        os.close(fd)
+    assert open_fds() == before
+
+    # the worker blocks in its first scan and the parent is interrupted in
+    # its own: the parent kills and reaps the worker instead of waiting
+    parent = os.getpid()
+    never, never_end = os.pipe()
+
+    def scan_interrupted(*args):
+        if os.getpid() == parent:
+            raise ParentInterrupt
+        select.select([never], [], [], 60)
+        raise ScanFault("the worker was not killed")
+
+    monkeypatch.setattr(catalog_module, "_family_scan_records", scan_interrupted)
+    start = time.monotonic()
+    try:
+        with pytest.raises(ParentInterrupt):
+            verify_all(scan_count=20, only="scan", catalog=catalog)
+    finally:
+        os.close(never)
+        os.close(never_end)
+    assert time.monotonic() - start < 30
+    assert open_fds() == before
+    assert len(forks) == 3
     assert_no_child_left()
