@@ -798,11 +798,12 @@ class IntegerKernel:
     Calling the kernel at a point of ints or Fractions returns those
     integers F, one per polynomial.  The common factor D * L**G is
     positive, so the F keep the zeros, the signs and the ratios of the
-    values, and no Fraction is formed.
-
-    The list is compiled once, at construction, to the straight-line
-    function in `source` (see `_kernel_source`), which takes the numerators
-    n_j as x0, x1, ... and L as its last argument.
+    values, and no Fraction is formed.  Any other L > 0 with integer n_j
+    gives the same zeros, signs and ratios, so `scaled`, the entry that the
+    call goes through, takes them as given: one `integer_point` serves
+    every kernel that reads the point.  The list is compiled once, at
+    construction, to the straight-line function in `source` (see
+    `_kernel_source`), which reads n_j by name and takes L as is.
     """
 
     __slots__ = ("names", "source", "_run")
@@ -811,22 +812,34 @@ class IntegerKernel:
         used = set().union(*(poly.variables() for poly in polys))
         self.names = tuple(n for n in table.names if n in used)
         self.source = _kernel_source(table, self.names, polys)
-        namespace: dict = {"__builtins__": {}}
+        namespace: dict = {"__builtins__": {}, **{f"n{j}": n for j, n in enumerate(self.names)}}
         exec(compile(self.source, "<IntegerKernel>", "exec"), namespace)
         self._run = namespace["kernel"]
 
     def __call__(self, point: Mapping[str, Scalar]) -> list[int]:
-        """One integer per polynomial, all scaled by one positive factor."""
+        """`scaled` at `integer_point` of the point's values that it reads."""
+        return self.scaled(*integer_point({n: point[n] for n in self.names if n in point}))
+
+    def scaled(self, numerators: Mapping[str, Scalar], scale: int) -> list[int]:
+        """One integer per polynomial at the point numerators[n] / scale,
+        for any scale L > 0 that clears every denominator."""
         try:
-            vals = [point[n] for n in self.names]
+            return self._run(numerators, scale)
         except KeyError as missing:
             raise PolynomialError(f"unassigned variable {missing.args[0]!r}") from None
-        scale = lcm(*(v.denominator for v in vals))
-        return self._run(*[v.numerator * (scale // v.denominator) for v in vals], scale)
+
+
+def integer_point(values: Mapping[str, Scalar]) -> tuple[dict[str, Scalar], int]:
+    """(numerators, L): L the lcm of the value denominators, and each value
+    times L, an int or an integer Surd, as `IntegerKernel.scaled` takes them."""
+    scale = lcm(*[v.denominator for v in values.values()])
+    return {n: v.numerator * (scale // v.denominator) for n, v in values.items()}, scale
 
 
 def _kernel_source(table: VariableTable, names: Sequence[str], polys: Sequence[Polynomial]) -> str:
-    """Python source of `kernel(x0, ..., L)` for `IntegerKernel`.
+    """Python source of `kernel(point, L)` for `IntegerKernel`, which reads
+    the numerator of the j-th name as x0, x1, ... from `point` by the name
+    bound to n0, n1, ... in its namespace.
 
     Each power of a base is built once by a chain (x0_3 = x0_2 * x0), each
     homogenised monomial that more than one term uses gets one local, and
@@ -852,7 +865,7 @@ def _kernel_source(table: VariableTable, names: Sequence[str], polys: Sequence[P
             row.append((slots[mono], n * scale))
         rows.append(row)
 
-    lines = [f"def kernel({', '.join(bases)}):"]
+    lines = ["def kernel(point, L):"] + [f"    x{j} = point[n{j}]" for j in range(len(names))]
     for j, base in enumerate(bases):
         top = max((exps[j] for exps in exponents), default=0)
         lines += [f"    {base}_{e} = {base if e == 2 else f'{base}_{e - 1}'} * {base}" for e in range(2, top + 1)]

@@ -31,30 +31,29 @@ Cases marked suspect carry a variant (a small, principled correction);
 both the stated and variant data are verified and reported.
 
 Everything is decided exactly.  A point's values are Fractions, or
-`poly.Surd`s of one quadratic field where a square root enters (a
-quadratic constraint, a case's relation var^2 - rhs, the witness
-beta = sqrt(2) of 4.11.2); lambda0 is rational, and any other lambda0
-raises TypeError.  The c solve at a point is `_point_solver`.
+`poly.Surd`s of one quadratic field where a square root enters (a quadratic
+constraint, a case's relation var^2 - rhs, the witness beta = sqrt(2) of
+4.11.2); lambda0 is rational, and any other lambda0 raises TypeError.
 `_compiled_decomposition` checks the residual shape once per system and
 compiles the P, Q, R of the nonzero residuals to one `poly.IntegerKernel`.
-A point is evaluated once and decided once, with no lambda0 in the test,
-and each lambda0 then costs one division (`_exact_c_solver`).  `scan`
-draws its sample once per family branch (`_branch_sample`), shared by the
-connections, and builds one point solver per distinct point for its whole
-lambda0 grid; `solve_for_c` builds one for its single call.  A
-`ScanReport` is a table: the shared sample and one row of solutions per
-point, a repeated point sharing its first occurrence's row; its
-`ScanEntry` records are built only on request.  A case's data on one eta
-branch is one `_Substitution`, which applies its substitutions in listed
-order for every consumer.  The sampled rung compiles the case locus once
-per ladder branch (`_locus_plan`) into the arguments of
+`_c_row`, the c solve of `scan` and `solve_for_c`, decides a point's kernel
+values once, with no lambda0 in the test; each lambda0 then costs one
+division.  `scan` takes its sample from the branch memo `_branch_sample`,
+shared by the connections, which also holds each distinct point's
+`poly.integer_point`: the kernel's scaled-input entry and `_c_row` run once
+per distinct point.  A `ScanReport` is a table: the shared sample and one
+row of solutions per point, a repeated point sharing its first occurrence's
+row; its `ScanEntry` records are built only on request.  A case's data on
+one eta branch is one `_Substitution`, which applies its substitutions in
+listed order for every consumer.  The sampled rung compiles the case locus
+once per ladder branch (`_locus_plan`) into the arguments of
 `algebras.draw_point`, the one draw that `sample_parameters` makes too;
-lambda0, and c where the claim leaves it free, are drawn after it only
-when the locus left them unassigned.  Case membership is `_CompiledCase`,
-compiled once per (case, eta, table): the polynomials that must vanish on
-a case's locus, the hypotheses that must not, and c - c_expr, decided in
-integers.  `scan_membership` walks the rows and decides each distinct
-point once.
+lambda0, and c where the claim leaves it free, are drawn after it only when
+the locus left them unassigned.  Case membership is `_CompiledCase`,
+compiled once per (case, eta, table): the polynomials that must vanish on a
+case's locus, the hypotheses that must not, and the coefficients of c_expr
+in lambda0, decided in integers.  `scan_membership` walks the rows and
+decides each distinct point once.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .algebras import (
     BRANCH_CACHE_SIZE,
@@ -87,6 +86,7 @@ from .poly import (
     Surd,
     VariableTable,
     groebner_basis,
+    integer_point,
     quotient,
     sum_of_products,
 )
@@ -202,7 +202,7 @@ class CSolution(NamedTuple):
 def _compiled_decomposition(system: SolitonSystem) -> IntegerKernel:
     """Per residual that is not identically zero, (P, Q, R) with
     residual = P + Q*lambda0 + R*c, compiled to one integer kernel that
-    returns P_0, Q_0, R_0, P_1, ..., as `_point_solver` takes them, once per
+    returns P_0, Q_0, R_0, P_1, ..., as `_c_row` takes them, once per
     system value.  A zero residual holds for every c.  The one check of the
     residual shape: P, Q and R are free of lambda0 and c, and Q = s*R for
     one polynomial s, that is Q_i*R_0 == Q_0*R_i with R_0 | Q_0 for the
@@ -234,30 +234,6 @@ _NO_SOLUTION = CSolution("none")
 _ANY_C = CSolution("any")
 
 
-def _exact_c_solver(rows: Sequence[tuple[Value, Value, Value]]) -> Callable[[int, int], CSolution]:
-    """Decide {P_i + Q_i*lambda0 + R_i*c = 0} exactly, in the rationals or
-    in the one quadratic field of the point, for every rational lambda0 at
-    once: the result maps (n, d), lambda0 = n/d with d > 0, to the
-    solution.  The rows are in mu-form, Q_i = s*R_i, as
-    `_compiled_decomposition` checks, so each is R_i*(c + s*lambda0) + P_i.
-
-    The point is decided once, with no lambda0 in the test: the first row
-    with R != 0 is the pivot, and every row must satisfy
-    R_i*P_0 == R_0*P_i, which also forces P_i == 0 where R_i == 0; then
-    c = -(d*P_0 + n*Q_0)/(d*R_0).  With no pivot every Q is zero too, and
-    every c solves exactly when every P is zero.
-    """
-    pivot = next(((p, q, r) for p, q, r in rows if r), None)
-    if pivot is None:
-        outcome = _NO_SOLUTION if any(p for p, _, _ in rows) else _ANY_C
-    elif any(r * pivot[0] != pivot[2] * p for p, _, r in rows):
-        outcome = _NO_SOLUTION
-    else:
-        p0, q0, r0 = pivot
-        return lambda n, d: CSolution("unique", value=quotient(-(d * p0 + n * q0), d * r0))
-    return lambda n, d: outcome
-
-
 def _rational(lambda0_values: Iterable[Rational]) -> tuple[Rational, ...]:
     """The lambda0 values, each an int or a Fraction, else TypeError: the
     c solve is exact, so lambda0 is a rational."""
@@ -268,16 +244,27 @@ def _rational(lambda0_values: Iterable[Rational]) -> tuple[Rational, ...]:
     return out
 
 
-def _point_solver(kernel: IntegerKernel, values: dict[str, Value]) -> Callable[[Rational], CSolution]:
-    """lambda0 -> the c solution at one point, from `_compiled_decomposition`.
-
-    The point is evaluated once by the kernel, in integers or, at a point
-    of Surds, in integer Surds, and decided once by `_exact_c_solver`; each
-    rational lambda0 then costs one division.
-    """
-    out = kernel(values)
-    exact = _exact_c_solver(list(zip(out[0::3], out[1::3], out[2::3])))
-    return lambda lam: exact(lam.numerator, lam.denominator)
+def _c_row(out: Sequence[Value], grid: Sequence[tuple[int, int]]) -> tuple[CSolution, ...]:
+    """The c solutions at one point, one per lambda0 = n/d, d > 0, of
+    `grid`, from its `_compiled_decomposition` values P_0, Q_0, R_0, P_1,
+    ... (integers or integer Surds, scaled by one positive factor).  In
+    mu-form, Q_i = s*R_i, each row is R_i*(c + s*lambda0) + P_i, so the
+    point is decided once, with no lambda0: the first row with R != 0 is
+    the pivot, every row must satisfy R_i*P_0 == R_0*P_i (so P_i == 0 where
+    R_i == 0), and then c = -(d*P_0 + n*Q_0)/(d*R_0).  With no pivot every
+    Q is zero too, and every c solves exactly when every P is zero."""
+    p0 = q0 = r0 = 0
+    for p, q, r in zip(out[0::3], out[1::3], out[2::3]):
+        if r0:
+            if r * p0 != r0 * p:
+                return (_NO_SOLUTION,) * len(grid)
+        elif r:
+            p0, q0, r0 = p, q, r
+        elif p:
+            return (_NO_SOLUTION,) * len(grid)
+    if not r0:
+        return (_ANY_C,) * len(grid)
+    return tuple(CSolution("unique", quotient(-(d * p0 + n * q0), d * r0)) for n, d in grid)
 
 
 def solve_for_c(
@@ -288,12 +275,12 @@ def solve_for_c(
     """Solve all residuals simultaneously for c at a parameter point.
 
     Residuals are degree <= 1 in c by construction, so the system is a set
-    of scalar linear equations a_i*c + b_i = 0, decided exactly by
-    `_point_solver`.
+    of scalar linear equations a_i*c + b_i = 0, decided exactly by `_c_row`
+    at the point's kernel values.
     """
     values = point.values if isinstance(point, ParameterPoint) else dict(point)
     [lam] = _rational([lambda0_value])
-    return _point_solver(_compiled_decomposition(system), values)(lam)
+    return _c_row(_compiled_decomposition(system)(values), [(lam.numerator, lam.denominator)])[0]
 
 
 # -- scanning -----------------------------------------------------------------
@@ -364,15 +351,30 @@ class ScanReport(NamedTuple):
         )
 
 
+class _BranchSample(NamedTuple):
+    """The points, a repeat being its first occurrence's object; per
+    distinct point its `integer_point`; per point its distinct index."""
+
+    points: tuple[ParameterPoint, ...]
+    scaled: tuple[tuple[dict[str, Value], int], ...]
+    slots: tuple[int, ...]
+
+
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)
-def _branch_sample(fam: LieAlgebraFamily, seed: int, count: int) -> tuple[ParameterPoint, ...]:
-    """`sample_parameters` once per (family, seed, count) value: the three
-    connections of a branch scan one shared draw, which no caller writes.
-    A repeated point is the object of its first occurrence, so a repeat is
-    known by identity."""
-    first: dict[tuple, ParameterPoint] = {}
-    points = sample_parameters(fam, seed=seed, count=count)
-    return tuple(first.setdefault(tuple(pt.values.items()), pt) for pt in points)
+def _branch_sample(fam: LieAlgebraFamily, seed: int, count: int) -> _BranchSample:
+    """`sample_parameters` once per (family, seed, count) value, with each
+    distinct point scaled to integers once: the three connections of a
+    branch scan one shared draw, which no caller writes."""
+    first: dict[tuple, int] = {}  # integer form -> index of its distinct point
+    distinct: list[ParameterPoint] = []
+    scaled, slots = [], []
+    for pt in sample_parameters(fam, seed=seed, count=count):
+        nums, scale = integer_point(pt.values)
+        slots.append(first.setdefault((scale, *nums.items()), len(distinct)))
+        if slots[-1] == len(distinct):
+            distinct.append(pt)
+            scaled.append((nums, scale))
+    return _BranchSample(tuple(distinct[k] for k in slots), tuple(scaled), tuple(slots))
 
 
 def scan(
@@ -384,28 +386,18 @@ def scan(
 ) -> ScanReport:
     """Sample the constrained parameter space and solve for c everywhere.
 
-    Deterministic for a fixed seed.  The sample is drawn once per branch
-    (`_branch_sample`), and each distinct point gets one `_point_solver`,
-    which solves the whole grid into the point's row; a repeated point
-    shares that row.  No `ScanEntry` is built here.
+    Deterministic for a fixed seed.  The sample comes from the branch memo
+    (`_branch_sample`), and each distinct point's integers go through the
+    kernel once and `_c_row` once, which solves the whole grid into one row
+    object that a repeated point shares.  No `ScanEntry` is built here.
     """
-    compiled = _compiled_decomposition(soliton_system(fam, kind))
+    kernel = _compiled_decomposition(soliton_system(fam, kind))
     grid = _rational(lambda0_grid)
-    points = _branch_sample(fam, seed, count)
-    solved: dict[int, tuple[CSolution, ...]] = {}  # by id of the shared point
-    for pt in points:
-        if id(pt) not in solved:
-            solved[id(pt)] = tuple(map(_point_solver(compiled, pt.values), grid))
-    return ScanReport(
-        family_id=fam.family_id,
-        kind=kind,
-        eta=fam.eta,
-        seed=seed,
-        count=count,
-        lambda0_grid=grid,
-        points=points,
-        rows=tuple(solved[id(pt)] for pt in points),
-    )
+    pairs = [(lam.numerator, lam.denominator) for lam in grid]
+    sample = _branch_sample(fam, seed, count)
+    solved = [_c_row(kernel.scaled(*point), pairs) for point in sample.scaled]
+    rows = tuple(map(solved.__getitem__, sample.slots))
+    return ScanReport(fam.family_id, kind, fam.eta, seed, count, grid, sample.points, rows)
 
 
 # -- theorem cases -------------------------------------------------------------
@@ -735,18 +727,18 @@ def case_matches_point(
     if case.empty or c_solution.status == "none":
         return False
     [lambda0_value] = _rational([lambda0_value])
-    compiled = _compiled_case(case, eta, table)
-    return compiled.locus_holds(values) and compiled.c_matches(values, lambda0_value, c_solution)
+    at = _compiled_case(case, eta, table).c_at(integer_point(values))
+    return at is not None and _c_holds(at, lambda0_value, c_solution)
 
 
 class _CompiledCase:
-    """The membership test of one case on one eta branch: the polynomials
-    that must vanish on its locus (var - expr per substitution, var^2 - rhs
-    per reduction), the ones that must not (its nonzero hypotheses), and
-    c - c_expr, which must vanish at the point, lambda0 and the solved c
-    (None when the case leaves c free).  Each test is decided exactly by
-    its `IntegerKernel`, in integers or, at a point of Surds, in integer
-    Surds."""
+    """The membership test of one case on one eta branch, free of lambda0
+    and c: `locus` holds the polynomials that must vanish on its locus
+    (var - expr per substitution, var^2 - rhs per reduction), then the ones
+    that must not (its nonzero hypotheses); `c_kernel`, where the case
+    fixes c, holds 1 and the coefficients a_j of c_expr = sum_j
+    a_j*lambda0^j.  Both run once per point at its `integer_point`, in
+    integers or integer Surds, and each lambda0 then costs one comparison."""
 
     __slots__ = ("split", "locus", "c_kernel")
 
@@ -760,18 +752,26 @@ class _CompiledCase:
         self.locus = IntegerKernel(table, vanish + nonzero)
         self.c_kernel = None
         if c_expr is not None:
-            self.c_kernel = IntegerKernel(table, [table.var("c") - instantiate_eta(c_expr, eta, table)])
+            c_expr = instantiate_eta(c_expr, eta, table)
+            powers = range(c_expr.degree_in("lambda0") + 1)
+            self.c_kernel = IntegerKernel(table, [table.one] + [c_expr.coefficient_of("lambda0", j) for j in powers])
 
-    def locus_holds(self, values: dict[str, Value]) -> bool:
-        """The lambda0-free half: substitutions, quadratic relations, hypotheses."""
-        out = self.locus(values)
-        return not any(out[: self.split]) and all(out[self.split :])
+    def c_at(self, point: tuple[dict[str, Value], int]) -> Optional[list]:
+        """None off the locus, else `c_kernel` at the point ([] for a free c)."""
+        out = self.locus.scaled(*point)
+        if any(out[: self.split]) or not all(out[self.split :]):
+            return None
+        return [] if self.c_kernel is None else self.c_kernel.scaled(*point)
 
-    def c_matches(self, values: dict[str, Value], lambda0_value: Rational, c_solution: CSolution) -> bool:
-        """The c half: the solved c equals the case's c at this lambda0."""
-        if self.c_kernel is None or c_solution.status == "any":
-            return True
-        return not self.c_kernel({**values, "lambda0": lambda0_value, "c": c_solution.value})[0]
+
+def _c_holds(at: list, lambda0_value: Rational, c_solution: CSolution) -> bool:
+    """The c half: from `c_at`'s [f, f*a_0, ..., f*a_k], f > 0, does the
+    solved c = u/v equal c_expr at lambda0 = n/d, that is
+    u*f*d^k == v*sum_j f*a_j*n^j*d^(k-j)?  A free or an `any` c holds."""
+    if not at or c_solution.status == "any":
+        return True
+    n, d, k, c = lambda0_value.numerator, lambda0_value.denominator, len(at) - 2, c_solution.value
+    return c.numerator * at[0] * d**k == c.denominator * sum(a * n**j * d ** (k - j) for j, a in enumerate(at[1:]))
 
 
 # One `_CompiledCase` per (case, eta, table) value; the bound holds one sweep
@@ -784,8 +784,9 @@ def scan_membership(report: ScanReport, cases: Sequence[TheoremCase], table: Var
 
     Equal to `any(case_matches_point(...))` entry by entry, but decided
     over the report's rows, one per distinct point: the lambda0-free locus
-    test once per point, c - c_expr once per solvable lambda0.  A repeated
-    point shares its first occurrence's row and so its verdicts.
+    test and c_expr's coefficients once per point, one comparison per
+    solvable lambda0.  A repeated point shares its first occurrence's row
+    and so its verdicts.
     """
     compiled = [_compiled_case(case, report.eta, table) for case in cases if not case.empty]
     grid = report.lambda0_grid
@@ -793,25 +794,10 @@ def scan_membership(report: ScanReport, cases: Sequence[TheoremCase], table: Var
     out: list[bool] = []
     for pt, row in zip(report.points, report.rows):
         if id(row) not in decided:
-            decided[id(row)] = _row_membership(compiled, pt.values, grid, row)
+            decided[id(row)] = []
+            if row and row[0].status != "none":  # a row of `_c_row` has one status in every cell
+                point = integer_point(pt.values)
+                ats = [at for c in compiled if (at := c.c_at(point)) is not None]
+                decided[id(row)] = [any(_c_holds(at, lam, sol) for at in ats) for lam, sol in zip(grid, row)]
         out += decided[id(row)]
-    return out
-
-
-def _row_membership(
-    compiled: Sequence[_CompiledCase],
-    values: dict[str, Value],
-    grid: Sequence[Rational],
-    row: Sequence[CSolution],
-) -> list[bool]:
-    """Per solvable cell of one point's row: inside one of `compiled`?  The
-    locus test runs only for a row with a solvable cell."""
-    holding: Optional[list[_CompiledCase]] = None  # the cases whose locus holds
-    out = []
-    for lam, sol in zip(grid, row):
-        if sol.status == "none":
-            continue
-        if holding is None:
-            holding = [c for c in compiled if c.locus_holds(values)]
-        out.append(any(c.c_matches(values, lam, sol) for c in holding))
     return out

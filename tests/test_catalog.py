@@ -280,7 +280,7 @@ def test_verify_leaves_the_shared_sample_untouched():
     soliton._branch_sample.cache_clear()
     verify_all(only="g5", scan_count=20)
     g5 = build_family("g5")
-    assert list(soliton._branch_sample(g5, 0, 20)) == sample_parameters(g5, seed=0, count=20)
+    assert list(soliton._branch_sample(g5, 0, 20).points) == sample_parameters(g5, seed=0, count=20)
 
 
 # -- the job runner: one forked worker shares the section and scan jobs ----------

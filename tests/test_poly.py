@@ -22,6 +22,7 @@ from lieschouten.poly import (
     _tokenize,
     exact_sqrt,
     groebner_basis,
+    integer_point,
     parse_polynomial,
     sum_of_products,
 )
@@ -943,6 +944,43 @@ def test_integer_kernel_ignores_unused_and_needs_used_variables():
     with pytest.raises(PolynomialError, match="beta"):
         kernel({"alpha": 1})
     assert IntegerKernel(T, [])({}) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    batches(),
+    st.fixed_dictionaries({name: _kernel_values for name in _small_table.names}),
+    st.integers(1, 10**6),
+    st.data(),
+)
+def test_integer_kernel_scaled_entry_takes_any_common_denominator(batch, point, k, data):
+    # (n*k, L*k) is the same point as (n, L): the same zeros and signs, and
+    # the same ratios, which is what lets one integer form serve many kernels
+    kernel = IntegerKernel(_small_table, batch)
+    nums, scale = integer_point(point)
+    assert scale > 0 and all(type(n) is int and n == v * scale for n, v in zip(nums.values(), point.values()))
+    ref = [q.evaluate(point) for q in batch]
+    for out in (kernel.scaled(nums, scale), kernel.scaled({name: n * k for name, n in nums.items()}, scale * k)):
+        assert [v == 0 for v in out] == [r == 0 for r in ref]
+        assert [v > 0 for v in out] == [r > 0 for r in ref]
+        for (oi, ri), (oj, rj) in itertools.combinations(zip(out, ref), 2):
+            assert oi * rj == oj * ri
+    used = sorted(set().union(*(q.variables() for q in batch)))
+    if used:
+        missing = data.draw(st.sampled_from(used))
+        with pytest.raises(PolynomialError, match=f"unassigned variable {missing!r}"):
+            kernel.scaled({name: n for name, n in nums.items() if name != missing}, scale)
+
+
+def test_integer_point_of_surds_is_integer_surds():
+    root = exact_sqrt(Fraction(3, 4))  # 1/2*sqrt(3)
+    point = {"alpha": Fraction(1, 3) + root, "beta": Fraction(-5, 2)}
+    nums, scale = integer_point(point)
+    assert scale == 6 and nums == {"alpha": 2 + 3 * exact_sqrt(3), "beta": -15}
+    kernel = IntegerKernel(T, [p("alpha^2 - beta"), p("alpha*beta")])
+    assert kernel.scaled(nums, scale) == kernel(point)
+    with pytest.raises(PolynomialError, match="unassigned variable 'beta'"):
+        kernel.scaled({"alpha": nums["alpha"]}, scale)
 
 
 def _scaled_reference(table, polys, point):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -24,7 +25,15 @@ from lieschouten.algebras import (
 )
 from lieschouten.catalog import Catalog, load_catalog, verify_all
 from lieschouten.geometry import CONNECTION_KINDS, OperatorMatrix, connection, ricci_pipeline
-from lieschouten.poly import DEFAULT_TABLE, Polynomial, PolynomialError, Surd, exact_sqrt, parse_polynomial
+from lieschouten.poly import (
+    DEFAULT_TABLE,
+    Polynomial,
+    PolynomialError,
+    Surd,
+    exact_sqrt,
+    integer_point,
+    parse_polynomial,
+)
 from lieschouten.soliton import (
     DEFAULT_LAMBDA0_GRID,
     CSolution,
@@ -40,7 +49,7 @@ from lieschouten.soliton import (
     soliton_system,
     verify_case,
 )
-from lieschouten.soliton import _apply_case, _CompiledCase, _exact_c_solver, _locus_plan, _reduce_ladder
+from lieschouten.soliton import _apply_case, _c_row, _CompiledCase, _locus_plan, _reduce_ladder
 
 from geometry_reference import (
     G5_ON_A_CIRCLE,
@@ -483,9 +492,16 @@ def c_rows(draw):
     return rows
 
 
+def solve_row(rows, lambdas):
+    """`_c_row` at rows (P, Q, R), flattened as the kernel returns them,
+    one solution per lambda0 of `lambdas`."""
+    return _c_row([x for row in rows for x in row], [(lam.numerator, lam.denominator) for lam in lambdas])
+
+
 def solve_at_lambda0_zero(rows):
     """{a_i*c + b_i = 0} as the rows (P, Q, R) = (b_i, 0, a_i) at lambda0 = 0."""
-    return _exact_c_solver([(b, 0, a) for a, b in rows])(0, 1)
+    [sol] = solve_row([(b, 0, a) for a, b in rows], [Fraction(0)])
+    return sol
 
 
 @given(c_rows(), st.integers(1, 12))
@@ -536,9 +552,8 @@ def cleared(rows, scale=1):
 
 @given(pqr_rows(), st.lists(rational, min_size=1, max_size=4), st.integers(1, 12))
 def test_exact_c_solver_matches_fraction_reference_at_each_lambda0(rows, lambdas, scale):
-    for solve in (_exact_c_solver(rows), _exact_c_solver(cleared(rows, scale))):
-        solutions = [solve(lam0.numerator, lam0.denominator) for lam0 in lambdas]
-        assert solutions == [reference_solve([(r, p + q * lam0) for p, q, r in rows]) for lam0 in lambdas]
+    for solutions in (solve_row(rows, lambdas), solve_row(cleared(rows, scale), lambdas)):
+        assert list(solutions) == [reference_solve([(r, p + q * lam0) for p, q, r in rows]) for lam0 in lambdas]
         # in mu-form a point is solvable at every lambda0 or at none
         assert len({sol.status for sol in solutions}) == 1
 
@@ -735,7 +750,7 @@ class TestListedOrderSubstitution:
         for pt in points:
             assert set(pt) == {"alpha", "delta"}
             full = {**pt, **{var: expr.evaluate(pt) for var, expr in self.RESOLVED.items()}}
-            assert compiled.locus_holds(full)
+            assert compiled.c_at(integer_point(full)) is not None
             assert all(q.evaluate(full) == 0 for q in self.SYSTEM.constraints)
             at = {**pt, "lambda0": Fraction(1, 2)}
             assert [r.evaluate(at) for r in applied] == [
@@ -744,7 +759,7 @@ class TestListedOrderSubstitution:
             ]
         # the table-order reading, gamma = beta - alpha with beta free, is off the locus
         off = {"alpha": Fraction(1), "beta": Fraction(2), "gamma": Fraction(1), "delta": Fraction(0)}
-        assert not compiled.locus_holds(off)
+        assert compiled.c_at(integer_point(off)) is None
 
 
 # alpha := lambda0, beta := eta turns g5's constraint alpha*gamma + beta*delta
@@ -910,7 +925,7 @@ class TestBranchMemo:
 
     @pytest.mark.parametrize("fam", all_family_branches(), ids=lambda f: f.describe())
     def test_memoised_sample_is_a_fresh_draw(self, fam):
-        assert list(soliton._branch_sample(fam, 0, 500)) == sample_parameters(fam, seed=0, count=500)
+        assert list(soliton._branch_sample(fam, 0, 500).points) == sample_parameters(fam, seed=0, count=500)
 
     def test_sample_memo_is_bounded_and_shared_by_the_connections(self):
         soliton._branch_sample.cache_clear()
@@ -924,6 +939,21 @@ class TestBranchMemo:
         for _ in range(2):
             with pytest.raises(ValueError):
                 scan(build_family("g1"), "lc", seed=0, count=0)
+
+    def test_a_scan_after_the_memo_is_cleared_is_correct(self):
+        # each point's integer form lives in the memo beside the point, so a
+        # cleared memo leaves no second cache behind that still names the old
+        # points: every later scan redraws and rescales, and stays correct
+        fam = build_family("g1")
+        before = scan(fam, "lc", seed=3, count=40)
+        for kind in CONNECTION_KINDS:
+            soliton._branch_sample.cache_clear()
+            report = scan(fam, kind, seed=3, count=40)
+            got = [(e.values, e.lambda0, e.status, e.c) for e in report.entries]
+            assert got == reference_scan(fam, kind, 3, 40, DEFAULT_LAMBDA0_GRID)
+        assert report.points is not before.points
+        soliton._branch_sample.cache_clear()
+        assert scan(fam, "lc", seed=3, count=40).rows == before.rows
 
     def test_each_case_compiled_once(self):
         soliton._compiled_case.cache_clear()
@@ -993,6 +1023,48 @@ def test_membership_at_surd_points_matches_the_reference():
     assert any(isinstance(pt.values["beta"], Surd) for pt in report.points)
 
 
+@pytest.mark.parametrize("kind", CONNECTION_KINDS)
+def test_membership_of_rows_where_every_c_solves_matches_the_reference(kind):
+    # this custom algebra's scan has `any` rows beside `unique` (and `none`)
+    # ones: an `any` cell lies in every case whose locus holds, whatever c
+    fam = custom_family(OTHER_CUSTOM)
+    report = scan(fam, kind, seed=0, count=30, lambda0_grid=MEMBERSHIP_GRID)
+    assert {"unique", "any"} <= {row[0].status for row in report.rows}
+    cases = [
+        TheoremCase(label="o.1", family_id="custom", kind=kind, substitutions=(("beta", p("0")),), c_expr=p("lambda0 + 5")),
+        TheoremCase(label="o.2", family_id="custom", kind=kind, nonzero=(p("alpha - 1"),)),
+    ]
+    for subset in [cases] + [[case] for case in cases]:
+        expected = memberships(reference_case_matches_point, report, subset, None)
+        assert scan_membership(report, subset, T) == expected
+        assert any(expected) and not all(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coefficients=st.lists(st.tuples(rational, rational, rational), min_size=1, max_size=4),
+    alpha=rational,
+    beta=st.sampled_from([Fraction(0), Fraction(-3, 2), exact_sqrt(2), Fraction(1, 3) - exact_sqrt(8)]),
+    lam=rational,
+    shift=st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 7), exact_sqrt(2)]),
+)
+def test_the_c_half_of_membership_matches_the_reference_at_any_degree_in_lambda0(coefficients, alpha, beta, lam, shift):
+    # c_expr = sum_j (a_j + b_j*alpha + e_j*beta^2) * lambda0^j is compiled to
+    # its lambda0-free coefficients; the solved c, on c_expr or off it, must
+    # get the reference's verdict at any lambda0, at Fraction and Surd points
+    c_expr = sum(
+        ((a + b * p("alpha") + e * p("beta^2")) * p("lambda0") ** j for j, (a, b, e) in enumerate(coefficients)),
+        T.zero,
+    )
+    case = TheoremCase(label="d.1", family_id="custom", kind="lc", c_expr=c_expr, nonzero=(p("alpha + 9"),))
+    values = {"alpha": alpha, "beta": beta}
+    c = c_expr.evaluate({**values, "lambda0": lam}) + shift
+    for sol in (CSolution("unique", c), CSolution("any")):
+        expected = reference_case_matches_point(case, None, values, lam, sol, T)
+        assert case_matches_point(case, None, values, lam, sol, T) == expected
+        assert expected == (sol.status == "any" or shift == 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     fam=st.sampled_from(all_family_branches() + [SURD_G5]),
@@ -1010,6 +1082,36 @@ def test_solve_for_c_equals_the_scan_entry(fam, kind, seed, grid):
         if sol.status == "unique":  # the solved c, plugged back, solves exactly
             point = {**e.values, "lambda0": e.lambda0, "c": e.c}
             assert all(r.evaluate(point) == 0 for r in system.residuals)
+
+
+CIRCLE = custom_family((pathlib.Path(__file__).parent / "data" / "circle.alg").read_text(encoding="utf-8"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fam=st.sampled_from(all_family_branches() + [CIRCLE]),
+    kind=st.sampled_from(CONNECTION_KINDS),
+    seed=st.integers(0, 10**6),
+    grid=st.lists(rational, max_size=5),
+)
+def test_each_cell_of_a_scan_row_is_solve_for_c_at_its_point(fam, kind, seed, grid):
+    # the scan solves a distinct point once, from the memo's integer form;
+    # solve_for_c scales the point itself: both go through one row helper
+    report = scan(fam, kind, seed=seed, count=5, lambda0_grid=grid)
+    system = soliton_system(fam, kind)
+    for pt, row in zip(report.points, report.rows):
+        assert list(row) == [solve_for_c(system, pt, lam) for lam in report.lambda0_grid]
+        # mu-form: a point is solvable at every lambda0 or at none
+        assert len({sol.status for sol in row}) <= 1
+
+
+@pytest.mark.parametrize("kind", CONNECTION_KINDS)
+def test_the_circle_points_are_surds_and_their_rows_solve_for_c(kind):
+    report = scan(CIRCLE, kind, seed=7, count=20)
+    system = soliton_system(CIRCLE, kind)
+    assert any(isinstance(v, Surd) for pt in report.points for v in pt.values.values())
+    for pt, row in zip(report.points, report.rows):
+        assert list(row) == [solve_for_c(system, pt, lam) for lam in report.lambda0_grid]
 
 
 @pytest.mark.parametrize("lam", [0.3, 2.0, exact_sqrt(2)], ids=["float", "integral float", "surd"])
@@ -1191,6 +1293,18 @@ def test_machine_scan_output_matches_golden_file(capsys):
     current = capsys.readouterr().out
     assert current == golden.read_text(encoding="utf-8")
     assert current.endswith("summary\tsolvable=12\ttotal=60\n")
+
+
+def test_machine_scan_of_an_unsolvable_branch_matches_golden_file(capsys):
+    from lieschouten.cli import main
+
+    # g4/KN has no solution: every row of the scan is the one `none` row
+    golden = pathlib.Path(__file__).parent / "data" / "golden_g4_kn_scan.txt"
+    argv = ["scan", "--family", "g4", "--eta", "1", "--kind", "kn", "--count", "20", "--format", "machine"]
+    assert main(argv) == 0
+    current = capsys.readouterr().out
+    assert current == golden.read_text(encoding="utf-8")
+    assert current.endswith("summary\tsolvable=0\ttotal=120\n")
 
 
 def test_custom_affine_systems_match_golden_file(capsys):
