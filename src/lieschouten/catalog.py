@@ -341,14 +341,14 @@ def _family_tag(fid: str, kind: str) -> str:
     return f"{fid}-{_kind_tag(kind)}"
 
 
+def _format_point(values: dict[str, Value]) -> str:
+    return ", ".join(f"{name}={values[name]}" for name in sorted(values))
+
+
 def _case_selectors(case: TheoremCase, section: str) -> tuple[str, ...]:
     """(label, theorem prefix, family, family-kind tag, section) of a case."""
     prefix = case.label.rsplit(".", 1)[0] if case.label.count(".") >= 2 else case.label
     return (case.label, prefix, case.family_id, _family_tag(case.family_id, case.kind), section)
-
-
-def _matches_only(selectors: Sequence[str], only: Optional[str]) -> bool:
-    return only is None or only in selectors
 
 
 def _compare_mod_constraints(
@@ -370,318 +370,215 @@ def _vanishes(planes) -> bool:
     return all(q.is_zero for plane in planes for row in plane for q in row)
 
 
-def _structural_records(table: VariableTable, only: Optional[str]) -> list[VerifyRecord]:
-    records = []
-    for fid in FAMILY_IDS:
-        for fam in family_branches(fid, table):
-            selectors = (fam.describe(), fid, "structural")
-            if not _matches_only(selectors, only):
-                continue
-            lc, can, kn = (connection(fam, kind) for kind in CONNECTION_KINDS)
-            checks = (
-                ("lc torsion", torsion(lc, fam)),
-                ("lc metric residual", metric_compatibility_residual(lc, fam)),
-                ("canonical metric residual", metric_compatibility_residual(can, fam)),
-                ("canonical nabla-J", [m.entries for m in nabla_j(can, fam)]),
-                ("kn nabla-J", [m.entries for m in nabla_j(kn, fam)]),
-            )
-            problems = [name for name, planes in checks if not _vanishes(planes)]
-            for kind, conn in zip(CONNECTION_KINDS, (lc, can, kn)):
-                r = curvature(conn, fam).r
-                if not all(
-                    (r[i][j][k][l] + r[j][i][k][l]).is_zero
-                    for i, j, k, l in itertools.product(range(3), repeat=4)
-                ):
-                    problems.append(f"{_kind_tag(kind)} curvature antisymmetry")
-            # the pipeline keeps the Levi-Civita Ricci form unsymmetrized
-            if not ricci_pipeline(fam, LEVI_CIVITA)[0].is_symmetric:
-                problems.append("lc ricci symmetry")
-            records.append(
-                VerifyRecord(
-                    section="structural",
-                    label=fam.describe(),
-                    status="fail" if problems else "pass",
-                    method="identity",
-                    detail="; ".join(problems) if problems else "all identities hold",
-                    selectors=selectors,
-                )
-            )
-    return records
-
-
-def _matrix_records(catalog: Catalog, table: VariableTable, only: Optional[str]) -> list[VerifyRecord]:
-    records = []
-    for fixture in catalog.matrices:
-        tag = _family_tag(fixture.family_id, fixture.kind)
-        selectors = (fixture.label, fixture.family_id, tag, "matrix")
-        if not _matches_only(selectors, only):
-            continue
-        status = "pass"
-        used_constraints = False
-        details = []
-        for fam in family_branches(fixture.family_id, table):
-            _, op, _ = ricci_pipeline(fam, fixture.kind)
-            for i in range(3):
-                for j in range(3):
-                    expected = instantiate_eta(fixture.entries[i][j], fam.eta, table)
-                    equal, used = _compare_mod_constraints(op.entries[i][j], expected, fam)
-                    used_constraints = used_constraints or used
-                    if not equal:
-                        status = "fail"
-                        details.append(
-                            f"{fam.describe()} entry ({i+1},{j+1}): computed {op.entries[i][j]}, expected {expected}"
-                        )
-        method = "exact-mod-constraints" if used_constraints else "exact"
-        records.append(
-            VerifyRecord(
-                section="matrix",
-                label=fixture.label,
-                status=status,
-                method=method,
-                detail="; ".join(details) if details else f"operator matches ({tag})",
-                selectors=selectors,
-            )
-        )
-    # the two stored forms of the g4 Kobayashi-Nomizu matrix must agree
-    pair_selectors = ("4.44", "4.45", "4.44=4.45", "g4", "g4-kn", "matrix")
-    if not _matches_only(pair_selectors, only):
-        return records
-    try:
-        m_def = catalog.matrix("4.44")
-        m_flat = catalog.matrix("4.45")
-    except KeyError:
-        return records
-    same = m_def.entries == m_flat.entries
-    records.append(
-        VerifyRecord(
-            section="matrix",
-            label="4.44=4.45",
-            status="pass" if same else "fail",
-            method="exact",
-            detail="auxiliary-symbol form expands to the flat form"
-            if same
-            else "forms disagree after expanding the auxiliaries",
-            selectors=pair_selectors,
-        )
+def _structural_check(fam: LieAlgebraFamily) -> tuple[str, str, str]:
+    lc, can, kn = (connection(fam, kind) for kind in CONNECTION_KINDS)
+    checks = (
+        ("lc torsion", torsion(lc, fam)),
+        ("lc metric residual", metric_compatibility_residual(lc, fam)),
+        ("canonical metric residual", metric_compatibility_residual(can, fam)),
+        ("canonical nabla-J", [m.entries for m in nabla_j(can, fam)]),
+        ("kn nabla-J", [m.entries for m in nabla_j(kn, fam)]),
     )
-    return records
+    problems = [name for name, planes in checks if not _vanishes(planes)]
+    for kind, conn in zip(CONNECTION_KINDS, (lc, can, kn)):
+        r = curvature(conn, fam).r
+        if not all(
+            (r[i][j][k][l] + r[j][i][k][l]).is_zero
+            for i, j, k, l in itertools.product(range(3), repeat=4)
+        ):
+            problems.append(f"{_kind_tag(kind)} curvature antisymmetry")
+    # the pipeline keeps the Levi-Civita Ricci form unsymmetrized
+    if not ricci_pipeline(fam, LEVI_CIVITA)[0].is_symmetric:
+        problems.append("lc ricci symmetry")
+    return ("fail", "identity", "; ".join(problems)) if problems else ("pass", "identity", "all identities hold")
 
 
-def _scalar_records(catalog: Catalog, table: VariableTable, only: Optional[str]) -> list[VerifyRecord]:
-    records = []
-    for fixture in catalog.scalars:
-        selectors = (fixture.label, fixture.family_id, "scalar")
-        if not _matches_only(selectors, only):
-            continue
-        stated_ok = True
-        variant_ok = fixture.variant is not None
-        details = []
-        for fam in family_branches(fixture.family_id, table):
-            _, _, s = ricci_pipeline(fam, fixture.kind)
-            expected = instantiate_eta(fixture.expr, fam.eta, table)
-            equal, _ = _compare_mod_constraints(s, expected, fam)
-            if not equal:
-                stated_ok = False
-                details.append(f"{fam.describe()}: computed {s}, stated {expected}")
-            if fixture.variant is not None:
-                v_expected = instantiate_eta(fixture.variant, fam.eta, table)
-                v_equal, _ = _compare_mod_constraints(s, v_expected, fam)
-                variant_ok = variant_ok and v_equal
-        if stated_ok:
-            status = "pass"
-            detail = "scalar curvature matches"
-        elif fixture.suspect and variant_ok:
-            status = "warn"
-            detail = "; ".join(details) + "; variant matches"
-            if fixture.note:
-                detail += f" [{fixture.note}]"
-        else:
-            status = "fail"
-            detail = "; ".join(details)
-        records.append(
-            VerifyRecord(
-                section="scalar",
-                label=fixture.label,
-                status=status,
-                method="exact",
-                detail=detail,
-                selectors=selectors,
-            )
-        )
-    return records
+def _matrix_check(fixture: MatrixFixture, table: VariableTable) -> tuple[str, str, str]:
+    status = "pass"
+    used_constraints = False
+    details = []
+    for fam in family_branches(fixture.family_id, table):
+        _, op, _ = ricci_pipeline(fam, fixture.kind)
+        for i in range(3):
+            for j in range(3):
+                expected = instantiate_eta(fixture.entries[i][j], fam.eta, table)
+                equal, used = _compare_mod_constraints(op.entries[i][j], expected, fam)
+                used_constraints = used_constraints or used
+                if not equal:
+                    status = "fail"
+                    details.append(
+                        f"{fam.describe()} entry ({i+1},{j+1}): computed {op.entries[i][j]}, expected {expected}"
+                    )
+    method = "exact-mod-constraints" if used_constraints else "exact"
+    tag = _family_tag(fixture.family_id, fixture.kind)
+    return status, method, "; ".join(details) if details else f"operator matches ({tag})"
 
 
-def _format_point(values: dict[str, Value]) -> str:
-    return ", ".join(f"{name}={values[name]}" for name in sorted(values))
+def _matrix_pair_check(catalog: Catalog) -> tuple[str, str, str]:
+    """The two stored forms of the g4 Kobayashi-Nomizu matrix must agree."""
+    if catalog.matrix("4.44").entries == catalog.matrix("4.45").entries:
+        return "pass", "exact", "auxiliary-symbol form expands to the flat form"
+    return "fail", "exact", "forms disagree after expanding the auxiliaries"
 
 
-def _case_records(
-    catalog: Catalog,
-    table: VariableTable,
-    seed: int,
-    sample_count: int,
-    only: Optional[str],
-) -> list[VerifyRecord]:
-    records = []
-    for case in catalog.cases:
-        selectors = _case_selectors(case, "case")
-        if not _matches_only(selectors, only):
-            continue
-        report = verify_case(case, table=table, seed=seed, sample_count=sample_count)
-        if case.empty:
-            status = "pass" if report.ok else "fail"
-            detail = report.detail
-        else:
-            detail = f"stated: {report.method}"
-            if report.method == "unsampled":
-                detail += f"; {report.detail}"
-            if report.variant_method is not None:
-                detail += f"; variant: {report.variant_method}"
-            if report.counterexample:
-                detail += f"; counterexample {_format_point(report.counterexample)}"
-            if case.note:
-                detail += f" [{case.note}]"
-            if case.suspect:
-                status = "warn" if report.ok else "fail"
-            else:
-                status = "pass" if report.ok and report.method in ("exact", "reduced") else "fail"
-        records.append(
-            VerifyRecord(
-                section="case",
-                label=case.label,
-                status=status,
-                method=report.method,
-                detail=detail,
-                selectors=selectors,
-            )
-        )
-    return records
+def _scalar_check(fixture: ScalarFixture, table: VariableTable) -> tuple[str, str, str]:
+    stated_ok = True
+    variant_ok = fixture.variant is not None
+    details = []
+    for fam in family_branches(fixture.family_id, table):
+        _, _, s = ricci_pipeline(fam, fixture.kind)
+        expected = instantiate_eta(fixture.expr, fam.eta, table)
+        equal, _ = _compare_mod_constraints(s, expected, fam)
+        if not equal:
+            stated_ok = False
+            details.append(f"{fam.describe()}: computed {s}, stated {expected}")
+        if fixture.variant is not None:
+            v_expected = instantiate_eta(fixture.variant, fam.eta, table)
+            v_equal, _ = _compare_mod_constraints(s, v_expected, fam)
+            variant_ok = variant_ok and v_equal
+    if stated_ok:
+        return "pass", "exact", "scalar curvature matches"
+    if fixture.suspect and variant_ok:
+        detail = "; ".join(details) + "; variant matches"
+        return "warn", "exact", detail + (f" [{fixture.note}]" if fixture.note else "")
+    return "fail", "exact", "; ".join(details)
 
 
-def _control_records(catalog: Catalog, table: VariableTable, only: Optional[str]) -> list[VerifyRecord]:
-    records = []
-    for case in catalog.cases:
-        selectors = _case_selectors(case, "control")
-        if not _matches_only(selectors, only):
-            continue
-        report = negative_control(case, table=table)
-        status = "skip" if report.method == "skipped" else ("pass" if report.ok else "fail")
-        records.append(
-            VerifyRecord(
-                section="control",
-                label=case.label,
-                status=status,
-                method=report.method,
-                detail=report.detail,
-                selectors=selectors,
-            )
-        )
-    return records
+def _case_check(case: TheoremCase, table: VariableTable, seed: int, sample_count: int) -> tuple[str, str, str]:
+    report = verify_case(case, table=table, seed=seed, sample_count=sample_count)
+    if case.empty:
+        return ("pass" if report.ok else "fail"), report.method, report.detail
+    detail = f"stated: {report.method}"
+    if report.method == "unsampled":
+        detail += f"; {report.detail}"
+    if report.variant_method is not None:
+        detail += f"; variant: {report.variant_method}"
+    if report.counterexample:
+        detail += f"; counterexample {_format_point(report.counterexample)}"
+    if case.note:
+        detail += f" [{case.note}]"
+    if case.suspect:
+        status = "warn" if report.ok else "fail"
+    else:
+        status = "pass" if report.ok and report.method in ("exact", "reduced") else "fail"
+    return status, report.method, detail
 
 
-def _witness_records(catalog: Catalog, table: VariableTable, only: Optional[str]) -> list[VerifyRecord]:
-    """Each stated case must be witnessed by a solvable point in its locus."""
-    records = []
+def _control_check(case: TheoremCase, table: VariableTable) -> tuple[str, str, str]:
+    report = negative_control(case, table=table)
+    status = "skip" if report.method == "skipped" else ("pass" if report.ok else "fail")
+    return status, report.method, report.detail
+
+
+def _witness_check(case: TheoremCase, table: VariableTable) -> tuple[str, str, str]:
+    """The case's witness must be solvable and lie in its locus."""
     lam = Fraction(1, 2)
-    for case in catalog.cases:
-        if case.empty:
+    problems = []
+    for fam in family_branches(case.family_id, table):
+        system = soliton_system(fam, case.kind)
+        witness = resolve_witness(case, fam.eta, table)
+        sol = solve_for_c(system, witness, lam)
+        if sol.status == "none":
+            problems.append(f"{fam.describe()}: witness not solvable")
             continue
-        selectors = _case_selectors(case, "witness")
-        if not _matches_only(selectors, only):
-            continue
-        problems = []
-        for fam in family_branches(case.family_id, table):
-            system = soliton_system(fam, case.kind)
-            witness = resolve_witness(case, fam.eta, table)
-            sol = solve_for_c(system, witness, lam)
-            if sol.status == "none":
-                problems.append(f"{fam.describe()}: witness not solvable")
-                continue
-            if not case_matches_point(case, fam.eta, witness, lam, sol, table):
-                problems.append(f"{fam.describe()}: witness solves but falls outside the case")
-        records.append(
-            VerifyRecord(
-                section="witness",
-                label=case.label,
-                status="fail" if problems else "pass",
-                method="solve",
-                detail="; ".join(problems) if problems else "witness solvable inside the case locus",
-                selectors=selectors,
-            )
-        )
-    return records
+        if not case_matches_point(case, fam.eta, witness, lam, sol, table):
+            problems.append(f"{fam.describe()}: witness solves but falls outside the case")
+    if problems:
+        return "fail", "solve", "; ".join(problems)
+    return "pass", "solve", "witness solvable inside the case locus"
 
 
-def _scan_families(only: Optional[str]) -> list[str]:
-    """The families with at least one scan record that `only` selects."""
-    return [
-        fid
-        for fid in FAMILY_IDS
-        if any(_matches_only((_family_tag(fid, kind), fid, "scan"), only) for kind in CONNECTION_KINDS)
-    ]
-
-
-def _family_scan_records(
+def _scan_check(
     catalog: Catalog,
     table: VariableTable,
     fid: str,
+    kind: str,
     seed: int,
     scan_count: int,
     lambda0_grid,
-    only: Optional[str],
-) -> list[VerifyRecord]:
-    """The scan records of one family.  A family is the unit of work: its
-    three kinds share one `_branch_sample` draw."""
-    records = []
-    for kind in CONNECTION_KINDS:
-        tag = _family_tag(fid, kind)
-        if not _matches_only((tag, fid, "scan"), only):
-            continue
-        cases = [c for c in catalog.cases if c.family_id == fid and c.kind == kind]
-        solvable_total = 0
-        entry_total = 0
-        unmatched = []
+) -> tuple[str, str, str]:
+    """Every solvable cell of the (family, kind) scans must lie in a case."""
+    cases = [c for c in catalog.cases if c.family_id == fid and c.kind == kind]
+    solvable_total = 0
+    entry_total = 0
+    unmatched = []
+    for fam in family_branches(fid, table):
+        report = scan(fam, kind, seed=seed, count=scan_count, lambda0_grid=lambda0_grid)
+        entry_total += report.size
+        verdicts = scan_membership(report, cases, table)
+        solvable_total += len(verdicts)
+        if not all(verdicts):
+            outside = (cell for cell, inside in zip(report.cells(), verdicts) if not inside)
+            for _, pt, lam, sol in itertools.islice(outside, 3 - len(unmatched)):
+                unmatched.append(f"{fam.describe()} {_format_point(pt.values)}, lambda0={lam}, c={sol.value}")
+    if unmatched:
+        outside = " | ".join(unmatched)
+        return "fail", "scan", f"{solvable_total}/{entry_total} solvable; outside classification: {outside}"
+    if solvable_total and not any(not c.empty for c in cases):
+        return "fail", "scan", f"{solvable_total}/{entry_total} solvable but classification claims none"
+    return "pass", "scan", f"{solvable_total}/{entry_total} solvable, all inside the classification"
+
+
+class _Entry(NamedTuple):
+    """One record of a run before it runs: its check gives the record's
+    (status, method, detail)."""
+
+    section: str
+    label: str
+    family: str
+    selectors: tuple[str, ...]
+    check: Callable[[], tuple[str, str, str]]
+
+
+def _plan(
+    catalog: Catalog, table: VariableTable, seed: int, sample_count: int, scan_count: int, lambda0_grid
+) -> list[_Entry]:
+    """Every record of a full run, in the run's order: the structural,
+    matrix, scalar, case, control, witness and scan sections, each in
+    catalogue order.  Each entry names the one family whose branches its
+    check builds."""
+    plan = []
+
+    def add(section, label, family, selectors, check, *args):
+        plan.append(_Entry(section, label, family, selectors, functools.partial(check, *args)))
+
+    for fid in FAMILY_IDS:
         for fam in family_branches(fid, table):
-            report = scan(fam, kind, seed=seed, count=scan_count, lambda0_grid=lambda0_grid)
-            entry_total += report.size
-            verdicts = scan_membership(report, cases, table)
-            solvable_total += len(verdicts)
-            if not all(verdicts):
-                outside = (cell for cell, inside in zip(report.cells(), verdicts) if not inside)
-                for _, pt, lam, sol in itertools.islice(outside, 3 - len(unmatched)):
-                    unmatched.append(f"{fam.describe()} {_format_point(pt.values)}, lambda0={lam}, c={sol.value}")
-        has_nonempty_case = any(not c.empty for c in cases)
-        if unmatched:
-            status = "fail"
-            detail = (
-                f"{solvable_total}/{entry_total} solvable; outside classification: "
-                + " | ".join(unmatched)
-            )
-        elif not has_nonempty_case and solvable_total > 0:
-            status = "fail"
-            detail = f"{solvable_total}/{entry_total} solvable but classification claims none"
-        else:
-            status = "pass"
-            detail = f"{solvable_total}/{entry_total} solvable, all inside the classification"
-        records.append(
-            VerifyRecord(
-                section="scan",
-                label=tag,
-                status=status,
-                method="scan",
-                detail=detail,
-                selectors=(tag, fid, "scan"),
-            )
-        )
-    return records
+            add("structural", fam.describe(), fid, (fam.describe(), fid, "structural"), _structural_check, fam)
+    for m in catalog.matrices:
+        selectors = (m.label, m.family_id, _family_tag(m.family_id, m.kind), "matrix")
+        add("matrix", m.label, m.family_id, selectors, _matrix_check, m, table)
+    if {"4.44", "4.45"} <= {m.label for m in catalog.matrices}:
+        selectors = ("4.44", "4.45", "4.44=4.45", "g4", "g4-kn", "matrix")
+        add("matrix", "4.44=4.45", "g4", selectors, _matrix_pair_check, catalog)
+    for s in catalog.scalars:
+        add("scalar", s.label, s.family_id, (s.label, s.family_id, "scalar"), _scalar_check, s, table)
+    for section, check, *args in (
+        ("case", _case_check, table, seed, sample_count),
+        ("control", _control_check, table),
+        ("witness", _witness_check, table),
+    ):
+        for case in catalog.cases:
+            if section != "witness" or not case.empty:
+                add(section, case.label, case.family_id, _case_selectors(case, section), check, case, *args)
+    for fid in FAMILY_IDS:
+        for kind in CONNECTION_KINDS:
+            tag = _family_tag(fid, kind)
+            add("scan", tag, fid, (tag, fid, "scan"), _scan_check, catalog, table, fid, kind, seed, scan_count, lambda0_grid)
+    return plan
+
+
+def _records(entries: Sequence[_Entry]) -> list[VerifyRecord]:
+    """The records of `entries`, in listed order."""
+    return [VerifyRecord(e.section, e.label, *e.check(), e.selectors) for e in entries]
 
 
 # -- the job runner ------------------------------------------------------------
 
 
 def _may_fork(families: Sequence[str]) -> bool:
-    """A second process pays only for at least two scan families, on at
-    least two CPUs, and forking is safe only while this process runs one
+    """A second process pays only for at least two families with work, on
+    at least two CPUs, and forking is safe only while this process runs one
     thread."""
     if len(families) < 2 or not hasattr(os, "fork"):
         return False
@@ -776,26 +673,20 @@ def verify_all(
     case label ("3.3.7"), a theorem prefix ("3.3"), a matrix label ("3.9"),
     a family ("g5"), a family-kind tag ("g5-can"), or a section name.
 
-    The run is one job list: the structural, matrix, scalar, case, control
-    and witness sections, then one scan job per selected family.  When the
-    scan section selects at least two families, `_run_jobs` shares the list
-    between this process and one forked worker; `_may_fork` lists when the
-    run stays serial.  The records are the same either way, in the same
-    order.
+    `_plan` lists every record of a full run, in its order; `only` keeps
+    those it selects.  Each family with records left is one job, its
+    records across all seven sections, so each branch is built in one
+    process.  When at least two families have work, `_run_jobs` shares the
+    jobs between this process and one forked worker; `_may_fork` lists
+    when the run stays serial.  The records are put back in the plan's
+    order, so they are the same either way.
     """
     if catalog is None:
         catalog = load_catalog()
-    families = _scan_families(only)
-    jobs = [
-        functools.partial(_structural_records, table, only),
-        functools.partial(_matrix_records, catalog, table, only),
-        functools.partial(_scalar_records, catalog, table, only),
-        functools.partial(_case_records, catalog, table, seed, sample_count, only),
-        functools.partial(_control_records, catalog, table, only),
-        functools.partial(_witness_records, catalog, table, only),
-    ] + [
-        functools.partial(_family_scan_records, catalog, table, fid, seed, scan_count, lambda0_grid, only)
-        for fid in families
-    ]
-    records = [record for result in _run_jobs(jobs, _may_fork(families)) for record in result]
-    return VerifySummary(records=tuple(records), seed=seed)
+    plan = _plan(catalog, table, seed, sample_count, scan_count, lambda0_grid)
+    plan = [entry for entry in plan if only is None or only in entry.selectors]
+    families = list(dict.fromkeys(entry.family for entry in plan))
+    jobs = [functools.partial(_records, [e for e in plan if e.family == fid]) for fid in families]
+    # each job's records come in plan order: walking the plan takes them back
+    made = dict(zip(families, map(iter, _run_jobs(jobs, _may_fork(families)))))
+    return VerifySummary(records=tuple(next(made[entry.family]) for entry in plan), seed=seed)

@@ -36,24 +36,26 @@ constraint, a case's relation var^2 - rhs, the witness beta = sqrt(2) of
 4.11.2); lambda0 is rational, and any other lambda0 raises TypeError.
 `_compiled_decomposition` checks the residual shape once per system and
 compiles the P, Q, R of the nonzero residuals to one `poly.IntegerKernel`.
-`_c_row`, the c solve of `scan` and `solve_for_c`, decides a point's kernel
-values once, with no lambda0 in the test; each lambda0 then costs one
-division.  `scan` takes its sample from the branch memo `_branch_sample`,
-shared by the connections, which also holds each distinct point's
-`poly.integer_point`: the kernel's scaled-input entry and `_c_row` run once
-per distinct point.  A `ScanReport` is a table: the shared sample and one
-row of solutions per point, a repeated point sharing its first occurrence's
-row; its `ScanEntry` records are built only on request.  A case's data on
-one eta branch is one `_Substitution`, which applies its substitutions in
-listed order for every consumer.  The sampled rung compiles the case locus
-once per ladder branch (`_locus_plan`) into the arguments of
-`algebras.draw_point`, the one draw that `sample_parameters` makes too;
-lambda0, and c where the claim leaves it free, are drawn after it only when
-the locus left them unassigned.  Case membership is `_CompiledCase`,
-compiled once per (case, eta, table): the polynomials that must vanish on a
-case's locus, the hypotheses that must not, and the coefficients of c_expr
-in lambda0, decided in integers.  `scan_membership` walks the rows and
-decides each distinct point once.
+`_c_form`, the c solve of `scan` and `solve_for_c`, decides a point's kernel
+values once, with no lambda0 in the test, into one form: no c, every c, or
+(P_0, Q_0, R_0) with c = -(d*P_0 + n*Q_0)/(d*R_0) at lambda0 = n/d.  `scan`
+takes its sample from the branch memo `_branch_sample`, shared by the
+connections, which also holds each distinct point's `poly.integer_point`:
+the kernel's scaled-input entry and `_c_form` run once per distinct point.
+A `ScanReport` is a table: the shared sample, the memo's integer forms and
+one form per distinct point; its `CSolution`s and `ScanEntry` records are
+built only on request.  A case's data on one eta branch is one
+`_Substitution`, which applies its substitutions in listed order for every
+consumer.  The sampled rung compiles the case locus once per ladder branch
+(`_locus_plan`) into the arguments of `algebras.draw_point`, the one draw
+that `sample_parameters` makes too; lambda0, and c where the claim leaves
+it free, are drawn after it only when the locus left them unassigned.  Case
+membership is `_CompiledCase`, compiled once per (case, eta, table): the
+polynomials that must vanish on a case's locus, the hypotheses that must
+not, and the coefficients of c_expr in lambda0, decided in integers.
+`_holds` compares a point's form with c_expr as one polynomial in lambda0,
+which is zero wherever the case keeps the lambda0 law, so
+`scan_membership` decides each distinct point once for the whole grid.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ class CSolution(NamedTuple):
 def _compiled_decomposition(system: SolitonSystem) -> IntegerKernel:
     """Per residual that is not identically zero, (P, Q, R) with
     residual = P + Q*lambda0 + R*c, compiled to one integer kernel that
-    returns P_0, Q_0, R_0, P_1, ..., as `_c_row` takes them, once per
+    returns P_0, Q_0, R_0, P_1, ..., as `_c_form` takes them, once per
     system value.  A zero residual holds for every c.  The one check of the
     residual shape: P, Q and R are free of lambda0 and c, and Q = s*R for
     one polynomial s, that is Q_i*R_0 == Q_0*R_i with R_0 | Q_0 for the
@@ -234,6 +236,11 @@ _NO_SOLUTION = CSolution("none")
 _ANY_C = CSolution("any")
 
 
+def _pairs(grid: Sequence[Rational]) -> list[tuple[int, int]]:
+    """Each lambda0 of `grid` as (numerator, denominator)."""
+    return [(lam.numerator, lam.denominator) for lam in grid]
+
+
 def _rational(lambda0_values: Iterable[Rational]) -> tuple[Rational, ...]:
     """The lambda0 values, each an int or a Fraction, else TypeError: the
     c solve is exact, so lambda0 is a rational."""
@@ -244,26 +251,34 @@ def _rational(lambda0_values: Iterable[Rational]) -> tuple[Rational, ...]:
     return out
 
 
-def _c_row(out: Sequence[Value], grid: Sequence[tuple[int, int]]) -> tuple[CSolution, ...]:
-    """The c solutions at one point, one per lambda0 = n/d, d > 0, of
-    `grid`, from its `_compiled_decomposition` values P_0, Q_0, R_0, P_1,
-    ... (integers or integer Surds, scaled by one positive factor).  In
-    mu-form, Q_i = s*R_i, each row is R_i*(c + s*lambda0) + P_i, so the
-    point is decided once, with no lambda0: the first row with R != 0 is
-    the pivot, every row must satisfy R_i*P_0 == R_0*P_i (so P_i == 0 where
-    R_i == 0), and then c = -(d*P_0 + n*Q_0)/(d*R_0).  With no pivot every
-    Q is zero too, and every c solves exactly when every P is zero."""
+def _c_form(out: Sequence[Value]) -> Optional[tuple]:
+    """The c solve at one point, free of lambda0, from its
+    `_compiled_decomposition` values P_0, Q_0, R_0, P_1, ... (integers or
+    integer Surds, scaled by one positive factor): None where no c solves,
+    () where every c does, else the pivot's (P_0, Q_0, R_0), the c at
+    lambda0 = n/d being -(d*P_0 + n*Q_0)/(d*R_0).  In mu-form, Q_i = s*R_i,
+    each row is R_i*(c + s*lambda0) + P_i: the first row with R != 0 is the
+    pivot, and every row must satisfy R_i*P_0 == R_0*P_i (so P_i == 0 where
+    R_i == 0).  With no pivot every Q is zero too, and every c solves
+    exactly when every P is zero."""
     p0 = q0 = r0 = 0
     for p, q, r in zip(out[0::3], out[1::3], out[2::3]):
         if r0:
             if r * p0 != r0 * p:
-                return (_NO_SOLUTION,) * len(grid)
+                return None
         elif r:
             p0, q0, r0 = p, q, r
         elif p:
-            return (_NO_SOLUTION,) * len(grid)
-    if not r0:
-        return (_ANY_C,) * len(grid)
+            return None
+    return (p0, q0, r0) if r0 else ()
+
+
+def _c_solutions(form: Optional[tuple], grid: Sequence[tuple[int, int]]) -> tuple[CSolution, ...]:
+    """The `CSolution`s of a `_c_form`, one per lambda0 = n/d, d > 0, of
+    `grid`; one division each."""
+    if not form:
+        return (_ANY_C if form == () else _NO_SOLUTION,) * len(grid)
+    p0, q0, r0 = form
     return tuple(CSolution("unique", quotient(-(d * p0 + n * q0), d * r0)) for n, d in grid)
 
 
@@ -275,12 +290,12 @@ def solve_for_c(
     """Solve all residuals simultaneously for c at a parameter point.
 
     Residuals are degree <= 1 in c by construction, so the system is a set
-    of scalar linear equations a_i*c + b_i = 0, decided exactly by `_c_row`
+    of scalar linear equations a_i*c + b_i = 0, decided exactly by `_c_form`
     at the point's kernel values.
     """
     values = point.values if isinstance(point, ParameterPoint) else dict(point)
-    [lam] = _rational([lambda0_value])
-    return _c_row(_compiled_decomposition(system)(values), [(lam.numerator, lam.denominator)])[0]
+    form = _c_form(_compiled_decomposition(system)(values))
+    return _c_solutions(form, _pairs(_rational([lambda0_value])))[0]
 
 
 # -- scanning -----------------------------------------------------------------
@@ -304,11 +319,13 @@ class ScanEntry(NamedTuple):
 
 
 class ScanReport(NamedTuple):
-    """A scan as a table: one row of c solutions, one per lambda0 of the
-    grid, for each sampled point.  A repeated point shares its first
-    occurrence's row object.  `entries` and `solvable` build their
-    `ScanEntry` records on request; `cells` walks the same cells and builds
-    none."""
+    """A scan as a table over the branch memo's sample: `points` is the
+    draw, `slots` each point's distinct index, and per distinct point
+    `scaled` holds its integer form and `forms` its `_c_form`.  `rows` (one
+    tuple of c solutions per point, one per lambda0 of the grid, a repeated
+    point sharing its first occurrence's row object), `cells`, `entries`
+    and `solvable` build their `CSolution`s and `ScanEntry` records on
+    request."""
 
     family_id: str
     kind: str
@@ -317,12 +334,20 @@ class ScanReport(NamedTuple):
     count: int
     lambda0_grid: tuple[Rational, ...]
     points: tuple[ParameterPoint, ...]
-    rows: tuple[tuple[CSolution, ...], ...]
+    forms: tuple[Optional[tuple], ...]
+    scaled: tuple[tuple[dict[str, Value], int], ...]
+    slots: tuple[int, ...]
 
     @property
     def size(self) -> int:
         """The number of (point, lambda0) cells."""
         return len(self.points) * len(self.lambda0_grid)
+
+    @property
+    def rows(self) -> tuple[tuple[CSolution, ...], ...]:
+        pairs = _pairs(self.lambda0_grid)
+        solved = [_c_solutions(form, pairs) for form in self.forms]
+        return tuple(map(solved.__getitem__, self.slots))
 
     @property
     def entries(self) -> tuple[ScanEntry, ...]:
@@ -388,16 +413,14 @@ def scan(
 
     Deterministic for a fixed seed.  The sample comes from the branch memo
     (`_branch_sample`), and each distinct point's integers go through the
-    kernel once and `_c_row` once, which solves the whole grid into one row
-    object that a repeated point shares.  No `ScanEntry` is built here.
+    kernel once and `_c_form` once, which decides the point for the whole
+    grid.  No `CSolution` or `ScanEntry` is built here.
     """
     kernel = _compiled_decomposition(soliton_system(fam, kind))
     grid = _rational(lambda0_grid)
-    pairs = [(lam.numerator, lam.denominator) for lam in grid]
-    sample = _branch_sample(fam, seed, count)
-    solved = [_c_row(kernel.scaled(*point), pairs) for point in sample.scaled]
-    rows = tuple(map(solved.__getitem__, sample.slots))
-    return ScanReport(fam.family_id, kind, fam.eta, seed, count, grid, sample.points, rows)
+    points, scaled, slots = _branch_sample(fam, seed, count)
+    forms = tuple(_c_form(kernel.scaled(*point)) for point in scaled)
+    return ScanReport(fam.family_id, kind, fam.eta, seed, count, grid, points, forms, scaled, slots)
 
 
 # -- theorem cases -------------------------------------------------------------
@@ -671,7 +694,7 @@ def _verify_empty(case: TheoremCase, table: VariableTable, seed: int) -> Verific
     total = 0
     for fam in family_branches(case.family_id, table):
         report = scan(fam, case.kind, seed=seed, count=500)
-        solvable += sum(1 for _ in report.cells())
+        solvable += len(report.lambda0_grid) * sum(report.forms[k] is not None for k in report.slots)
         total += report.size
     ok = solvable == 0
     return _report(case, "scan-empty", ok, detail=f"{solvable} solvable of {total} scanned {case.note}".strip())
@@ -723,12 +746,15 @@ def case_matches_point(
     table: VariableTable,
 ) -> bool:
     """Does a solvable scan entry fall inside the case's (effective) locus?
-    An unsolvable one lies in no case."""
+    An unsolvable one lies in no case; a solved c = u/v is the form
+    (-u, 0, v) of `_holds`."""
     if case.empty or c_solution.status == "none":
         return False
-    [lambda0_value] = _rational([lambda0_value])
+    grid = _pairs(_rational([lambda0_value]))
     at = _compiled_case(case, eta, table).c_at(integer_point(values))
-    return at is not None and _c_holds(at, lambda0_value, c_solution)
+    c = c_solution.value
+    form = () if c_solution.status == "any" else (-c.numerator, 0, c.denominator)
+    return at is not None and _holds(at, form, grid)[0]
 
 
 class _CompiledCase:
@@ -738,7 +764,7 @@ class _CompiledCase:
     that must not (its nonzero hypotheses); `c_kernel`, where the case
     fixes c, holds 1 and the coefficients a_j of c_expr = sum_j
     a_j*lambda0^j.  Both run once per point at its `integer_point`, in
-    integers or integer Surds, and each lambda0 then costs one comparison."""
+    integers or integer Surds, and `_holds` then decides the lambda0 grid."""
 
     __slots__ = ("split", "locus", "c_kernel")
 
@@ -764,14 +790,24 @@ class _CompiledCase:
         return [] if self.c_kernel is None else self.c_kernel.scaled(*point)
 
 
-def _c_holds(at: list, lambda0_value: Rational, c_solution: CSolution) -> bool:
-    """The c half: from `c_at`'s [f, f*a_0, ..., f*a_k], f > 0, does the
-    solved c = u/v equal c_expr at lambda0 = n/d, that is
-    u*f*d^k == v*sum_j f*a_j*n^j*d^(k-j)?  A free or an `any` c holds."""
-    if not at or c_solution.status == "any":
-        return True
-    n, d, k, c = lambda0_value.numerator, lambda0_value.denominator, len(at) - 2, c_solution.value
-    return c.numerator * at[0] * d**k == c.denominator * sum(a * n**j * d ** (k - j) for j, a in enumerate(at[1:]))
+def _holds(at: list, form: tuple, grid: Sequence[tuple[int, int]]) -> list[bool]:
+    """The c half of membership, per lambda0 = n/d, d > 0, of `grid`: does
+    the c of a point's `_c_form` (`()` for every c) equal the case's c_expr,
+    given by `c_at` as [f, f*a_0, ..., f*a_k], f > 0 ([] for a free c)?
+    With c = -(P_0 + Q_0*lambda0)/R_0 that is E(lambda0) = 0 for
+    E = R_0*sum_j f*a_j*lambda0^j + f*(P_0 + Q_0*lambda0).  Every cell holds
+    where E is the zero polynomial, as it is wherever the case keeps the
+    lambda0 law; otherwise each cell is E(n/d)*d^k == 0, k >= deg E."""
+    if not at or not form:
+        return [True] * len(grid)
+    p0, q0, r0 = form
+    e = [r0 * a for a in at[1:]] + [0]
+    e[0] += at[0] * p0
+    e[1] += at[0] * q0
+    if not any(e):
+        return [True] * len(grid)
+    k = len(e) - 1
+    return [not sum(x * n**j * d ** (k - j) for j, x in enumerate(e)) for n, d in grid]
 
 
 # One `_CompiledCase` per (case, eta, table) value; the bound holds one sweep
@@ -780,24 +816,28 @@ _compiled_case = lru_cache(maxsize=64)(_CompiledCase)
 
 
 def scan_membership(report: ScanReport, cases: Sequence[TheoremCase], table: VariableTable) -> list[bool]:
-    """Per solvable entry of `report`: does it fall inside one of `cases`?
+    """Per solvable cell of `report`, in the order of `report.cells()`: does
+    it fall inside one of `cases`?
 
-    Equal to `any(case_matches_point(...))` entry by entry, but decided
-    over the report's rows, one per distinct point: the lambda0-free locus
-    test and c_expr's coefficients once per point, one comparison per
-    solvable lambda0.  A repeated point shares its first occurrence's row
-    and so its verdicts.
+    Equal to `any(case_matches_point(...))` cell by cell, but decided once
+    per distinct point for the whole grid, from the report's `forms` and
+    the memo's integer forms: the lambda0-free locus test and c_expr's
+    coefficients run once per point and case, and `_holds` decides the
+    grid.  A repeated point shares its first occurrence's verdicts.
     """
     compiled = [_compiled_case(case, report.eta, table) for case in cases if not case.empty]
-    grid = report.lambda0_grid
-    decided: dict[int, list[bool]] = {}  # by id of the shared row
-    out: list[bool] = []
-    for pt, row in zip(report.points, report.rows):
-        if id(row) not in decided:
-            decided[id(row)] = []
-            if row and row[0].status != "none":  # a row of `_c_row` has one status in every cell
-                point = integer_point(pt.values)
-                ats = [at for c in compiled if (at := c.c_at(point)) is not None]
-                decided[id(row)] = [any(_c_holds(at, lam, sol) for at in ats) for lam, sol in zip(grid, row)]
-        out += decided[id(row)]
-    return out
+    grid = _pairs(report.lambda0_grid)
+    decided = []
+    for form, point in zip(report.forms, report.scaled):
+        if form is None:
+            decided.append([])
+            continue
+        verdicts = [False] * len(grid)
+        for c in compiled:
+            at = c.c_at(point)
+            if at is not None:
+                verdicts = [v or h for v, h in zip(verdicts, _holds(at, form, grid))]
+                if all(verdicts):
+                    break
+        decided.append(verdicts)
+    return [v for k in report.slots for v in decided[k]]

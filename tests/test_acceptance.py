@@ -25,7 +25,7 @@ from lieschouten.catalog import (
 from lieschouten.cli import main
 from lieschouten.geometry import OperatorMatrix
 from lieschouten.poly import DEFAULT_TABLE
-from lieschouten.soliton import derivation_residuals
+from lieschouten.soliton import DEFAULT_LAMBDA0_GRID, derivation_residuals
 
 SEED = 0
 SCAN_COUNT = 500
@@ -57,10 +57,11 @@ def records(summary, section):
 
 
 def test_criterion_1_matrix_fidelity(catalog):
-    from lieschouten.catalog import _matrix_records
+    from lieschouten.catalog import _plan, _records
 
     start = time.monotonic()
-    recs = _matrix_records(catalog, DEFAULT_TABLE, None)
+    plan = _plan(catalog, DEFAULT_TABLE, SEED, 120, SCAN_COUNT, DEFAULT_LAMBDA0_GRID)
+    recs = _records([entry for entry in plan if entry.section == "matrix"])
     elapsed = time.monotonic() - start
     bad = [r.label for r in recs if r.status != "pass"]
     covered = {r.label for r in recs}

@@ -14,10 +14,11 @@ from lieschouten.catalog import (
     MATRIX_LABELS,
     Catalog,
     CatalogError,
+    VerifyRecord,
     load_catalog,
     verify_all,
 )
-from lieschouten.geometry import connection, ricci_pipeline
+from lieschouten.geometry import CONNECTION_KINDS, connection, ricci_pipeline
 from lieschouten.poly import DEFAULT_TABLE, exact_sqrt
 from lieschouten.soliton import DEFAULT_LAMBDA0_GRID, soliton_system
 
@@ -283,7 +284,7 @@ def test_verify_leaves_the_shared_sample_untouched():
     assert list(soliton._branch_sample(g5, 0, 20).points) == sample_parameters(g5, seed=0, count=20)
 
 
-# -- the job runner: one forked worker shares the section and scan jobs ----------
+# -- the job runner: one forked worker shares the family jobs --------------------
 
 TWO_CPUS = hasattr(os, "fork") and (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -291,17 +292,18 @@ TWO_CPUS = hasattr(os, "fork") and (
 
 
 class ScanFault(Exception):
-    """Raised by a patched per-family scan."""
+    """Raised by a patched scan check."""
 
 
-def serial_scan_records(catalog, seed, scan_count, only=None):
-    return [
-        record
-        for fid in FAMILY_IDS
-        for record in catalog_module._family_scan_records(
-            catalog, DEFAULT_TABLE, fid, seed, scan_count, DEFAULT_LAMBDA0_GRID, only
-        )
-    ]
+def serial_scan_records(catalog, seed, scan_count):
+    """The scan section's records, each check run in this process."""
+    records = []
+    for fid in FAMILY_IDS:
+        for kind in CONNECTION_KINDS:
+            tag = catalog_module._family_tag(fid, kind)
+            check = catalog_module._scan_check(catalog, DEFAULT_TABLE, fid, kind, seed, scan_count, DEFAULT_LAMBDA0_GRID)
+            records.append(VerifyRecord("scan", tag, *check, (tag, fid, "scan")))
+    return records
 
 
 def assert_no_child_left():
@@ -363,6 +365,35 @@ def test_two_processes_share_the_job_list(forks):
     assert_no_child_left()
 
 
+ONE_FAMILY_SELECTORS = ("3.3.7", "3.3", "g4", "g5-can", "4.44=4.45")
+SECTIONS = ("structural", "matrix", "scalar", "case", "control", "witness", "scan")
+
+
+@pytest.mark.parametrize("serial", [False, True], ids=["forked", "serial"])
+@pytest.mark.parametrize("only", ONE_FAMILY_SELECTORS + SECTIONS)
+def test_only_keeps_the_full_runs_records_in_its_order(catalog, summary, forks, monkeypatch, only, serial):
+    # each family is one job across all seven sections; the merge puts the
+    # records back in the full run's order, forked or serial
+    if serial:
+        monkeypatch.setattr(catalog_module, "_may_fork", lambda families: False)
+    selected = verify_all(seed=0, scan_count=40, only=only, catalog=catalog)
+    assert selected.records == tuple(r for r in summary.records if only in r.selectors)
+    assert selected.records
+    assert len(forks) == (TWO_CPUS and not serial and only in SECTIONS)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("serial", [False, True], ids=["forked", "serial"])
+def test_the_run_is_section_major_in_catalogue_order(catalog, monkeypatch, serial):
+    # the jobs are family-major; the merge must not leave them so
+    if serial:
+        monkeypatch.setattr(catalog_module, "_may_fork", lambda families: False)
+    records = verify_all(seed=0, scan_count=20, catalog=catalog).records
+    sections = [r.section for r in records]
+    assert sections == sorted(sections, key=SECTIONS.index) and set(sections) == set(SECTIONS)
+    assert [r.label for r in records if r.section == "case"] == [c.label for c in catalog.cases]
+
+
 def test_a_single_family_or_case_never_forks(monkeypatch):
     def no_fork():
         raise AssertionError("forked for a single family")
@@ -382,7 +413,7 @@ def test_a_live_thread_or_one_cpu_keeps_the_run_serial(monkeypatch):
 
 
 def raising_for(fid):
-    real = catalog_module._family_scan_records
+    real = catalog_module._scan_check
 
     def patched(catalog, table, family, *args):
         if family == fid:
@@ -393,7 +424,7 @@ def raising_for(fid):
 
 
 def test_a_family_that_raises_raises_the_serial_runs_type(catalog, monkeypatch):
-    monkeypatch.setattr(catalog_module, "_family_scan_records", raising_for("g6"))
+    monkeypatch.setattr(catalog_module, "_scan_check", raising_for("g6"))
     with pytest.raises(ScanFault):
         verify_all(only="scan", scan_count=20, catalog=catalog)
     assert_no_child_left()
@@ -403,13 +434,13 @@ def test_a_family_that_raises_raises_the_serial_runs_type(catalog, monkeypatch):
 
 
 def fail_in_the_worker(monkeypatch):
-    """Patch the family scan to raise ScanFault in the worker only.  The
+    """Patch the scan check to raise ScanFault in the worker only.  The
     parent's first scan waits until the worker has failed, so the worker
-    surely takes the next scan job.  Returns the pipe for the caller to
+    surely takes the next family job.  Returns the pipe for the caller to
     close."""
     parent = os.getpid()
     failed, failed_end = os.pipe()
-    real_scan = catalog_module._family_scan_records
+    real_scan = catalog_module._scan_check
 
     def scan_fails_in_the_worker(catalog, table, fid, *args):
         if os.getpid() != parent:
@@ -418,7 +449,7 @@ def fail_in_the_worker(monkeypatch):
         assert select.select([failed], [], [], 60)[0], "the worker never failed"
         return real_scan(catalog, table, fid, *args)
 
-    monkeypatch.setattr(catalog_module, "_family_scan_records", scan_fails_in_the_worker)
+    monkeypatch.setattr(catalog_module, "_scan_check", scan_fails_in_the_worker)
     return failed, failed_end
 
 
@@ -437,16 +468,16 @@ def test_the_workers_exception_is_raised_in_the_parent(catalog, forks, monkeypat
 
 @pytest.mark.skipif(not TWO_CPUS, reason="the worker needs two CPUs")
 def test_a_worker_that_vanishes_leaves_its_families_to_the_parent(catalog, forks, monkeypatch):
-    expected = serial_scan_records(catalog, 0, 20, only="scan")
+    expected = serial_scan_records(catalog, 0, 20)
     parent = os.getpid()
-    real_scan = catalog_module._family_scan_records
+    real_scan = catalog_module._scan_check
 
     def scan_dies_in_the_worker(*args):
         if os.getpid() != parent:
             os._exit(1)
         return real_scan(*args)
 
-    monkeypatch.setattr(catalog_module, "_family_scan_records", scan_dies_in_the_worker)
+    monkeypatch.setattr(catalog_module, "_scan_check", scan_dies_in_the_worker)
     summary = verify_all(scan_count=20, only="scan", catalog=catalog)
     assert len(forks) == 1
     assert list(summary.records) == expected
@@ -457,7 +488,7 @@ def test_a_failing_section_leaves_no_child(catalog, monkeypatch):
     def failing_cases(*args):
         raise ScanFault("case section")
 
-    monkeypatch.setattr(catalog_module, "_case_records", failing_cases)
+    monkeypatch.setattr(catalog_module, "_case_check", failing_cases)
     with pytest.raises(ScanFault):
         verify_all(scan_count=20, catalog=catalog)
     assert_no_child_left()
@@ -496,7 +527,7 @@ def test_no_run_leaves_an_open_fd(catalog, forks, monkeypatch):
         select.select([never], [], [], 60)
         raise ScanFault("the worker was not killed")
 
-    monkeypatch.setattr(catalog_module, "_family_scan_records", scan_interrupted)
+    monkeypatch.setattr(catalog_module, "_scan_check", scan_interrupted)
     start = time.monotonic()
     try:
         with pytest.raises(ParentInterrupt):

@@ -37,6 +37,7 @@ from lieschouten.poly import (
 from lieschouten.soliton import (
     DEFAULT_LAMBDA0_GRID,
     CSolution,
+    ScanEntry,
     SolitonSystem,
     TheoremCase,
     case_matches_point,
@@ -49,7 +50,7 @@ from lieschouten.soliton import (
     soliton_system,
     verify_case,
 )
-from lieschouten.soliton import _apply_case, _c_row, _CompiledCase, _locus_plan, _reduce_ladder
+from lieschouten.soliton import _apply_case, _c_form, _c_solutions, _CompiledCase, _holds, _locus_plan, _reduce_ladder
 
 from geometry_reference import (
     G5_ON_A_CIRCLE,
@@ -493,9 +494,10 @@ def c_rows(draw):
 
 
 def solve_row(rows, lambdas):
-    """`_c_row` at rows (P, Q, R), flattened as the kernel returns them,
-    one solution per lambda0 of `lambdas`."""
-    return _c_row([x for row in rows for x in row], [(lam.numerator, lam.denominator) for lam in lambdas])
+    """`_c_form` at rows (P, Q, R), flattened as the kernel returns them,
+    as one solution per lambda0 of `lambdas`."""
+    form = _c_form([x for row in rows for x in row])
+    return _c_solutions(form, [(lam.numerator, lam.denominator) for lam in lambdas])
 
 
 def solve_at_lambda0_zero(rows):
@@ -979,6 +981,7 @@ def test_scan_of_a_sample_with_repeats_equals_the_per_entry_reference(kind):
 
 
 MEMBERSHIP_GRID = DEFAULT_LAMBDA0_GRID + (Fraction(-7, 3), Fraction(3, 10))
+QUADRATIC_IN_LAMBDA0 = "(lambda0 - 1/4)*(lambda0 - 2)"  # zero at two grid values
 CATALOG_CASES = load_catalog().cases
 
 
@@ -1033,6 +1036,9 @@ def test_membership_of_rows_where_every_c_solves_matches_the_reference(kind):
     cases = [
         TheoremCase(label="o.1", family_id="custom", kind=kind, substitutions=(("beta", p("0")),), c_expr=p("lambda0 + 5")),
         TheoremCase(label="o.2", family_id="custom", kind=kind, nonzero=(p("alpha - 1"),)),
+        # c_expr of degree 2 in lambda0
+        TheoremCase("o.3", "custom", kind, substitutions=(("beta", p("0")),), c_expr=p(f"alpha*{QUADRATIC_IN_LAMBDA0}")),
+        TheoremCase("o.4", "custom", kind, c_expr=p(f"lambda0^2 - alpha*{QUADRATIC_IN_LAMBDA0}"), nonzero=(p("alpha - 1"),)),
     ]
     for subset in [cases] + [[case] for case in cases]:
         expected = memberships(reference_case_matches_point, report, subset, None)
@@ -1103,6 +1109,15 @@ def test_each_cell_of_a_scan_row_is_solve_for_c_at_its_point(fam, kind, seed, gr
         assert list(row) == [solve_for_c(system, pt, lam) for lam in report.lambda0_grid]
         # mu-form: a point is solvable at every lambda0 or at none
         assert len({sol.status for sol in row}) <= 1
+    # `cells` and `entries` build the same per-cell solutions on request
+    expected = [
+        (idx, pt, lam, solve_for_c(system, pt, lam))
+        for idx, pt in enumerate(report.points)
+        for lam in report.lambda0_grid
+    ]
+    assert list(report.cells(("unique", "any", "none"))) == expected
+    assert list(report.cells()) == [cell for cell in expected if cell[3].status != "none"]
+    assert report.entries == tuple(ScanEntry(idx, pt.values, lam, *sol) for idx, pt, lam, sol in expected)
 
 
 @pytest.mark.parametrize("kind", CONNECTION_KINDS)
@@ -1112,6 +1127,81 @@ def test_the_circle_points_are_surds_and_their_rows_solve_for_c(kind):
     assert any(isinstance(v, Surd) for pt in report.points for v in pt.values.values())
     for pt, row in zip(report.points, report.rows):
         assert list(row) == [solve_for_c(system, pt, lam) for lam in report.lambda0_grid]
+
+
+def assert_membership_is_the_reference_cell_by_cell(report, cases, eta):
+    """`scan_membership`, and `case_matches_point` cell by cell, equal the
+    reference for the cases together and for each alone; returns the
+    reference verdicts of the cases together."""
+    for subset in [cases] + [[case] for case in cases]:
+        expected = memberships(reference_case_matches_point, report, subset, eta)
+        assert scan_membership(report, subset, T) == expected
+        assert memberships(case_matches_point, report, subset, eta) == expected
+    return memberships(reference_case_matches_point, report, cases, eta)
+
+
+def verdict_rows(report, verdicts):
+    """The verdicts of each solvable point, one per lambda0 of the grid."""
+    n = len(report.lambda0_grid)
+    return {tuple(verdicts[k : k + n]) for k in range(0, len(verdicts), n)}
+
+
+def test_a_case_that_breaks_the_lambda0_law_is_decided_at_each_lambda0():
+    # stated 3.3.8 puts c = -2*alpha^2 + 2*alpha^2*lambda0 on gamma = alpha,
+    # where the system admits that c only at lambda0 = 1: E is not zero there
+    stated = next(c for c in CATALOG_CASES if c.label == "3.3.8")._replace(variant_substitutions=None)
+    report = scan(build_family("g3"), "lc", seed=0, count=60, lambda0_grid=MEMBERSHIP_GRID)
+    expected = assert_membership_is_the_reference_cell_by_cell(report, [stated], None)
+    only_at_one = tuple(lam == 1 for lam in MEMBERSHIP_GRID)
+    assert verdict_rows(report, expected) == {only_at_one, (False,) * len(MEMBERSHIP_GRID)}
+
+
+def test_a_c_expr_of_degree_two_in_lambda0_holds_at_its_two_roots():
+    # g1/LC solves only on beta = 0, with c = 0 at every lambda0
+    case = TheoremCase("q.1", "g1", "lc", substitutions=(("beta", T.zero),), c_expr=p(QUADRATIC_IN_LAMBDA0))
+    report = scan(build_family("g1"), "lc", seed=0, count=60, lambda0_grid=MEMBERSHIP_GRID)
+    expected = assert_membership_is_the_reference_cell_by_cell(report, [case], None)
+    roots = tuple(lam in (Fraction(1, 4), 2) for lam in MEMBERSHIP_GRID)
+    assert expected and verdict_rows(report, expected) == {roots}
+
+
+@pytest.mark.parametrize("kind", CONNECTION_KINDS)
+def test_membership_at_the_circle_surd_points_against_a_c_expr_of_degree_two(kind):
+    report = scan(CIRCLE, kind, seed=7, count=40, lambda0_grid=MEMBERSHIP_GRID)
+    assert any(isinstance(pt.values["beta"], Surd) for pt in report.points)
+    cases = [
+        TheoremCase("c.1", "custom", kind, c_expr=p(f"beta*{QUADRATIC_IN_LAMBDA0}"), reductions=(("beta", p("4 - alpha^2")),)),
+        TheoremCase("c.2", "custom", kind, c_expr=p(f"beta^2*lambda0^2 + delta*{QUADRATIC_IN_LAMBDA0}")),
+    ]
+    expected = assert_membership_is_the_reference_cell_by_cell(report, cases, None)
+    if kind == "canonical":  # c = 0 at every point: c.1 holds at the two roots only
+        assert any(expected) and not all(expected)
+
+
+@given(
+    coefficients=st.lists(small, min_size=1, max_size=4),
+    q0=small,
+    r0=small.filter(bool),
+    f=st.integers(1, 5),
+    grid=st.lists(rational, min_size=1, max_size=5),
+    pick=st.integers(0, 4),
+)
+def test_holds_is_c_equals_c_expr_at_each_lambda0(coefficients, q0, r0, f, grid, pick):
+    # c_at gives [f, f*a_0, ..., f*a_k]; the form's c = -(P_0 + Q_0*lambda0)/R_0
+    # is made to meet c_expr = sum_j a_j*lambda0^j at one picked grid value
+    def c_expr(lam):
+        return sum(a * lam**j for j, a in enumerate(coefficients))
+
+    root = grid[pick % len(grid)]
+    p0 = -(c_expr(root) * r0 + q0 * root)
+    form = (p0.numerator, q0 * p0.denominator, r0 * p0.denominator)  # the same c, in integers
+    at = [f] + [f * a for a in coefficients]
+    expected = [Fraction(-(p0 + q0 * lam), r0) == c_expr(lam) for lam in grid]
+    assert expected[pick % len(grid)]
+    pairs = [(lam.numerator, lam.denominator) for lam in grid]
+    assert _holds(at, form, pairs) == expected
+    # a free c, and a point where every c solves, hold at every lambda0
+    assert _holds([], form, pairs) == _holds(at, (), pairs) == [True] * len(grid)
 
 
 @pytest.mark.parametrize("lam", [0.3, 2.0, exact_sqrt(2)], ids=["float", "integral float", "surd"])
