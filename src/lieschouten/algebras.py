@@ -11,6 +11,11 @@ The family g4 carries a discrete parameter eta in {+1, -1}; it is
 instantiated at construction time, so no polynomial ever contains a
 symbolic eta (its defining relation eta^2 = 1 would otherwise leak
 quotient-ring arithmetic into the whole pipeline).
+
+`sample_parameters` draws exact points that meet the side conditions.  A
+draw (`draw_point`) is integer from the start: each value is written over
+one common denominator L as it is drawn, so the kernels that decide it,
+and the scan's after it (through `sample_scaled`), never rescale a point.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .poly import (
@@ -34,6 +40,7 @@ from .poly import (
 
 Vector = tuple[Polynomial, Polynomial, Polynomial]
 Value = Union[Fraction, Surd]  # an exact parameter value
+Draw = tuple[dict[str, Value], tuple[dict, int]]  # (values, (nums, L)), as `draw_point` gives it
 
 FAMILY_IDS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
 
@@ -310,10 +317,12 @@ def jacobi_residuals(fam: LieAlgebraFamily) -> Vector:
 
 # -- constrained parameter sampling -------------------------------------------
 
-# Draws come from {-3..3} scaled by 1/d for d in {1,2,3}.
+# Draws come from {-3..3} scaled by 1/d for d in {1,2,3}: each pool entry
+# is the value and its numerator over _SCALE, the lcm of the d.
 _NUMERATORS = tuple(range(-3, 4))
 _DENOMINATORS = (1, 2, 3)
-_POOL = {(n, d): Fraction(n, d) for n in _NUMERATORS for d in _DENOMINATORS}
+_SCALE = 6
+_POOL = {(n, d): (Fraction(n, d), n * _SCALE // d) for n in _NUMERATORS for d in _DENOMINATORS}
 
 
 class SamplingError(ValueError):
@@ -324,7 +333,7 @@ class SamplingError(ValueError):
 
 def draw_rational(rng: random.Random) -> Fraction:
     """One exact draw from the sampling pool (numerator first, then denominator)."""
-    return _POOL[rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)]
+    return _POOL[rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)][0]
 
 
 def _split(constraint: Polynomial, taken: set[str]) -> Optional[tuple[str, tuple[Polynomial, ...]]]:
@@ -371,11 +380,16 @@ def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[Para
     after every other one whose solved variable it reads, so no later step
     moves a variable that an earlier one read, where such an order exists.
     A point is kept only if every equality constraint holds exactly and no
-    nonvanishing polynomial vanishes, decided in integers: each split's
-    coefficients, and the side conditions, are compiled once per call, and
-    each draw is one `draw_point`.  Without `count` points after
-    200*count + 1000 draws it raises SamplingError.
+    nonvanishing polynomial vanishes.  Each split's coefficients, and the
+    side conditions, are compiled once per call.  Without `count` points
+    after 200*count + 1000 draws it raises SamplingError.
     """
+    return [ParameterPoint(values) for values, _ in sample_scaled(fam, seed, count)]
+
+
+def sample_scaled(fam: LieAlgebraFamily, seed: int, count: int) -> list[Draw]:
+    """The points of `sample_parameters`, each beside its integer form as
+    `draw_point` gives it."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
@@ -398,7 +412,7 @@ def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[Para
     # nonzero where it must be, then zero on every constraint
     side = IntegerKernel(fam.table, fam.nonvanishing + fam.equality_constraints)
 
-    points: list[ParameterPoint] = []
+    points: list[Draw] = []
     attempts = 0
     while len(points) < count:
         attempts += 1
@@ -407,9 +421,9 @@ def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[Para
                 f"no draw of {fam.family_id} meets its side conditions: {len(points)} of {count} points"
                 f" after {attempts - 1} draws"
             )
-        values = draw_point(rng, pool, roots, side, len(fam.nonvanishing))
-        if values is not None:
-            points.append(ParameterPoint(values))
+        drawn = draw_point(rng, pool, roots, side, len(fam.nonvanishing))
+        if drawn is not None:
+            points.append(drawn)
     return points
 
 
@@ -419,27 +433,40 @@ def draw_point(
     roots: Sequence[tuple[str, IntegerKernel]],
     side: IntegerKernel,
     nonzero: int,
-) -> Optional[dict[str, Value]]:
-    """One draw of a constrained point, or None for a rejected draw.
+) -> Optional[Draw]:
+    """One draw of a constrained point as (values, (nums, L)), nums[n]
+    being values[n]*L, an int or an integer Surd; None if rejected.
 
-    Each name of `pool` is drawn from the sampling pool, in order.  Then
-    each (var, kernel) of `roots` sets var to a root, by `_root`, of the
-    kernel's coefficients (c0, c1) or (c0, c1, c2) at the values so far: a
-    var they leave free is drawn, and a draw with no root, or whose root
-    is a second square root, is rejected.  The point is kept only if the
-    first `nonzero` values of `side` are nonzero and the rest are zero.
-    The one draw of `sample_parameters` and of the sampled ladder rung.
+    Each name of `pool` is drawn from the sampling pool, in order, and
+    written straight to its numerator over L = 6.  Then each (var, kernel)
+    of `roots` sets var to a root, by `_root`, of the kernel's coefficients
+    (c0, c1) or (c0, c1, c2) at (nums, L): a var they leave free is drawn,
+    and a draw with no root, or whose root is a second square root, is
+    rejected.  L grows to its lcm with a root's denominator only where that
+    does not divide it, so L is the lcm of 6 and every value's denominator:
+    equal points have one form.  The point is kept only if the first
+    `nonzero` values of `side` are nonzero and the rest are zero.  The one
+    draw of `sample_parameters` and of the sampled ladder rung.
     """
-    values: dict[str, Value] = {name: draw_rational(rng) for name in pool}
+    values: dict[str, Value] = {}
+    nums, scale, choice = {}, _SCALE, rng.choice
+    for name in pool:  # each a draw_rational, with its numerator over _SCALE
+        values[name], nums[name] = _POOL[choice(_NUMERATORS), choice(_DENOMINATORS)]
     for var, kernel in roots:
-        sol = _root(kernel(values), rng)
+        sol = _root(kernel.scaled(nums, scale), rng)
         if sol is None:
             return None
-        values[var] = draw_rational(rng) if sol == "free" else sol
+        values[var] = sol = draw_rational(rng) if sol == "free" else sol
         if isinstance(sol, Surd) and not one_field(values.values()):
             return None
-    out = side(values)
-    return values if all(out[:nonzero]) and not any(out[nonzero:]) else None
+        den = sol.denominator
+        if scale % den:
+            grow = den // gcd(scale, den)
+            scale *= grow
+            nums = {name: num * grow for name, num in nums.items()}
+        nums[var] = sol.numerator * (scale // den)
+    out = side.scaled(nums, scale)
+    return (values, (nums, scale)) if all(out[:nonzero]) and not any(out[nonzero:]) else None
 
 
 def _solve_order(targets: dict[Polynomial, Optional[str]]) -> list[Polynomial]:

@@ -223,74 +223,54 @@ def load_catalog(text: Optional[str] = None) -> Catalog:
         kind = KIND_ALIASES.get(kv.get("kind", ""), kv.get("kind", ""))
         entries = _entries(kv.get("defs", ""), "defs entry", label)
         defs = {name: parse_polynomial(expr, aux_table) for name, expr in entries}
+        where = f"{stype} {label}"
+
+        def parsed(key: str, parse=_expression, default: Optional[str] = None):
+            """kv[key] (else `default`) parsed with the section's defs; None if both are missing."""
+            text = kv.get(key, default)
+            return None if text is None else parse(text, defs, aux_table, where)
+
         if stype == "matrix":
             rows = []
             for key in ("row1", "row2", "row3"):
                 if key not in kv:
-                    raise CatalogError(f"[matrix {label}] missing {key}")
+                    raise CatalogError(f"[{where}] missing {key}")
                 parts = kv[key].split(",")
                 if len(parts) != 3:
-                    raise CatalogError(f"[matrix {label}] {key} needs 3 entries")
-                rows.append(tuple(_expression(t, defs, aux_table, f"matrix {label}") for t in parts))
+                    raise CatalogError(f"[{where}] {key} needs 3 entries")
+                rows.append(tuple(_expression(t, defs, aux_table, where) for t in parts))
             matrices.append(MatrixFixture(label, family_id, kind, tuple(rows)))
         elif stype == "scalar":
             if "expr" not in kv:
-                raise CatalogError(f"[scalar {label}] missing expr")
-            scalars.append(
-                ScalarFixture(
-                    label,
-                    family_id,
-                    kind,
-                    _expression(kv["expr"], defs, aux_table, f"scalar {label}"),
-                    suspect=kv.get("suspect", "no") == "yes",
-                    variant=(
-                        _expression(kv["variant_expr"], defs, aux_table, f"scalar {label}")
-                        if "variant_expr" in kv
-                        else None
-                    ),
-                    note=kv.get("note", ""),
-                )
-            )
+                raise CatalogError(f"[{where}] missing expr")
+            expr, variant, suspect = parsed("expr"), parsed("variant_expr"), kv.get("suspect") == "yes"
+            scalars.append(ScalarFixture(label, family_id, kind, expr, suspect, variant, kv.get("note", "")))
         else:  # case
-            clabel = f"case {label}"
             c_text = kv.get("c", "").strip()
             if kv.get("empty", "no") == "yes":
                 c_expr = None
             elif not c_text:
-                raise CatalogError(f"[{clabel}] missing c")
+                raise CatalogError(f"[{where}] missing c")
             else:
-                c_expr = None if c_text == "free" else _expression(c_text, defs, aux_table, clabel)
-            variant_c = kv.get("variant_c")
+                c_expr = None if c_text == "free" else _expression(c_text, defs, aux_table, where)
             cases.append(
                 TheoremCase(
                     label=label,
                     family_id=family_id,
                     kind=kind,
-                    substitutions=_parse_assignments(kv.get("subs", ""), defs, aux_table, clabel),
+                    substitutions=parsed("subs", _parse_assignments, ""),
                     c_expr=c_expr,
-                    reductions=_parse_reductions(kv.get("reduce", ""), defs, aux_table, clabel),
+                    reductions=parsed("reduce", _parse_reductions, ""),
                     nonzero=tuple(
-                        _expression(t, defs, aux_table, clabel)
-                        for t in kv.get("nonzero", "").split(";")
-                        if t.strip()
+                        _expression(t, defs, aux_table, where) for t in kv.get("nonzero", "").split(";") if t.strip()
                     ),
-                    sample_subs=_parse_assignments(kv.get("sample", ""), defs, aux_table, clabel),
-                    witness=_parse_witness(kv.get("witness", ""), clabel),
+                    sample_subs=parsed("sample", _parse_assignments, ""),
+                    witness=_parse_witness(kv.get("witness", ""), where),
                     suspect=kv.get("suspect", "no") == "yes",
                     empty=kv.get("empty", "no") == "yes",
-                    variant_substitutions=(
-                        _parse_assignments(kv["variant_subs"], defs, aux_table, clabel)
-                        if "variant_subs" in kv
-                        else None
-                    ),
-                    variant_c=(
-                        _expression(variant_c, defs, aux_table, clabel) if variant_c else None
-                    ),
-                    variant_reductions=(
-                        _parse_reductions(kv["variant_reduce"], defs, aux_table, clabel)
-                        if "variant_reduce" in kv
-                        else None
-                    ),
+                    variant_substitutions=parsed("variant_subs", _parse_assignments),
+                    variant_c=parsed("variant_c") if kv.get("variant_c") else None,
+                    variant_reductions=parsed("variant_reduce", _parse_reductions),
                     note=kv.get("note", ""),
                 )
             )

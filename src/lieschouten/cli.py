@@ -180,9 +180,7 @@ def cmd_jacobi(args) -> int:
     if identically_zero:
         print("identically zero: the table is a Lie algebra for all parameters")
     else:
-        print(
-            f"nonzero symbolically; max |residual| over {args.count} constrained samples: {worst:.3e}"
-        )
+        print(f"nonzero symbolically; max |residual| over {args.count} constrained samples: {worst:.3e}")
     return EXIT_OK
 
 
@@ -238,19 +236,15 @@ def cmd_verify(args) -> int:
         print(f"catalog error: {err}", file=sys.stderr)
         return EXIT_DATA
     summary = verify_all(seed=args.seed, scan_count=args.count, only=args.only, catalog=catalog)
+    counts = summary.counts()
     if args.format == "machine":
         for r in summary.records:
             print(f"RESULT\t{r.section}\t{r.label}\t{r.status}\t{r.method}\t{r.detail}")
-        counts = summary.counts()
-        print(
-            "SUMMARY\t"
-            + "\t".join(f"{k}={counts[k]}" for k in ("pass", "warn", "skip", "fail"))
-        )
+        print("SUMMARY\t" + "\t".join(f"{k}={counts[k]}" for k in ("pass", "warn", "skip", "fail")))
     else:
         mark = {"pass": "PASS", "fail": "FAIL", "warn": "WARN", "skip": "skip"}
         for r in summary.records:
             print(f"[{mark[r.status]}] {r.section:10} {r.label:12} {r.detail}")
-        counts = summary.counts()
         print(
             f"{counts['pass']} passed, {counts['warn']} suspect warnings, "
             f"{counts['skip']} skipped, {counts['fail']} failed (seed {args.seed})"

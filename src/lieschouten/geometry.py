@@ -269,16 +269,9 @@ def scalar_curvature(form: BilinearForm) -> Polynomial:
 
 
 def schouten_form(form: BilinearForm, s: Polynomial, lambda0: Polynomial) -> BilinearForm:
-    metric_diag = (1, 1, -1)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            entry = form.entries[i][j]
-            if i == j:
-                entry = entry - s * lambda0 * metric_diag[i]
-            row.append(entry)
-        rows.append(row)
+    """rho - s*lambda0*g for g = diag(1, 1, -1)."""
+    shift = [s * lambda0 * eps for eps in (1, 1, -1)]
+    rows = [[q - shift[i] if i == j else q for j, q in enumerate(row)] for i, row in enumerate(form.entries)]
     return BilinearForm(_freeze3(rows))
 
 

@@ -801,17 +801,20 @@ class IntegerKernel:
     values, and no Fraction is formed.  Any other L > 0 with integer n_j
     gives the same zeros, signs and ratios, so `scaled`, the entry that the
     call goes through, takes them as given: one `integer_point` serves
-    every kernel that reads the point.  The list is compiled once, at
-    construction, to the straight-line function in `source` (see
-    `_kernel_source`), which reads n_j by name and takes L as is.
+    every kernel that reads the point.  `factor` is (D, G), so a caller
+    that needs the values themselves divides each F by D * L**G once.  The
+    list is compiled once, at construction, to the straight-line function
+    in `source` (see `_kernel_source`), which reads n_j by name and takes L
+    as is.
     """
 
-    __slots__ = ("names", "source", "_run")
+    __slots__ = ("names", "factor", "source", "_run")
 
     def __init__(self, table: VariableTable, polys: Sequence[Polynomial]):
         used = set().union(*(poly.variables() for poly in polys))
         self.names = tuple(n for n in table.names if n in used)
-        self.source = _kernel_source(table, self.names, polys)
+        self.factor = (lcm(*(poly._den for poly in polys)), max((poly.total_degree() for poly in polys), default=0))
+        self.source = _kernel_source(table, self.names, polys, self.factor)
         namespace: dict = {"__builtins__": {}, **{f"n{j}": n for j, n in enumerate(self.names)}}
         exec(compile(self.source, "<IntegerKernel>", "exec"), namespace)
         self._run = namespace["kernel"]
@@ -836,10 +839,12 @@ def integer_point(values: Mapping[str, Scalar]) -> tuple[dict[str, Scalar], int]
     return {n: v.numerator * (scale // v.denominator) for n, v in values.items()}, scale
 
 
-def _kernel_source(table: VariableTable, names: Sequence[str], polys: Sequence[Polynomial]) -> str:
-    """Python source of `kernel(point, L)` for `IntegerKernel`, which reads
-    the numerator of the j-th name as x0, x1, ... from `point` by the name
-    bound to n0, n1, ... in its namespace.
+def _kernel_source(
+    table: VariableTable, names: Sequence[str], polys: Sequence[Polynomial], factor: tuple[int, int]
+) -> str:
+    """Python source of `kernel(point, L)` for `IntegerKernel` with the
+    factor (D, G), which reads the numerator of the j-th name as x0, x1, ...
+    from `point` by the name bound to n0, n1, ... in its namespace.
 
     Each power of a base is built once by a chain (x0_3 = x0_2 * x0), each
     homogenised monomial that more than one term uses gets one local, and
@@ -848,8 +853,7 @@ def _kernel_source(table: VariableTable, names: Sequence[str], polys: Sequence[P
     few thousand terms overflows the compiler's recursion limit.  Only
     integer literals and generated identifiers enter the source.
     """
-    degree = max((poly.total_degree() for poly in polys), default=0)
-    denominator = lcm(*(poly._den for poly in polys))
+    denominator, degree = factor
     shifts, top = [table._shifts[table.index(n)] for n in names], table._top
     bases = [f"x{j}" for j in range(len(names))] + ["L"]
     slots: dict[int, int] = {}

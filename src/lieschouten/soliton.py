@@ -30,32 +30,33 @@ the case locus.  Verification climbs an evidence ladder:
 Cases marked suspect carry a variant (a small, principled correction);
 both the stated and variant data are verified and reported.
 
-Everything is decided exactly.  A point's values are Fractions, or
-`poly.Surd`s of one quadratic field where a square root enters (a quadratic
-constraint, a case's relation var^2 - rhs, the witness beta = sqrt(2) of
-4.11.2); lambda0 is rational, and any other lambda0 raises TypeError.
-`_compiled_decomposition` checks the residual shape once per system and
-compiles the P, Q, R of the nonzero residuals to one `poly.IntegerKernel`.
-`_c_form`, the c solve of `scan` and `solve_for_c`, decides a point's kernel
-values once, with no lambda0 in the test, into one form: no c, every c, or
-(P_0, Q_0, R_0) with c = -(d*P_0 + n*Q_0)/(d*R_0) at lambda0 = n/d.  `scan`
-takes its sample from the branch memo `_branch_sample`, shared by the
-connections, which also holds each distinct point's `poly.integer_point`:
-the kernel's scaled-input entry and `_c_form` run once per distinct point.
-A `ScanReport` is a table: the shared sample, the memo's integer forms and
-one form per distinct point; its `CSolution`s and `ScanEntry` records are
-built only on request.  A case's data on one eta branch is one
-`_Substitution`, which applies its substitutions in listed order for every
-consumer.  The sampled rung compiles the case locus once per ladder branch
-(`_locus_plan`) into the arguments of `algebras.draw_point`, the one draw
-that `sample_parameters` makes too; lambda0, and c where the claim leaves
-it free, are drawn after it only when the locus left them unassigned.  Case
-membership is `_CompiledCase`, compiled once per (case, eta, table): the
-polynomials that must vanish on a case's locus, the hypotheses that must
-not, and the coefficients of c_expr in lambda0, decided in integers.
-`_holds` compares a point's form with c_expr as one polynomial in lambda0,
-which is zero wherever the case keeps the lambda0 law, so
-`scan_membership` decides each distinct point once for the whole grid.
+Everything is decided exactly, in integers, by `poly.IntegerKernel`s.  A
+point's values are Fractions, or `poly.Surd`s of one quadratic field where
+a square root enters (a quadratic constraint, a case's relation var^2 -
+rhs, the witness beta = sqrt(2) of 4.11.2); lambda0 is rational, and any
+other lambda0 raises TypeError.  `_compiled_decomposition` checks the
+residual shape once per system and compiles the P, Q, R of the nonzero
+residuals to one kernel.  `_c_form`, the c solve of `scan` and
+`solve_for_c`, decides a point's kernel values once, with no lambda0 in
+the test, into one form: no c, every c, or (P_0, Q_0, R_0) with
+c = -(d*P_0 + n*Q_0)/(d*R_0) at lambda0 = n/d.  `negative_control` reads
+the same kernel at its witness, and c_expr from the case's `c_kernel`.
+`scan` takes its sample from the branch memo `_branch_sample`, shared by
+the connections, which keeps each distinct point with the integer form
+that `algebras.draw_point` drew it in: the kernel and `_c_form` run once
+per distinct point.  A `ScanReport` is a table of the shared sample, its
+integer forms and one form per distinct point; its `CSolution`s and
+`ScanEntry` records are built only on request.  A case's data on one eta
+branch is one `_Substitution`, which applies its substitutions in listed
+order for every consumer.  The sampled rung compiles the case locus once
+per ladder branch (`_locus_plan`) into the arguments of `draw_point`;
+lambda0, and c where the claim leaves it free, are drawn after it only
+when the locus left them unassigned.  Case membership is `_CompiledCase`,
+compiled once per (case, eta, table): the polynomials that must vanish on
+a case's locus, the hypotheses that must not, and the coefficients of
+c_expr in lambda0.  `_holds` compares a point's form with c_expr as one
+polynomial in lambda0, which is zero wherever the case keeps the lambda0
+law, so `scan_membership` decides each distinct point once for the grid.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from .algebras import (
     draw_rational,
     family_branches,
     instantiate_eta,
-    sample_parameters,
+    sample_scaled,
 )
 from .geometry import OperatorMatrix, ricci_pipeline
 from .poly import (
@@ -378,7 +379,7 @@ class ScanReport(NamedTuple):
 
 class _BranchSample(NamedTuple):
     """The points, a repeat being its first occurrence's object; per
-    distinct point its `integer_point`; per point its distinct index."""
+    distinct point its integer form as drawn; per point its distinct index."""
 
     points: tuple[ParameterPoint, ...]
     scaled: tuple[tuple[dict[str, Value], int], ...]
@@ -387,17 +388,17 @@ class _BranchSample(NamedTuple):
 
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)
 def _branch_sample(fam: LieAlgebraFamily, seed: int, count: int) -> _BranchSample:
-    """`sample_parameters` once per (family, seed, count) value, with each
-    distinct point scaled to integers once: the three connections of a
-    branch scan one shared draw, which no caller writes."""
+    """`sample_scaled` once per (family, seed, count) value: the three
+    connections of a branch scan one shared draw, which no caller writes.
+    Equal points have one form, in one name order, so a repeat is found by
+    its form."""
     first: dict[tuple, int] = {}  # integer form -> index of its distinct point
     distinct: list[ParameterPoint] = []
     scaled, slots = [], []
-    for pt in sample_parameters(fam, seed=seed, count=count):
-        nums, scale = integer_point(pt.values)
-        slots.append(first.setdefault((scale, *nums.items()), len(distinct)))
+    for values, (nums, scale) in sample_scaled(fam, seed, count):
+        slots.append(first.setdefault((scale, *nums.values()), len(distinct)))
         if slots[-1] == len(distinct):
-            distinct.append(pt)
+            distinct.append(ParameterPoint(values))
             scaled.append((nums, scale))
     return _BranchSample(tuple(distinct[k] for k in slots), tuple(scaled), tuple(slots))
 
@@ -629,10 +630,11 @@ def _verify_single(
                 f"{rejected} rejected, {checked} of {sample_count} samples checked"
             )
             return "unsampled", None, detail
-        values = draw_point(rng, *plan)
-        if values is None:
+        drawn = draw_point(rng, *plan)
+        if drawn is None:
             rejected += 1
             continue
+        values = drawn[0]
         # lambda0, and c for a claim that leaves it free, where the locus left them unassigned
         if "lambda0" not in values:
             values["lambda0"] = draw_rational(rng)
@@ -659,9 +661,7 @@ def verify_case(
     if case.empty:
         return _verify_empty(case, table, seed)
 
-    stated_method = "exact"
-    stated_counter = None
-    stated_detail = ""
+    stated_method, stated_counter, stated_detail = "exact", None, ""
     variant_method: Optional[str] = None
     stated = (case.substitutions, case.c_expr, case.reductions)
     for fam in family_branches(case.family_id, table):
@@ -690,8 +690,7 @@ def verify_case(
 
 def _verify_empty(case: TheoremCase, table: VariableTable, seed: int) -> VerificationReport:
     """A no-solutions claim: scan both branches and demand zero solvable."""
-    solvable = 0
-    total = 0
+    solvable = total = 0
     for fam in family_branches(case.family_id, table):
         report = scan(fam, case.kind, seed=seed, count=500)
         solvable += len(report.lambda0_grid) * sum(report.forms[k] is not None for k in report.slots)
@@ -710,25 +709,28 @@ def negative_control(
 
     Guards against vacuously-zero systems.  Not applicable (reported ok,
     method "skipped") when the claim holds for every c, which happens
-    exactly when the bracket vanishes on the case locus.  The residuals are
-    decided exactly; the largest one's size is reported for display.
+    exactly when the bracket vanishes on the case locus.  Decided in
+    integers at the witness's `integer_point`, by kernels the branch
+    already built: `_compiled_decomposition` gives each residual as
+    (P + Q*lambda0 + R*c) / F, F being its factor D*L**G, and the case's
+    `c_kernel` gives c_expr.  The largest residual's size is reported for
+    display.
     """
     if perturbation == 0:
         raise ValueError("perturbation must be nonzero")
     [lambda0_value] = _rational([lambda0_value])
-    _, c_expr, _ = case.effective()
-    if case.empty or c_expr is None:
+    if case.empty or case.effective()[1] is None:
         return _report(case, "skipped", True, detail="not applicable: every c solves on this locus")
     best = 0.0
     for fam in family_branches(case.family_id, table):
-        system = soliton_system(fam, case.kind)
-        point = resolve_witness(case, system.eta, table)
-        point["lambda0"] = lambda0_value
-        point["c"] = instantiate_eta(c_expr, system.eta, table).evaluate(point) + perturbation
-        values = [r.evaluate(point) for r in system.residuals]
+        kernel = _compiled_decomposition(soliton_system(fam, case.kind))
+        nums, scale = integer_point(resolve_witness(case, fam.eta, table))
+        f, *a = _compiled_case(case, fam.eta, table).c_kernel.scaled(nums, scale)
+        c = quotient(sum(x * lambda0_value**j for j, x in enumerate(a)), f) + perturbation
+        out, factor = kernel.scaled(nums, scale), kernel.factor[0] * scale ** kernel.factor[1]
+        values = [quotient(p + q * lambda0_value + r * c, factor) for p, q, r in zip(out[0::3], out[1::3], out[2::3])]
         if not any(values):
-            detail = "perturbed c still solves: system may be vacuous"
-            return _report(case, "control", False, detail=detail)
+            return _report(case, "control", False, detail="perturbed c still solves: system may be vacuous")
         best = max(best, *(abs(float(v)) for v in values))
     detail = f"perturbation {perturbation} raises residual {best:g}"
     return _report(case, "control", True, detail=detail)

@@ -23,7 +23,7 @@ from lieschouten.algebras import (
     jacobi_residuals,
     sample_parameters,
 )
-from lieschouten.poly import DEFAULT_TABLE, IntegerKernel, Polynomial, Surd, one_field, parse_polynomial
+from lieschouten.poly import DEFAULT_TABLE, IntegerKernel, Polynomial, Surd, exact_sqrt, one_field, parse_polynomial
 
 from geometry_reference import G5_ON_A_CIRCLE
 
@@ -217,8 +217,10 @@ class TestSampling:
             drawn = {name: draw_rational(ref) for name in pool}
             got = draw_point(random.Random(seed), pool, roots, side, 1)
             if drawn["gamma"]:
-                assert got == {**drawn, "alpha": drawn["beta"] * drawn["delta"] / drawn["gamma"]}
-                assert type(got["alpha"]) is Fraction
+                values, (nums, scale) = got
+                assert values == {**drawn, "alpha": drawn["beta"] * drawn["delta"] / drawn["gamma"]}
+                assert type(values["alpha"]) is Fraction
+                assert scale > 0 and nums == {name: v * scale for name, v in values.items()}
             else:
                 assert got is None
 
@@ -334,24 +336,32 @@ class TestSampling:
 
 
 def reference_sample(fam, seed, count):
-    """Exact-mode sampling with a, b and the nonvanishing polynomials
-    evaluated by Polynomial.evaluate; also counts the split outcomes."""
+    """Exact-mode sampling with the split coefficients and the nonvanishing
+    polynomials evaluated by Polynomial.evaluate; also counts the split
+    outcomes.  A constraint linear in no variable is solved for its last
+    quadratic one by the quadratic formula, the root's sign drawn."""
     rng = random.Random(seed)
     splits = []
     for con in fam.equality_constraints:
         linear = [n for n in T.names if con.degree_in(n) == 1 and n not in con.coefficient_of(n, 1).variables()]
-        var = linear[-1]
-        splits.append((var, con.coefficient_of(var, 1), con.coefficient_of(var, 0)))
-    solved = {var for var, _, _ in splits}
+        var = linear[-1] if linear else [n for n in T.names if con.degree_in(n) == 2][-1]
+        splits.append((var, [con.coefficient_of(var, k) for k in range(2 if linear else 3)]))
+    solved = {var for var, _ in splits}
     points, outcomes = [], Counter()
     while len(points) < count:
         values = {n: draw_rational(rng) for n in fam.parameters if n not in solved}
         ok = True
-        for var, a, b in splits:
-            a_val, b_val = a.evaluate(values), b.evaluate(values)
-            if a_val != 0:
-                outcome, values[var] = "root", -b_val / a_val
-            elif b_val == 0:
+        for var, coefficients in splits:
+            c = [q.evaluate(values) for q in coefficients]
+            if len(c) == 3:
+                root = exact_sqrt(c[1] * c[1] - 4 * c[2] * c[0])
+                if root is None:
+                    outcome, ok = "reject", False
+                else:
+                    outcome, values[var] = "root", (-c[1] + (root if rng.random() < 0.5 else -root)) / (2 * c[2])
+            elif c[1] != 0:
+                outcome, values[var] = "root", -c[0] / c[1]
+            elif c[0] == 0:
                 outcome, values[var] = "free", draw_rational(rng)
             else:
                 outcome, ok = "reject", False
@@ -363,8 +373,11 @@ def reference_sample(fam, seed, count):
     return points, outcomes
 
 
+CIRCLE = custom_family((DATA / "circle.alg").read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("fam", list(all_families()), ids=lambda f: f.describe())
+@pytest.mark.parametrize("fam", list(all_families()) + [CIRCLE], ids=lambda f: f.describe())
 def test_sampler_matches_evaluate_reference(fam, seed):
     got = sample_parameters(fam, seed=seed, count=200)
     expected, _ = reference_sample(fam, seed, 200)
@@ -372,6 +385,14 @@ def test_sampler_matches_evaluate_reference(fam, seed):
     assert [{k: type(v) for k, v in pt.values.items()} for pt in got] == [
         {k: type(v) for k, v in e.items()} for e in expected
     ]
+
+
+def test_the_circle_reference_draws_surds():
+    # the circle's quadratic has an irrational root at most draws, and the
+    # linear split then divides by it
+    points, outcomes = reference_sample(CIRCLE, 0, 200)
+    assert outcomes["root"] and any(type(pt["beta"]) is Surd for pt in points)
+    assert any(type(pt["delta"]) is Surd for pt in points)
 
 
 def test_draw_rational_keeps_the_draw_sequence():

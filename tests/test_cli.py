@@ -26,6 +26,13 @@ CASE_SEED1_SHA256 = "d2c83437e82019234e16b4c8c1d7cd7bb9ef998bba633f0bf2eebf6c9d8
 CASE_SEED2_SHA256 = "8202e8ce0269d2a4a1c1ce64ab404c942a6b952ca1a2b00cb39b8ce6355953c7"
 CASE_SEED3_SHA256 = "ad9091e588626731489619cb36fa50585c775d2acb2ae573ab711b3377c2bdb7"
 
+# The sha256 of `verify --only scan --seed S --format machine` for S = 1, 2
+# and 3: every branch sample past seed 0, through the solvable counts that
+# its records print.
+SCAN_SEED1_SHA256 = "89c5e0aabd47463dc2f6b15d920dec218a40df8bc2347290a6412ed5a047695b"
+SCAN_SEED2_SHA256 = "bcbcc58f641539d37d7b6e3d402b7dcd51aa80b0289ac16cab6220549981b631"
+SCAN_SEED3_SHA256 = "52cbdea0fbbdbed341921807e60b05ddc3869d0f5a60f8e6cde8133d383f9d25"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -238,6 +245,14 @@ class TestVerify:
     )
     def test_case_section_past_seed0_is_pinned(self, capsys, seed, digest):
         code, out, _ = run(capsys, "verify", "--only", "case", "--seed", str(seed), "--format", "machine")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "seed, digest", [(1, SCAN_SEED1_SHA256), (2, SCAN_SEED2_SHA256), (3, SCAN_SEED3_SHA256)]
+    )
+    def test_scan_section_past_seed0_is_pinned(self, capsys, seed, digest):
+        code, out, _ = run(capsys, "verify", "--only", "scan", "--seed", str(seed), "--format", "machine")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -972,6 +972,24 @@ def test_integer_kernel_scaled_entry_takes_any_common_denominator(batch, point, 
             kernel.scaled({name: n for name, n in nums.items() if name != missing}, scale)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    batches(),
+    st.fixed_dictionaries({name: _kernel_values for name in _small_table.names}),
+    st.integers(1, 10**6),
+)
+def test_integer_kernel_factor_turns_its_integers_into_the_values(batch, point, k):
+    # F / (D*L**G) is each polynomial's value at the least L and at every
+    # multiple of it, which are all the L that clear the denominators
+    kernel = IntegerKernel(_small_table, batch)
+    d, g = kernel.factor
+    assert type(d) is int and d > 0 and type(g) is int and g >= 0
+    nums, scale = integer_point(point)
+    reference = [q.evaluate(point) for q in batch]
+    for n, L in ((nums, scale), ({name: v * k for name, v in nums.items()}, scale * k)):
+        assert [Fraction(f, d * L**g) for f in kernel.scaled(n, L)] == reference
+
+
 def test_integer_point_of_surds_is_integer_surds():
     root = exact_sqrt(Fraction(3, 4))  # 1/2*sqrt(3)
     point = {"alpha": Fraction(1, 3) + root, "beta": Fraction(-5, 2)}

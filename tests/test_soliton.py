@@ -3,6 +3,7 @@
 import contextlib
 import io
 import itertools
+import math
 import os
 import pathlib
 import random
@@ -22,6 +23,7 @@ from lieschouten.algebras import (
     family_branches,
     instantiate_eta,
     sample_parameters,
+    sample_scaled,
 )
 from lieschouten.catalog import Catalog, load_catalog, verify_all
 from lieschouten.geometry import CONNECTION_KINDS, OperatorMatrix, connection, ricci_pipeline
@@ -33,6 +35,7 @@ from lieschouten.poly import (
     exact_sqrt,
     integer_point,
     parse_polynomial,
+    quotient,
 )
 from lieschouten.soliton import (
     DEFAULT_LAMBDA0_GRID,
@@ -391,6 +394,54 @@ class TestNegativeControl:
             negative_control(case, perturbation=Fraction(0))
 
 
+def reference_negative_control(case, perturbation, lambda0):
+    """(method, ok, detail) of `negative_control`, by Polynomial.evaluate
+    of c_expr and of every residual at the witness."""
+    _, c_expr, _ = case.effective()
+    if case.empty or c_expr is None:
+        return "skipped", True, "not applicable: every c solves on this locus"
+    best = 0.0
+    for fam in family_branches(case.family_id, T):
+        system = soliton_system(fam, case.kind)
+        point = {**soliton.resolve_witness(case, fam.eta, T), "lambda0": lambda0}
+        point["c"] = instantiate_eta(c_expr, fam.eta, T).evaluate(point) + perturbation
+        values = [r.evaluate(point) for r in system.residuals]
+        if not any(values):
+            return "control", False, "perturbed c still solves: system may be vacuous"
+        best = max(best, *(abs(float(v)) for v in values))
+    return "control", True, f"perturbation {perturbation} raises residual {best:g}"
+
+
+@pytest.mark.parametrize(
+    "perturbation, lam",
+    [(Fraction(1), Fraction(1, 2)), (Fraction(-2, 3), 2), (Fraction(5, 7), Fraction(-3, 4)), (3, 0)],
+)
+def test_negative_control_matches_the_evaluate_reference(perturbation, lam):
+    # every catalogued case, byte for byte, the Surd witness of 4.11.2 among them
+    assert len(CATALOG_CASES) == 45
+    surd_case = next(c for c in CATALOG_CASES if c.label == "4.11.2")
+    assert isinstance(soliton.resolve_witness(surd_case, None, T)["beta"], Surd)
+    # every catalogued witness is integral; moved off it, each case's control
+    # also runs at a common denominator above 1
+    moved = [
+        case._replace(witness=tuple((n, v * Fraction(2, 3) + Fraction(1, 5)) for n, v in case.witness))
+        for case in CATALOG_CASES
+    ]
+    for case in list(CATALOG_CASES) + moved:
+        report = negative_control(case, perturbation=perturbation, lambda0_value=lam)
+        assert (report.method, report.ok, report.detail) == reference_negative_control(case, perturbation, lam), case.label
+    assert negative_control(surd_case).method == "control"
+
+
+def test_negative_control_makes_no_evaluate_call(monkeypatch):
+    def refuse(self, point):
+        raise AssertionError("Polynomial.evaluate called")
+
+    monkeypatch.setattr(Polynomial, "evaluate", refuse)
+    reports = [negative_control(case) for case in CATALOG_CASES]
+    assert sum(r.method == "control" and r.ok for r in reports) >= 40
+
+
 class TestScan:
     def test_g5_canonical_always_solvable_with_zero(self):
         report = scan(build_family("g5"), "canonical", seed=0, count=40)
@@ -589,7 +640,7 @@ class TestExactLocus:
         system = soliton_system(build_family("g6"), "canonical")
         plan = _locus_plan(system, case, case.substitutions, case.reductions, T)
         points = [draw_point(random.Random(k), *plan) for k in range(20)]
-        points = [pt for pt in points if pt is not None]
+        points = [pt[0] for pt in points if pt is not None]
         assert points and all(type(pt["beta"]) is Surd and pt["beta"].d == 2 for pt in points)
         assert all(pt["beta"] ** 2 == 2 * pt["alpha"] ** 2 for pt in points)
 
@@ -747,7 +798,7 @@ class TestListedOrderSubstitution:
         applied = _apply_case(self.SYSTEM, self.CASE.substitutions, self.CASE.c_expr, T)
         plan = _locus_plan(self.SYSTEM, self.CASE, self.CASE.substitutions, (), T)
         points = [draw_point(random.Random(k), *plan) for k in range(60)]
-        points = [pt for pt in points if pt is not None]
+        points = [pt[0] for pt in points if pt is not None]
         assert points
         for pt in points:
             assert set(pt) == {"alpha", "delta"}
@@ -796,7 +847,7 @@ def test_locus_sampler_does_not_follow_the_string_hash_seed():
         exec(_HASH_SEED_PROBE, namespace)
     assert outputs == {here.getvalue()}
     # eta is drawn and lambda0, the last in table order, solved for
-    points = [pt for pt in namespace["points"] if pt is not None]
+    points = [pt[0] for pt in namespace["points"] if pt is not None]
     assert points
     for pt in points:
         assert set(pt) == {"gamma", "delta", "eta", "lambda0"}
@@ -815,7 +866,7 @@ def test_constraint_quadratic_in_its_free_variable_is_solved():
     system = soliton_system(build_family("g5"), "lc")
     plan = _locus_plan(system, case, case.substitutions, (), T)
     assert plan[0] == ["beta", "delta"] and [var for var, _ in plan[1]] == ["eta"]
-    points = [pt for pt in (draw_point(random.Random(k), *plan) for k in range(40)) if pt is not None]
+    points = [pt[0] for pt in (draw_point(random.Random(k), *plan) for k in range(40)) if pt is not None]
     assert points and any(isinstance(pt["eta"], Surd) for pt in points)
     for pt in points:
         assert pt["eta"] ** 2 + pt["beta"] * pt["delta"] == 0
@@ -1127,6 +1178,46 @@ def test_the_circle_points_are_surds_and_their_rows_solve_for_c(kind):
     assert any(isinstance(v, Surd) for pt in report.points for v in pt.values.values())
     for pt, row in zip(report.points, report.rows):
         assert list(row) == [solve_for_c(system, pt, lam) for lam in report.lambda0_grid]
+
+
+@pytest.mark.parametrize("kind", CONNECTION_KINDS)
+def test_kernel_factor_gives_the_residual_parts_at_the_circle_points(kind):
+    # the decomposition kernel at drawn Surd points, at the L each draw
+    # reached and at a multiple of it: P, Q and R over D*L**G are the values
+    system = soliton_system(CIRCLE, kind)
+    parts = []
+    for r in system.residuals:
+        if not r.is_zero:
+            rest = r.coefficient_of("c", 0)
+            parts += [rest.coefficient_of("lambda0", 0), rest.coefficient_of("lambda0", 1), r.coefficient_of("c", 1)]
+    kernel = soliton._compiled_decomposition(system)
+    d, g = kernel.factor
+    draws = sample_scaled(CIRCLE, 3, 30)
+    assert any(isinstance(v, Surd) for values, _ in draws for v in values.values())
+    for values, (nums, scale) in draws:
+        reference = [q.evaluate(values) for q in parts]
+        for k in (1, 7):
+            out = kernel.scaled({n: v * k for n, v in nums.items()}, scale * k)
+            assert [quotient(f, d * (scale * k) ** g) for f in out] == reference
+
+
+@pytest.mark.parametrize("fam", all_family_branches() + [CIRCLE], ids=lambda f: f.describe())
+def test_memo_keeps_each_distinct_point_with_its_integer_form(fam):
+    # nums[n] == value*L with L > 0 for the L the draw reached, the lcm of 6
+    # and the value denominators, which need not be the least L; against a
+    # fresh draw, equal values share one slot and different ones do not
+    sample = soliton._branch_sample(fam, 0, 500)
+    fresh = [pt.values for pt in sample_parameters(fam, seed=0, count=500)]
+    assert len(sample.slots) == len(fresh)
+    for slot, (nums, scale) in enumerate(sample.scaled):
+        values = fresh[sample.slots.index(slot)]
+        assert type(scale) is int and scale == math.lcm(6, *(v.denominator for v in values.values()))
+        assert list(nums) == list(values) and all(nums[n] == v * scale for n, v in values.items())
+        assert all(type(x) is int or {type(x), type(x.a), type(x.b)} == {Surd, int} for x in nums.values())
+    slot_of = {}
+    for values, slot in zip(fresh, sample.slots):
+        assert slot_of.setdefault(tuple(values.items()), slot) == slot
+    assert len(slot_of) == len(sample.scaled)
 
 
 def assert_membership_is_the_reference_cell_by_cell(report, cases, eta):
