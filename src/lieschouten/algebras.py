@@ -182,7 +182,7 @@ def build_family(
         raise ValueError(f"{family_id} does not take an eta branch")
 
     def prep(text: str) -> Polynomial:
-        return instantiate_eta(parse_polynomial(text, table), eta, table)
+        return instantiate_eta(parse_polynomial(text, table), eta)
 
     rows = {
         pair: tuple(prep(t) for t in texts)
@@ -193,16 +193,17 @@ def build_family(
     return _assemble_family(family_id, table, rows, equality, nonvanishing, eta)  # type: ignore[arg-type]
 
 
-def family_branches(family_id: str, table: VariableTable = DEFAULT_TABLE) -> list[LieAlgebraFamily]:
-    """Every branch of a catalogued family: both eta signs for g4, else one."""
+def family_branches(family_id: str) -> list[LieAlgebraFamily]:
+    """Every branch of a catalogued family over DEFAULT_TABLE, the table of
+    the catalogue: both eta signs for g4, else one."""
     etas = (1, -1) if family_id == "g4" else (None,)
-    return [build_family(family_id, eta=eta, table=table) for eta in etas]
+    return [build_family(family_id, eta=eta, table=DEFAULT_TABLE) for eta in etas]
 
 
-def instantiate_eta(q: Polynomial, eta: Optional[int], table: VariableTable) -> Polynomial:
+def instantiate_eta(q: Polynomial, eta: Optional[int]) -> Polynomial:
     """`q` on one eta branch: a symbolic eta becomes the branch's sign."""
     if eta is not None and "eta" in q.variables():
-        return q.substitute("eta", table.const(eta))
+        return q.substitute("eta", eta)
     return q
 
 

@@ -40,7 +40,6 @@ from .geometry import (
 )
 from .poly import DEFAULT_TABLE, ParseError, Polynomial, PolynomialError, VariableTable, exact_sqrt, parse_polynomial
 from .soliton import (
-    DEFAULT_LAMBDA0_GRID,
     TheoremCase,
     Value,
     case_matches_point,
@@ -356,8 +355,8 @@ def _structural_check(fam: LieAlgebraFamily) -> tuple[str, str, str]:
         ("lc torsion", torsion(lc, fam)),
         ("lc metric residual", metric_compatibility_residual(lc, fam)),
         ("canonical metric residual", metric_compatibility_residual(can, fam)),
-        ("canonical nabla-J", [m.entries for m in nabla_j(can, fam)]),
-        ("kn nabla-J", [m.entries for m in nabla_j(kn, fam)]),
+        ("canonical nabla-J", [m.entries for m in nabla_j(can)]),
+        ("kn nabla-J", [m.entries for m in nabla_j(kn)]),
     )
     problems = [name for name, planes in checks if not _vanishes(planes)]
     for kind, conn in zip(CONNECTION_KINDS, (lc, can, kn)):
@@ -373,15 +372,15 @@ def _structural_check(fam: LieAlgebraFamily) -> tuple[str, str, str]:
     return ("fail", "identity", "; ".join(problems)) if problems else ("pass", "identity", "all identities hold")
 
 
-def _matrix_check(fixture: MatrixFixture, table: VariableTable) -> tuple[str, str, str]:
+def _matrix_check(fixture: MatrixFixture) -> tuple[str, str, str]:
     status = "pass"
     used_constraints = False
     details = []
-    for fam in family_branches(fixture.family_id, table):
+    for fam in family_branches(fixture.family_id):
         _, op, _ = ricci_pipeline(fam, fixture.kind)
         for i in range(3):
             for j in range(3):
-                expected = instantiate_eta(fixture.entries[i][j], fam.eta, table)
+                expected = instantiate_eta(fixture.entries[i][j], fam.eta)
                 equal, used = _compare_mod_constraints(op.entries[i][j], expected, fam)
                 used_constraints = used_constraints or used
                 if not equal:
@@ -401,19 +400,19 @@ def _matrix_pair_check(catalog: Catalog) -> tuple[str, str, str]:
     return "fail", "exact", "forms disagree after expanding the auxiliaries"
 
 
-def _scalar_check(fixture: ScalarFixture, table: VariableTable) -> tuple[str, str, str]:
+def _scalar_check(fixture: ScalarFixture) -> tuple[str, str, str]:
     stated_ok = True
     variant_ok = fixture.variant is not None
     details = []
-    for fam in family_branches(fixture.family_id, table):
+    for fam in family_branches(fixture.family_id):
         _, _, s = ricci_pipeline(fam, fixture.kind)
-        expected = instantiate_eta(fixture.expr, fam.eta, table)
+        expected = instantiate_eta(fixture.expr, fam.eta)
         equal, _ = _compare_mod_constraints(s, expected, fam)
         if not equal:
             stated_ok = False
             details.append(f"{fam.describe()}: computed {s}, stated {expected}")
         if fixture.variant is not None:
-            v_expected = instantiate_eta(fixture.variant, fam.eta, table)
+            v_expected = instantiate_eta(fixture.variant, fam.eta)
             v_equal, _ = _compare_mod_constraints(s, v_expected, fam)
             variant_ok = variant_ok and v_equal
     if stated_ok:
@@ -424,8 +423,8 @@ def _scalar_check(fixture: ScalarFixture, table: VariableTable) -> tuple[str, st
     return "fail", "exact", "; ".join(details)
 
 
-def _case_check(case: TheoremCase, table: VariableTable, seed: int, sample_count: int) -> tuple[str, str, str]:
-    report = verify_case(case, table=table, seed=seed, sample_count=sample_count)
+def _case_check(case: TheoremCase, seed: int, sample_count: int) -> tuple[str, str, str]:
+    report = verify_case(case, seed=seed, sample_count=sample_count)
     if case.empty:
         return ("pass" if report.ok else "fail"), report.method, report.detail
     detail = f"stated: {report.method}"
@@ -444,48 +443,40 @@ def _case_check(case: TheoremCase, table: VariableTable, seed: int, sample_count
     return status, report.method, detail
 
 
-def _control_check(case: TheoremCase, table: VariableTable) -> tuple[str, str, str]:
-    report = negative_control(case, table=table)
+def _control_check(case: TheoremCase) -> tuple[str, str, str]:
+    report = negative_control(case)
     status = "skip" if report.method == "skipped" else ("pass" if report.ok else "fail")
     return status, report.method, report.detail
 
 
-def _witness_check(case: TheoremCase, table: VariableTable) -> tuple[str, str, str]:
+def _witness_check(case: TheoremCase) -> tuple[str, str, str]:
     """The case's witness must be solvable and lie in its locus."""
     lam = Fraction(1, 2)
     problems = []
-    for fam in family_branches(case.family_id, table):
+    for fam in family_branches(case.family_id):
         system = soliton_system(fam, case.kind)
-        witness = resolve_witness(case, fam.eta, table)
+        witness = resolve_witness(case, fam.eta)
         sol = solve_for_c(system, witness, lam)
         if sol.status == "none":
             problems.append(f"{fam.describe()}: witness not solvable")
             continue
-        if not case_matches_point(case, fam.eta, witness, lam, sol, table):
+        if not case_matches_point(case, fam.eta, witness, lam, sol):
             problems.append(f"{fam.describe()}: witness solves but falls outside the case")
     if problems:
         return "fail", "solve", "; ".join(problems)
     return "pass", "solve", "witness solvable inside the case locus"
 
 
-def _scan_check(
-    catalog: Catalog,
-    table: VariableTable,
-    fid: str,
-    kind: str,
-    seed: int,
-    scan_count: int,
-    lambda0_grid,
-) -> tuple[str, str, str]:
+def _scan_check(catalog: Catalog, fid: str, kind: str, seed: int, scan_count: int) -> tuple[str, str, str]:
     """Every solvable cell of the (family, kind) scans must lie in a case."""
     cases = [c for c in catalog.cases if c.family_id == fid and c.kind == kind]
     solvable_total = 0
     entry_total = 0
     unmatched = []
-    for fam in family_branches(fid, table):
-        report = scan(fam, kind, seed=seed, count=scan_count, lambda0_grid=lambda0_grid)
+    for fam in family_branches(fid):
+        report = scan(fam, kind, seed=seed, count=scan_count)
         entry_total += report.size
-        verdicts = scan_membership(report, cases, table)
+        verdicts = scan_membership(report, cases)
         solvable_total += len(verdicts)
         if not all(verdicts):
             outside = (cell for cell, inside in zip(report.cells(), verdicts) if not inside)
@@ -510,9 +501,7 @@ class _Entry(NamedTuple):
     check: Callable[[], tuple[str, str, str]]
 
 
-def _plan(
-    catalog: Catalog, table: VariableTable, seed: int, sample_count: int, scan_count: int, lambda0_grid
-) -> list[_Entry]:
+def _plan(catalog: Catalog, seed: int, sample_count: int, scan_count: int) -> list[_Entry]:
     """Every record of a full run, in the run's order: the structural,
     matrix, scalar, case, control, witness and scan sections, each in
     catalogue order.  Each entry names the one family whose branches its
@@ -523,20 +512,20 @@ def _plan(
         plan.append(_Entry(section, label, family, selectors, functools.partial(check, *args)))
 
     for fid in FAMILY_IDS:
-        for fam in family_branches(fid, table):
+        for fam in family_branches(fid):
             add("structural", fam.describe(), fid, (fam.describe(), fid, "structural"), _structural_check, fam)
     for m in catalog.matrices:
         selectors = (m.label, m.family_id, _family_tag(m.family_id, m.kind), "matrix")
-        add("matrix", m.label, m.family_id, selectors, _matrix_check, m, table)
+        add("matrix", m.label, m.family_id, selectors, _matrix_check, m)
     if {"4.44", "4.45"} <= {m.label for m in catalog.matrices}:
         selectors = ("4.44", "4.45", "4.44=4.45", "g4", "g4-kn", "matrix")
         add("matrix", "4.44=4.45", "g4", selectors, _matrix_pair_check, catalog)
     for s in catalog.scalars:
-        add("scalar", s.label, s.family_id, (s.label, s.family_id, "scalar"), _scalar_check, s, table)
+        add("scalar", s.label, s.family_id, (s.label, s.family_id, "scalar"), _scalar_check, s)
     for section, check, *args in (
-        ("case", _case_check, table, seed, sample_count),
-        ("control", _control_check, table),
-        ("witness", _witness_check, table),
+        ("case", _case_check, seed, sample_count),
+        ("control", _control_check),
+        ("witness", _witness_check),
     ):
         for case in catalog.cases:
             if section != "witness" or not case.empty:
@@ -544,7 +533,7 @@ def _plan(
     for fid in FAMILY_IDS:
         for kind in CONNECTION_KINDS:
             tag = _family_tag(fid, kind)
-            add("scan", tag, fid, (tag, fid, "scan"), _scan_check, catalog, table, fid, kind, seed, scan_count, lambda0_grid)
+            add("scan", tag, fid, (tag, fid, "scan"), _scan_check, catalog, fid, kind, seed, scan_count)
     return plan
 
 
@@ -643,8 +632,6 @@ def verify_all(
     scan_count: int = 500,
     sample_count: int = 120,
     only: Optional[str] = None,
-    table: VariableTable = DEFAULT_TABLE,
-    lambda0_grid=DEFAULT_LAMBDA0_GRID,
     catalog: Optional[Catalog] = None,
 ) -> VerifySummary:
     """Run every catalogued check; deterministic for a fixed seed.
@@ -663,7 +650,7 @@ def verify_all(
     """
     if catalog is None:
         catalog = load_catalog()
-    plan = _plan(catalog, table, seed, sample_count, scan_count, lambda0_grid)
+    plan = _plan(catalog, seed, sample_count, scan_count)
     plan = [entry for entry in plan if only is None or only in entry.selectors]
     families = list(dict.fromkeys(entry.family for entry in plan))
     jobs = [functools.partial(_records, [e for e in plan if e.family == fid]) for fid in families]

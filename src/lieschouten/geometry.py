@@ -111,7 +111,7 @@ def levi_civita(fam: LieAlgebraFamily) -> ConnectionCoefficients:
     return ConnectionCoefficients(LEVI_CIVITA, _freeze3([_freeze3(g) for g in gamma]))
 
 
-def nabla_j(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> tuple[OperatorMatrix, ...]:
+def nabla_j(conn: ConnectionCoefficients) -> tuple[OperatorMatrix, ...]:
     """The three operators (nabla_{e_i} J), rows as images of e_j.
 
     (nabla_{e_i} J) e_j = nabla_{e_i}(J e_j) - J nabla_{e_i} e_j, which for

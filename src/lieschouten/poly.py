@@ -805,12 +805,14 @@ class IntegerKernel:
     that needs the values themselves divides each F by D * L**G once.  The
     list is compiled once, at construction, to the straight-line function
     in `source` (see `_kernel_source`), which reads n_j by name and takes L
-    as is.
+    as is.  Every polynomial must be over `table`, as for `+` and `*`.
     """
 
     __slots__ = ("names", "factor", "source", "_run")
 
     def __init__(self, table: VariableTable, polys: Sequence[Polynomial]):
+        if any(poly.table is not table and poly.table != table for poly in polys):
+            raise PolynomialError("mismatched variable tables")
         used = set().union(*(poly.variables() for poly in polys))
         self.names = tuple(n for n in table.names if n in used)
         self.factor = (lcm(*(poly._den for poly in polys)), max((poly.total_degree() for poly in polys), default=0))

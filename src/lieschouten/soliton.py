@@ -52,7 +52,7 @@ order for every consumer.  The sampled rung compiles the case locus once
 per ladder branch (`_locus_plan`) into the arguments of `draw_point`;
 lambda0, and c where the claim leaves it free, are drawn after it only
 when the locus left them unassigned.  Case membership is `_CompiledCase`,
-compiled once per (case, eta, table): the polynomials that must vanish on
+compiled once per (case, eta): the polynomials that must vanish on
 a case's locus, the hypotheses that must not, and the coefficients of
 c_expr in lambda0.  `_holds` compares a point's form with c_expr as one
 polynomial in lambda0, which is zero wherever the case keeps the lambda0
@@ -474,14 +474,12 @@ def _report(case: TheoremCase, method: str, ok: bool, **rest) -> VerificationRep
     return VerificationReport(case.label, case.family_id, case.kind, method, ok, case.suspect, **rest)
 
 
-def resolve_witness(
-    case: TheoremCase, eta: Optional[int], table: VariableTable
-) -> dict[str, Value]:
+def resolve_witness(case: TheoremCase, eta: Optional[int]) -> dict[str, Value]:
     """Witness values for one eta branch; symbolic entries must be constant."""
     out: dict[str, Value] = {}
     for name, value in case.witness:
         if isinstance(value, Polynomial):
-            value = instantiate_eta(value, eta, table).constant_value()
+            value = instantiate_eta(value, eta).constant_value()
         out[name] = value
     return out
 
@@ -494,30 +492,24 @@ class _Substitution:
     case's data that the ladder, the locus plan and case membership
     share."""
 
-    __slots__ = ("pairs", "eta", "table")
+    __slots__ = ("pairs", "eta")
 
-    def __init__(self, subs: Sequence[tuple[str, Polynomial]], eta: Optional[int], table: VariableTable):
-        self.eta, self.table = eta, table
-        self.pairs = tuple((var, instantiate_eta(expr, eta, table)) for var, expr in subs)
+    def __init__(self, subs: Sequence[tuple[str, Polynomial]], eta: Optional[int]):
+        self.eta = eta
+        self.pairs = tuple((var, instantiate_eta(expr, eta)) for var, expr in subs)
 
     def __call__(self, q: Polynomial) -> Polynomial:
-        q = instantiate_eta(q, self.eta, self.table)
+        q = instantiate_eta(q, self.eta)
         for var, expr in self.pairs:
             q = q.substitute(var, expr)
         return q
 
 
-def _apply_case(
-    system: SolitonSystem,
-    subs: Sequence[tuple[str, Polynomial]],
-    c_expr: Optional[Polynomial],
-    table: VariableTable,
-) -> list[Polynomial]:
+def _apply_case(system: SolitonSystem, on_locus: _Substitution, c_expr: Optional[Polynomial]) -> list[Polynomial]:
     """The residuals with c := c_expr, then the case's substitutions."""
-    on_locus = _Substitution(subs, system.eta, table)
     residuals = list(system.residuals)
     if c_expr is not None:
-        c_poly = instantiate_eta(c_expr, system.eta, table)
+        c_poly = instantiate_eta(c_expr, system.eta)
         residuals = [r.substitute("c", c_poly) for r in residuals]
     return [on_locus(r) for r in residuals]
 
@@ -525,9 +517,8 @@ def _apply_case(
 def _reduce_ladder(
     residuals: Sequence[Polynomial],
     system: SolitonSystem,
-    subs: Sequence[tuple[str, Polynomial]],
+    on_locus: _Substitution,
     reductions: Sequence[tuple[str, Polynomial]],
-    table: VariableTable,
 ) -> list[Polynomial]:
     """Normal forms of the residuals modulo the case ideal.
 
@@ -537,9 +528,8 @@ def _reduce_ladder(
     residuals, and a residual reduces to zero exactly when it lies in the
     ideal.
     """
-    on_locus = _Substitution(subs, system.eta, table)
     relations = [on_locus(q) for q in system.constraints]
-    relations += [table.var(var) ** 2 - on_locus(rhs) for var, rhs in reductions]
+    relations += [system.table.var(var) ** 2 - on_locus(rhs) for var, rhs in reductions]
     basis = groebner_basis(relations)
     return [r.normal_form(basis) for r in residuals]
 
@@ -547,9 +537,8 @@ def _reduce_ladder(
 def _locus_plan(
     system: SolitonSystem,
     case: TheoremCase,
-    subs: Sequence[tuple[str, Polynomial]],
+    on_locus: _Substitution,
     reductions: Sequence[tuple[str, Polynomial]],
-    table: VariableTable,
 ) -> tuple[list[str], list[tuple[str, IntegerKernel]], IntegerKernel, int]:
     """The case locus compiled once into the arguments of `draw_point` after
     its rng: the pool names, the roots, the side kernel and its count of
@@ -565,8 +554,8 @@ def _locus_plan(
     one, and its other unassigned variables join the pool.  The side kernel
     holds the family and case nonvanishing polynomials, which must not
     vanish, then the checked relations and every constraint, which must."""
-    on_locus = _Substitution(subs, system.eta, table)
-    sample = _Substitution(case.sample_subs, system.eta, table)
+    table = system.table
+    sample = _Substitution(case.sample_subs, system.eta)
 
     def composed(q: Polynomial) -> Polynomial:
         return sample(on_locus(q))
@@ -605,22 +594,23 @@ def _verify_single(
     subs: Sequence[tuple[str, Polynomial]],
     c_expr: Optional[Polynomial],
     reductions: Sequence[tuple[str, Polynomial]],
-    table: VariableTable,
     seed: int,
     sample_count: int,
 ) -> tuple[str, Optional[dict[str, Value]], str]:
-    """Run the exact -> reduced -> sampled ladder on one system branch.
+    """Run the exact -> reduced -> sampled ladder on one system branch,
+    reading the case's substitutions as one `_Substitution` for every rung.
 
     Returns (method, counterexample_point, detail); the detail is empty
     except for "unsampled", where it gives the draw counts.
     """
-    residuals = _apply_case(system, subs, c_expr, table)
+    on_locus = _Substitution(subs, system.eta)
+    residuals = _apply_case(system, on_locus, c_expr)
     if all(r.is_zero for r in residuals):
         return "exact", None, ""
-    reduced = _reduce_ladder(residuals, system, subs, reductions, table)
+    reduced = _reduce_ladder(residuals, system, on_locus, reductions)
     if all(r.is_zero for r in reduced):
         return "reduced", None, ""
-    plan = _locus_plan(system, case, subs, reductions, table)
+    plan = _locus_plan(system, case, on_locus, reductions)
     rng = random.Random(seed)
     checked = rejected = 0
     while checked < sample_count:
@@ -646,12 +636,7 @@ def _verify_single(
     return "sampled", None, ""
 
 
-def verify_case(
-    case: TheoremCase,
-    table: VariableTable = DEFAULT_TABLE,
-    seed: int = 0,
-    sample_count: int = 120,
-) -> VerificationReport:
+def verify_case(case: TheoremCase, seed: int = 0, sample_count: int = 120) -> VerificationReport:
     """Verify a claimed case against the generated soliton system.
 
     For g4 both eta branches are verified; the weaker outcome is reported.
@@ -659,19 +644,19 @@ def verify_case(
     data's counterexample (if any) is preserved as evidence.
     """
     if case.empty:
-        return _verify_empty(case, table, seed)
+        return _verify_empty(case, seed)
 
     stated_method, stated_counter, stated_detail = "exact", None, ""
     variant_method: Optional[str] = None
     stated = (case.substitutions, case.c_expr, case.reductions)
-    for fam in family_branches(case.family_id, table):
+    for fam in family_branches(case.family_id):
         system = soliton_system(fam, case.kind)
-        method, counter, detail = _verify_single(system, case, *stated, table, seed, sample_count)
+        method, counter, detail = _verify_single(system, case, *stated, seed, sample_count)
         if _METHOD_ORDER[method] > _METHOD_ORDER[stated_method]:
             stated_method, stated_counter, stated_detail = method, counter, detail
         if (case.variant_substitutions, case.variant_c, case.variant_reductions) != (None, None, None):
             v_subs, v_c, v_reds = case.effective()
-            v_method, _, _ = _verify_single(system, case, v_subs, v_c, v_reds, table, seed, sample_count)
+            v_method, _, _ = _verify_single(system, case, v_subs, v_c, v_reds, seed, sample_count)
             if variant_method is None or _METHOD_ORDER[v_method] > _METHOD_ORDER[variant_method]:
                 variant_method = v_method
 
@@ -688,10 +673,10 @@ def verify_case(
     )
 
 
-def _verify_empty(case: TheoremCase, table: VariableTable, seed: int) -> VerificationReport:
+def _verify_empty(case: TheoremCase, seed: int) -> VerificationReport:
     """A no-solutions claim: scan both branches and demand zero solvable."""
     solvable = total = 0
-    for fam in family_branches(case.family_id, table):
+    for fam in family_branches(case.family_id):
         report = scan(fam, case.kind, seed=seed, count=500)
         solvable += len(report.lambda0_grid) * sum(report.forms[k] is not None for k in report.slots)
         total += report.size
@@ -702,7 +687,6 @@ def _verify_empty(case: TheoremCase, table: VariableTable, seed: int) -> Verific
 def negative_control(
     case: TheoremCase,
     perturbation: Fraction = Fraction(1),
-    table: VariableTable = DEFAULT_TABLE,
     lambda0_value: Rational = Fraction(1, 2),
 ) -> VerificationReport:
     """Perturb the case's c at its witness and demand a nonzero residual.
@@ -722,10 +706,10 @@ def negative_control(
     if case.empty or case.effective()[1] is None:
         return _report(case, "skipped", True, detail="not applicable: every c solves on this locus")
     best = 0.0
-    for fam in family_branches(case.family_id, table):
+    for fam in family_branches(case.family_id):
         kernel = _compiled_decomposition(soliton_system(fam, case.kind))
-        nums, scale = integer_point(resolve_witness(case, fam.eta, table))
-        f, *a = _compiled_case(case, fam.eta, table).c_kernel.scaled(nums, scale)
+        nums, scale = integer_point(resolve_witness(case, fam.eta))
+        f, *a = _compiled_case(case, fam.eta).c_kernel.scaled(nums, scale)
         c = quotient(sum(x * lambda0_value**j for j, x in enumerate(a)), f) + perturbation
         out, factor = kernel.scaled(nums, scale), kernel.factor[0] * scale ** kernel.factor[1]
         values = [quotient(p + q * lambda0_value + r * c, factor) for p, q, r in zip(out[0::3], out[1::3], out[2::3])]
@@ -745,7 +729,6 @@ def case_matches_point(
     values: dict[str, Value],
     lambda0_value: Rational,
     c_solution: CSolution,
-    table: VariableTable,
 ) -> bool:
     """Does a solvable scan entry fall inside the case's (effective) locus?
     An unsolvable one lies in no case; a solved c = u/v is the form
@@ -753,15 +736,15 @@ def case_matches_point(
     if case.empty or c_solution.status == "none":
         return False
     grid = _pairs(_rational([lambda0_value]))
-    at = _compiled_case(case, eta, table).c_at(integer_point(values))
+    at = _compiled_case(case, eta).c_at(integer_point(values))
     c = c_solution.value
     form = () if c_solution.status == "any" else (-c.numerator, 0, c.denominator)
     return at is not None and _holds(at, form, grid)[0]
 
 
 class _CompiledCase:
-    """The membership test of one case on one eta branch, free of lambda0
-    and c: `locus` holds the polynomials that must vanish on its locus
+    """The membership test of one case on one eta branch, over the
+    catalogue's DEFAULT_TABLE, free of lambda0 and c: `locus` holds the polynomials that must vanish on its locus
     (var - expr per substitution, var^2 - rhs per reduction), then the ones
     that must not (its nonzero hypotheses); `c_kernel`, where the case
     fixes c, holds 1 and the coefficients a_j of c_expr = sum_j
@@ -770,17 +753,18 @@ class _CompiledCase:
 
     __slots__ = ("split", "locus", "c_kernel")
 
-    def __init__(self, case: TheoremCase, eta: Optional[int], table: VariableTable):
+    def __init__(self, case: TheoremCase, eta: Optional[int]):
+        table = DEFAULT_TABLE
         subs, c_expr, reductions = case.effective()
-        on_locus = _Substitution(subs, eta, table)
+        on_locus = _Substitution(subs, eta)
         vanish = [table.var(var) - expr for var, expr in on_locus.pairs]
-        vanish += [table.var(var) ** 2 - instantiate_eta(rhs, eta, table) for var, rhs in reductions]
-        nonzero = [instantiate_eta(q, eta, table) for q in case.nonzero]
+        vanish += [table.var(var) ** 2 - instantiate_eta(rhs, eta) for var, rhs in reductions]
+        nonzero = [instantiate_eta(q, eta) for q in case.nonzero]
         self.split = len(vanish)
         self.locus = IntegerKernel(table, vanish + nonzero)
         self.c_kernel = None
         if c_expr is not None:
-            c_expr = instantiate_eta(c_expr, eta, table)
+            c_expr = instantiate_eta(c_expr, eta)
             powers = range(c_expr.degree_in("lambda0") + 1)
             self.c_kernel = IntegerKernel(table, [table.one] + [c_expr.coefficient_of("lambda0", j) for j in powers])
 
@@ -812,12 +796,12 @@ def _holds(at: list, form: tuple, grid: Sequence[tuple[int, int]]) -> list[bool]
     return [not sum(x * n**j * d ** (k - j) for j, x in enumerate(e)) for n, d in grid]
 
 
-# One `_CompiledCase` per (case, eta, table) value; the bound holds one sweep
+# One `_CompiledCase` per (case, eta) value; the bound holds one sweep
 # of the catalogue's 45 cases, 48 with both g4 signs.
 _compiled_case = lru_cache(maxsize=64)(_CompiledCase)
 
 
-def scan_membership(report: ScanReport, cases: Sequence[TheoremCase], table: VariableTable) -> list[bool]:
+def scan_membership(report: ScanReport, cases: Sequence[TheoremCase]) -> list[bool]:
     """Per solvable cell of `report`, in the order of `report.cells()`: does
     it fall inside one of `cases`?
 
@@ -827,7 +811,7 @@ def scan_membership(report: ScanReport, cases: Sequence[TheoremCase], table: Var
     coefficients run once per point and case, and `_holds` decides the
     grid.  A repeated point shares its first occurrence's verdicts.
     """
-    compiled = [_compiled_case(case, report.eta, table) for case in cases if not case.empty]
+    compiled = [_compiled_case(case, report.eta) for case in cases if not case.empty]
     grid = _pairs(report.lambda0_grid)
     decided = []
     for form, point in zip(report.forms, report.scaled):

@@ -12,13 +12,13 @@ unlike the compiled membership in `lieschouten.soliton` that it checks.
 from lieschouten.algebras import instantiate_eta
 
 
-def reference_case_matches_point(case, eta, values, lambda0_value, c_solution, table):
+def reference_case_matches_point(case, eta, values, lambda0_value, c_solution):
     if case.empty:
         return False
     subs, c_expr, reductions = case.effective()
 
     def at(q, point=values):
-        return instantiate_eta(q, eta, table).evaluate(point)
+        return instantiate_eta(q, eta).evaluate(point)
 
     if any(values[var] != at(expr) for var, expr in subs):
         return False

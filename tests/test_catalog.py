@@ -20,7 +20,7 @@ from lieschouten.catalog import (
 )
 from lieschouten.geometry import CONNECTION_KINDS, connection, ricci_pipeline
 from lieschouten.poly import DEFAULT_TABLE, exact_sqrt
-from lieschouten.soliton import DEFAULT_LAMBDA0_GRID, soliton_system
+from lieschouten.soliton import soliton_system
 
 # the documented set of claims whose stated form is internally inconsistent
 SUSPECT_CASES = {"3.3.8", "3.3.11", "3.3.12", "3.4.1", "3.5.1", "3.5.2", "4.6.1", "4.11.1"}
@@ -301,7 +301,7 @@ def serial_scan_records(catalog, seed, scan_count):
     for fid in FAMILY_IDS:
         for kind in CONNECTION_KINDS:
             tag = catalog_module._family_tag(fid, kind)
-            check = catalog_module._scan_check(catalog, DEFAULT_TABLE, fid, kind, seed, scan_count, DEFAULT_LAMBDA0_GRID)
+            check = catalog_module._scan_check(catalog, fid, kind, seed, scan_count)
             records.append(VerifyRecord("scan", tag, *check, (tag, fid, "scan")))
     return records
 
@@ -415,10 +415,10 @@ def test_a_live_thread_or_one_cpu_keeps_the_run_serial(monkeypatch):
 def raising_for(fid):
     real = catalog_module._scan_check
 
-    def patched(catalog, table, family, *args):
+    def patched(catalog, family, *args):
         if family == fid:
             raise ScanFault(family)
-        return real(catalog, table, family, *args)
+        return real(catalog, family, *args)
 
     return patched
 
@@ -442,12 +442,12 @@ def fail_in_the_worker(monkeypatch):
     failed, failed_end = os.pipe()
     real_scan = catalog_module._scan_check
 
-    def scan_fails_in_the_worker(catalog, table, fid, *args):
+    def scan_fails_in_the_worker(catalog, fid, *args):
         if os.getpid() != parent:
             os.write(failed_end, b"x")
             raise ScanFault(fid)
         assert select.select([failed], [], [], 60)[0], "the worker never failed"
-        return real_scan(catalog, table, fid, *args)
+        return real_scan(catalog, fid, *args)
 
     monkeypatch.setattr(catalog_module, "_scan_check", scan_fails_in_the_worker)
     return failed, failed_end

@@ -104,14 +104,14 @@ class TestLeviCivita:
 
 class TestNablaJ:
     def test_abelian_all_zero(self):
-        mats = nabla_j(levi_civita(ABELIAN), ABELIAN)
+        mats = nabla_j(levi_civita(ABELIAN))
         assert all(q.is_zero for m in mats for row in m.entries for q in row)
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=fam_id)
     def test_anticommutes_with_j(self, fam):
         # (nabla_X J) J + J (nabla_X J) = 0 follows from J^2 = Id
         sigma = (1, 1, -1)
-        for m in nabla_j(levi_civita(fam), fam):
+        for m in nabla_j(levi_civita(fam)):
             for j in range(3):
                 for k in range(3):
                     lhs = m.entries[j][k] * sigma[j] + sigma[k] * m.entries[j][k]
@@ -123,7 +123,7 @@ class TestDerivedConnections:
     def test_canonical_parallelizes_j_and_metric(self, fam):
         conn = canonical_connection(fam)
         assert all(
-            q.is_zero for m in nabla_j(conn, fam) for row in m.entries for q in row
+            q.is_zero for m in nabla_j(conn) for row in m.entries for q in row
         )
         res = metric_compatibility_residual(conn, fam)
         assert all(res[i][j][k].is_zero for i in range(3) for j in range(3) for k in range(3))
@@ -132,7 +132,7 @@ class TestDerivedConnections:
     def test_kn_parallelizes_j(self, fam):
         conn = kobayashi_nomizu(fam)
         assert all(
-            q.is_zero for m in nabla_j(conn, fam) for row in m.entries for q in row
+            q.is_zero for m in nabla_j(conn) for row in m.entries for q in row
         )
 
     def test_abelian_derived_connections_vanish(self):
@@ -335,7 +335,7 @@ class TestMetricResidualReporting:
         # is T0(e_i,e_j) = -1/2 (nabla_i J) J e_j + 1/2 (nabla_j J) J e_i
         sigma = (1, 1, -1)
         lc = levi_civita(fam)
-        nj = nabla_j(lc, fam)
+        nj = nabla_j(lc)
         computed = torsion(canonical_connection(fam), fam)
         for i in range(3):
             for j in range(3):

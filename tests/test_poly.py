@@ -1043,6 +1043,17 @@ def test_integer_kernel_degenerate_lists():
     assert IntegerKernel(T, [huge])({"alpha": 3}) == [3 * (2**40000 + 1) - 1]
 
 
+def test_integer_kernel_rejects_a_polynomial_over_another_table():
+    # read over a table of another layout, alpha^2 + 3*beta at alpha=2,
+    # beta=1 would come out 10 or 4, not 7; an equal table built apart is fine
+    q = p("alpha^2 + 3*beta")
+    assert IntegerKernel(T, [q]).scaled({"alpha": 2, "beta": 1}, 1) == [7]
+    assert IntegerKernel(VariableTable(T.names), [q]).scaled({"alpha": 2, "beta": 1}, 1) == [7]
+    for table in (T.extended(["x"]), VariableTable(reversed(T.names))):
+        with pytest.raises(PolynomialError, match="mismatched variable tables"):
+            IntegerKernel(table, [T.one, q])
+
+
 # -- sympy as an independent oracle (test-only dependency) --------------------
 
 

@@ -53,7 +53,16 @@ from lieschouten.soliton import (
     soliton_system,
     verify_case,
 )
-from lieschouten.soliton import _apply_case, _c_form, _c_solutions, _CompiledCase, _holds, _locus_plan, _reduce_ladder
+from lieschouten.soliton import (
+    _apply_case,
+    _c_form,
+    _c_solutions,
+    _CompiledCase,
+    _holds,
+    _locus_plan,
+    _reduce_ladder,
+    _Substitution,
+)
 
 from geometry_reference import (
     G5_ON_A_CIRCLE,
@@ -394,6 +403,21 @@ class TestNegativeControl:
             negative_control(case, perturbation=Fraction(0))
 
 
+def test_a_case_over_another_table_raises_not_answers():
+    # the catalogue's cases are over DEFAULT_TABLE; compiled over it, a
+    # case's polynomials over another table would read wrong integers
+    witness = (("alpha", Fraction(1)), ("beta", Fraction(2)))
+    case = TheoremCase("t.4", "g1", "lc", c_expr=p("alpha^2 + beta"), witness=witness)
+    assert negative_control(case).detail == "perturbation 1 raises residual 22"
+    other = T.extended(["t"])
+    moved = case._replace(c_expr=parse_polynomial("alpha^2 + beta", other))
+    report = scan(build_family("g1"), "lc", seed=0, count=20)
+    with pytest.raises(PolynomialError, match="mismatched variable tables"):
+        negative_control(moved)
+    with pytest.raises(PolynomialError, match="mismatched variable tables"):
+        scan_membership(report, [moved])
+
+
 def reference_negative_control(case, perturbation, lambda0):
     """(method, ok, detail) of `negative_control`, by Polynomial.evaluate
     of c_expr and of every residual at the witness."""
@@ -401,10 +425,10 @@ def reference_negative_control(case, perturbation, lambda0):
     if case.empty or c_expr is None:
         return "skipped", True, "not applicable: every c solves on this locus"
     best = 0.0
-    for fam in family_branches(case.family_id, T):
+    for fam in family_branches(case.family_id):
         system = soliton_system(fam, case.kind)
-        point = {**soliton.resolve_witness(case, fam.eta, T), "lambda0": lambda0}
-        point["c"] = instantiate_eta(c_expr, fam.eta, T).evaluate(point) + perturbation
+        point = {**soliton.resolve_witness(case, fam.eta), "lambda0": lambda0}
+        point["c"] = instantiate_eta(c_expr, fam.eta).evaluate(point) + perturbation
         values = [r.evaluate(point) for r in system.residuals]
         if not any(values):
             return "control", False, "perturbed c still solves: system may be vacuous"
@@ -420,7 +444,7 @@ def test_negative_control_matches_the_evaluate_reference(perturbation, lam):
     # every catalogued case, byte for byte, the Surd witness of 4.11.2 among them
     assert len(CATALOG_CASES) == 45
     surd_case = next(c for c in CATALOG_CASES if c.label == "4.11.2")
-    assert isinstance(soliton.resolve_witness(surd_case, None, T)["beta"], Surd)
+    assert isinstance(soliton.resolve_witness(surd_case, None)["beta"], Surd)
     # every catalogued witness is integral; moved off it, each case's control
     # also runs at a common denominator above 1
     moved = [
@@ -638,7 +662,7 @@ class TestExactLocus:
         # 4.11.2's locus: beta^2 = 2*alpha^2 with alpha drawn, so beta is alpha*sqrt(2)
         case = next(c for c in CATALOG_CASES if c.label == "4.11.2")
         system = soliton_system(build_family("g6"), "canonical")
-        plan = _locus_plan(system, case, case.substitutions, case.reductions, T)
+        plan = _locus_plan(system, case, _Substitution(case.substitutions, None), case.reductions)
         points = [draw_point(random.Random(k), *plan) for k in range(20)]
         points = [pt[0] for pt in points if pt is not None]
         assert points and all(type(pt["beta"]) is Surd and pt["beta"].d == 2 for pt in points)
@@ -657,7 +681,7 @@ class TestExactLocus:
 
         system = soliton_system(build_family("g3"), "lc")
         near, on = case("beta^2 + 1/10000000000000"), case("beta^2")
-        near_plan, on_plan = (_locus_plan(system, c, (), c.reductions, T) for c in (near, on))
+        near_plan, on_plan = (_locus_plan(system, c, _Substitution((), None), c.reductions) for c in (near, on))
         for seed in range(10):
             assert draw_point(random.Random(seed), *near_plan) is None
             assert draw_point(random.Random(seed), *on_plan) is not None
@@ -675,16 +699,16 @@ class TestCaseMembership:
         system = soliton_system(build_family("g1"), "lc")
         inside = {"alpha": Fraction(2), "beta": Fraction(0)}
         sol = solve_for_c(system, inside, Fraction(1, 2))
-        assert case_matches_point(case, None, inside, Fraction(1, 2), sol, T)
+        assert case_matches_point(case, None, inside, Fraction(1, 2), sol)
         outside = {"alpha": Fraction(2), "beta": Fraction(1)}
-        assert not case_matches_point(case, None, outside, Fraction(1, 2), sol, T)
+        assert not case_matches_point(case, None, outside, Fraction(1, 2), sol)
 
     def test_unsolvable_cell_lies_in_no_case(self):
         case = next(c for c in CATALOG_CASES if c.label == "3.3.7")
-        witness = soliton.resolve_witness(case, None, T)
+        witness = soliton.resolve_witness(case, None)
         sol = solve_for_c(soliton_system(build_family(case.family_id), case.kind), witness, Fraction(1, 2))
-        assert case_matches_point(case, None, witness, Fraction(1, 2), sol, T)
-        assert not case_matches_point(case, None, witness, Fraction(1, 2), CSolution("none"), T)
+        assert case_matches_point(case, None, witness, Fraction(1, 2), sol)
+        assert not case_matches_point(case, None, witness, Fraction(1, 2), CSolution("none"))
 
     def test_variant_is_effective_for_membership(self):
         case = TheoremCase(
@@ -701,7 +725,7 @@ class TestCaseMembership:
         point = {"alpha": Fraction(1), "beta": Fraction(0), "gamma": Fraction(-1)}
         sol = solve_for_c(system, point, Fraction(2))
         assert sol.status == "unique"
-        assert case_matches_point(case, None, point, Fraction(2), sol, T)
+        assert case_matches_point(case, None, point, Fraction(2), sol)
 
 
 class TestUnsampled:
@@ -750,7 +774,7 @@ class TestReduceLadder:
     RELATIONS = (p("alpha*gamma - alpha*beta"), p("alpha^2 - 1"))
 
     def ladder(self, residuals):
-        return soliton._reduce_ladder(residuals, self.SYSTEM, self.SUBS, self.REDUCTIONS, T)
+        return soliton._reduce_ladder(residuals, self.SYSTEM, _Substitution(self.SUBS, None), self.REDUCTIONS)
 
     def test_s_polynomial_member_reduces_to_zero(self):
         member = p("beta - gamma")
@@ -786,17 +810,17 @@ class TestListedOrderSubstitution:
         return q.substitute("gamma", T.zero).substitute("beta", p("alpha"))
 
     def test_ladder_applies_the_listed_order(self):
-        applied = _apply_case(self.SYSTEM, self.CASE.substitutions, self.CASE.c_expr, T)
+        applied = _apply_case(self.SYSTEM, _Substitution(self.CASE.substitutions, None), self.CASE.c_expr)
         c_poly = self.CASE.c_expr
         assert applied == [self.resolved(r.substitute("c", c_poly)) for r in self.SYSTEM.residuals]
         # the constraint becomes -alpha*delta, so alpha*delta is in the ideal
-        [reduced] = _reduce_ladder([p("alpha*delta")], self.SYSTEM, self.CASE.substitutions, (), T)
+        [reduced] = _reduce_ladder([p("alpha*delta")], self.SYSTEM, _Substitution(self.CASE.substitutions, None), ())
         assert reduced.is_zero
 
     def test_sampler_and_membership_agree_with_the_ladder(self):
-        compiled = _CompiledCase(self.CASE, None, T)
-        applied = _apply_case(self.SYSTEM, self.CASE.substitutions, self.CASE.c_expr, T)
-        plan = _locus_plan(self.SYSTEM, self.CASE, self.CASE.substitutions, (), T)
+        compiled = _CompiledCase(self.CASE, None)
+        applied = _apply_case(self.SYSTEM, _Substitution(self.CASE.substitutions, None), self.CASE.c_expr)
+        plan = _locus_plan(self.SYSTEM, self.CASE, _Substitution(self.CASE.substitutions, None), ())
         points = [draw_point(random.Random(k), *plan) for k in range(60)]
         points = [pt[0] for pt in points if pt is not None]
         assert points
@@ -822,14 +846,14 @@ class TestListedOrderSubstitution:
 _HASH_SEED_PROBE = """
 import random
 from lieschouten.algebras import build_family
-from lieschouten.poly import DEFAULT_TABLE as T, parse_polynomial as p
+from lieschouten.poly import parse_polynomial as p
 from lieschouten.algebras import draw_point
-from lieschouten.soliton import TheoremCase, _locus_plan, soliton_system, verify_case
+from lieschouten.soliton import TheoremCase, _locus_plan, _Substitution, soliton_system, verify_case
 case = TheoremCase("h.1", "g5", "lc", substitutions=(("alpha", p("lambda0")), ("beta", p("eta"))), c_expr=p("0"))
 system = soliton_system(build_family("g5"), "lc")
-plan = _locus_plan(system, case, case.substitutions, (), T)
+plan = _locus_plan(system, case, _Substitution(case.substitutions, None), ())
 points = [draw_point(random.Random(k), *plan) for k in range(8)]
-report = verify_case(case, T, seed=0, sample_count=20)
+report = verify_case(case, seed=0, sample_count=20)
 print(repr([points, report.method, report.counterexample]))
 """
 
@@ -864,7 +888,7 @@ def test_constraint_quadratic_in_its_free_variable_is_solved():
     # beta and delta are drawn and eta is solved by the quadratic formula
     case = TheoremCase("q.1", "g5", "lc", substitutions=(("alpha", p("eta")), ("gamma", p("eta"))), c_expr=T.zero)
     system = soliton_system(build_family("g5"), "lc")
-    plan = _locus_plan(system, case, case.substitutions, (), T)
+    plan = _locus_plan(system, case, _Substitution(case.substitutions, None), ())
     assert plan[0] == ["beta", "delta"] and [var for var, _ in plan[1]] == ["eta"]
     points = [pt[0] for pt in (draw_point(random.Random(k), *plan) for k in range(40)) if pt is not None]
     assert points and any(isinstance(pt["eta"], Surd) for pt in points)
@@ -912,16 +936,16 @@ def test_lambda0_law_flags_exactly_six_stated_suspect_case_branches():
         data = [("stated", (case.substitutions, case.c_expr, case.reductions))]
         if (case.variant_substitutions, case.variant_c, case.variant_reductions) != (None, None, None):
             data.append(("variant", case.effective()))
-        for fam in family_branches(case.family_id, T):
+        for fam in family_branches(case.family_id):
             system = soliton_system(fam, case.kind)
             s = ricci_pipeline(fam, case.kind)[2]
             for which, (subs, c_expr, reductions) in data:
                 if case.empty or c_expr is None:
                     continue
-                mu = instantiate_eta(c_expr, fam.eta, T) + s * T.var("lambda0")
+                mu = instantiate_eta(c_expr, fam.eta) + s * T.var("lambda0")
                 for var, expr in subs:
-                    mu = mu.substitute(var, instantiate_eta(expr, fam.eta, T))
-                [normal] = soliton._reduce_ladder([mu], system, subs, reductions, T)
+                    mu = mu.substitute(var, instantiate_eta(expr, fam.eta))
+                [normal] = soliton._reduce_ladder([mu], system, soliton._Substitution(subs, fam.eta), reductions)
                 checked += 1
                 if "lambda0" in normal.variables():
                     flagged.add((case.label, fam.eta, which))
@@ -1011,11 +1035,11 @@ class TestBranchMemo:
     def test_each_case_compiled_once(self):
         soliton._compiled_case.cache_clear()
         case = next(c for c in CATALOG_CASES if c.family_id == "g1" and not c.empty)
-        witness = soliton.resolve_witness(case, None, T)
+        witness = soliton.resolve_witness(case, None)
         system = soliton_system(build_family("g1"), case.kind)
         sol = solve_for_c(system, witness, Fraction(1, 2))
         for _ in range(3):
-            assert case_matches_point(case, None, witness, Fraction(1, 2), sol, T)
+            assert case_matches_point(case, None, witness, Fraction(1, 2), sol)
         assert soliton._compiled_case.cache_info().misses == 1
         assert soliton._compiled_case.cache_info().maxsize >= len(CATALOG_CASES) + 3  # g4 has two signs
 
@@ -1039,7 +1063,7 @@ CATALOG_CASES = load_catalog().cases
 def memberships(matches, report, cases, eta):
     """Per solvable entry: does `matches` place it inside one of `cases`?"""
     return [
-        any(matches(case, eta, e.values, e.lambda0, CSolution(e.status, e.c), T) for case in cases)
+        any(matches(case, eta, e.values, e.lambda0, CSolution(e.status, e.c)) for case in cases)
         for e in report.solvable
     ]
 
@@ -1052,7 +1076,7 @@ def test_scan_membership_equals_case_matches_point(fam, kind):
     # each case alone also yields entries outside it, so both verdicts occur
     for subset in [cases] + [[case] for case in cases]:
         expected = memberships(reference_case_matches_point, report, subset, fam.eta)
-        assert scan_membership(report, subset, T) == expected
+        assert scan_membership(report, subset) == expected
         assert memberships(case_matches_point, report, subset, fam.eta) == expected
 
 
@@ -1071,7 +1095,7 @@ def test_membership_at_surd_points_matches_the_reference():
     )
     report = scan(SURD_G5, "canonical", seed=1, count=60, lambda0_grid=MEMBERSHIP_GRID)
     expected = memberships(reference_case_matches_point, report, [case], None)
-    assert scan_membership(report, [case], T) == expected
+    assert scan_membership(report, [case]) == expected
     assert memberships(case_matches_point, report, [case], None) == expected
     assert any(expected) and not all(expected)
     assert any(isinstance(pt.values["beta"], Surd) for pt in report.points)
@@ -1093,7 +1117,7 @@ def test_membership_of_rows_where_every_c_solves_matches_the_reference(kind):
     ]
     for subset in [cases] + [[case] for case in cases]:
         expected = memberships(reference_case_matches_point, report, subset, None)
-        assert scan_membership(report, subset, T) == expected
+        assert scan_membership(report, subset) == expected
         assert any(expected) and not all(expected)
 
 
@@ -1117,8 +1141,8 @@ def test_the_c_half_of_membership_matches_the_reference_at_any_degree_in_lambda0
     values = {"alpha": alpha, "beta": beta}
     c = c_expr.evaluate({**values, "lambda0": lam}) + shift
     for sol in (CSolution("unique", c), CSolution("any")):
-        expected = reference_case_matches_point(case, None, values, lam, sol, T)
-        assert case_matches_point(case, None, values, lam, sol, T) == expected
+        expected = reference_case_matches_point(case, None, values, lam, sol)
+        assert case_matches_point(case, None, values, lam, sol) == expected
         assert expected == (sol.status == "any" or shift == 0)
 
 
@@ -1226,7 +1250,7 @@ def assert_membership_is_the_reference_cell_by_cell(report, cases, eta):
     reference verdicts of the cases together."""
     for subset in [cases] + [[case] for case in cases]:
         expected = memberships(reference_case_matches_point, report, subset, eta)
-        assert scan_membership(report, subset, T) == expected
+        assert scan_membership(report, subset) == expected
         assert memberships(case_matches_point, report, subset, eta) == expected
     return memberships(reference_case_matches_point, report, cases, eta)
 
@@ -1304,7 +1328,7 @@ def test_lambda0_that_is_not_rational_is_a_type_error(lam):
     for call in (
         lambda: solve_for_c(system, pt, lam),
         lambda: scan(fam, "lc", seed=0, count=3, lambda0_grid=[Fraction(1), lam]),
-        lambda: case_matches_point(case, None, pt.values, lam, CSolution("unique", Fraction(0)), T),
+        lambda: case_matches_point(case, None, pt.values, lam, CSolution("unique", Fraction(0))),
         lambda: negative_control(case, lambda0_value=lam),
     ):
         with pytest.raises(TypeError, match="lambda0 must be an int or a Fraction"):
@@ -1317,7 +1341,7 @@ def test_scan_membership_sees_both_verdicts_off_the_default_grid():
     report = scan(fam, "lc", seed=0, count=60, lambda0_grid=MEMBERSHIP_GRID)
     extra = [k for k, e in enumerate(report.solvable) if e.lambda0 not in DEFAULT_LAMBDA0_GRID]
     assert extra
-    verdicts = [scan_membership(report, [case], T) for case in cases]
+    verdicts = [scan_membership(report, [case]) for case in cases]
     assert any(v[k] for v in verdicts for k in extra)
     assert any(not v[k] for v in verdicts for k in extra)
 
@@ -1388,7 +1412,7 @@ def test_scan_record_names_the_first_three_cells_outside_the_classification():
     [record] = [r for r in summary.records if r.section == "scan"]
     fam = build_family("g1")
     report = scan(fam, "lc", seed=0, count=60)
-    verdicts = scan_membership(report, [wrong], T)
+    verdicts = scan_membership(report, [wrong])
     outside = [e for e, inside in zip(report.solvable, verdicts) if not inside]
     assert len(outside) == len(report.solvable) > 3
     named = [
