@@ -19,7 +19,6 @@ _EXPORTS = {
         "FAMILY_IDS",
         "LieAlgebraFamily",
         "MetricSignature",
-        "ParameterPoint",
         "SamplingError",
         "StructureConstants",
         "bracket",

@@ -14,8 +14,11 @@ quotient-ring arithmetic into the whole pipeline).
 
 `sample_parameters` draws exact points that meet the side conditions.  A
 draw (`draw_point`) is integer from the start: each value is written over
-one common denominator L as it is drawn, so the kernels that decide it,
-and the scan's after it (through `sample_scaled`), never rescale a point.
+one common denominator L as it is drawn, and that integer form (nums, L)
+is the only form a draw is kept in.  The kernels that decide it, and the
+scan's after it (through `sample_scaled`), read it as it is; a point's
+values are made from it by `point_values`, only where it is printed or
+evaluated.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .poly import (
 
 Vector = tuple[Polynomial, Polynomial, Polynomial]
 Value = Union[Fraction, Surd]  # an exact parameter value
-Draw = tuple[dict[str, Value], tuple[dict, int]]  # (values, (nums, L)), as `draw_point` gives it
+Draw = tuple[dict, int]  # (nums, L), a point's integer form as `draw_point` gives it
 
 FAMILY_IDS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
 
@@ -96,12 +99,6 @@ class LieAlgebraFamily(NamedTuple):
     def describe(self) -> str:
         eta = f", eta={self.eta:+d}" if self.eta is not None else ""
         return f"{self.family_id}{eta}"
-
-
-class ParameterPoint(NamedTuple):
-    """An exact parameter assignment satisfying the family's side conditions."""
-
-    values: dict[str, Value]
 
 
 # Bracket tables: entries are expressions for ([e1,e2], [e1,e3], [e2,e3]).
@@ -163,16 +160,22 @@ def _assemble_family(
     )
 
 
-@lru_cache(maxsize=BRANCH_CACHE_SIZE)
 def build_family(
     family_id: str,
     eta: Optional[int] = None,
     table: VariableTable = DEFAULT_TABLE,
 ) -> LieAlgebraFamily:
-    """Construct one of g1..g7 over `table`, once per argument value.
+    """Construct one of g1..g7 over `table`, once per argument value,
+    however the arguments are spelled.
 
     `eta` must be +1 or -1 for g4 and omitted otherwise.
     """
+    return _build_family(family_id, eta, table)
+
+
+@lru_cache(maxsize=BRANCH_CACHE_SIZE)
+def _build_family(family_id: str, eta: Optional[int], table: VariableTable) -> LieAlgebraFamily:
+    """`build_family`, memoised on its positional arguments."""
     if family_id not in _BRACKETS:
         raise ValueError(f"unknown family {family_id!r} (expected one of {FAMILY_IDS})")
     if family_id == "g4":
@@ -318,12 +321,11 @@ def jacobi_residuals(fam: LieAlgebraFamily) -> Vector:
 
 # -- constrained parameter sampling -------------------------------------------
 
-# Draws come from {-3..3} scaled by 1/d for d in {1,2,3}: each pool entry
-# is the value and its numerator over _SCALE, the lcm of the d.
+# Draws come from {-3..3} scaled by 1/d for d in {1,2,3}; _SCALE, the lcm
+# of the d, writes each one as an integer numerator n*_SCALE//d.
 _NUMERATORS = tuple(range(-3, 4))
 _DENOMINATORS = (1, 2, 3)
 _SCALE = 6
-_POOL = {(n, d): (Fraction(n, d), n * _SCALE // d) for n in _NUMERATORS for d in _DENOMINATORS}
 
 
 class SamplingError(ValueError):
@@ -334,7 +336,7 @@ class SamplingError(ValueError):
 
 def draw_rational(rng: random.Random) -> Fraction:
     """One exact draw from the sampling pool (numerator first, then denominator)."""
-    return _POOL[rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)][0]
+    return Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS))
 
 
 def _split(constraint: Polynomial, taken: set[str]) -> Optional[tuple[str, tuple[Polynomial, ...]]]:
@@ -366,7 +368,7 @@ def _root(coefficients: Sequence[Value], rng: random.Random):
     return "free" if not c0 else None
 
 
-def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[ParameterPoint]:
+def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[dict[str, Value]]:
     """Deterministic exact parameter points satisfying the family side conditions.
 
     Each equality constraint, in listed order, is solved for the last
@@ -385,12 +387,17 @@ def sample_parameters(fam: LieAlgebraFamily, seed: int, count: int) -> list[Para
     side conditions, are compiled once per call.  Without `count` points
     after 200*count + 1000 draws it raises SamplingError.
     """
-    return [ParameterPoint(values) for values, _ in sample_scaled(fam, seed, count)]
+    return [point_values(*form) for form in sample_scaled(fam, seed, count)]
+
+
+def point_values(nums: dict, scale: int) -> dict[str, Value]:
+    """The values {n: nums[n] / L} of an integer form (nums, L)."""
+    return {name: quotient(num, scale) for name, num in nums.items()}
 
 
 def sample_scaled(fam: LieAlgebraFamily, seed: int, count: int) -> list[Draw]:
-    """The points of `sample_parameters`, each beside its integer form as
-    `draw_point` gives it."""
+    """The points of `sample_parameters` in their integer forms, as
+    `draw_point` gives them."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
@@ -435,8 +442,9 @@ def draw_point(
     side: IntegerKernel,
     nonzero: int,
 ) -> Optional[Draw]:
-    """One draw of a constrained point as (values, (nums, L)), nums[n]
-    being values[n]*L, an int or an integer Surd; None if rejected.
+    """One draw of a constrained point as its integer form (nums, L), the
+    value of n being nums[n] / L for an int or integer Surd nums[n]; None if
+    rejected.
 
     Each name of `pool` is drawn from the sampling pool, in order, and
     written straight to its numerator over L = 6.  Then each (var, kernel)
@@ -449,16 +457,15 @@ def draw_point(
     `nonzero` values of `side` are nonzero and the rest are zero.  The one
     draw of `sample_parameters` and of the sampled ladder rung.
     """
-    values: dict[str, Value] = {}
     nums, scale, choice = {}, _SCALE, rng.choice
-    for name in pool:  # each a draw_rational, with its numerator over _SCALE
-        values[name], nums[name] = _POOL[choice(_NUMERATORS), choice(_DENOMINATORS)]
+    for name in pool:  # each a draw_rational, as its numerator over _SCALE
+        nums[name] = choice(_NUMERATORS) * _SCALE // choice(_DENOMINATORS)
     for var, kernel in roots:
         sol = _root(kernel.scaled(nums, scale), rng)
         if sol is None:
             return None
-        values[var] = sol = draw_rational(rng) if sol == "free" else sol
-        if isinstance(sol, Surd) and not one_field(values.values()):
+        sol = draw_rational(rng) if sol == "free" else sol
+        if isinstance(sol, Surd) and not one_field([sol, *nums.values()]):
             return None
         den = sol.denominator
         if scale % den:
@@ -467,7 +474,7 @@ def draw_point(
             nums = {name: num * grow for name, num in nums.items()}
         nums[var] = sol.numerator * (scale // den)
     out = side.scaled(nums, scale)
-    return (values, (nums, scale)) if all(out[:nonzero]) and not any(out[nonzero:]) else None
+    return (nums, scale) if all(out[:nonzero]) and not any(out[nonzero:]) else None
 
 
 def _solve_order(targets: dict[Polynomial, Optional[str]]) -> list[Polynomial]:

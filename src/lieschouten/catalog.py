@@ -24,7 +24,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .algebras import FAMILY_IDS, LieAlgebraFamily, family_branches, instantiate_eta
+from .algebras import FAMILY_IDS, LieAlgebraFamily, Value, family_branches, instantiate_eta
 from .geometry import (
     CANONICAL,
     CONNECTION_KINDS,
@@ -41,7 +41,6 @@ from .geometry import (
 from .poly import DEFAULT_TABLE, ParseError, Polynomial, PolynomialError, VariableTable, exact_sqrt, parse_polynomial
 from .soliton import (
     TheoremCase,
-    Value,
     case_matches_point,
     negative_control,
     resolve_witness,
@@ -480,8 +479,8 @@ def _scan_check(catalog: Catalog, fid: str, kind: str, seed: int, scan_count: in
         solvable_total += len(verdicts)
         if not all(verdicts):
             outside = (cell for cell, inside in zip(report.cells(), verdicts) if not inside)
-            for _, pt, lam, sol in itertools.islice(outside, 3 - len(unmatched)):
-                unmatched.append(f"{fam.describe()} {_format_point(pt.values)}, lambda0={lam}, c={sol.value}")
+            for _, values, lam, sol in itertools.islice(outside, 3 - len(unmatched)):
+                unmatched.append(f"{fam.describe()} {_format_point(values)}, lambda0={lam}, c={sol.value}")
     if unmatched:
         outside = " | ".join(unmatched)
         return "fail", "scan", f"{solvable_total}/{entry_total} solvable; outside classification: {outside}"

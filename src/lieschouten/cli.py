@@ -163,10 +163,9 @@ def cmd_jacobi(args) -> int:
     identically_zero = all(q.is_zero for q in residuals)
     worst = 0.0
     if not identically_zero:
-        points = sample_parameters(fam, seed=args.seed, count=args.count)
-        for pt in points:
+        for values in sample_parameters(fam, seed=args.seed, count=args.count):
             for q in residuals:
-                worst = max(worst, abs(float(q.evaluate(pt.values))))
+                worst = max(worst, abs(float(q.evaluate(values))))
     if args.format == "machine":
         for k, q in enumerate(residuals, start=1):
             print(f"jacobi\te{k}\t{q}")

@@ -795,17 +795,17 @@ class IntegerKernel:
     to their maximum total degree G with an extra base.  At a point whose
     values are n_j / L, with L the lcm of the value denominators, every
     polynomial f then takes the value F / (D * L**G) for an integer F.
-    Calling the kernel at a point of ints or Fractions returns those
-    integers F, one per polynomial.  The common factor D * L**G is
-    positive, so the F keep the zeros, the signs and the ratios of the
-    values, and no Fraction is formed.  Any other L > 0 with integer n_j
-    gives the same zeros, signs and ratios, so `scaled`, the entry that the
-    call goes through, takes them as given: one `integer_point` serves
-    every kernel that reads the point.  `factor` is (D, G), so a caller
-    that needs the values themselves divides each F by D * L**G once.  The
-    list is compiled once, at construction, to the straight-line function
-    in `source` (see `_kernel_source`), which reads n_j by name and takes L
-    as is.  Every polynomial must be over `table`, as for `+` and `*`.
+    `scaled` at a point's integer form (n_j, L) returns those integers F,
+    one per polynomial.  The common factor D * L**G is positive, so the F
+    keep the zeros, the signs and the ratios of the values, and no Fraction
+    is formed.  Any other L > 0 with integer n_j gives the same zeros,
+    signs and ratios, so `scaled` takes them as given: one integer form, as
+    drawn or as `integer_point` makes it, serves every kernel that reads
+    the point.  `factor` is (D, G), so a caller that needs the values
+    themselves divides each F by D * L**G once.  The list is compiled once,
+    at construction, to the straight-line function in `source` (see
+    `_kernel_source`), which reads n_j by name and takes L as is.  Every
+    polynomial must be over `table`, as for `+` and `*`.
     """
 
     __slots__ = ("names", "factor", "source", "_run")
@@ -820,10 +820,6 @@ class IntegerKernel:
         namespace: dict = {"__builtins__": {}, **{f"n{j}": n for j, n in enumerate(self.names)}}
         exec(compile(self.source, "<IntegerKernel>", "exec"), namespace)
         self._run = namespace["kernel"]
-
-    def __call__(self, point: Mapping[str, Scalar]) -> list[int]:
-        """`scaled` at `integer_point` of the point's values that it reads."""
-        return self.scaled(*integer_point({n: point[n] for n in self.names if n in point}))
 
     def scaled(self, numerators: Mapping[str, Scalar], scale: int) -> list[int]:
         """One integer per polynomial at the point numerators[n] / scale,

@@ -42,13 +42,13 @@ the test, into one form: no c, every c, or (P_0, Q_0, R_0) with
 c = -(d*P_0 + n*Q_0)/(d*R_0) at lambda0 = n/d.  `negative_control` reads
 the same kernel at its witness, and c_expr from the case's `c_kernel`.
 `scan` takes its sample from the branch memo `_branch_sample`, shared by
-the connections, which keeps each distinct point with the integer form
-that `algebras.draw_point` drew it in: the kernel and `_c_form` run once
-per distinct point.  A `ScanReport` is a table of the shared sample, its
-integer forms and one form per distinct point; its `CSolution`s and
-`ScanEntry` records are built only on request.  A case's data on one eta
-branch is one `_Substitution`, which applies its substitutions in listed
-order for every consumer.  The sampled rung compiles the case locus once
+the connections, which keeps each distinct point in the integer form that
+`algebras.draw_point` drew it in, and nothing else: the kernel and
+`_c_form` run once per distinct point.  A `ScanReport` is a table of the
+shared integer forms and one `_c_form` per distinct point; its values
+(`algebras.point_values`), `CSolution`s and `ScanEntry` records are built
+only on request.  A case's data on one eta branch is one `_Substitution`,
+which applies its substitutions in listed order for every consumer.  The sampled rung compiles the case locus once
 per ladder branch (`_locus_plan`) into the arguments of `draw_point`;
 lambda0, and c where the claim leaves it free, are drawn after it only
 when the locus left them unassigned.  Case membership is `_CompiledCase`,
@@ -70,14 +70,16 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .algebras import (
     BRANCH_CACHE_SIZE,
+    Draw,
     LieAlgebraFamily,
-    ParameterPoint,
+    Value,
     _split,
     build_family,
     draw_point,
     draw_rational,
     family_branches,
     instantiate_eta,
+    point_values,
     sample_scaled,
 )
 from .geometry import OperatorMatrix, ricci_pipeline
@@ -86,7 +88,6 @@ from .poly import (
     IntegerKernel,
     Polynomial,
     PolynomialError,
-    Surd,
     VariableTable,
     groebner_basis,
     integer_point,
@@ -96,8 +97,7 @@ from .poly import (
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
-Value = Union[Fraction, Surd]
-WitnessValue = Union[Fraction, Surd, Polynomial]
+WitnessValue = Union[Value, Polynomial]
 
 
 # The one record that stays a frozen dataclass, the rest being named
@@ -283,19 +283,16 @@ def _c_solutions(form: Optional[tuple], grid: Sequence[tuple[int, int]]) -> tupl
     return tuple(CSolution("unique", quotient(-(d * p0 + n * q0), d * r0)) for n, d in grid)
 
 
-def solve_for_c(
-    system: SolitonSystem,
-    point: Union[ParameterPoint, dict[str, Value]],
-    lambda0_value: Rational,
-) -> CSolution:
+def solve_for_c(system: SolitonSystem, point: dict[str, Value], lambda0_value: Rational) -> CSolution:
     """Solve all residuals simultaneously for c at a parameter point.
 
     Residuals are degree <= 1 in c by construction, so the system is a set
     of scalar linear equations a_i*c + b_i = 0, decided exactly by `_c_form`
-    at the point's kernel values.
+    at the kernel values of the point's `integer_point`.  `_c_form` does not
+    change under scaling, so names that the kernel does not read change
+    nothing.
     """
-    values = point.values if isinstance(point, ParameterPoint) else dict(point)
-    form = _c_form(_compiled_decomposition(system)(values))
+    form = _c_form(_compiled_decomposition(system).scaled(*integer_point(point)))
     return _c_solutions(form, _pairs(_rational([lambda0_value])))[0]
 
 
@@ -320,12 +317,12 @@ class ScanEntry(NamedTuple):
 
 
 class ScanReport(NamedTuple):
-    """A scan as a table over the branch memo's sample: `points` is the
-    draw, `slots` each point's distinct index, and per distinct point
-    `scaled` holds its integer form and `forms` its `_c_form`.  `rows` (one
-    tuple of c solutions per point, one per lambda0 of the grid, a repeated
-    point sharing its first occurrence's row object), `cells`, `entries`
-    and `solvable` build their `CSolution`s and `ScanEntry` records on
+    """A scan as a table over the branch memo's sample: `slots` holds each
+    drawn point's distinct index, and per distinct point `scaled` holds its
+    integer form and `forms` its `_c_form`.  `rows` (one tuple of c
+    solutions per point, one per lambda0 of the grid, a repeated point
+    sharing its first occurrence's row object), `cells`, `entries` and
+    `solvable` build their values, `CSolution`s and `ScanEntry` records on
     request."""
 
     family_id: str
@@ -334,15 +331,14 @@ class ScanReport(NamedTuple):
     seed: int
     count: int
     lambda0_grid: tuple[Rational, ...]
-    points: tuple[ParameterPoint, ...]
     forms: tuple[Optional[tuple], ...]
-    scaled: tuple[tuple[dict[str, Value], int], ...]
+    scaled: tuple[Draw, ...]
     slots: tuple[int, ...]
 
     @property
     def size(self) -> int:
         """The number of (point, lambda0) cells."""
-        return len(self.points) * len(self.lambda0_grid)
+        return len(self.slots) * len(self.lambda0_grid)
 
     @property
     def rows(self) -> tuple[tuple[CSolution, ...], ...]:
@@ -360,47 +356,35 @@ class ScanReport(NamedTuple):
 
     def cells(
         self, statuses: tuple[str, ...] = ("unique", "any")
-    ) -> Iterator[tuple[int, ParameterPoint, Rational, CSolution]]:
-        """(index, point, lambda0, solution) of the cells with one of
+    ) -> Iterator[tuple[int, dict[str, Value], Rational, CSolution]]:
+        """(index, values, lambda0, solution) of the cells with one of
         `statuses`, the solvable ones by default: point-major, the grid in
-        its order, which is also the order of `scan_membership`'s verdicts."""
-        grid = self.lambda0_grid
-        for idx, (pt, row) in enumerate(zip(self.points, self.rows)):
+        its order, which is also the order of `scan_membership`'s verdicts.
+        A repeated point shares its first occurrence's values."""
+        grid, values = self.lambda0_grid, [point_values(*form) for form in self.scaled]
+        for idx, (k, row) in enumerate(zip(self.slots, self.rows)):
             for lam, sol in zip(grid, row):
                 if sol.status in statuses:
-                    yield idx, pt, lam, sol
+                    yield idx, values[k], lam, sol
 
     def _entries(self, statuses: tuple[str, ...]) -> tuple[ScanEntry, ...]:
-        return tuple(
-            ScanEntry(idx, pt.values, lam, sol.status, sol.value)
-            for idx, pt, lam, sol in self.cells(statuses)
-        )
-
-
-class _BranchSample(NamedTuple):
-    """The points, a repeat being its first occurrence's object; per
-    distinct point its integer form as drawn; per point its distinct index."""
-
-    points: tuple[ParameterPoint, ...]
-    scaled: tuple[tuple[dict[str, Value], int], ...]
-    slots: tuple[int, ...]
+        return tuple(ScanEntry(idx, pt, lam, sol.status, sol.value) for idx, pt, lam, sol in self.cells(statuses))
 
 
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)
-def _branch_sample(fam: LieAlgebraFamily, seed: int, count: int) -> _BranchSample:
-    """`sample_scaled` once per (family, seed, count) value: the three
-    connections of a branch scan one shared draw, which no caller writes.
-    Equal points have one form, in one name order, so a repeat is found by
-    its form."""
+def _branch_sample(fam: LieAlgebraFamily, seed: int, count: int) -> tuple[tuple[Draw, ...], tuple[int, ...]]:
+    """`sample_scaled` once per (family, seed, count) value, as (scaled,
+    slots): each distinct point's integer form as drawn, and each point's
+    distinct index.  The three connections of a branch scan one shared
+    draw, which no caller writes.  Equal points have one form, in one name
+    order, so a repeat is found by its form."""
     first: dict[tuple, int] = {}  # integer form -> index of its distinct point
-    distinct: list[ParameterPoint] = []
     scaled, slots = [], []
-    for values, (nums, scale) in sample_scaled(fam, seed, count):
-        slots.append(first.setdefault((scale, *nums.values()), len(distinct)))
-        if slots[-1] == len(distinct):
-            distinct.append(ParameterPoint(values))
+    for nums, scale in sample_scaled(fam, seed, count):
+        slots.append(first.setdefault((scale, *nums.values()), len(scaled)))
+        if slots[-1] == len(scaled):
             scaled.append((nums, scale))
-    return _BranchSample(tuple(distinct[k] for k in slots), tuple(scaled), tuple(slots))
+    return tuple(scaled), tuple(slots)
 
 
 def scan(
@@ -419,9 +403,9 @@ def scan(
     """
     kernel = _compiled_decomposition(soliton_system(fam, kind))
     grid = _rational(lambda0_grid)
-    points, scaled, slots = _branch_sample(fam, seed, count)
+    scaled, slots = _branch_sample(fam, seed, count)
     forms = tuple(_c_form(kernel.scaled(*point)) for point in scaled)
-    return ScanReport(fam.family_id, kind, fam.eta, seed, count, grid, points, forms, scaled, slots)
+    return ScanReport(fam.family_id, kind, fam.eta, seed, count, grid, forms, scaled, slots)
 
 
 # -- theorem cases -------------------------------------------------------------
@@ -624,7 +608,7 @@ def _verify_single(
         if drawn is None:
             rejected += 1
             continue
-        values = drawn[0]
+        values = point_values(*drawn)
         # lambda0, and c for a claim that leaves it free, where the locus left them unassigned
         if "lambda0" not in values:
             values["lambda0"] = draw_rational(rng)
@@ -768,7 +752,7 @@ class _CompiledCase:
             powers = range(c_expr.degree_in("lambda0") + 1)
             self.c_kernel = IntegerKernel(table, [table.one] + [c_expr.coefficient_of("lambda0", j) for j in powers])
 
-    def c_at(self, point: tuple[dict[str, Value], int]) -> Optional[list]:
+    def c_at(self, point: Draw) -> Optional[list]:
         """None off the locus, else `c_kernel` at the point ([] for a free c)."""
         out = self.locus.scaled(*point)
         if any(out[: self.split]) or not all(out[self.split :]):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from lieschouten.poly import VariableTable
+from lieschouten.poly import VariableTable, integer_point
 
 
 def _grlex(m):
@@ -175,3 +175,10 @@ class ReferencePolynomial:
             else:
                 pieces.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(pieces)
+
+
+def kernel_at(kernel, point):
+    """`kernel.scaled` at the `integer_point` of the values of `point` that
+    the kernel reads: L is the lcm of those values' denominators alone, so
+    the integers do not depend on names the kernel ignores."""
+    return kernel.scaled(*integer_point({n: point[n] for n in kernel.names if n in point}))

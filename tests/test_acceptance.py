@@ -25,7 +25,7 @@ from lieschouten.catalog import (
 from lieschouten.cli import main
 from lieschouten.geometry import OperatorMatrix
 from lieschouten.poly import DEFAULT_TABLE
-from lieschouten.soliton import DEFAULT_LAMBDA0_GRID, derivation_residuals
+from lieschouten.soliton import derivation_residuals
 
 SEED = 0
 SCAN_COUNT = 500

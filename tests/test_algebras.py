@@ -12,7 +12,6 @@ from lieschouten.algebras import (
     FAMILY_IDS,
     LORENTZIAN,
     PRODUCT_STRUCTURE_J,
-    ParameterPoint,
     SamplingError,
     basis_vector,
     bracket,
@@ -20,10 +19,21 @@ from lieschouten.algebras import (
     custom_family,
     draw_point,
     draw_rational,
+    family_branches,
     jacobi_residuals,
+    point_values,
     sample_parameters,
 )
-from lieschouten.poly import DEFAULT_TABLE, IntegerKernel, Polynomial, Surd, exact_sqrt, one_field, parse_polynomial
+from lieschouten.poly import (
+    DEFAULT_TABLE,
+    IntegerKernel,
+    Polynomial,
+    Surd,
+    exact_sqrt,
+    integer_point,
+    one_field,
+    parse_polynomial,
+)
 
 from geometry_reference import G5_ON_A_CIRCLE
 
@@ -105,10 +115,21 @@ class TestBuildFamily:
     def test_built_once_per_branch_and_errors_not_cached(self):
         assert build_family("g4", eta=-1) is build_family("g4", eta=-1)
         assert build_family("g4", eta=1) is not build_family("g4", eta=-1)
-        assert build_family.cache_info().maxsize is not None
+        assert algebras._build_family.cache_info().maxsize is not None
         for _ in range(2):
             with pytest.raises(ValueError):
                 build_family("g4", eta=2)
+
+    def test_memo_keyed_on_values_not_spelling(self):
+        algebras._build_family.cache_clear()
+        spellings = [
+            family_branches("g1")[0],
+            build_family("g1"),
+            build_family("g1", None, DEFAULT_TABLE),
+            build_family("g1", eta=None, table=DEFAULT_TABLE),
+        ]
+        assert all(fam is spellings[0] for fam in spellings)
+        assert algebras._build_family.cache_info().misses == 1
 
     def test_side_conditions(self):
         assert build_family("g1").nonvanishing == (p("alpha"),)
@@ -176,7 +197,7 @@ class TestJacobi:
         residuals = jacobi_residuals(fam)
         for point in sample_parameters(fam, seed=5, count=25):
             for q in residuals:
-                assert q.evaluate(point.values) == 0
+                assert q.evaluate(point) == 0
 
     def test_non_lie_table_reports_nonzero(self):
         # [[e1,e2],e3] = [e2,e3] = e1 while the other cyclic terms vanish
@@ -198,12 +219,12 @@ class TestMetricAndJ:
 class TestSampling:
     def test_g1_nonvanishing_enforced(self):
         for point in sample_parameters(build_family("g1"), seed=0, count=40):
-            assert point.values["alpha"] != 0
+            assert point["alpha"] != 0
 
     def test_g5_constraint_exact(self):
         con = p("alpha*gamma + beta*delta")
         for point in sample_parameters(build_family("g5"), seed=1, count=40):
-            assert con.evaluate(point.values) == 0
+            assert con.evaluate(point) == 0
 
     def test_draw_point_solves_a_linear_root_exactly(self):
         # alpha*gamma - beta*delta = 0 solved for alpha at the drawn beta,
@@ -217,12 +238,25 @@ class TestSampling:
             drawn = {name: draw_rational(ref) for name in pool}
             got = draw_point(random.Random(seed), pool, roots, side, 1)
             if drawn["gamma"]:
-                values, (nums, scale) = got
+                nums, scale = got
+                values = point_values(nums, scale)
                 assert values == {**drawn, "alpha": drawn["beta"] * drawn["delta"] / drawn["gamma"]}
                 assert type(values["alpha"]) is Fraction
                 assert scale > 0 and nums == {name: v * scale for name, v in values.items()}
             else:
                 assert got is None
+
+    def test_point_values_inverts_integer_point(self):
+        values = {"alpha": Fraction(1, 2), "beta": Surd(Fraction(0), Fraction(-1, 3), 14), "gamma": Fraction(-2)}
+        got = point_values(*integer_point(values))
+        assert got == values and list(got) == list(values)
+        assert [type(v) for v in got.values()] == [Fraction, Surd, Fraction]
+
+    def test_sampled_points_are_plain_dicts_of_their_draws(self):
+        fam = custom_family(G5_ON_A_CIRCLE)
+        points = sample_parameters(fam, seed=2, count=10)
+        assert all(type(pt) is dict for pt in points)
+        assert points == [point_values(*form) for form in algebras.sample_scaled(fam, 2, 10)]
 
     def test_reproducible(self):
         a = sample_parameters(build_family("g6"), seed=9, count=15)
@@ -233,20 +267,20 @@ class TestSampling:
 
     def test_g7_covers_both_branches(self):
         points = sample_parameters(build_family("g7"), seed=3, count=60)
-        assert any(pt.values["alpha"] == 0 for pt in points)
-        assert any(pt.values["gamma"] == 0 and pt.values["alpha"] != 0 for pt in points)
+        assert any(pt["alpha"] == 0 for pt in points)
+        assert any(pt["gamma"] == 0 and pt["alpha"] != 0 for pt in points)
         for pt in points:
-            assert pt.values["alpha"] * pt.values["gamma"] == 0
-            assert pt.values["alpha"] + pt.values["delta"] != 0
+            assert pt["alpha"] * pt["gamma"] == 0
+            assert pt["alpha"] + pt["delta"] != 0
 
     def test_surd_points_satisfy_both_constraints(self):
         # beta by the quadratic formula, delta by the linear root in beta's field
         points = sample_parameters(custom_family(G5_ON_A_CIRCLE), seed=2, count=10)
-        assert any(isinstance(pt.values["beta"], Surd) for pt in points)
+        assert any(isinstance(pt["beta"], Surd) for pt in points)
         for pt in points:
-            assert pt.values["alpha"] ** 2 + pt.values["beta"] ** 2 == 4
-            assert p("alpha*gamma + beta*delta").evaluate(pt.values) == 0
-            assert pt.values["alpha"] + pt.values["delta"] != 0
+            assert pt["alpha"] ** 2 + pt["beta"] ** 2 == 4
+            assert p("alpha*gamma + beta*delta").evaluate(pt) == 0
+            assert pt["alpha"] + pt["delta"] != 0
 
     @pytest.mark.parametrize("text", [G5_ON_A_CIRCLE, SPLIT_READ_BY_QUADRATIC], ids=["quadratic-first", "split-first"])
     def test_listed_order_of_quadratics_does_not_matter(self, text):
@@ -256,9 +290,9 @@ class TestSampling:
         assert fams[1].equality_constraints == fams[0].equality_constraints[::-1]
         points = [sample_parameters(fam, seed=0, count=5) for fam in fams]
         assert points[0] == points[1]
-        assert any(isinstance(v, Surd) for pt in points[0] for v in pt.values.values())
+        assert any(isinstance(v, Surd) for pt in points[0] for v in pt.values())
         for pt in points[0]:
-            assert all(q.evaluate(pt.values) == 0 for q in fams[0].equality_constraints)
+            assert all(q.evaluate(pt) == 0 for q in fams[0].equality_constraints)
 
     def test_draw_needing_a_second_square_root_is_rejected(self, monkeypatch):
         verdicts = []
@@ -272,18 +306,18 @@ class TestSampling:
         points = sample_parameters(fam, seed=0, count=20)
         assert False in verdicts  # some draws put beta and delta in two fields
         for pt in points:
-            assert one_field(pt.values.values())
-            assert all(q.evaluate(pt.values) == 0 for q in fam.equality_constraints)
-        assert any(isinstance(pt.values["beta"], Surd) and isinstance(pt.values["delta"], Surd) for pt in points)
+            assert one_field(pt.values())
+            assert all(q.evaluate(pt) == 0 for q in fam.equality_constraints)
+        assert any(isinstance(pt["beta"], Surd) and isinstance(pt["delta"], Surd) for pt in points)
 
     def test_constraint_without_linear_split_gives_surd_points(self):
         points = sample_parameters(custom_family(G5_ON_A_CIRCLE), seed=4, count=5)
-        assert any(type(pt.values["beta"]) is Surd for pt in points)
-        assert all(type(v) in (Fraction, Surd) for pt in points for v in pt.values.values())
+        assert any(type(pt["beta"]) is Surd for pt in points)
+        assert all(type(v) in (Fraction, Surd) for pt in points for v in pt.values())
         # the same algebra without the quadratic constraint samples rationals
         linear_only = G5_ON_A_CIRCLE.replace("alpha^2 + beta^2 - 4; ", "")
         rational = sample_parameters(custom_family(linear_only), seed=4, count=5)
-        assert all(type(v) is Fraction for pt in rational for v in pt.values.values())
+        assert all(type(v) is Fraction for pt in rational for v in pt.values())
 
     @pytest.mark.parametrize(
         "constraint", ["alpha^3 - 2", "alpha^3 + beta^3 - 2", "alpha^3*beta^4 + 1"], ids=["one", "two", "product"]
@@ -296,7 +330,7 @@ class TestSampling:
     def test_constraint_of_solved_variables_is_only_checked(self):
         # alpha^2 - 1 has no variable left once alpha - 1 has solved for alpha
         fam = custom_family("bracket.13 = alpha, beta, 0\nconstraints = alpha - 1; alpha^2 - 1\n")
-        assert all(pt.values["alpha"] == 1 for pt in sample_parameters(fam, seed=0, count=5))
+        assert all(pt["alpha"] == 1 for pt in sample_parameters(fam, seed=0, count=5))
         never = custom_family("bracket.13 = alpha, beta, 0\nconstraints = alpha - 1; alpha - 2\n")
         with pytest.raises(SamplingError, match="no draw of custom meets its side conditions"):
             sample_parameters(never, seed=0, count=1)
@@ -307,12 +341,12 @@ class TestSampling:
         points = sample_parameters(fam, seed=0, count=20)
         assert len(points) == 20
         for pt in points:
-            assert all(q.evaluate(pt.values) == 0 for q in fam.equality_constraints)
+            assert all(q.evaluate(pt) == 0 for q in fam.equality_constraints)
 
     @pytest.mark.parametrize("fam", list(all_families()), ids=lambda f: f.describe())
     def test_catalogued_points_satisfy_constraints_exactly(self, fam):
         for pt in sample_parameters(fam, seed=0, count=200):
-            assert all(q.evaluate(pt.values) == 0 for q in fam.equality_constraints)
+            assert all(q.evaluate(pt) == 0 for q in fam.equality_constraints)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -381,8 +415,8 @@ CIRCLE = custom_family((DATA / "circle.alg").read_text(encoding="utf-8"))
 def test_sampler_matches_evaluate_reference(fam, seed):
     got = sample_parameters(fam, seed=seed, count=200)
     expected, _ = reference_sample(fam, seed, 200)
-    assert [pt.values for pt in got] == expected
-    assert [{k: type(v) for k, v in pt.values.items()} for pt in got] == [
+    assert [pt for pt in got] == expected
+    assert [{k: type(v) for k, v in pt.items()} for pt in got] == [
         {k: type(v) for k, v in e.items()} for e in expected
     ]
 
@@ -453,7 +487,3 @@ class TestCustomFiles:
     def test_reserved_file_is_rejected(self):
         with pytest.raises(ValueError, match="^bracket.12: c is reserved"):
             algebras.load_family(f"custom:{DATA / 'reserved.alg'}")
-
-    def test_parameter_point_type(self):
-        pt = ParameterPoint(values={"alpha": Fraction(1)})
-        assert pt.values == {"alpha": Fraction(1)} and pt == ParameterPoint({"alpha": Fraction(1)})

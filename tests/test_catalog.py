@@ -9,7 +9,7 @@ import pytest
 
 from lieschouten import catalog as catalog_module
 from lieschouten import soliton
-from lieschouten.algebras import FAMILY_IDS, build_family, sample_parameters
+from lieschouten.algebras import FAMILY_IDS, build_family, point_values, sample_parameters
 from lieschouten.catalog import (
     MATRIX_LABELS,
     Catalog,
@@ -281,7 +281,8 @@ def test_verify_leaves_the_shared_sample_untouched():
     soliton._branch_sample.cache_clear()
     verify_all(only="g5", scan_count=20)
     g5 = build_family("g5")
-    assert list(soliton._branch_sample(g5, 0, 20).points) == sample_parameters(g5, seed=0, count=20)
+    scaled, slots = soliton._branch_sample(g5, 0, 20)
+    assert [point_values(*scaled[k]) for k in slots] == sample_parameters(g5, seed=0, count=20)
 
 
 # -- the job runner: one forked worker shares the family jobs --------------------

@@ -167,6 +167,16 @@ class TestJacobi:
         )
         assert code == 0 and "identically_zero\tyes" in out
 
+    def test_nonlie_sampled_max_matches_golden_file(self, capsys):
+        # a table that breaks the Jacobi identity, sampled on a circle:
+        # its surd points reach the nonzero sampled_max
+        code, out, _ = run(
+            capsys, "jacobi", "--family", f"custom:{DATA / 'nonlie.alg'}", "--count", "20", "--format", "machine"
+        )
+        assert code == 0
+        assert out == (DATA / "golden_nonlie_jacobi.txt").read_text(encoding="utf-8")
+        assert "identically_zero\tno" in out
+
 
 class TestScan:
     def test_g5_kn_all_solvable_with_zero(self, capsys):

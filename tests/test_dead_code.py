@@ -1,9 +1,10 @@
 """Guards against dead code in the package source, found with `ast`.
 
 A function parameter that its body never reads is a knob that no call can
-turn, and a module-level import that the module never uses is a dependency
-that nothing needs.  Each test lists every such name in `src/lieschouten`,
-so a new one names itself in the failure.
+turn, a module-level import that the module never uses is a dependency
+that nothing needs, and a module-level private name that no module reads
+is code that nothing runs.  Each test lists every such name in
+`src/lieschouten`, so a new one names itself in the failure.
 """
 
 import ast
@@ -61,6 +62,24 @@ def unused_imports(tree):
     return [name for name in bound if name not in read and name not in exported]
 
 
+def unread_privates(trees):
+    """Each module-level def, class or assignment target named `_x` (not a
+    dunder) that no tree of `trees` reads, as `module.name`."""
+    read = set().union(*(_loaded([tree]) for tree in trees.values()))
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            out += [f"{module}.{name}" for name in names if name.startswith("_") and not name.startswith("__") and name not in read]
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(_tree(path)) == []
@@ -69,6 +88,10 @@ def test_every_parameter_is_read(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(_tree(path)) == []
+
+
+def test_every_module_level_private_name_is_read():
+    assert unread_privates({path.stem: _tree(path) for path in MODULES}) == []
 
 
 def test_the_scans_see_what_they_look_for():
@@ -86,3 +109,16 @@ def test_the_scans_see_what_they_look_for():
     )
     assert unread_parameters(tree) == ["f(b)", "m(x)"]
     assert unused_imports(tree) == ["os", "system", "gcd"]
+    modules = {
+        "a": ast.parse(
+            "_USED = 1\n"
+            "_LEFT, __dunder__ = 2, 3\n"
+            "_typed: int = 4\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "class _Record:\n"
+            "    _inner = 5\n"
+        ),
+        "b": ast.parse("from a import _helper\nprint(_helper())\n"),
+    }
+    assert unread_privates(modules) == ["a._LEFT", "a._typed", "a._Record"]

@@ -24,9 +24,10 @@ from lieschouten.poly import (
     groebner_basis,
     integer_point,
     parse_polynomial,
+    quotient,
     sum_of_products,
 )
-from poly_reference import ReferencePolynomial
+from poly_reference import ReferencePolynomial, kernel_at
 from tokenizer_reference import reference_tokens
 
 T = DEFAULT_TABLE
@@ -445,7 +446,7 @@ def test_long_coefficients_under_the_least_digit_limit():
         "from lieschouten.poly import DEFAULT_TABLE as T, IntegerKernel, parse_polynomial\n"
         "q = T.var('alpha') * (10**1000 + 7) - Fraction(1, 3**1500)\n"
         "assert parse_polynomial(str(q), T) == q\n"
-        "value, scale = IntegerKernel(T, [q, T.one])({'alpha': 1})\n"
+        "value, scale = IntegerKernel(T, [q, T.one]).scaled({'alpha': 1}, 1)\n"
         "assert Fraction(value, scale) == q.evaluate({'alpha': 1})\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -920,30 +921,30 @@ _kernel_values = st.one_of(
 @given(batches(), st.fixed_dictionaries({name: _kernel_values for name in _small_table.names}), st.data())
 def test_integer_kernel_matches_evaluate(batch, point, data):
     ref = [q.evaluate(point) for q in batch]
-    out = IntegerKernel(_small_table, batch)(point)
+    out = kernel_at(IntegerKernel(_small_table, batch), point)
     assert len(out) == len(batch) and all(type(v) is int for v in out)
     assert [v == 0 for v in out] == [r == 0 for r in ref]
     assert [v > 0 for v in out] == [r > 0 for r in ref]
     for (oi, ri), (oj, rj) in itertools.combinations(zip(out, ref), 2):
         assert oi * rj == oj * ri
     # beside the constant 1, each value is its reference times one factor
-    *scaled, factor = IntegerKernel(_small_table, batch + [_small_table.one])(point)
+    *scaled, factor = kernel_at(IntegerKernel(_small_table, batch + [_small_table.one]), point)
     assert factor > 0 and scaled == [r * factor for r in ref]
     used = sorted(set().union(*(q.variables() for q in batch)))
     if used:
         missing = data.draw(st.sampled_from(used))
         partial = {k: v for k, v in point.items() if k != missing}
         with pytest.raises(PolynomialError, match=missing):
-            IntegerKernel(_small_table, batch)(partial)
+            kernel_at(IntegerKernel(_small_table, batch), partial)
 
 
 def test_integer_kernel_ignores_unused_and_needs_used_variables():
     kernel = IntegerKernel(T, [p("alpha^2 - 1/2*beta"), p("3"), T.zero])
     # one factor: coefficient lcm 2 times (value lcm 2) ** (degree 2) = 8
-    assert kernel({"alpha": Fraction(1, 2), "beta": 1, "c": Fraction(7, 3)}) == [-2, 24, 0]
+    assert kernel_at(kernel, {"alpha": Fraction(1, 2), "beta": 1, "c": Fraction(7, 3)}) == [-2, 24, 0]
     with pytest.raises(PolynomialError, match="beta"):
-        kernel({"alpha": 1})
-    assert IntegerKernel(T, [])({}) == []
+        kernel_at(kernel, {"alpha": 1})
+    assert IntegerKernel(T, []).scaled({}, 1) == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -995,8 +996,10 @@ def test_integer_point_of_surds_is_integer_surds():
     point = {"alpha": Fraction(1, 3) + root, "beta": Fraction(-5, 2)}
     nums, scale = integer_point(point)
     assert scale == 6 and nums == {"alpha": 2 + 3 * exact_sqrt(3), "beta": -15}
-    kernel = IntegerKernel(T, [p("alpha^2 - beta"), p("alpha*beta")])
-    assert kernel.scaled(nums, scale) == kernel(point)
+    polys = [p("alpha^2 - beta"), p("alpha*beta")]
+    kernel = IntegerKernel(T, polys)
+    d, g = kernel.factor
+    assert [quotient(f, d * scale**g) for f in kernel.scaled(nums, scale)] == [q.evaluate(point) for q in polys]
     with pytest.raises(PolynomialError, match="unassigned variable 'beta'"):
         kernel.scaled({"alpha": nums["alpha"]}, scale)
 
@@ -1004,7 +1007,7 @@ def test_integer_point_of_surds_is_integer_surds():
 def _scaled_reference(table, polys, point):
     """The kernel's integers beside the constant 1, and the evaluate values
     times the kernel's factor, which must be equal."""
-    *scaled, factor = IntegerKernel(table, list(polys) + [table.one])(point)
+    *scaled, factor = kernel_at(IntegerKernel(table, list(polys) + [table.one]), point)
     assert factor > 0
     return scaled, [q.evaluate(point) * factor for q in polys]
 
@@ -1035,12 +1038,12 @@ def test_integer_kernel_source_holds_no_variable_name():
 
 
 def test_integer_kernel_degenerate_lists():
-    assert IntegerKernel(T, [T.zero])({}) == [0]
+    assert IntegerKernel(T, [T.zero]).scaled({}, 1) == [0]
     # constants only: coefficient denominator 6, no base to homogenise
-    assert IntegerKernel(T, [p("3"), p("-1/2"), T.zero, p("1/3")])({"alpha": 7}) == [18, -3, 0, 2]
+    assert IntegerKernel(T, [p("3"), p("-1/2"), T.zero, p("1/3")]).scaled({"alpha": 7}, 1) == [18, -3, 0, 2]
     # a coefficient too long for a decimal literal under the int/str digit limit
     huge = Polynomial(T, {(1, 0, 0, 0, 0, 0, 0): 2**40000 + 1, (0,) * len(T): -1})
-    assert IntegerKernel(T, [huge])({"alpha": 3}) == [3 * (2**40000 + 1) - 1]
+    assert IntegerKernel(T, [huge]).scaled({"alpha": 3}, 1) == [3 * (2**40000 + 1) - 1]
 
 
 def test_integer_kernel_rejects_a_polynomial_over_another_table():
@@ -1228,5 +1231,5 @@ def test_polynomial_evaluates_at_a_surd_point():
     assert parse_polynomial("alpha*beta").evaluate({"alpha": 2, "beta": beta}) == 2 * beta
     # the compiled integer form runs unchanged, on integer Surds
     kernel = IntegerKernel(DEFAULT_TABLE, [q, parse_polynomial("alpha*beta - 1/2")])
-    zero, other = kernel({"alpha": Fraction(1, 2), "beta": exact_sqrt(Fraction(15, 4))})
+    zero, other = kernel_at(kernel, {"alpha": Fraction(1, 2), "beta": exact_sqrt(Fraction(15, 4))})
     assert zero == 0 and isinstance(other, Surd) and other.sign() > 0  # sqrt(15)/4 - 1/2

@@ -15,7 +15,7 @@ from lieschouten.soliton import SolitonSystem, scan, solve_for_c, soliton_system
 
 
 RECORD_NAMES = (
-    "MetricSignature", "StructureConstants", "LieAlgebraFamily", "ParameterPoint",
+    "MetricSignature", "StructureConstants", "LieAlgebraFamily",
     "ConnectionCoefficients", "CurvatureTensor", "BilinearForm", "OperatorMatrix",
     "CSolution", "ScanEntry", "ScanReport", "TheoremCase", "VerificationReport",
     "MatrixFixture", "ScalarFixture", "Catalog", "VerifyRecord", "VerifySummary",
@@ -36,7 +36,6 @@ def records() -> dict:
         "MetricSignature": LORENTZIAN,
         "StructureConstants": fam.structure,
         "LieAlgebraFamily": fam,
-        "ParameterPoint": point,
         "ConnectionCoefficients": conn,
         "CurvatureTensor": curvature(conn, fam),
         "BilinearForm": form,

@@ -22,6 +22,7 @@ from lieschouten.algebras import (
     draw_point,
     family_branches,
     instantiate_eta,
+    point_values,
     sample_parameters,
     sample_scaled,
 )
@@ -507,6 +508,11 @@ class TestScan:
 EXTENDED_GRID = DEFAULT_LAMBDA0_GRID + (Fraction(-7, 3), Fraction(5, 7))
 
 
+def points_of(report):
+    """Each drawn point of a scan report as values, from its integer form."""
+    return [point_values(*report.scaled[k]) for k in report.slots]
+
+
 def reference_solve(rows):
     """Fraction reference: -b/a at the first a != 0, then a zero check."""
     pivots = [-b / a for a, b in rows if a != 0]
@@ -526,10 +532,10 @@ def reference_scan(fam, kind, seed, count, grid):
         split.append((rest.coefficient_of("lambda0", 0), rest.coefficient_of("lambda0", 1), r.coefficient_of("c", 1)))
     out = []
     for pt in sample_parameters(fam, seed=seed, count=count):
-        evaluated = [(p0.evaluate(pt.values), q.evaluate(pt.values), rc.evaluate(pt.values)) for p0, q, rc in split]
+        evaluated = [(p0.evaluate(pt), q.evaluate(pt), rc.evaluate(pt)) for p0, q, rc in split]
         for lam in grid:
             sol = reference_solve([(a, b0 + b1 * lam) for b0, b1, a in evaluated])
-            out.append((pt.values, lam, sol.status, sol.value))
+            out.append((pt, lam, sol.status, sol.value))
     return out
 
 
@@ -643,7 +649,7 @@ def test_surd_points_scan_exactly(kind):
     # the kernel runs in integer Surds and matches the reference, which
     # evaluates and divides the Surds themselves
     report = scan(SURD_G5, kind, seed=0, count=20, lambda0_grid=EXTENDED_GRID)
-    assert any(isinstance(v, Surd) for pt in report.points for v in pt.values.values())
+    assert any(isinstance(v, Surd) for pt in points_of(report) for v in pt.values())
     got = [(e.values, e.lambda0, e.status, e.c) for e in report.entries]
     assert got == reference_scan(SURD_G5, kind, 0, 20, EXTENDED_GRID)
     if kind == "canonical":
@@ -664,7 +670,7 @@ class TestExactLocus:
         system = soliton_system(build_family("g6"), "canonical")
         plan = _locus_plan(system, case, _Substitution(case.substitutions, None), case.reductions)
         points = [draw_point(random.Random(k), *plan) for k in range(20)]
-        points = [pt[0] for pt in points if pt is not None]
+        points = [point_values(*pt) for pt in points if pt is not None]
         assert points and all(type(pt["beta"]) is Surd and pt["beta"].d == 2 for pt in points)
         assert all(pt["beta"] ** 2 == 2 * pt["alpha"] ** 2 for pt in points)
 
@@ -822,7 +828,7 @@ class TestListedOrderSubstitution:
         applied = _apply_case(self.SYSTEM, _Substitution(self.CASE.substitutions, None), self.CASE.c_expr)
         plan = _locus_plan(self.SYSTEM, self.CASE, _Substitution(self.CASE.substitutions, None), ())
         points = [draw_point(random.Random(k), *plan) for k in range(60)]
-        points = [pt[0] for pt in points if pt is not None]
+        points = [point_values(*pt) for pt in points if pt is not None]
         assert points
         for pt in points:
             assert set(pt) == {"alpha", "delta"}
@@ -871,7 +877,7 @@ def test_locus_sampler_does_not_follow_the_string_hash_seed():
         exec(_HASH_SEED_PROBE, namespace)
     assert outputs == {here.getvalue()}
     # eta is drawn and lambda0, the last in table order, solved for
-    points = [pt[0] for pt in namespace["points"] if pt is not None]
+    points = [point_values(*pt) for pt in namespace["points"] if pt is not None]
     assert points
     for pt in points:
         assert set(pt) == {"gamma", "delta", "eta", "lambda0"}
@@ -890,7 +896,7 @@ def test_constraint_quadratic_in_its_free_variable_is_solved():
     system = soliton_system(build_family("g5"), "lc")
     plan = _locus_plan(system, case, _Substitution(case.substitutions, None), ())
     assert plan[0] == ["beta", "delta"] and [var for var, _ in plan[1]] == ["eta"]
-    points = [pt[0] for pt in (draw_point(random.Random(k), *plan) for k in range(40)) if pt is not None]
+    points = [point_values(*pt) for pt in (draw_point(random.Random(k), *plan) for k in range(40)) if pt is not None]
     assert points and any(isinstance(pt["eta"], Surd) for pt in points)
     for pt in points:
         assert pt["eta"] ** 2 + pt["beta"] * pt["delta"] == 0
@@ -1002,7 +1008,8 @@ class TestBranchMemo:
 
     @pytest.mark.parametrize("fam", all_family_branches(), ids=lambda f: f.describe())
     def test_memoised_sample_is_a_fresh_draw(self, fam):
-        assert list(soliton._branch_sample(fam, 0, 500).points) == sample_parameters(fam, seed=0, count=500)
+        scaled, slots = soliton._branch_sample(fam, 0, 500)
+        assert [point_values(*scaled[k]) for k in slots] == sample_parameters(fam, seed=0, count=500)
 
     def test_sample_memo_is_bounded_and_shared_by_the_connections(self):
         soliton._branch_sample.cache_clear()
@@ -1018,9 +1025,9 @@ class TestBranchMemo:
                 scan(build_family("g1"), "lc", seed=0, count=0)
 
     def test_a_scan_after_the_memo_is_cleared_is_correct(self):
-        # each point's integer form lives in the memo beside the point, so a
-        # cleared memo leaves no second cache behind that still names the old
-        # points: every later scan redraws and rescales, and stays correct
+        # each point lives in the memo only as its integer form, so a cleared
+        # memo leaves no second cache behind that still names the old points:
+        # every later scan redraws, and stays correct
         fam = build_family("g1")
         before = scan(fam, "lc", seed=3, count=40)
         for kind in CONNECTION_KINDS:
@@ -1028,7 +1035,7 @@ class TestBranchMemo:
             report = scan(fam, kind, seed=3, count=40)
             got = [(e.values, e.lambda0, e.status, e.c) for e in report.entries]
             assert got == reference_scan(fam, kind, 3, 40, DEFAULT_LAMBDA0_GRID)
-        assert report.points is not before.points
+        assert report.scaled is not before.scaled
         soliton._branch_sample.cache_clear()
         assert scan(fam, "lc", seed=3, count=40).rows == before.rows
 
@@ -1048,7 +1055,7 @@ class TestBranchMemo:
 def test_scan_of_a_sample_with_repeats_equals_the_per_entry_reference(kind):
     fam, count = build_family("g1"), 60
     points = sample_parameters(fam, seed=0, count=count)
-    assert len({tuple(pt.values.items()) for pt in points}) < count  # repeats occur
+    assert len({tuple(pt.items()) for pt in points}) < count  # repeats occur
     report = scan(fam, kind, seed=0, count=count)
     got = [(e.values, e.lambda0, e.status, e.c) for e in report.entries]
     assert got == reference_scan(fam, kind, 0, count, DEFAULT_LAMBDA0_GRID)
@@ -1098,7 +1105,7 @@ def test_membership_at_surd_points_matches_the_reference():
     assert scan_membership(report, [case]) == expected
     assert memberships(case_matches_point, report, [case], None) == expected
     assert any(expected) and not all(expected)
-    assert any(isinstance(pt.values["beta"], Surd) for pt in report.points)
+    assert any(isinstance(pt["beta"], Surd) for pt in points_of(report))
 
 
 @pytest.mark.parametrize("kind", CONNECTION_KINDS)
@@ -1180,27 +1187,27 @@ def test_each_cell_of_a_scan_row_is_solve_for_c_at_its_point(fam, kind, seed, gr
     # solve_for_c scales the point itself: both go through one row helper
     report = scan(fam, kind, seed=seed, count=5, lambda0_grid=grid)
     system = soliton_system(fam, kind)
-    for pt, row in zip(report.points, report.rows):
+    for pt, row in zip(points_of(report), report.rows):
         assert list(row) == [solve_for_c(system, pt, lam) for lam in report.lambda0_grid]
         # mu-form: a point is solvable at every lambda0 or at none
         assert len({sol.status for sol in row}) <= 1
     # `cells` and `entries` build the same per-cell solutions on request
     expected = [
         (idx, pt, lam, solve_for_c(system, pt, lam))
-        for idx, pt in enumerate(report.points)
+        for idx, pt in enumerate(points_of(report))
         for lam in report.lambda0_grid
     ]
     assert list(report.cells(("unique", "any", "none"))) == expected
     assert list(report.cells()) == [cell for cell in expected if cell[3].status != "none"]
-    assert report.entries == tuple(ScanEntry(idx, pt.values, lam, *sol) for idx, pt, lam, sol in expected)
+    assert report.entries == tuple(ScanEntry(idx, pt, lam, *sol) for idx, pt, lam, sol in expected)
 
 
 @pytest.mark.parametrize("kind", CONNECTION_KINDS)
 def test_the_circle_points_are_surds_and_their_rows_solve_for_c(kind):
     report = scan(CIRCLE, kind, seed=7, count=20)
     system = soliton_system(CIRCLE, kind)
-    assert any(isinstance(v, Surd) for pt in report.points for v in pt.values.values())
-    for pt, row in zip(report.points, report.rows):
+    assert any(isinstance(v, Surd) for pt in points_of(report) for v in pt.values())
+    for pt, row in zip(points_of(report), report.rows):
         assert list(row) == [solve_for_c(system, pt, lam) for lam in report.lambda0_grid]
 
 
@@ -1217,9 +1224,9 @@ def test_kernel_factor_gives_the_residual_parts_at_the_circle_points(kind):
     kernel = soliton._compiled_decomposition(system)
     d, g = kernel.factor
     draws = sample_scaled(CIRCLE, 3, 30)
-    assert any(isinstance(v, Surd) for values, _ in draws for v in values.values())
-    for values, (nums, scale) in draws:
-        reference = [q.evaluate(values) for q in parts]
+    assert any(isinstance(v, Surd) for nums, _ in draws for v in nums.values())
+    for nums, scale in draws:
+        reference = [q.evaluate(point_values(nums, scale)) for q in parts]
         for k in (1, 7):
             out = kernel.scaled({n: v * k for n, v in nums.items()}, scale * k)
             assert [quotient(f, d * (scale * k) ** g) for f in out] == reference
@@ -1230,18 +1237,18 @@ def test_memo_keeps_each_distinct_point_with_its_integer_form(fam):
     # nums[n] == value*L with L > 0 for the L the draw reached, the lcm of 6
     # and the value denominators, which need not be the least L; against a
     # fresh draw, equal values share one slot and different ones do not
-    sample = soliton._branch_sample(fam, 0, 500)
-    fresh = [pt.values for pt in sample_parameters(fam, seed=0, count=500)]
-    assert len(sample.slots) == len(fresh)
-    for slot, (nums, scale) in enumerate(sample.scaled):
-        values = fresh[sample.slots.index(slot)]
+    scaled, slots = soliton._branch_sample(fam, 0, 500)
+    fresh = sample_parameters(fam, seed=0, count=500)
+    assert len(slots) == len(fresh)
+    for slot, (nums, scale) in enumerate(scaled):
+        values = fresh[slots.index(slot)]
         assert type(scale) is int and scale == math.lcm(6, *(v.denominator for v in values.values()))
         assert list(nums) == list(values) and all(nums[n] == v * scale for n, v in values.items())
         assert all(type(x) is int or {type(x), type(x.a), type(x.b)} == {Surd, int} for x in nums.values())
     slot_of = {}
-    for values, slot in zip(fresh, sample.slots):
+    for values, slot in zip(fresh, slots):
         assert slot_of.setdefault(tuple(values.items()), slot) == slot
-    assert len(slot_of) == len(sample.scaled)
+    assert len(slot_of) == len(scaled)
 
 
 def assert_membership_is_the_reference_cell_by_cell(report, cases, eta):
@@ -1283,7 +1290,7 @@ def test_a_c_expr_of_degree_two_in_lambda0_holds_at_its_two_roots():
 @pytest.mark.parametrize("kind", CONNECTION_KINDS)
 def test_membership_at_the_circle_surd_points_against_a_c_expr_of_degree_two(kind):
     report = scan(CIRCLE, kind, seed=7, count=40, lambda0_grid=MEMBERSHIP_GRID)
-    assert any(isinstance(pt.values["beta"], Surd) for pt in report.points)
+    assert any(isinstance(pt["beta"], Surd) for pt in points_of(report))
     cases = [
         TheoremCase("c.1", "custom", kind, c_expr=p(f"beta*{QUADRATIC_IN_LAMBDA0}"), reductions=(("beta", p("4 - alpha^2")),)),
         TheoremCase("c.2", "custom", kind, c_expr=p(f"beta^2*lambda0^2 + delta*{QUADRATIC_IN_LAMBDA0}")),
@@ -1328,7 +1335,7 @@ def test_lambda0_that_is_not_rational_is_a_type_error(lam):
     for call in (
         lambda: solve_for_c(system, pt, lam),
         lambda: scan(fam, "lc", seed=0, count=3, lambda0_grid=[Fraction(1), lam]),
-        lambda: case_matches_point(case, None, pt.values, lam, CSolution("unique", Fraction(0))),
+        lambda: case_matches_point(case, None, pt, lam, CSolution("unique", Fraction(0))),
         lambda: negative_control(case, lambda0_value=lam),
     ):
         with pytest.raises(TypeError, match="lambda0 must be an int or a Fraction"):
@@ -1351,13 +1358,13 @@ def assert_scan_report_contract(report):
     a repeated point shares its first occurrence's row; returns the number
     of repeats."""
     assert report.solvable == tuple(e for e in report.entries if e.status != "none")
-    assert report.size == len(report.entries) == len(report.points) * len(report.lambda0_grid)
-    assert len(report.rows) == len(report.points)
+    assert report.size == len(report.entries) == len(report.slots) * len(report.lambda0_grid)
+    assert len(report.rows) == len(report.slots)
     first_rows = {}
-    for pt, row in zip(report.points, report.rows):
+    for pt, row in zip(points_of(report), report.rows):
         assert len(row) == len(report.lambda0_grid)
-        assert row is first_rows.setdefault(tuple(pt.values.items()), row)
-    return len(report.points) - len(first_rows)
+        assert row is first_rows.setdefault(tuple(pt.items()), row)
+    return len(report.slots) - len(first_rows)
 
 
 @pytest.mark.parametrize("kind", CONNECTION_KINDS)
@@ -1371,7 +1378,7 @@ def test_scan_report_is_a_table_of_point_rows(fam, kind):
 
 def test_scan_report_of_surd_points_is_a_table_of_point_rows():
     report = scan(SURD_G5, "canonical", seed=1, count=60, lambda0_grid=MEMBERSHIP_GRID)
-    assert any(isinstance(v, Surd) for pt in report.points for v in pt.values.values())
+    assert any(isinstance(v, Surd) for pt in points_of(report) for v in pt.values())
     assert assert_scan_report_contract(report)  # repeated Surd points share one row
 
 
