@@ -161,11 +161,16 @@ class TestJacobi:
         code, out, _ = run(capsys, "jacobi", "--family", "g7")
         assert code == 0 and "identically zero" in out
 
-    def test_non_lie_custom_reports_nonzero(self, capsys):
+    def test_lie_custom_reports_identically_zero(self, capsys):
         code, out, _ = run(
             capsys, "jacobi", "--family", f"custom:{DATA / 'heisenberg.alg'}", "--format", "machine"
         )
         assert code == 0 and "identically_zero\tyes" in out
+
+    def test_non_lie_custom_reports_nonzero(self, capsys):
+        code, out, _ = run(capsys, "jacobi", "--family", f"custom:{DATA / 'nonlie.alg'}", "--count", "20")
+        assert code == 0
+        assert "nonzero symbolically; max |residual| over 20 constrained samples: 9.500e+00" in out.splitlines()
 
     def test_nonlie_sampled_max_matches_golden_file(self, capsys):
         # a table that breaks the Jacobi identity, sampled on a circle:
@@ -203,6 +208,18 @@ class TestScan:
         assert code == 0
         assert out == (DATA / "golden_circle_scan.txt").read_text(encoding="utf-8")
         assert "*sqrt(" in out and "-0.0" not in out
+
+    def test_text_scans_match_golden_file(self, capsys):
+        # the text form: no parameters, c = any, the first ten solvable cells and the rest counted
+        outs = []
+        for argv in (
+            ("--family", f"custom:{DATA / 'abelian.alg'}", "--count", "3"),
+            ("--family", "g6", "--kind", "lc", "--count", "30"),
+        ):
+            code, out, _ = run(capsys, "scan", *argv)
+            assert code == 0
+            outs.append(out)
+        assert "".join(outs) == (DATA / "golden_text_scans.txt").read_text(encoding="utf-8")
 
     def test_custom_lambda0_grid(self, capsys):
         code, out, _ = run(
