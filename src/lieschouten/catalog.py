@@ -43,12 +43,12 @@ from .soliton import (
     TheoremCase,
     case_matches_point,
     negative_control,
-    resolve_witness,
     scan,
     scan_membership,
     solve_for_c,
     soliton_system,
     verify_case,
+    witness_point,
 )
 
 MATRIX_LABELS = (
@@ -454,7 +454,7 @@ def _witness_check(case: TheoremCase) -> tuple[str, str, str]:
     problems = []
     for fam in family_branches(case.family_id):
         system = soliton_system(fam, case.kind)
-        witness = resolve_witness(case, fam.eta)
+        witness = witness_point(case, fam.eta)
         sol = solve_for_c(system, witness, lam)
         if sol.status == "none":
             problems.append(f"{fam.describe()}: witness not solvable")

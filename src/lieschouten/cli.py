@@ -207,20 +207,20 @@ def cmd_scan(args) -> int:
     solvable = report.solvable
     if args.format == "machine":
         print(f"scan\t{fam.describe()}\t{args.kind}\tseed={args.seed}\tcount={args.count}")
-        for e in report.entries:
-            point = ",".join(f"{n}={e.values[n]}" for n in sorted(e.values))
-            c_text = "-" if e.c is None else str(e.c)
-            print(f"point\t{e.index}\t{point}\tlambda0={e.lambda0}\t{e.status}\tc={c_text}")
+        for idx, values, lam, sol in report.entries:
+            point = ",".join(f"{n}={values[n]}" for n in sorted(values))
+            c_text = "-" if sol.value is None else str(sol.value)
+            print(f"point\t{idx}\t{point}\tlambda0={lam}\t{sol.status}\tc={c_text}")
         print(f"summary\tsolvable={len(solvable)}\ttotal={report.size}")
         return EXIT_OK
     print(
         f"scan of {fam.describe()} under {args.kind}: "
         f"{len(solvable)} solvable of {report.size} (points x lambda0 grid)"
     )
-    for e in solvable[:10]:
-        point = ", ".join(f"{n}={e.values[n]}" for n in sorted(e.values)) or "(no parameters)"
-        c_text = "any" if e.status == "any" else str(e.c)
-        print(f"  {point}; lambda0={e.lambda0} -> c = {c_text}")
+    for _, values, lam, sol in solvable[:10]:
+        point = ", ".join(f"{n}={values[n]}" for n in sorted(values)) or "(no parameters)"
+        c_text = "any" if sol.status == "any" else str(sol.value)
+        print(f"  {point}; lambda0={lam} -> c = {c_text}")
     if len(solvable) > 10:
         print(f"  ... {len(solvable) - 10} more")
     return EXIT_OK

@@ -800,7 +800,7 @@ class IntegerKernel:
     keep the zeros, the signs and the ratios of the values, and no Fraction
     is formed.  Any other L > 0 with integer n_j gives the same zeros,
     signs and ratios, so `scaled` takes them as given: one integer form, as
-    drawn or as `integer_point` makes it, serves every kernel that reads
+    drawn or as a case's witness is made, serves every kernel that reads
     the point.  `factor` is (D, G), so a caller that needs the values
     themselves divides each F by D * L**G once.  The list is compiled once,
     at construction, to the straight-line function in `source` (see
@@ -828,13 +828,6 @@ class IntegerKernel:
             return self._run(numerators, scale)
         except KeyError as missing:
             raise PolynomialError(f"unassigned variable {missing.args[0]!r}") from None
-
-
-def integer_point(values: Mapping[str, Scalar]) -> tuple[dict[str, Scalar], int]:
-    """(numerators, L): L the lcm of the value denominators, and each value
-    times L, an int or an integer Surd, as `IntegerKernel.scaled` takes them."""
-    scale = lcm(*[v.denominator for v in values.values()])
-    return {n: v.numerator * (scale // v.denominator) for n, v in values.items()}, scale
 
 
 def _kernel_source(

@@ -30,33 +30,35 @@ the case locus.  Verification climbs an evidence ladder:
 Cases marked suspect carry a variant (a small, principled correction);
 both the stated and variant data are verified and reported.
 
-Everything is decided exactly, in integers, by `poly.IntegerKernel`s.  A
-point's values are Fractions, or `poly.Surd`s of one quadratic field where
-a square root enters (a quadratic constraint, a case's relation var^2 -
-rhs, the witness beta = sqrt(2) of 4.11.2); lambda0 is rational, and any
-other lambda0 raises TypeError.  `_compiled_decomposition` checks the
-residual shape once per system and compiles the P, Q, R of the nonzero
-residuals to one kernel.  `_c_form`, the c solve of `scan` and
-`solve_for_c`, decides a point's kernel values once, with no lambda0 in
-the test, into one form: no c, every c, or (P_0, Q_0, R_0) with
-c = -(d*P_0 + n*Q_0)/(d*R_0) at lambda0 = n/d.  `negative_control` reads
-the same kernel at its witness, and c_expr from the case's `c_kernel`.
-`scan` takes its sample from the branch memo `_branch_sample`, shared by
-the connections, which keeps each distinct point in the integer form that
-`algebras.draw_point` drew it in, and nothing else: the kernel and
-`_c_form` run once per distinct point.  A `ScanReport` is a table of the
-shared integer forms and one `_c_form` per distinct point; its values
-(`algebras.point_values`), `CSolution`s and `ScanEntry` records are built
-only on request.  A case's data on one eta branch is one `_Substitution`,
-which applies its substitutions in listed order for every consumer.  The sampled rung compiles the case locus once
-per ladder branch (`_locus_plan`) into the arguments of `draw_point`;
-lambda0, and c where the claim leaves it free, are drawn after it only
-when the locus left them unassigned.  Case membership is `_CompiledCase`,
-compiled once per (case, eta): the polynomials that must vanish on
-a case's locus, the hypotheses that must not, and the coefficients of
-c_expr in lambda0.  `_holds` compares a point's form with c_expr as one
-polynomial in lambda0, which is zero wherever the case keeps the lambda0
-law, so `scan_membership` decides each distinct point once for the grid.
+Everything is decided exactly, in integers, by `poly.IntegerKernel`s at a
+point's one form, (nums, L) with values nums[n]/L: Fractions, or
+`poly.Surd`s of one quadratic field where a square root enters (a
+quadratic constraint, a case's relation var^2 - rhs, the witness
+beta = sqrt(2) of 4.11.2), as drawn or as `_CompiledCase` makes a witness.
+lambda0 is rational, and any other lambda0 raises TypeError.
+`_compiled_decomposition` checks the residual shape once per system and
+compiles the P, Q, R of the nonzero residuals to one kernel.  `_c_form`,
+the c solve of `scan` and `solve_for_c`, decides a point's kernel values
+once, with no lambda0 in the test, into one form: no c, every c, or
+(P_0, Q_0, R_0) with c = -(d*P_0 + n*Q_0)/(d*R_0) at lambda0 = n/d.
+`negative_control` reads the same kernel at the witness, and c_expr from
+the case's `c_kernel`.  `scan` takes its sample from the branch memo
+`_branch_sample`, shared by the connections, which keeps each distinct
+point in its integer form and nothing else: the kernel and `_c_form` run
+once per distinct point.  A `ScanReport` is a table of the shared integer
+forms and one `_c_form` per distinct point; its values
+(`algebras.point_values`) and `CSolution`s are built only on request.  A
+case's data on one eta branch is one `_Substitution`, which applies its
+substitutions in listed order for every consumer.  The sampled rung
+compiles the case locus once per ladder branch (`_locus_plan`) into the
+arguments of `draw_point`; lambda0, and c where the claim leaves it free,
+are drawn after it only when the locus left them unassigned.  Case
+membership is `_CompiledCase`, compiled once per (case, eta): the
+polynomials that must vanish on a case's locus, the hypotheses that must
+not, the coefficients of c_expr in lambda0, and the witness.  `_holds`
+compares a point's form with c_expr as one polynomial in lambda0, which is
+zero wherever the case keeps the lambda0 law, so `scan_membership` decides
+each distinct point once for the grid.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from numbers import Rational
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -90,7 +93,6 @@ from .poly import (
     PolynomialError,
     VariableTable,
     groebner_basis,
-    integer_point,
     quotient,
     sum_of_products,
 )
@@ -283,16 +285,14 @@ def _c_solutions(form: Optional[tuple], grid: Sequence[tuple[int, int]]) -> tupl
     return tuple(CSolution("unique", quotient(-(d * p0 + n * q0), d * r0)) for n, d in grid)
 
 
-def solve_for_c(system: SolitonSystem, point: dict[str, Value], lambda0_value: Rational) -> CSolution:
-    """Solve all residuals simultaneously for c at a parameter point.
+def solve_for_c(system: SolitonSystem, point: Draw, lambda0_value: Rational) -> CSolution:
+    """Solve all residuals simultaneously for c at a point's integer form.
 
     Residuals are degree <= 1 in c by construction, so the system is a set
     of scalar linear equations a_i*c + b_i = 0, decided exactly by `_c_form`
-    at the kernel values of the point's `integer_point`.  `_c_form` does not
-    change under scaling, so names that the kernel does not read change
-    nothing.
+    at the point's kernel values, which does not change under scaling.
     """
-    form = _c_form(_compiled_decomposition(system).scaled(*integer_point(point)))
+    form = _c_form(_compiled_decomposition(system).scaled(*point))
     return _c_solutions(form, _pairs(_rational([lambda0_value])))[0]
 
 
@@ -308,22 +308,13 @@ DEFAULT_LAMBDA0_GRID: tuple[Fraction, ...] = (
 )
 
 
-class ScanEntry(NamedTuple):
-    index: int
-    values: dict[str, Value]
-    lambda0: Rational
-    status: str
-    c: Optional[Value]
-
-
 class ScanReport(NamedTuple):
     """A scan as a table over the branch memo's sample: `slots` holds each
     drawn point's distinct index, and per distinct point `scaled` holds its
     integer form and `forms` its `_c_form`.  `rows` (one tuple of c
     solutions per point, one per lambda0 of the grid, a repeated point
-    sharing its first occurrence's row object), `cells`, `entries` and
-    `solvable` build their values, `CSolution`s and `ScanEntry` records on
-    request."""
+    sharing its first occurrence's row object), `cells`, `entries` (every
+    cell) and `solvable` build their values and `CSolution`s on request."""
 
     family_id: str
     kind: str
@@ -347,12 +338,12 @@ class ScanReport(NamedTuple):
         return tuple(map(solved.__getitem__, self.slots))
 
     @property
-    def entries(self) -> tuple[ScanEntry, ...]:
-        return self._entries(("unique", "any", "none"))
+    def entries(self) -> tuple[tuple[int, dict[str, Value], Rational, CSolution], ...]:
+        return tuple(self.cells(("unique", "any", "none")))
 
     @property
-    def solvable(self) -> tuple[ScanEntry, ...]:
-        return self._entries(("unique", "any"))
+    def solvable(self) -> tuple[tuple[int, dict[str, Value], Rational, CSolution], ...]:
+        return tuple(self.cells())
 
     def cells(
         self, statuses: tuple[str, ...] = ("unique", "any")
@@ -366,9 +357,6 @@ class ScanReport(NamedTuple):
             for lam, sol in zip(grid, row):
                 if sol.status in statuses:
                     yield idx, values[k], lam, sol
-
-    def _entries(self, statuses: tuple[str, ...]) -> tuple[ScanEntry, ...]:
-        return tuple(ScanEntry(idx, pt, lam, sol.status, sol.value) for idx, pt, lam, sol in self.cells(statuses))
 
 
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)
@@ -399,7 +387,7 @@ def scan(
     Deterministic for a fixed seed.  The sample comes from the branch memo
     (`_branch_sample`), and each distinct point's integers go through the
     kernel once and `_c_form` once, which decides the point for the whole
-    grid.  No `CSolution` or `ScanEntry` is built here.
+    grid.  No `CSolution` is built here.
     """
     kernel = _compiled_decomposition(soliton_system(fam, kind))
     grid = _rational(lambda0_grid)
@@ -456,16 +444,6 @@ _METHOD_ORDER = {"exact": 0, "reduced": 1, "sampled": 2, "unsampled": 3, "failed
 def _report(case: TheoremCase, method: str, ok: bool, **rest) -> VerificationReport:
     """A report on `case`, with its label, family, kind and suspect flag."""
     return VerificationReport(case.label, case.family_id, case.kind, method, ok, case.suspect, **rest)
-
-
-def resolve_witness(case: TheoremCase, eta: Optional[int]) -> dict[str, Value]:
-    """Witness values for one eta branch; symbolic entries must be constant."""
-    out: dict[str, Value] = {}
-    for name, value in case.witness:
-        if isinstance(value, Polynomial):
-            value = instantiate_eta(value, eta).constant_value()
-        out[name] = value
-    return out
 
 
 class _Substitution:
@@ -678,8 +656,8 @@ def negative_control(
     Guards against vacuously-zero systems.  Not applicable (reported ok,
     method "skipped") when the claim holds for every c, which happens
     exactly when the bracket vanishes on the case locus.  Decided in
-    integers at the witness's `integer_point`, by kernels the branch
-    already built: `_compiled_decomposition` gives each residual as
+    integers at the witness's integer form, by kernels the branch already
+    built: `_compiled_decomposition` gives each residual as
     (P + Q*lambda0 + R*c) / F, F being its factor D*L**G, and the case's
     `c_kernel` gives c_expr.  The largest residual's size is reported for
     display.
@@ -692,8 +670,9 @@ def negative_control(
     best = 0.0
     for fam in family_branches(case.family_id):
         kernel = _compiled_decomposition(soliton_system(fam, case.kind))
-        nums, scale = integer_point(resolve_witness(case, fam.eta))
-        f, *a = _compiled_case(case, fam.eta).c_kernel.scaled(nums, scale)
+        compiled = _compiled_case(case, fam.eta)
+        nums, scale = compiled.witness
+        f, *a = compiled.c_kernel.scaled(nums, scale)
         c = quotient(sum(x * lambda0_value**j for j, x in enumerate(a)), f) + perturbation
         out, factor = kernel.scaled(nums, scale), kernel.factor[0] * scale ** kernel.factor[1]
         values = [quotient(p + q * lambda0_value + r * c, factor) for p, q, r in zip(out[0::3], out[1::3], out[2::3])]
@@ -710,17 +689,17 @@ def negative_control(
 def case_matches_point(
     case: TheoremCase,
     eta: Optional[int],
-    values: dict[str, Value],
+    point: Draw,
     lambda0_value: Rational,
     c_solution: CSolution,
 ) -> bool:
-    """Does a solvable scan entry fall inside the case's (effective) locus?
-    An unsolvable one lies in no case; a solved c = u/v is the form
-    (-u, 0, v) of `_holds`."""
+    """Does a solvable point, in integer form (nums, L), fall inside the
+    case's (effective) locus?  An unsolvable one lies in no case; a solved
+    c = u/v is the form (-u, 0, v) of `_holds`."""
     if case.empty or c_solution.status == "none":
         return False
     grid = _pairs(_rational([lambda0_value]))
-    at = _compiled_case(case, eta).c_at(integer_point(values))
+    at = _compiled_case(case, eta).c_at(point)
     c = c_solution.value
     form = () if c_solution.status == "any" else (-c.numerator, 0, c.denominator)
     return at is not None and _holds(at, form, grid)[0]
@@ -728,14 +707,16 @@ def case_matches_point(
 
 class _CompiledCase:
     """The membership test of one case on one eta branch, over the
-    catalogue's DEFAULT_TABLE, free of lambda0 and c: `locus` holds the polynomials that must vanish on its locus
-    (var - expr per substitution, var^2 - rhs per reduction), then the ones
-    that must not (its nonzero hypotheses); `c_kernel`, where the case
-    fixes c, holds 1 and the coefficients a_j of c_expr = sum_j
-    a_j*lambda0^j.  Both run once per point at its `integer_point`, in
-    integers or integer Surds, and `_holds` then decides the lambda0 grid."""
+    catalogue's DEFAULT_TABLE, free of lambda0 and c: `locus` holds the
+    polynomials that must vanish on its locus (var - expr per substitution,
+    var^2 - rhs per reduction), then the ones that must not (its nonzero
+    hypotheses); `c_kernel`, where the case fixes c, holds 1 and the
+    coefficients a_j of c_expr = sum_j a_j*lambda0^j.  Both run once per
+    point at its integer form, and `_holds` then decides the lambda0 grid.
+    `witness` is the witness's integer form, L the lcm of its denominators;
+    an entry with eta must be constant here, else `PolynomialError`."""
 
-    __slots__ = ("split", "locus", "c_kernel")
+    __slots__ = ("split", "locus", "c_kernel", "witness")
 
     def __init__(self, case: TheoremCase, eta: Optional[int]):
         table = DEFAULT_TABLE
@@ -751,6 +732,12 @@ class _CompiledCase:
             c_expr = instantiate_eta(c_expr, eta)
             powers = range(c_expr.degree_in("lambda0") + 1)
             self.c_kernel = IntegerKernel(table, [table.one] + [c_expr.coefficient_of("lambda0", j) for j in powers])
+        values = [
+            (name, instantiate_eta(v, eta).constant_value() if isinstance(v, Polynomial) else v)
+            for name, v in case.witness
+        ]
+        scale = lcm(*[v.denominator for _, v in values])
+        self.witness = {name: v.numerator * (scale // v.denominator) for name, v in values}, scale
 
     def c_at(self, point: Draw) -> Optional[list]:
         """None off the locus, else `c_kernel` at the point ([] for a free c)."""
@@ -783,6 +770,11 @@ def _holds(at: list, form: tuple, grid: Sequence[tuple[int, int]]) -> list[bool]
 # One `_CompiledCase` per (case, eta) value; the bound holds one sweep
 # of the catalogue's 45 cases, 48 with both g4 signs.
 _compiled_case = lru_cache(maxsize=64)(_CompiledCase)
+
+
+def witness_point(case: TheoremCase, eta: Optional[int]) -> Draw:
+    """The case's witness on one eta branch in integer form; no caller writes it."""
+    return _compiled_case(case, eta).witness
 
 
 def scan_membership(report: ScanReport, cases: Sequence[TheoremCase]) -> list[bool]:

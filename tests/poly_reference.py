@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from lieschouten.poly import VariableTable, integer_point
+from lieschouten.poly import VariableTable
 
 
 def _grlex(m):
@@ -175,6 +175,16 @@ class ReferencePolynomial:
             else:
                 pieces.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(pieces)
+
+
+def integer_point(values):
+    """A point's values as its integer form (numerators, L): L the lcm of the
+    value denominators, and each value times L, an int or an integer Surd.
+    It is the one point form that `IntegerKernel.scaled`, `solve_for_c` and
+    `case_matches_point` take; the package makes a point in it and never
+    converts one, so the tests, which write points as values, convert here."""
+    scale = lcm(*[v.denominator for v in values.values()])
+    return {n: v.numerator * (scale // v.denominator) for n, v in values.items()}, scale
 
 
 def kernel_at(kernel, point):

@@ -30,12 +30,12 @@ from lieschouten.poly import (
     Polynomial,
     Surd,
     exact_sqrt,
-    integer_point,
     one_field,
     parse_polynomial,
 )
 
 from geometry_reference import G5_ON_A_CIRCLE
+from poly_reference import integer_point
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -3,7 +3,8 @@
 A function parameter that its body never reads is a knob that no call can
 turn, a module-level import that the module never uses is a dependency
 that nothing needs, and a module-level private name that no module reads
-is code that nothing runs.  Each test lists every such name in
+is code that nothing runs, as is a public function or class that no module
+reads and the package does not export.  Each test lists every such name in
 `src/lieschouten`, so a new one names itself in the failure.
 """
 
@@ -11,6 +12,8 @@ import ast
 import pathlib
 
 import pytest
+
+import lieschouten
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "lieschouten"
 MODULES = sorted(SOURCE.glob("*.py"))
@@ -80,6 +83,22 @@ def unread_privates(trees):
     return out
 
 
+def unexported_publics(trees, exports):
+    """Each module-level def or class whose name does not start with `_`,
+    that no tree of `trees` reads and that `exports`, public names by
+    module as in `lieschouten._EXPORTS`, does not list, as `module.name`."""
+    read = set().union(*(_loaded([tree]) for tree in trees.values()))
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+        and node.name not in exports.get(module, ())
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(_tree(path)) == []
@@ -92,6 +111,10 @@ def test_every_module_level_import_is_used(path):
 
 def test_every_module_level_private_name_is_read():
     assert unread_privates({path.stem: _tree(path) for path in MODULES}) == []
+
+
+def test_every_public_function_and_class_is_read_or_exported():
+    assert unexported_publics({path.stem: _tree(path) for path in MODULES}, lieschouten._EXPORTS) == []
 
 
 def test_the_scans_see_what_they_look_for():
@@ -122,3 +145,21 @@ def test_the_scans_see_what_they_look_for():
         "b": ast.parse("from a import _helper\nprint(_helper())\n"),
     }
     assert unread_privates(modules) == ["a._LEFT", "a._typed", "a._Record"]
+    modules = {
+        "a": ast.parse(
+            "VALUE = 1\n"
+            "def used():\n"
+            "    return VALUE\n"
+            "def listed():\n"
+            "    pass\n"
+            "def left():\n"
+            "    pass\n"
+            "class Left:\n"
+            "    def method(self):\n"
+            "        pass\n"
+            "def _private():\n"
+            "    pass\n"
+        ),
+        "b": ast.parse("from a import used\nprint(used())\n"),
+    }
+    assert unexported_publics(modules, {"a": ("listed",), "b": ("left",)}) == ["a.left", "a.Left"]

@@ -22,12 +22,11 @@ from lieschouten.poly import (
     _tokenize,
     exact_sqrt,
     groebner_basis,
-    integer_point,
     parse_polynomial,
     quotient,
     sum_of_products,
 )
-from poly_reference import ReferencePolynomial, kernel_at
+from poly_reference import ReferencePolynomial, integer_point, kernel_at
 from tokenizer_reference import reference_tokens
 
 T = DEFAULT_TABLE

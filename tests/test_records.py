@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from lieschouten import algebras, catalog, geometry, soliton
-from lieschouten.algebras import LORENTZIAN, MetricSignature, build_family, custom_family, sample_parameters
+from lieschouten.algebras import LORENTZIAN, MetricSignature, build_family, custom_family, sample_scaled
 from lieschouten.catalog import load_catalog, verify_all
 from lieschouten.geometry import connection, curvature, ricci_pipeline
 from lieschouten.soliton import SolitonSystem, scan, solve_for_c, soliton_system, verify_case
@@ -17,7 +17,7 @@ from lieschouten.soliton import SolitonSystem, scan, solve_for_c, soliton_system
 RECORD_NAMES = (
     "MetricSignature", "StructureConstants", "LieAlgebraFamily",
     "ConnectionCoefficients", "CurvatureTensor", "BilinearForm", "OperatorMatrix",
-    "CSolution", "ScanEntry", "ScanReport", "TheoremCase", "VerificationReport",
+    "CSolution", "ScanReport", "TheoremCase", "VerificationReport",
     "MatrixFixture", "ScalarFixture", "Catalog", "VerifyRecord", "VerifySummary",
 )
 
@@ -28,7 +28,7 @@ def records() -> dict:
     fam = build_family("g4", eta=1)
     conn = connection(fam, "lc")
     form, op, _ = ricci_pipeline(fam, "lc")
-    point = sample_parameters(fam, seed=0, count=1)[0]
+    point = sample_scaled(fam, seed=0, count=1)[0]
     report = scan(fam, "lc", count=2)
     cat = load_catalog()
     summary = verify_all(only="3.3.7", scan_count=20, catalog=cat)
@@ -41,7 +41,6 @@ def records() -> dict:
         "BilinearForm": form,
         "OperatorMatrix": op,
         "CSolution": solve_for_c(soliton_system(fam, "lc"), point, Fraction(1)),
-        "ScanEntry": report.entries[0],
         "ScanReport": report,
         "TheoremCase": cat.case("3.3.7"),
         "VerificationReport": verify_case(cat.case("3.3.7"), sample_count=10),

@@ -34,14 +34,12 @@ from lieschouten.poly import (
     PolynomialError,
     Surd,
     exact_sqrt,
-    integer_point,
     parse_polynomial,
     quotient,
 )
 from lieschouten.soliton import (
     DEFAULT_LAMBDA0_GRID,
     CSolution,
-    ScanEntry,
     SolitonSystem,
     TheoremCase,
     case_matches_point,
@@ -53,6 +51,7 @@ from lieschouten.soliton import (
     solve_for_c,
     soliton_system,
     verify_case,
+    witness_point,
 )
 from lieschouten.soliton import (
     _apply_case,
@@ -72,6 +71,7 @@ from geometry_reference import (
     reference_derivation_residuals,
 )
 from membership_reference import reference_case_matches_point
+from poly_reference import integer_point
 
 T = DEFAULT_TABLE
 ABELIAN = custom_family("")
@@ -217,17 +217,17 @@ class TestSystems:
 class TestSolveForC:
     def test_g1_solution_point(self):
         system = soliton_system(build_family("g1"), "lc")
-        sol = solve_for_c(system, {"alpha": Fraction(1), "beta": Fraction(0)}, Fraction(3, 7))
+        sol = solve_for_c(system, integer_point({"alpha": Fraction(1), "beta": Fraction(0)}), Fraction(3, 7))
         assert sol.status == "unique" and sol.value == 0
 
     def test_g1_inconsistent_point(self):
         system = soliton_system(build_family("g1"), "lc")
-        sol = solve_for_c(system, {"alpha": Fraction(1), "beta": Fraction(1)}, Fraction(0))
+        sol = solve_for_c(system, integer_point({"alpha": Fraction(1), "beta": Fraction(1)}), Fraction(0))
         assert sol.status == "none"
 
     def test_g4_kn_has_no_solution(self):
         system = soliton_system(build_family("g4", eta=1), "kn")
-        sol = solve_for_c(system, {"alpha": Fraction(1), "beta": Fraction(0)}, Fraction(0))
+        sol = solve_for_c(system, integer_point({"alpha": Fraction(1), "beta": Fraction(0)}), Fraction(0))
         assert sol.status == "none"
 
     def test_g2_lc_alpha_beta_zero_formula(self):
@@ -235,14 +235,14 @@ class TestSolveForC:
         system = soliton_system(build_family("g2"), "lc")
         for lam in (Fraction(0), Fraction(1, 4), Fraction(2)):
             sol = solve_for_c(
-                system, {"alpha": Fraction(0), "beta": Fraction(0), "gamma": Fraction(3)}, lam
+                system, integer_point({"alpha": Fraction(0), "beta": Fraction(0), "gamma": Fraction(3)}), lam
             )
             assert sol.status == "unique"
             assert sol.value == 2 * Fraction(9) * (1 - lam)
 
     def test_abelian_any_c(self):
         system = soliton_system(ABELIAN, "lc")
-        sol = solve_for_c(system, {}, Fraction(1))
+        sol = solve_for_c(system, ({}, 1), Fraction(1))
         assert sol.status == "any"
 
     def test_quadratic_in_c_is_internal_error(self):
@@ -256,7 +256,7 @@ class TestSolveForC:
             nonvanishing=(),
         )
         with pytest.raises(PolynomialError):
-            solve_for_c(bad, {"alpha": Fraction(1)}, Fraction(0))
+            solve_for_c(bad, ({"alpha": 1}, 1), Fraction(0))
 
     @pytest.mark.parametrize(
         "residuals, solution",
@@ -283,16 +283,15 @@ class TestSolveForC:
         monkeypatch.setattr(soliton, "soliton_system", lambda fam, kind: system)
         if solution is None:
             with pytest.raises(PolynomialError):
-                solve_for_c(system, {"alpha": Fraction(1)}, Fraction(1))
+                solve_for_c(system, ({"alpha": 1}, 1), Fraction(1))
             with pytest.raises(PolynomialError):
                 scan(build_family("g1"), "lc", seed=0, count=5)
             return
-        assert solve_for_c(system, {"alpha": Fraction(1)}, Fraction(1)) == solution
+        assert solve_for_c(system, ({"alpha": 1}, 1), Fraction(1)) == solution
         report = scan(build_family("g1"), "lc", seed=0, count=20)
-        for e in report.entries:
-            alpha = e.values["alpha"]
-            expected = CSolution("unique", -1 / alpha - 2 * e.lambda0) if alpha else CSolution("none")
-            assert (e.status, e.c) == expected[:2]
+        for _, values, lam, sol in report.entries:
+            alpha = values["alpha"]
+            assert sol == (CSolution("unique", -1 / alpha - 2 * lam) if alpha else CSolution("none"))
 
 
 class TestVerifyCase:
@@ -419,6 +418,12 @@ def test_a_case_over_another_table_raises_not_answers():
         scan_membership(report, [moved])
 
 
+def witness_values(case, eta):
+    """The case's witness on one eta branch as values, each entry that uses
+    eta evaluated at the branch's sign."""
+    return {n: instantiate_eta(v, eta).constant_value() if isinstance(v, Polynomial) else v for n, v in case.witness}
+
+
 def reference_negative_control(case, perturbation, lambda0):
     """(method, ok, detail) of `negative_control`, by Polynomial.evaluate
     of c_expr and of every residual at the witness."""
@@ -428,7 +433,7 @@ def reference_negative_control(case, perturbation, lambda0):
     best = 0.0
     for fam in family_branches(case.family_id):
         system = soliton_system(fam, case.kind)
-        point = {**soliton.resolve_witness(case, fam.eta), "lambda0": lambda0}
+        point = {**witness_values(case, fam.eta), "lambda0": lambda0}
         point["c"] = instantiate_eta(c_expr, fam.eta).evaluate(point) + perturbation
         values = [r.evaluate(point) for r in system.residuals]
         if not any(values):
@@ -445,7 +450,7 @@ def test_negative_control_matches_the_evaluate_reference(perturbation, lam):
     # every catalogued case, byte for byte, the Surd witness of 4.11.2 among them
     assert len(CATALOG_CASES) == 45
     surd_case = next(c for c in CATALOG_CASES if c.label == "4.11.2")
-    assert isinstance(soliton.resolve_witness(surd_case, None)["beta"], Surd)
+    assert isinstance(witness_point(surd_case, None)[0]["beta"], Surd)
     # every catalogued witness is integral; moved off it, each case's control
     # also runs at a common denominator above 1
     moved = [
@@ -456,6 +461,34 @@ def test_negative_control_matches_the_evaluate_reference(perturbation, lam):
         report = negative_control(case, perturbation=perturbation, lambda0_value=lam)
         assert (report.method, report.ok, report.detail) == reference_negative_control(case, perturbation, lam), case.label
     assert negative_control(surd_case).method == "control"
+
+
+def test_witness_point_is_the_integer_form_of_the_witness_values():
+    # every non-empty catalogued case on each eta branch, 4.11.2's Surd
+    # beta = sqrt(2) and g4's beta = eta among them: the form solves, and
+    # its membership at lambda0 = 1/2 is the reference's at the values
+    lam = Fraction(1, 2)
+    for case in CATALOG_CASES:
+        for fam in [] if case.empty else family_branches(case.family_id):
+            values, point = witness_values(case, fam.eta), witness_point(case, fam.eta)
+            assert point == integer_point(values), case.label
+            sol = solve_for_c(soliton_system(fam, case.kind), point, lam)
+            assert sol.status != "none", case.label
+            expected = reference_case_matches_point(case, fam.eta, values, lam, sol)
+            assert case_matches_point(case, fam.eta, point, lam, sol) == expected, case.label
+    surd_case = next(c for c in CATALOG_CASES if c.label == "4.11.2")
+    assert witness_point(surd_case, None) == ({"alpha": 1, "beta": exact_sqrt(2), "gamma": 0, "delta": 0}, 1)
+    eta_case = next(c for c in CATALOG_CASES if c.label == "3.4.1")
+    assert [witness_point(eta_case, eta) for eta in (1, -1)] == [({"alpha": 0, "beta": eta}, 1) for eta in (1, -1)]
+    # moved off the integers, a witness that uses eta is scaled by the lcm
+    moved = eta_case._replace(witness=tuple((n, v * Fraction(2, 3) + Fraction(1, 5)) for n, v in eta_case.witness))
+    assert witness_point(moved, -1) == ({"alpha": 3, "beta": -7}, 15)
+
+
+def test_a_witness_that_stays_symbolic_is_an_error():
+    case = TheoremCase("w.1", "g4", "lc", witness=(("alpha", p("eta*alpha")),))
+    with pytest.raises(PolynomialError, match="not constant"):
+        witness_point(case, 1)
 
 
 def test_negative_control_makes_no_evaluate_call(monkeypatch):
@@ -471,7 +504,7 @@ class TestScan:
     def test_g5_canonical_always_solvable_with_zero(self):
         report = scan(build_family("g5"), "canonical", seed=0, count=40)
         assert len(report.solvable) == len(report.entries)
-        assert all(e.c == 0 for e in report.solvable)
+        assert all(sol.value == 0 for _, _, _, sol in report.solvable)
 
     def test_g4_kn_never_solvable(self):
         for eta in (1, -1):
@@ -480,10 +513,10 @@ class TestScan:
 
     def test_g1_lc_solvable_exactly_at_beta_zero(self):
         report = scan(build_family("g1"), "lc", seed=0, count=120)
-        for e in report.entries:
-            if e.status in ("unique", "any"):
-                assert e.values["beta"] == 0 and e.c == 0
-            elif e.values["beta"] == 0:
+        for _, values, _, sol in report.entries:
+            if sol.status in ("unique", "any"):
+                assert values["beta"] == 0 and sol.value == 0
+            elif values["beta"] == 0:
                 pytest.fail("beta=0 point should be solvable")
 
     def test_deterministic_per_seed(self):
@@ -494,12 +527,10 @@ class TestScan:
     def test_plugged_back_c_solves_exactly(self):
         system = soliton_system(build_family("g7"), "lc")
         report = scan(build_family("g7"), "lc", seed=1, count=40)
-        for e in report.solvable[:30]:
-            if e.status != "unique":
+        for _, values, lam, sol in report.solvable[:30]:
+            if sol.status != "unique":
                 continue
-            point = dict(e.values)
-            point["lambda0"] = e.lambda0
-            point["c"] = e.c
+            point = {**values, "lambda0": lam, "c": sol.value}
             assert all(r.evaluate(point) == 0 for r in system.residuals)
 
 
@@ -543,11 +574,11 @@ def reference_scan(fam, kind, seed, count, grid):
 @pytest.mark.parametrize("fam", all_family_branches(), ids=lambda f: f.describe())
 def test_scan_kernel_matches_fraction_reference(fam, kind):
     report = scan(fam, kind, seed=0, count=60, lambda0_grid=EXTENDED_GRID)
-    got = [(e.values, e.lambda0, e.status, e.c) for e in report.entries]
+    got = [(values, lam, sol.status, sol.value) for _, values, lam, sol in report.entries]
     expected = reference_scan(fam, kind, 0, 60, EXTENDED_GRID)
     assert got == expected
     assert [tuple(map(type, g)) for g in got] == [tuple(map(type, e)) for e in expected]
-    assert all(e.lambda0 is lam for e, lam in zip(report.entries, itertools.cycle(EXTENDED_GRID)))
+    assert all(cell[2] is lam for cell, lam in zip(report.entries, itertools.cycle(EXTENDED_GRID)))
 
 
 small = st.integers(-4, 4)
@@ -650,10 +681,10 @@ def test_surd_points_scan_exactly(kind):
     # evaluates and divides the Surds themselves
     report = scan(SURD_G5, kind, seed=0, count=20, lambda0_grid=EXTENDED_GRID)
     assert any(isinstance(v, Surd) for pt in points_of(report) for v in pt.values())
-    got = [(e.values, e.lambda0, e.status, e.c) for e in report.entries]
+    got = [(values, lam, sol.status, sol.value) for _, values, lam, sol in report.entries]
     assert got == reference_scan(SURD_G5, kind, 0, 20, EXTENDED_GRID)
     if kind == "canonical":
-        assert all(e.status == "unique" and type(e.c) is Fraction and e.c == 0 for e in report.entries)
+        assert all(sol == ("unique", 0) and type(sol.value) is Fraction for _, _, _, sol in report.entries)
 
 
 class TestExactLocus:
@@ -703,15 +734,15 @@ class TestCaseMembership:
             c_expr=T.zero,
         )
         system = soliton_system(build_family("g1"), "lc")
-        inside = {"alpha": Fraction(2), "beta": Fraction(0)}
+        inside = ({"alpha": 2, "beta": 0}, 1)
         sol = solve_for_c(system, inside, Fraction(1, 2))
         assert case_matches_point(case, None, inside, Fraction(1, 2), sol)
-        outside = {"alpha": Fraction(2), "beta": Fraction(1)}
+        outside = ({"alpha": 2, "beta": 1}, 1)
         assert not case_matches_point(case, None, outside, Fraction(1, 2), sol)
 
     def test_unsolvable_cell_lies_in_no_case(self):
         case = next(c for c in CATALOG_CASES if c.label == "3.3.7")
-        witness = soliton.resolve_witness(case, None)
+        witness = witness_point(case, None)
         sol = solve_for_c(soliton_system(build_family(case.family_id), case.kind), witness, Fraction(1, 2))
         assert case_matches_point(case, None, witness, Fraction(1, 2), sol)
         assert not case_matches_point(case, None, witness, Fraction(1, 2), CSolution("none"))
@@ -728,7 +759,7 @@ class TestCaseMembership:
             variant_substitutions=(("beta", T.zero), ("gamma", p("-alpha"))),
         )
         system = soliton_system(build_family("g3"), "lc")
-        point = {"alpha": Fraction(1), "beta": Fraction(0), "gamma": Fraction(-1)}
+        point = ({"alpha": 1, "beta": 0, "gamma": -1}, 1)
         sol = solve_for_c(system, point, Fraction(2))
         assert sol.status == "unique"
         assert case_matches_point(case, None, point, Fraction(2), sol)
@@ -1033,7 +1064,7 @@ class TestBranchMemo:
         for kind in CONNECTION_KINDS:
             soliton._branch_sample.cache_clear()
             report = scan(fam, kind, seed=3, count=40)
-            got = [(e.values, e.lambda0, e.status, e.c) for e in report.entries]
+            got = [(values, lam, sol.status, sol.value) for _, values, lam, sol in report.entries]
             assert got == reference_scan(fam, kind, 3, 40, DEFAULT_LAMBDA0_GRID)
         assert report.scaled is not before.scaled
         soliton._branch_sample.cache_clear()
@@ -1042,7 +1073,7 @@ class TestBranchMemo:
     def test_each_case_compiled_once(self):
         soliton._compiled_case.cache_clear()
         case = next(c for c in CATALOG_CASES if c.family_id == "g1" and not c.empty)
-        witness = soliton.resolve_witness(case, None)
+        witness = witness_point(case, None)
         system = soliton_system(build_family("g1"), case.kind)
         sol = solve_for_c(system, witness, Fraction(1, 2))
         for _ in range(3):
@@ -1057,9 +1088,9 @@ def test_scan_of_a_sample_with_repeats_equals_the_per_entry_reference(kind):
     points = sample_parameters(fam, seed=0, count=count)
     assert len({tuple(pt.items()) for pt in points}) < count  # repeats occur
     report = scan(fam, kind, seed=0, count=count)
-    got = [(e.values, e.lambda0, e.status, e.c) for e in report.entries]
+    got = [(values, lam, sol.status, sol.value) for _, values, lam, sol in report.entries]
     assert got == reference_scan(fam, kind, 0, count, DEFAULT_LAMBDA0_GRID)
-    assert [e.index for e in report.entries] == [i for i in range(count) for _ in DEFAULT_LAMBDA0_GRID]
+    assert [cell[0] for cell in report.entries] == [i for i in range(count) for _ in DEFAULT_LAMBDA0_GRID]
 
 
 MEMBERSHIP_GRID = DEFAULT_LAMBDA0_GRID + (Fraction(-7, 3), Fraction(3, 10))
@@ -1068,10 +1099,13 @@ CATALOG_CASES = load_catalog().cases
 
 
 def memberships(matches, report, cases, eta):
-    """Per solvable entry: does `matches` place it inside one of `cases`?"""
+    """Per solvable cell: does `matches` place it inside one of `cases`?
+    `case_matches_point` reads the cell's point as the integer form the
+    report keeps, the reference as its values."""
+    by_form = matches is case_matches_point
     return [
-        any(matches(case, eta, e.values, e.lambda0, CSolution(e.status, e.c)) for case in cases)
-        for e in report.solvable
+        any(matches(case, eta, report.scaled[report.slots[idx]] if by_form else values, lam, sol) for case in cases)
+        for idx, values, lam, sol in report.solvable
     ]
 
 
@@ -1149,7 +1183,7 @@ def test_the_c_half_of_membership_matches_the_reference_at_any_degree_in_lambda0
     c = c_expr.evaluate({**values, "lambda0": lam}) + shift
     for sol in (CSolution("unique", c), CSolution("any")):
         expected = reference_case_matches_point(case, None, values, lam, sol)
-        assert case_matches_point(case, None, values, lam, sol) == expected
+        assert case_matches_point(case, None, integer_point(values), lam, sol) == expected
         assert expected == (sol.status == "any" or shift == 0)
 
 
@@ -1161,14 +1195,16 @@ def test_the_c_half_of_membership_matches_the_reference_at_any_degree_in_lambda0
     grid=st.lists(rational, min_size=1, max_size=4),
 )
 def test_solve_for_c_equals_the_scan_entry(fam, kind, seed, grid):
+    # at the report's integer form and at the least one of the values: any
+    # L that clears the denominators gives the scan's solution
     report = scan(fam, kind, seed=seed, count=4, lambda0_grid=grid)
     system = soliton_system(fam, kind)
-    for e in report.entries:
-        sol = solve_for_c(system, e.values, e.lambda0)
-        assert sol == CSolution(e.status, e.c)
-        assert type(sol.value) is type(e.c)
+    for idx, values, lam, sol in report.entries:
+        for point in (report.scaled[report.slots[idx]], integer_point(values)):
+            got = solve_for_c(system, point, lam)
+            assert got == sol and type(got.value) is type(sol.value)
         if sol.status == "unique":  # the solved c, plugged back, solves exactly
-            point = {**e.values, "lambda0": e.lambda0, "c": e.c}
+            point = {**values, "lambda0": lam, "c": sol.value}
             assert all(r.evaluate(point) == 0 for r in system.residuals)
 
 
@@ -1184,22 +1220,23 @@ CIRCLE = custom_family((pathlib.Path(__file__).parent / "data" / "circle.alg").r
 )
 def test_each_cell_of_a_scan_row_is_solve_for_c_at_its_point(fam, kind, seed, grid):
     # the scan solves a distinct point once, from the memo's integer form;
-    # solve_for_c scales the point itself: both go through one row helper
+    # solve_for_c at the least integer form of its values: both go through
+    # one row helper
     report = scan(fam, kind, seed=seed, count=5, lambda0_grid=grid)
     system = soliton_system(fam, kind)
     for pt, row in zip(points_of(report), report.rows):
-        assert list(row) == [solve_for_c(system, pt, lam) for lam in report.lambda0_grid]
+        assert list(row) == [solve_for_c(system, integer_point(pt), lam) for lam in report.lambda0_grid]
         # mu-form: a point is solvable at every lambda0 or at none
         assert len({sol.status for sol in row}) <= 1
     # `cells` and `entries` build the same per-cell solutions on request
     expected = [
-        (idx, pt, lam, solve_for_c(system, pt, lam))
+        (idx, pt, lam, solve_for_c(system, integer_point(pt), lam))
         for idx, pt in enumerate(points_of(report))
         for lam in report.lambda0_grid
     ]
     assert list(report.cells(("unique", "any", "none"))) == expected
     assert list(report.cells()) == [cell for cell in expected if cell[3].status != "none"]
-    assert report.entries == tuple(ScanEntry(idx, pt, lam, *sol) for idx, pt, lam, sol in expected)
+    assert report.entries == tuple(expected)
 
 
 @pytest.mark.parametrize("kind", CONNECTION_KINDS)
@@ -1208,7 +1245,7 @@ def test_the_circle_points_are_surds_and_their_rows_solve_for_c(kind):
     system = soliton_system(CIRCLE, kind)
     assert any(isinstance(v, Surd) for pt in points_of(report) for v in pt.values())
     for pt, row in zip(points_of(report), report.rows):
-        assert list(row) == [solve_for_c(system, pt, lam) for lam in report.lambda0_grid]
+        assert list(row) == [solve_for_c(system, integer_point(pt), lam) for lam in report.lambda0_grid]
 
 
 @pytest.mark.parametrize("kind", CONNECTION_KINDS)
@@ -1330,7 +1367,7 @@ def test_holds_is_c_equals_c_expr_at_each_lambda0(coefficients, q0, r0, f, grid,
 def test_lambda0_that_is_not_rational_is_a_type_error(lam):
     fam = build_family("g2")
     system = soliton_system(fam, "lc")
-    [pt] = sample_parameters(fam, seed=0, count=1)
+    [pt] = sample_scaled(fam, seed=0, count=1)
     case = next(c for c in CATALOG_CASES if c.family_id == "g2" and c.c_expr is not None)
     for call in (
         lambda: solve_for_c(system, pt, lam),
@@ -1346,7 +1383,7 @@ def test_scan_membership_sees_both_verdicts_off_the_default_grid():
     fam = build_family("g3")
     cases = [c for c in CATALOG_CASES if c.family_id == "g3" and c.kind == "lc"]
     report = scan(fam, "lc", seed=0, count=60, lambda0_grid=MEMBERSHIP_GRID)
-    extra = [k for k, e in enumerate(report.solvable) if e.lambda0 not in DEFAULT_LAMBDA0_GRID]
+    extra = [k for k, (_, _, lam, _) in enumerate(report.solvable) if lam not in DEFAULT_LAMBDA0_GRID]
     assert extra
     verdicts = [scan_membership(report, [case]) for case in cases]
     assert any(v[k] for v in verdicts for k in extra)
@@ -1357,7 +1394,7 @@ def assert_scan_report_contract(report):
     """`solvable` is the solvable part of `entries`, `size` counts them, and
     a repeated point shares its first occurrence's row; returns the number
     of repeats."""
-    assert report.solvable == tuple(e for e in report.entries if e.status != "none")
+    assert report.solvable == tuple(cell for cell in report.entries if cell[3].status != "none")
     assert report.size == len(report.entries) == len(report.slots) * len(report.lambda0_grid)
     assert len(report.rows) == len(report.slots)
     first_rows = {}
@@ -1382,15 +1419,18 @@ def test_scan_report_of_surd_points_is_a_table_of_point_rows():
     assert assert_scan_report_contract(report)  # repeated Surd points share one row
 
 
-def test_verify_builds_scan_entries_only_for_solvable_cells(monkeypatch):
+def test_verify_builds_no_scan_entries(monkeypatch):
     built = []
 
-    class CountingEntry(soliton.ScanEntry):
-        def __new__(cls, *args):
-            built.append(args)
-            return super().__new__(cls, *args)
+    def counting(name):
+        def read(report):
+            built.append(name)
+            return ()
 
-    monkeypatch.setattr(soliton, "ScanEntry", CountingEntry)
+        return property(read)
+
+    for name in ("entries", "solvable"):
+        monkeypatch.setattr(soliton.ScanReport, name, counting(name))
     summary = verify_all(only="g1", scan_count=60)
     solvable = total = 0
     for record in summary.records:
@@ -1399,7 +1439,8 @@ def test_verify_builds_scan_entries_only_for_solvable_cells(monkeypatch):
             solvable, total = solvable + int(counts[0]), total + int(counts[1])
     assert total == 3 * 60 * len(DEFAULT_LAMBDA0_GRID)
     assert 0 < solvable < total
-    # the records pair the verdicts with `ScanReport.cells`, so none is built
+    # the records pair the verdicts with `ScanReport.cells`, so no tuple of
+    # every cell is built
     assert len(built) == 0
 
 
@@ -1420,11 +1461,11 @@ def test_scan_record_names_the_first_three_cells_outside_the_classification():
     fam = build_family("g1")
     report = scan(fam, "lc", seed=0, count=60)
     verdicts = scan_membership(report, [wrong])
-    outside = [e for e, inside in zip(report.solvable, verdicts) if not inside]
+    outside = [cell for cell, inside in zip(report.solvable, verdicts) if not inside]
     assert len(outside) == len(report.solvable) > 3
     named = [
-        f"{fam.describe()} {', '.join(f'{k}={v}' for k, v in sorted(e.values.items()))}, lambda0={e.lambda0}, c={e.c}"
-        for e in outside[:3]
+        f"{fam.describe()} {', '.join(f'{k}={v}' for k, v in sorted(values.items()))}, lambda0={lam}, c={sol.value}"
+        for _, values, lam, sol in outside[:3]
     ]
     assert record.status == "fail"
     assert record.detail == (
@@ -1498,7 +1539,7 @@ def test_machine_scan_output_matches_golden_file(capsys):
 
     from lieschouten.cli import main
 
-    # taken while a scan still built one ScanEntry per cell: 12 solvable of 60
+    # taken while a scan still built one record per cell: 12 solvable of 60
     golden = pathlib.Path(__file__).parent / "data" / "golden_g6_lc_scan.txt"
     argv = ["scan", "--family", "g6", "--kind", "lc", "--count", "20", "--lambda0", "0,1/2,-7/3", "--format", "machine"]
     assert main(argv) == 0
