@@ -39,6 +39,7 @@ from .poly import (
     one_field,
     parse_polynomial,
     quotient,
+    sum_of_products,
 )
 
 Vector = tuple[Polynomial, Polynomial, Polynomial]
@@ -296,27 +297,19 @@ def bracket(fam: LieAlgebraFamily, x: Sequence[Polynomial], y: Sequence[Polynomi
     return (out[0], out[1], out[2])
 
 
-def basis_vector(table: VariableTable, i: int) -> Vector:
-    vec = [table.zero, table.zero, table.zero]
-    vec[i] = table.one
-    return (vec[0], vec[1], vec[2])
-
-
 def jacobi_residuals(fam: LieAlgebraFamily) -> Vector:
     """Components of [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2].
 
     Identically zero exactly when the table defines a Lie algebra; for
-    custom algebras the residuals are reported, never enforced.
+    custom algebras the residuals are reported, never enforced.  The e_m
+    component is one `sum_of_products` of C_ij^l C_lk^m, (i, j, k) cyclic.
     """
-    table = fam.table
-    e = [basis_vector(table, i) for i in range(3)]
-    total = [table.zero, table.zero, table.zero]
-    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        inner = bracket(fam, e[i], e[j])
-        outer = bracket(fam, inner, e[k])
-        for m in range(3):
-            total[m] = total[m] + outer[m]
-    return (total[0], total[1], total[2])
+    c = fam.structure.c
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    return tuple(
+        sum_of_products(fam.table, [(1, c[i][j][l], c[l][k][m]) for i, j, k in cyclic for l in range(3)])
+        for m in range(3)
+    )
 
 
 # -- constrained parameter sampling -------------------------------------------
@@ -336,7 +329,20 @@ class SamplingError(ValueError):
 
 def draw_rational(rng: random.Random) -> Fraction:
     """One exact draw from the sampling pool (numerator first, then denominator)."""
-    return Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS))
+    return Fraction(*_pool_draw(rng.getrandbits))
+
+
+def _pool_draw(getrandbits) -> tuple[int, int]:
+    """(numerator, denominator) of one pool draw, each index drawn as
+    `Random.choice` draws it from a pool of 7 and of 3 (`Random._randbelow`:
+    3 and 2 random bits per try until one is in range), so the stream is
+    that of `choice`, without its method calls."""
+    i, j = 7, 3
+    while i >= 7:
+        i = getrandbits(3)
+    while j >= 3:
+        j = getrandbits(2)
+    return _NUMERATORS[i], _DENOMINATORS[j]
 
 
 def _split(constraint: Polynomial, taken: set[str]) -> Optional[tuple[str, tuple[Polynomial, ...]]]:
@@ -457,9 +463,10 @@ def draw_point(
     `nonzero` values of `side` are nonzero and the rest are zero.  The one
     draw of `sample_parameters` and of the sampled ladder rung.
     """
-    nums, scale, choice = {}, _SCALE, rng.choice
+    nums, scale, getrandbits = {}, _SCALE, rng.getrandbits
     for name in pool:  # each a draw_rational, as its numerator over _SCALE
-        nums[name] = choice(_NUMERATORS) * _SCALE // choice(_DENOMINATORS)
+        n, d = _pool_draw(getrandbits)
+        nums[name] = n * _SCALE // d
     for var, kernel in roots:
         sol = _root(kernel.scaled(nums, scale), rng)
         if sol is None:

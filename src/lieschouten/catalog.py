@@ -140,13 +140,16 @@ def _entries(text: str, what: str, label: str) -> Iterator[tuple[str, str]]:
 
 
 def _expression(
-    text: str, defs: dict[str, Polynomial], aux_table: VariableTable, label: str
+    text: str, defs: dict[str, Polynomial], aux_table: VariableTable, label: str, memo: dict[str, Polynomial]
 ) -> Polynomial:
     """`text` over DEFAULT_TABLE; only a section with `defs` parses it over
-    the aux table, substitutes the definitions and projects back."""
+    the aux table, substitutes the definitions and projects back.  A text
+    without defs is parsed once per `memo`, which keeps only successes."""
     try:
         if not defs:
-            return parse_polynomial(text)
+            if text not in memo:
+                memo[text] = parse_polynomial(text)
+            return memo[text]
         q = parse_polynomial(text, aux_table)
         for name, rhs in defs.items():
             q = q.substitute(name, rhs)
@@ -155,17 +158,17 @@ def _expression(
         raise CatalogError(f"[{label}] cannot parse {text!r}: {err}") from err
 
 
-def _parse_assignments(text: str, defs, aux_table, label: str) -> tuple[tuple[str, Polynomial], ...]:
+def _parse_assignments(text: str, defs, aux_table, label: str, memo) -> tuple[tuple[str, Polynomial], ...]:
     entries = _entries(text, "assignment", label)
-    return tuple((name, _expression(expr, defs, aux_table, label)) for name, expr in entries)
+    return tuple((name, _expression(expr, defs, aux_table, label, memo)) for name, expr in entries)
 
 
-def _parse_reductions(text: str, defs, aux_table, label: str):
+def _parse_reductions(text: str, defs, aux_table, label: str, memo):
     out = []
     for lhs, rhs in _entries(text, "reduction", label):
         if not lhs.endswith("^2"):
             raise CatalogError(f"[{label}] reduction lhs {lhs!r} must be var^2")
-        out.append((lhs[:-2].strip(), _expression(rhs, defs, aux_table, label)))
+        out.append((lhs[:-2].strip(), _expression(rhs, defs, aux_table, label, memo)))
     return tuple(out)
 
 
@@ -213,6 +216,7 @@ def load_catalog(text: Optional[str] = None) -> Catalog:
     if text is None:
         text = _catalog_text()
     aux_table = DEFAULT_TABLE.extended(_AUX_NAMES)
+    memo: dict[str, Polynomial] = {}  # defs-free expression text -> its parse
     matrices: list[MatrixFixture] = []
     scalars: list[ScalarFixture] = []
     cases: list[TheoremCase] = []
@@ -226,7 +230,7 @@ def load_catalog(text: Optional[str] = None) -> Catalog:
         def parsed(key: str, parse=_expression, default: Optional[str] = None):
             """kv[key] (else `default`) parsed with the section's defs; None if both are missing."""
             text = kv.get(key, default)
-            return None if text is None else parse(text, defs, aux_table, where)
+            return None if text is None else parse(text, defs, aux_table, where, memo)
 
         if stype == "matrix":
             rows = []
@@ -236,7 +240,7 @@ def load_catalog(text: Optional[str] = None) -> Catalog:
                 parts = kv[key].split(",")
                 if len(parts) != 3:
                     raise CatalogError(f"[{where}] {key} needs 3 entries")
-                rows.append(tuple(_expression(t, defs, aux_table, where) for t in parts))
+                rows.append(tuple(_expression(t, defs, aux_table, where, memo) for t in parts))
             matrices.append(MatrixFixture(label, family_id, kind, tuple(rows)))
         elif stype == "scalar":
             if "expr" not in kv:
@@ -250,7 +254,7 @@ def load_catalog(text: Optional[str] = None) -> Catalog:
             elif not c_text:
                 raise CatalogError(f"[{where}] missing c")
             else:
-                c_expr = None if c_text == "free" else _expression(c_text, defs, aux_table, where)
+                c_expr = None if c_text == "free" else _expression(c_text, defs, aux_table, where, memo)
             cases.append(
                 TheoremCase(
                     label=label,
@@ -260,7 +264,7 @@ def load_catalog(text: Optional[str] = None) -> Catalog:
                     c_expr=c_expr,
                     reductions=parsed("reduce", _parse_reductions, ""),
                     nonzero=tuple(
-                        _expression(t, defs, aux_table, where) for t in kv.get("nonzero", "").split(";") if t.strip()
+                        _expression(t, defs, aux_table, where, memo) for t in kv.get("nonzero", "").split(";") if t.strip()
                     ),
                     sample_subs=parsed("sample", _parse_assignments, ""),
                     witness=_parse_witness(kv.get("witness", ""), where),

@@ -18,6 +18,7 @@ tab-separated records (byte-identical for identical invocations).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from fractions import Fraction
 
@@ -204,25 +205,27 @@ def cmd_scan(args) -> int:
     fam = _resolve_family(args)
     grid = _parse_lambda0_grid(args.lambda0)
     report = scan(fam, KIND_ALIASES[args.kind], seed=args.seed, count=args.count, lambda0_grid=grid)
-    solvable = report.solvable
     if args.format == "machine":
         print(f"scan\t{fam.describe()}\t{args.kind}\tseed={args.seed}\tcount={args.count}")
-        for idx, values, lam, sol in report.entries:
+        solvable = 0
+        for idx, values, lam, sol in report.cells(("unique", "any", "none")):
             point = ",".join(f"{n}={values[n]}" for n in sorted(values))
             c_text = "-" if sol.value is None else str(sol.value)
             print(f"point\t{idx}\t{point}\tlambda0={lam}\t{sol.status}\tc={c_text}")
-        print(f"summary\tsolvable={len(solvable)}\ttotal={report.size}")
+            solvable += sol.status != "none"
+        print(f"summary\tsolvable={solvable}\ttotal={report.size}")
         return EXIT_OK
+    solvable = sum(sol.status != "none" for row in report.rows for sol in row)
     print(
         f"scan of {fam.describe()} under {args.kind}: "
-        f"{len(solvable)} solvable of {report.size} (points x lambda0 grid)"
+        f"{solvable} solvable of {report.size} (points x lambda0 grid)"
     )
-    for _, values, lam, sol in solvable[:10]:
+    for _, values, lam, sol in itertools.islice(report.cells(), 10):
         point = ", ".join(f"{n}={values[n]}" for n in sorted(values)) or "(no parameters)"
         c_text = "any" if sol.status == "any" else str(sol.value)
         print(f"  {point}; lambda0={lam} -> c = {c_text}")
-    if len(solvable) > 10:
-        print(f"  ... {len(solvable) - 10} more")
+    if solvable > 10:
+        print(f"  ... {solvable - 10} more")
     return EXIT_OK
 
 

@@ -247,18 +247,21 @@ def ricci_form(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> BilinearF
 
 
 def symmetrize(form: BilinearForm) -> BilinearForm:
+    """(form(e_i, e_j) + form(e_j, e_i)) / 2, each unordered pair once."""
     half = Fraction(1, 2)
-    rows = [
-        [(form.entries[i][j] + form.entries[j][i]) * half for j in range(3)]
-        for i in range(3)
-    ]
+    f = form.entries
+    rows = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            rows[i][j] = rows[j][i] = (f[i][j] + f[j][i]) * half
     return BilinearForm(_freeze3(rows))
 
 
 def ricci_operator(form: BilinearForm, metric: MetricSignature) -> OperatorMatrix:
-    """Index raising: entry (i, j) = eps_j * form(e_i, e_j)."""
+    """Index raising: entry (i, j) = eps_j * form(e_i, e_j), the entry
+    itself where eps_j = +1."""
     rows = [
-        [form.entries[i][j] * metric.eps[j] for j in range(3)] for i in range(3)
+        [q if eps > 0 else -q for q, eps in zip(row, metric.eps)] for row in form.entries
     ]
     return OperatorMatrix(_freeze3(rows))
 

@@ -351,11 +351,14 @@ class ScanReport(NamedTuple):
         """(index, values, lambda0, solution) of the cells with one of
         `statuses`, the solvable ones by default: point-major, the grid in
         its order, which is also the order of `scan_membership`'s verdicts.
-        A repeated point shares its first occurrence's values."""
-        grid, values = self.lambda0_grid, [point_values(*form) for form in self.scaled]
+        A repeated point shares its first occurrence's values, which are
+        made when its first cell is."""
+        grid, values = self.lambda0_grid, {}
         for idx, (k, row) in enumerate(zip(self.slots, self.rows)):
             for lam, sol in zip(grid, row):
                 if sol.status in statuses:
+                    if k not in values:
+                        values[k] = point_values(*self.scaled[k])
                     yield idx, values[k], lam, sol
 
 

@@ -1,6 +1,8 @@
 """The tuple-keyed polynomial arithmetic that `lieschouten.poly` used before
 it packed each monomial into one integer, kept as the reference the
-property in `test_poly.py` compares `Polynomial` with.
+property in `test_poly.py` compares `Polynomial` with; and the parser that
+built one `Polynomial` per token before `poly._Parser` folded each product
+of numbers and variables into one term, kept as `reference_parse`.
 
 A monomial here is an exponent tuple, one entry per table variable, and
 graded-lex order is the key (total degree, exponent tuple).  The numerators
@@ -13,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from lieschouten.poly import VariableTable
+from lieschouten.poly import ParseError, Polynomial, VariableTable, _tokenize
 
 
 def _grlex(m):
@@ -192,3 +194,97 @@ def kernel_at(kernel, point):
     the kernel reads: L is the lcm of those values' denominators alone, so
     the integers do not depend on names the kernel ignores."""
     return kernel.scaled(*integer_point({n: point[n] for n in kernel.names if n in point}))
+
+
+# -- the parser that built one Polynomial per token ---------------------------
+#
+# Grammar:
+#   expr     := term (('+'|'-') term)*
+#   term     := factor ('*' factor)*
+#   factor   := base ('^' nat)?
+#   base     := rational | ident | '(' expr ')' | '-' factor
+#   rational := nat ('/' nat)?
+
+
+def _found(token):
+    return "end of input" if token[0] == "end" else f"token {token[1]!r}"
+
+
+class _ReferenceParser:
+    def __init__(self, text: str, table: VariableTable):
+        self.table = table
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        t = self.tokens[self.i]
+        if t[0] != "end":
+            self.i += 1
+        return t
+
+    def expect(self, kind):
+        t = self.advance()
+        if t[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {_found(t)}", t[2])
+        return t
+
+    def parse(self) -> Polynomial:
+        p = self.expr()
+        t = self.peek()
+        if t[0] != "end":
+            raise ParseError(f"unexpected trailing token {t[1]!r}", t[2])
+        return p
+
+    def expr(self):
+        p = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            q = self.term()
+            p = p + q if op == "+" else p - q
+        return p
+
+    def term(self):
+        p = self.factor()
+        while self.peek()[0] == "*":
+            self.advance()
+            p = p * self.factor()
+        return p
+
+    def factor(self):
+        p = self.base()
+        if self.peek()[0] == "^":
+            self.advance()
+            p = p ** self.expect("int")[1]
+        return p
+
+    def base(self):
+        t = self.advance()
+        kind, value, pos = t
+        if kind == "int":
+            if self.peek()[0] == "/":
+                self.advance()
+                dt = self.expect("int")
+                if dt[1] == 0:
+                    raise ParseError("zero denominator", dt[2])
+                return self.table.const(Fraction(value, dt[1]))
+            return self.table.const(value)
+        if kind == "ident":
+            if value not in self.table:
+                raise ParseError(f"unknown variable {value!r}", pos)
+            return self.table.var(value)
+        if kind == "(":
+            p = self.expr()
+            self.expect(")")
+            return p
+        if kind == "-":
+            return -self.factor()
+        raise ParseError(f"unexpected {_found(t)}", pos)
+
+
+def reference_parse(text: str, table: VariableTable) -> Polynomial:
+    """`text` parsed token by token: each number and variable one
+    `Polynomial`, combined by the ring operations in grammar order."""
+    return _ReferenceParser(text, table).parse()

@@ -6,6 +6,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieschouten import algebras
 from lieschouten.algebras import (
@@ -13,7 +15,6 @@ from lieschouten.algebras import (
     LORENTZIAN,
     PRODUCT_STRUCTURE_J,
     SamplingError,
-    basis_vector,
     bracket,
     build_family,
     custom_family,
@@ -44,6 +45,32 @@ T = DEFAULT_TABLE
 
 def p(text):
     return parse_polynomial(text, T)
+
+
+def basis_vector(table, i):
+    vec = [table.zero, table.zero, table.zero]
+    vec[i] = table.one
+    return (vec[0], vec[1], vec[2])
+
+
+def reference_jacobi_residuals(fam):
+    """The cyclic sum of [[e_i, e_j], e_k] through the generic `bracket`,
+    one merge per product, as `jacobi_residuals` computed it before it
+    became one `sum_of_products` per component."""
+    table = fam.table
+    e = [basis_vector(table, i) for i in range(3)]
+    total = [table.zero, table.zero, table.zero]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        outer = bracket(fam, bracket(fam, e[i], e[j]), e[k])
+        for m in range(3):
+            total[m] = total[m] + outer[m]
+    return tuple(total)
+
+
+def assert_jacobi_matches_reference(fam):
+    got, ref = jacobi_residuals(fam), reference_jacobi_residuals(fam)
+    assert got == ref
+    assert [str(q) for q in got] == [str(q) for q in ref]
 
 
 def all_families():
@@ -180,6 +207,11 @@ class TestBracket:
         assert list(direct) == expanded
 
 
+# bracket-table entries for the Jacobi property: zeros, constants, and sums
+# whose products cancel or share monomials
+_BRACKET_ENTRIES = ("0", "0", "1", "-2/3", "alpha", "-beta", "alpha - beta", "1/2*gamma + delta", "alpha*beta - 3", "gamma^2")
+
+
 class TestJacobi:
     def test_abelian_residuals_vanish(self):
         assert all(q.is_zero for q in jacobi_residuals(ABELIAN))
@@ -198,6 +230,29 @@ class TestJacobi:
         for point in sample_parameters(fam, seed=5, count=25):
             for q in residuals:
                 assert q.evaluate(point) == 0
+
+    @pytest.mark.parametrize("fam", list(all_families()), ids=lambda f: f.describe())
+    def test_one_sum_matches_bracket_reference_on_families(self, fam):
+        assert_jacobi_matches_reference(fam)
+
+    def test_one_sum_matches_bracket_reference_on_data_files(self):
+        loaded = 0
+        for path in sorted(DATA.glob("*.alg")):
+            try:
+                fam = custom_family(path.read_text(encoding="utf-8"))
+            except ValueError:
+                continue
+            assert_jacobi_matches_reference(fam)
+            loaded += 1
+        assert loaded >= 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(_BRACKET_ENTRIES), min_size=9, max_size=9))
+    def test_one_sum_matches_bracket_reference_on_random_tables(self, entries):
+        text = "\n".join(
+            f"bracket.{key} = {', '.join(entries[3 * n : 3 * n + 3])}" for n, key in enumerate(("12", "13", "23"))
+        )
+        assert_jacobi_matches_reference(custom_family(text))
 
     def test_non_lie_table_reports_nonzero(self):
         # [[e1,e2],e3] = [e2,e3] = e1 while the other cyclic terms vanish
@@ -436,6 +491,27 @@ def test_draw_rational_keeps_the_draw_sequence():
     assert draws == [Fraction(ref.choice(range(-3, 4)), ref.choice((1, 2, 3))) for _ in range(2000)]
     assert rng.getstate() == ref.getstate()
     assert all(type(v) is Fraction for v in draws)
+
+
+def _choice_draw(rng):
+    """A pool value as two `random.Random.choice` calls draw it."""
+    return rng.choice(range(-3, 4)), rng.choice((1, 2, 3))
+
+
+def test_pool_draws_match_random_choice_for_seeds_0_to_199():
+    # a free root draws its value by draw_rational between the pool draws
+    # and the kernels, so both helpers share one stream
+    pool = ["alpha", "beta", "delta"]
+    roots = [("gamma", IntegerKernel(T, [T.zero, T.zero]))]
+    side = IntegerKernel(T, [])
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert draw_rational(rng) == Fraction(*_choice_draw(ref))
+            expected = {name: n * 6 // d for name, (n, d) in ((name, _choice_draw(ref)) for name in pool)}
+            expected["gamma"] = Fraction(*_choice_draw(ref)) * 6
+            assert draw_point(rng, pool, roots, side, 0) == (expected, 6)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_sampler_reference_reaches_every_split_outcome():

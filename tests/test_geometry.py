@@ -170,7 +170,8 @@ GENERATED = generated_families(seed=11, count=6)
 )
 @pytest.mark.parametrize("fams", [FAMILIES, generated_families(seed=5, count=48)], ids=["catalogue", "custom"])
 def test_closed_form_derived_connections_match_their_definitions(fams, build, reference):
-    # float evaluation sums in dict order, so the term order is pinned too
+    # storage order too: it sets the term order of every sum built from the
+    # connection, and so the text of each kernel source compiled from those
     for fam in fams:
         got = build(fam).gamma
         expected = reference(fam)

@@ -26,7 +26,8 @@ from lieschouten.poly import (
     quotient,
     sum_of_products,
 )
-from poly_reference import ReferencePolynomial, integer_point, kernel_at
+from lieschouten import poly
+from poly_reference import ReferencePolynomial, integer_point, kernel_at, reference_parse
 from tokenizer_reference import reference_tokens
 
 T = DEFAULT_TABLE
@@ -485,6 +486,62 @@ def test_tokenizer_matches_reference(text):
             return ("ParseError", err.position, str(err))
 
     assert outcome(_tokenize) == outcome(reference_tokens)
+
+
+# -- the term-folding parser against the token-by-token reference ----------
+
+_parse_atoms = st.sampled_from(
+    ("alpha", "beta", "eta", "α", "λ₀", "0", "1", "7", "12", "1/2", "3/4", "0/5", "2/0", "alpha^2", "beta^0",
+     "alpha^32768", "alpha^16384", "2^5")
+)
+# a power of a parenthesised sum, its sum small so that powers stay cheap
+_powered_sums = st.tuples(_parse_atoms, st.sampled_from(("+", " - ")), _parse_atoms, st.integers(0, 2)).map(
+    lambda t: f"({t[0]}{t[1]}{t[2]})^{t[3]}"
+)
+_grammar_texts = st.recursive(
+    st.one_of(_parse_atoms, _powered_sums),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from((" + ", " - ", "*", "*-", "-")), inner).map("".join),
+        inner.map("({})".format),
+        inner.map("-{}".format),
+        inner.map(lambda t: f"{t} - ({t}) + alpha"),  # cancels all but alpha
+    ),
+    max_leaves=8,
+)
+
+
+def _parse_outcome(parse, text):
+    try:
+        q = parse(text, T)
+    except Exception as err:
+        return type(err), str(err)
+    return list(q._num.items()), q._den
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_grammar_texts, st.lists(st.one_of(_token_pieces, st.characters(max_codepoint=127)), max_size=12).map("".join)))
+def test_parser_matches_reference(text):
+    """Grammar-built and arbitrary ASCII texts give the reference's terms in
+    its storage order over its denominator, or its exception and message."""
+    assert _parse_outcome(parse_polynomial, text) == _parse_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "alpha - alpha + beta + alpha",
+        "alpha^32768",
+        "alpha^16384*alpha^16384",
+        "alpha^16384*0*alpha^16384",
+        "(alpha - alpha)^40000 + 0^0",
+        "-2/4*α^2 + 1/2*alpha*alpha - -λ₀^3",
+        "1/2*2/3*alpha - 1/3*alpha",
+        "(alpha+1)*2*alpha - 2*alpha^2",
+        "3/0",
+    ],
+)
+def test_parser_matches_reference_at_edges(text):
+    assert _parse_outcome(parse_polynomial, text) == _parse_outcome(reference_parse, text)
 
 
 # -- randomized ring and homomorphism properties -----------------------------
@@ -1043,6 +1100,26 @@ def test_integer_kernel_degenerate_lists():
     # a coefficient too long for a decimal literal under the int/str digit limit
     huge = Polynomial(T, {(1, 0, 0, 0, 0, 0, 0): 2**40000 + 1, (0,) * len(T): -1})
     assert IntegerKernel(T, [huge]).scaled({"alpha": 3}, 1) == [3 * (2**40000 + 1) - 1]
+
+
+def test_one_source_compiles_once_and_binds_its_names_per_kernel():
+    first, second = IntegerKernel(T, [p("alpha + 1")]), IntegerKernel(T, [p("beta + 1")])
+    assert first.source == second.source
+    assert first.scaled({"alpha": 2, "beta": 5}, 1) == [3]
+    assert second.scaled({"alpha": 2, "beta": 5}, 1) == [6]
+    before = poly._compiled.cache_info()
+    again = IntegerKernel(T, [p("gamma + 1")])
+    after = poly._compiled.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+    assert again.scaled({"gamma": -4}, 1) == [-3]
+
+
+def test_the_compile_memo_is_bounded():
+    size = poly._compiled.cache_info().maxsize
+    assert size is not None
+    for k in range(size + 1):
+        IntegerKernel(T, [p(f"alpha + {k + 1000}")])
+    assert poly._compiled.cache_info().currsize == size
 
 
 def test_integer_kernel_rejects_a_polynomial_over_another_table():
