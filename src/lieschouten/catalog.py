@@ -264,7 +264,8 @@ def load_catalog(text: Optional[str] = None) -> Catalog:
                     c_expr=c_expr,
                     reductions=parsed("reduce", _parse_reductions, ""),
                     nonzero=tuple(
-                        _expression(t, defs, aux_table, where, memo) for t in kv.get("nonzero", "").split(";") if t.strip()
+                        _expression(t, defs, aux_table, where, memo)
+                        for t in kv.get("nonzero", "").split(";") if t.strip()
                     ),
                     sample_subs=parsed("sample", _parse_assignments, ""),
                     witness=_parse_witness(kv.get("witness", ""), where),

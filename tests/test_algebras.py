@@ -209,7 +209,9 @@ class TestBracket:
 
 # bracket-table entries for the Jacobi property: zeros, constants, and sums
 # whose products cancel or share monomials
-_BRACKET_ENTRIES = ("0", "0", "1", "-2/3", "alpha", "-beta", "alpha - beta", "1/2*gamma + delta", "alpha*beta - 3", "gamma^2")
+_BRACKET_ENTRIES = (
+    "0", "0", "1", "-2/3", "alpha", "-beta", "alpha - beta", "1/2*gamma + delta", "alpha*beta - 3", "gamma^2"
+)
 
 
 class TestJacobi:

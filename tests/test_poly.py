@@ -519,7 +519,11 @@ def _parse_outcome(parse, text):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(_grammar_texts, st.lists(st.one_of(_token_pieces, st.characters(max_codepoint=127)), max_size=12).map("".join)))
+@given(
+    st.one_of(
+        _grammar_texts, st.lists(st.one_of(_token_pieces, st.characters(max_codepoint=127)), max_size=12).map("".join)
+    )
+)
 def test_parser_matches_reference(text):
     """Grammar-built and arbitrary ASCII texts give the reference's terms in
     its storage order over its denominator, or its exception and message."""
