@@ -201,6 +201,17 @@ class TestSubstitute:
         q = p("eta^2 + eta").substitute("eta", -1)
         assert q == T.zero
 
+    def test_absent_variable_and_zero_replacement_shortcuts(self):
+        q = p("alpha^2*beta - 3*beta + 1/2")
+        assert q.substitute("gamma", p("alpha + 1")) is q
+        assert q.substitute("alpha", T.zero) == p("-3*beta + 1/2")
+        assert q.substitute("beta", 0) == p("1/2")
+
+    @pytest.mark.parametrize("text", ["alpha + 1", "beta", "0"])
+    def test_a_replacement_of_another_type_raises_type_error(self, text):
+        with pytest.raises(TypeError, match="cannot substitute 1.5 for 'alpha'"):
+            p(text).substitute("alpha", 1.5)
+
 
 class TestReduceSquare:
     def test_generator_maps_to_zero(self):
