@@ -503,7 +503,7 @@ def test_tokenizer_matches_reference(text):
 
 _parse_atoms = st.sampled_from(
     ("alpha", "beta", "eta", "α", "λ₀", "0", "1", "7", "12", "1/2", "3/4", "0/5", "2/0", "alpha^2", "beta^0",
-     "alpha^32768", "alpha^16384", "2^5")
+     "alpha^32768", "alpha^16384", "2^5", "2/3^2", "1/2^3")
 )
 # a power of a parenthesised sum, its sum small so that powers stay cheap
 _powered_sums = st.tuples(_parse_atoms, st.sampled_from(("+", " - ")), _parse_atoms, st.integers(0, 2)).map(
@@ -550,6 +550,7 @@ def test_parser_matches_reference(text):
         "alpha^16384*0*alpha^16384",
         "(alpha - alpha)^40000 + 0^0",
         "-2/4*α^2 + 1/2*alpha*alpha - -λ₀^3",
+        "-2/3^2*alpha^3 + 4/9*alpha*alpha^2 - 0^0",
         "1/2*2/3*alpha - 1/3*alpha",
         "(alpha+1)*2*alpha - 2*alpha^2",
         "3/0",
