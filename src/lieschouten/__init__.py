@@ -18,14 +18,12 @@ _EXPORTS = {
     "algebras": (
         "FAMILY_IDS",
         "LieAlgebraFamily",
-        "MetricSignature",
         "SamplingError",
         "StructureConstants",
         "bracket",
         "build_family",
         "custom_family",
         "jacobi_residuals",
-        "load_family",
         "sample_parameters",
     ),
     "catalog": ("Catalog", "CatalogError", "load_catalog", "verify_all"),

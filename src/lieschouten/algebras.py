@@ -57,22 +57,8 @@ FAMILY_IDS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
 BRANCH_CACHE_SIZE = 32
 
 
-class _Signature(NamedTuple):
-    eps: tuple[int, int, int] = (1, 1, -1)
-
-
-class MetricSignature(_Signature):
-    """Diagonal metric g(e_i, e_j) = eps_i * delta_ij with eps_i in {+1, -1}."""
-
-    __slots__ = ()
-
-    def __new__(cls, eps: tuple[int, int, int] = (1, 1, -1)):
-        if any(e not in (1, -1) for e in eps):
-            raise ValueError(f"signature entries must be +/-1, got {eps}")
-        return super().__new__(cls, eps)
-
-
-LORENTZIAN = MetricSignature((1, 1, -1))
+# The Lorentzian metric g(e_i, e_j) = eps_i * delta_ij, e3 timelike.
+LORENTZIAN_EPS = (1, 1, -1)
 
 # Product structure J = diag(1, 1, -1): J e1 = e1, J e2 = e2, J e3 = -e3.
 PRODUCT_STRUCTURE_J = (1, 1, -1)
@@ -83,14 +69,10 @@ class StructureConstants(NamedTuple):
 
     c: tuple[tuple[Vector, Vector, Vector], ...]
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.c[i][j]
-
 
 class LieAlgebraFamily(NamedTuple):
     family_id: str
     structure: StructureConstants
-    metric: MetricSignature
     equality_constraints: tuple[Polynomial, ...]
     nonvanishing: tuple[Polynomial, ...]
     eta: Optional[int]
@@ -134,7 +116,6 @@ _NONVANISHING = {
 
 def _assemble_family(
     family_id: str,
-    table: VariableTable,
     pair_rows: dict[tuple[int, int], Vector],
     equality: tuple[Polynomial, ...],
     nonvanishing: tuple[Polynomial, ...],
@@ -142,6 +123,7 @@ def _assemble_family(
 ) -> LieAlgebraFamily:
     """The antisymmetric bracket table plus the parameters it and its side
     conditions use, in table order."""
+    table = DEFAULT_TABLE
     zero: Vector = (table.zero, table.zero, table.zero)
     grid = [[zero for _ in range(3)] for _ in range(3)]
     for (i, j), vec in pair_rows.items():
@@ -152,7 +134,6 @@ def _assemble_family(
     return LieAlgebraFamily(
         family_id=family_id,
         structure=StructureConstants(tuple(tuple(row) for row in grid)),
-        metric=LORENTZIAN,
         equality_constraints=equality,
         nonvanishing=nonvanishing,
         eta=eta,
@@ -161,21 +142,17 @@ def _assemble_family(
     )
 
 
-def build_family(
-    family_id: str,
-    eta: Optional[int] = None,
-    table: VariableTable = DEFAULT_TABLE,
-) -> LieAlgebraFamily:
-    """Construct one of g1..g7 over `table`, once per argument value,
-    however the arguments are spelled.
+def build_family(family_id: str, eta: Optional[int] = None) -> LieAlgebraFamily:
+    """Construct one of g1..g7 over DEFAULT_TABLE, the table of the
+    catalogue, once per argument value, however the arguments are spelled.
 
     `eta` must be +1 or -1 for g4 and omitted otherwise.
     """
-    return _build_family(family_id, eta, table)
+    return _build_family(family_id, eta)
 
 
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)
-def _build_family(family_id: str, eta: Optional[int], table: VariableTable) -> LieAlgebraFamily:
+def _build_family(family_id: str, eta: Optional[int]) -> LieAlgebraFamily:
     """`build_family`, memoised on its positional arguments."""
     if family_id not in _BRACKETS:
         raise ValueError(f"unknown family {family_id!r} (expected one of {FAMILY_IDS})")
@@ -186,7 +163,7 @@ def _build_family(family_id: str, eta: Optional[int], table: VariableTable) -> L
         raise ValueError(f"{family_id} does not take an eta branch")
 
     def prep(text: str) -> Polynomial:
-        return instantiate_eta(parse_polynomial(text, table), eta)
+        return instantiate_eta(parse_polynomial(text), eta)
 
     rows = {
         pair: tuple(prep(t) for t in texts)
@@ -194,14 +171,13 @@ def _build_family(family_id: str, eta: Optional[int], table: VariableTable) -> L
     }
     equality = tuple(prep(t) for t in _EQUALITY.get(family_id, ()))
     nonvanishing = tuple(prep(t) for t in _NONVANISHING.get(family_id, ()))
-    return _assemble_family(family_id, table, rows, equality, nonvanishing, eta)  # type: ignore[arg-type]
+    return _assemble_family(family_id, rows, equality, nonvanishing, eta)  # type: ignore[arg-type]
 
 
 def family_branches(family_id: str) -> list[LieAlgebraFamily]:
-    """Every branch of a catalogued family over DEFAULT_TABLE, the table of
-    the catalogue: both eta signs for g4, else one."""
+    """Every branch of a catalogued family: both eta signs for g4, else one."""
     etas = (1, -1) if family_id == "g4" else (None,)
-    return [build_family(family_id, eta=eta, table=DEFAULT_TABLE) for eta in etas]
+    return [build_family(family_id, eta=eta) for eta in etas]
 
 
 def instantiate_eta(q: Polynomial, eta: Optional[int]) -> Polynomial:
@@ -211,12 +187,9 @@ def instantiate_eta(q: Polynomial, eta: Optional[int]) -> Polynomial:
     return q
 
 
-def custom_family(
-    text: str,
-    table: VariableTable = DEFAULT_TABLE,
-    family_id: str = "custom",
-) -> LieAlgebraFamily:
-    """Build a custom algebra from its key/value description.
+def custom_family(text: str) -> LieAlgebraFamily:
+    """Build a custom algebra over DEFAULT_TABLE from its key/value
+    description.
 
     Recognized keys (one `key = value` pair per line, '#' starts a comment):
 
@@ -242,17 +215,14 @@ def custom_family(
         entries[key.strip()] = value.strip()
 
     def parse(key: str, part: str) -> Polynomial:
-        q = parse_polynomial(part, table)
+        q = parse_polynomial(part)
         for name in ("lambda0", "c"):
             if name in q.variables():
                 raise ValueError(f"{key}: {name} is reserved for the soliton unknowns")
         return q
 
     def parse_vector(key: str) -> Vector:
-        value = entries.get(key)
-        if value is None:
-            return (table.zero, table.zero, table.zero)
-        parts = value.split(",")
+        parts = entries[key].split(",")
         if len(parts) != 3:
             raise ValueError(f"{key}: expected three comma-separated expressions")
         return tuple(parse(key, part) for part in parts)  # type: ignore[return-value]
@@ -261,23 +231,9 @@ def custom_family(
         value = entries.get(key, "")
         return tuple(parse(key, part) for part in value.split(";") if part.strip())
 
-    rows = {
-        (0, 1): parse_vector("bracket.12"),
-        (0, 2): parse_vector("bracket.13"),
-        (1, 2): parse_vector("bracket.23"),
-    }
-    return _assemble_family(
-        family_id, table, rows, parse_list("constraints"), parse_list("nonvanishing")
-    )
-
-
-def load_family(spec: str, table: VariableTable = DEFAULT_TABLE, eta: Optional[int] = None):
-    """Resolve a family selector: 'g1'..'g7' or 'custom:<path>'."""
-    if spec.startswith("custom:"):
-        path = spec.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            return custom_family(fh.read(), table)
-    return build_family(spec, eta=eta, table=table)
+    keys = {(0, 1): "bracket.12", (0, 2): "bracket.13", (1, 2): "bracket.23"}
+    rows = {pair: parse_vector(key) for pair, key in keys.items() if key in entries}
+    return _assemble_family("custom", rows, parse_list("constraints"), parse_list("nonvanishing"))
 
 
 def bracket(fam: LieAlgebraFamily, x: Sequence[Polynomial], y: Sequence[Polynomial]) -> Vector:

@@ -28,7 +28,6 @@ from .algebras import FAMILY_IDS, LieAlgebraFamily, Value, family_branches, inst
 from .geometry import (
     CANONICAL,
     CONNECTION_KINDS,
-    KIND_ALIASES,
     KOBAYASHI_NOMIZU,
     LEVI_CIVITA,
     connection,
@@ -172,9 +171,9 @@ def _parse_reductions(text: str, defs, aux_table, label: str, memo):
     return tuple(out)
 
 
-def _parse_witness(text: str, label: str) -> tuple[tuple[str, object], ...]:
+def _parse_witness(text: str, label: str, family_id: str) -> tuple[tuple[str, object], ...]:
     """name = value entries: a rational, sqrt(rational) for an irrational
-    locus (a Surd), or an expression, which may use eta."""
+    locus (a Surd), or a constant expression, which may use eta on g4."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -199,7 +198,16 @@ def _parse_witness(text: str, label: str) -> tuple[tuple[str, object], ...]:
             continue
         except ValueError:
             pass
-        out.append((name, parse_polynomial(value, DEFAULT_TABLE)))
+        try:
+            q = parse_polynomial(value)
+        except ParseError as err:
+            raise CatalogError(f"[{label}] cannot parse {value!r}: {err}") from err
+        unknown = q.variables() - ({"eta"} if family_id == "g4" else set())
+        if unknown:
+            raise CatalogError(
+                f"[{label}] witness {name} = {value} is not constant: it reads {', '.join(sorted(unknown))}"
+            )
+        out.append((name, q))
     return tuple(out)
 
 
@@ -222,7 +230,7 @@ def load_catalog(text: Optional[str] = None) -> Catalog:
     cases: list[TheoremCase] = []
     for stype, label, kv, _ in _read_sections(text):
         family_id = kv.get("family", "")
-        kind = KIND_ALIASES.get(kv.get("kind", ""), kv.get("kind", ""))
+        kind = kv.get("kind", "")
         entries = _entries(kv.get("defs", ""), "defs entry", label)
         defs = {name: parse_polynomial(expr, aux_table) for name, expr in entries}
         where = f"{stype} {label}"
@@ -268,7 +276,7 @@ def load_catalog(text: Optional[str] = None) -> Catalog:
                         for t in kv.get("nonzero", "").split(";") if t.strip()
                     ),
                     sample_subs=parsed("sample", _parse_assignments, ""),
-                    witness=_parse_witness(kv.get("witness", ""), where),
+                    witness=_parse_witness(kv.get("witness", ""), where, family_id),
                     suspect=kv.get("suspect", "no") == "yes",
                     empty=kv.get("empty", "no") == "yes",
                     variant_substitutions=parsed("variant_subs", _parse_assignments),
@@ -357,8 +365,8 @@ def _structural_check(fam: LieAlgebraFamily) -> tuple[str, str, str]:
     lc, can, kn = (connection(fam, kind) for kind in CONNECTION_KINDS)
     checks = (
         ("lc torsion", torsion(lc, fam)),
-        ("lc metric residual", metric_compatibility_residual(lc, fam)),
-        ("canonical metric residual", metric_compatibility_residual(can, fam)),
+        ("lc metric residual", metric_compatibility_residual(lc)),
+        ("canonical metric residual", metric_compatibility_residual(can)),
         ("canonical nabla-J", [m.entries for m in nabla_j(can)]),
         ("kn nabla-J", [m.entries for m in nabla_j(kn)]),
     )

@@ -26,12 +26,12 @@ from .algebras import (
     FAMILY_IDS,
     SamplingError,
     build_family,
+    custom_family,
     family_branches,
     jacobi_residuals,
-    load_family,
     sample_parameters,
 )
-from .geometry import KIND_ALIASES, LEVI_CIVITA, ricci_pipeline
+from .geometry import CONNECTION_KINDS, LEVI_CIVITA, ricci_pipeline
 from .poly import ParseError, PolynomialError
 
 # `soliton` and `catalog` are imported by the commands that run them, so a
@@ -56,22 +56,20 @@ def _resolve_family(args) -> object:
     eta = getattr(args, "eta", None)
     if spec is None:
         raise UsageError("--family is required")
-    if spec.startswith("custom:"):
-        if eta is not None:
-            raise UsageError("--eta applies only to g4")
-        try:
-            return load_family(spec)
-        except FileNotFoundError as err:
-            raise DataError(f"cannot read custom algebra: {err}") from err
-        except (ParseError, PolynomialError, ValueError) as err:
-            raise DataError(f"invalid custom algebra file: {err}") from err
-    if spec not in FAMILY_IDS:
+    custom = spec.startswith("custom:")
+    if not custom and spec not in FAMILY_IDS:
         raise UsageError(f"unknown family {spec!r} (g1..g7 or custom:<path>)")
-    if spec == "g4" and eta is None:
-        raise UsageError("g4 requires --eta 1 or --eta -1")
-    if spec != "g4" and eta is not None:
-        raise UsageError("--eta applies only to g4")
-    return build_family(spec, eta=eta)
+    if (eta is None) == (spec == "g4"):
+        raise UsageError("g4 requires --eta 1 or --eta -1" if eta is None else "--eta applies only to g4")
+    if not custom:
+        return build_family(spec, eta=eta)
+    try:
+        with open(spec.split(":", 1)[1], encoding="utf-8") as fh:
+            return custom_family(fh.read())
+    except FileNotFoundError as err:
+        raise DataError(f"cannot read custom algebra: {err}") from err
+    except (ParseError, PolynomialError, ValueError) as err:
+        raise DataError(f"invalid custom algebra file: {err}") from err
 
 
 def _print_matrix(entries, indent="  "):
@@ -87,7 +85,7 @@ def cmd_families(args) -> int:
             for fam in family_branches(fid):
                 pairs = []
                 for label, (i, j) in (("12", (0, 1)), ("13", (0, 2)), ("23", (1, 2))):
-                    vec = ",".join(str(q) for q in fam.structure.bracket_basis(i, j))
+                    vec = ",".join(str(q) for q in fam.structure.c[i][j])
                     pairs.append(f"bracket.{label}={vec}")
                 cons = ";".join(str(q) for q in fam.equality_constraints)
                 nonv = ";".join(str(q) for q in fam.nonvanishing)
@@ -100,7 +98,7 @@ def cmd_families(args) -> int:
         fam = family_branches(fid)[0]
         print(fid + (" (eta = +1 or -1)" if fid == "g4" else ""))
         for label, (i, j) in (("[e1,e2]", (0, 1)), ("[e1,e3]", (0, 2)), ("[e2,e3]", (1, 2))):
-            vec = fam.structure.bracket_basis(i, j)
+            vec = fam.structure.c[i][j]
             terms = [
                 f"({q})*e{k+1}" for k, q in enumerate(vec) if not q.is_zero
             ]
@@ -114,8 +112,7 @@ def cmd_families(args) -> int:
 
 def cmd_ricci(args) -> int:
     fam = _resolve_family(args)
-    kind = KIND_ALIASES[args.kind]
-    _, op, s = ricci_pipeline(fam, kind)
+    _, op, s = ricci_pipeline(fam, args.kind)
     if args.format == "machine":
         print(f"family\t{fam.describe()}")
         print(f"kind\t{args.kind}")
@@ -123,7 +120,7 @@ def cmd_ricci(args) -> int:
             print(f"op\t{i}\t" + "\t".join(str(q) for q in row))
         print(f"scalar\t{s}")
         return EXIT_OK
-    sym = "" if kind == LEVI_CIVITA else " (symmetrized)"
+    sym = "" if args.kind == LEVI_CIVITA else " (symmetrized)"
     print(f"Ricci operator{sym} of {fam.describe()} under {args.kind}:")
     _print_matrix(op.entries)
     print(f"scalar curvature: {s}")
@@ -132,7 +129,7 @@ def cmd_ricci(args) -> int:
 
 def cmd_scalar(args) -> int:
     fam = _resolve_family(args)
-    _, _, s = ricci_pipeline(fam, KIND_ALIASES[args.kind])
+    _, _, s = ricci_pipeline(fam, args.kind)
     if args.format == "machine":
         print(f"scalar\t{fam.describe()}\t{args.kind}\t{s}")
     else:
@@ -144,7 +141,7 @@ def cmd_system(args) -> int:
     from .soliton import serialize_system, soliton_system
 
     fam = _resolve_family(args)
-    system = soliton_system(fam, KIND_ALIASES[args.kind])
+    system = soliton_system(fam, args.kind)
     if args.format == "machine":
         sys.stdout.write(serialize_system(system))
         return EXIT_OK
@@ -204,18 +201,16 @@ def cmd_scan(args) -> int:
 
     fam = _resolve_family(args)
     grid = _parse_lambda0_grid(args.lambda0)
-    report = scan(fam, KIND_ALIASES[args.kind], seed=args.seed, count=args.count, lambda0_grid=grid)
+    report = scan(fam, args.kind, seed=args.seed, count=args.count, lambda0_grid=grid)
     if args.format == "machine":
         print(f"scan\t{fam.describe()}\t{args.kind}\tseed={args.seed}\tcount={args.count}")
-        solvable = 0
         for idx, values, lam, sol in report.cells(("unique", "any", "none")):
             point = ",".join(f"{n}={values[n]}" for n in sorted(values))
             c_text = "-" if sol.value is None else str(sol.value)
             print(f"point\t{idx}\t{point}\tlambda0={lam}\t{sol.status}\tc={c_text}")
-            solvable += sol.status != "none"
-        print(f"summary\tsolvable={solvable}\ttotal={report.size}")
+        print(f"summary\tsolvable={report.solvable_count}\ttotal={report.size}")
         return EXIT_OK
-    solvable = sum(sol.status != "none" for row in report.rows for sol in row)
+    solvable = report.solvable_count
     print(
         f"scan of {fam.describe()} under {args.kind}: "
         f"{solvable} solvable of {report.size} (points x lambda0 grid)"
@@ -269,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--family", help="g1..g7 or custom:<path>")
             p.add_argument("--eta", type=int, choices=(1, -1), help="branch for g4")
         if kind:
-            p.add_argument("--kind", choices=tuple(KIND_ALIASES), default="lc")
+            p.add_argument("--kind", choices=CONNECTION_KINDS, default="lc")
         p.add_argument("--format", choices=("text", "machine"), default="text")
 
     p = sub.add_parser("families", help="list the built-in families")

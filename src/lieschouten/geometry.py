@@ -38,15 +38,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebras import BRANCH_CACHE_SIZE, PRODUCT_STRUCTURE_J, LieAlgebraFamily, MetricSignature
+from .algebras import BRANCH_CACHE_SIZE, LORENTZIAN_EPS, PRODUCT_STRUCTURE_J, LieAlgebraFamily
 from .poly import Polynomial, sum_of_products
 
 LEVI_CIVITA = "lc"
 CANONICAL = "canonical"
 KOBAYASHI_NOMIZU = "kn"
 CONNECTION_KINDS = (LEVI_CIVITA, CANONICAL, KOBAYASHI_NOMIZU)
-# Accepted spellings of a connection kind, in the catalog and on the CLI.
-KIND_ALIASES = {"lc": LEVI_CIVITA, "canonical": CANONICAL, "kn": KOBAYASHI_NOMIZU}
 
 Matrix3 = tuple[tuple[Polynomial, ...], ...]
 Array3 = tuple[tuple[tuple[Polynomial, ...], ...], ...]
@@ -72,9 +70,6 @@ class CurvatureTensor(NamedTuple):
 class BilinearForm(NamedTuple):
     entries: Matrix3
 
-    def __getitem__(self, ij: tuple[int, int]) -> Polynomial:
-        return self.entries[ij[0]][ij[1]]
-
     @property
     def is_symmetric(self) -> bool:
         return all(
@@ -87,19 +82,16 @@ class OperatorMatrix(NamedTuple):
 
     entries: Matrix3
 
-    def __getitem__(self, ij: tuple[int, int]) -> Polynomial:
-        return self.entries[ij[0]][ij[1]]
-
 
 def levi_civita(fam: LieAlgebraFamily) -> ConnectionCoefficients:
-    """Koszul-formula Levi-Civita connection of the family's metric.
+    """Koszul-formula Levi-Civita connection of the Lorentzian metric.
 
     2 eps_k Gamma^k_ij = C^k_ij eps_k - C^i_jk eps_i + C^j_ki eps_j: the
     nonzero constants are added or subtracted by the sign of their eps
     factor, and the sum is scaled once by eps_k / 2.
     """
     c = fam.structure.c
-    eps = fam.metric.eps
+    eps = LORENTZIAN_EPS
     gamma = [[[None] * 3 for _ in range(3)] for _ in range(3)]
     for i in range(3):
         for j in range(3):
@@ -230,9 +222,9 @@ def ricci_form(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> BilinearF
     the products' signs; see the module docstring for why the two
     catalogued series need opposite signs.
     """
-    # the weight -eps_a times the eps_a of g(R(e_i, e_a) e_j, e_a) = R^a_iaj
-    # eps_a is -1 for every a, so the trace is -sum_a R^a_iaj, which the
-    # Levi-Civita kind negates
+    # the weight -eps_a times the eps_a of g(R(e_i, e_a) e_j, e_a) = R^a_iaj:
+    # the product (-eps_a) * eps_a is -1 for every a, so the trace is
+    # -sum_a R^a_iaj, which the Levi-Civita kind negates
     sign = 1 if conn.kind == LEVI_CIVITA else -1
     rows = [
         [
@@ -257,23 +249,23 @@ def symmetrize(form: BilinearForm) -> BilinearForm:
     return BilinearForm(_freeze3(rows))
 
 
-def ricci_operator(form: BilinearForm, metric: MetricSignature) -> OperatorMatrix:
+def ricci_operator(form: BilinearForm) -> OperatorMatrix:
     """Index raising: entry (i, j) = eps_j * form(e_i, e_j), the entry
     itself where eps_j = +1."""
-    rows = [
-        [q if eps > 0 else -q for q, eps in zip(row, metric.eps)] for row in form.entries
-    ]
+    rows = [[q if eps > 0 else -q for q, eps in zip(row, LORENTZIAN_EPS)] for row in form.entries]
     return OperatorMatrix(_freeze3(rows))
 
 
 def scalar_curvature(form: BilinearForm) -> Polynomial:
-    """Epsilon-weighted trace: form(e1,e1) + form(e2,e2) - form(e3,e3)."""
-    return form.entries[0][0] + form.entries[1][1] - form.entries[2][2]
+    """Epsilon-weighted trace, the trace of the raised form:
+    form(e1,e1) + form(e2,e2) - form(e3,e3)."""
+    op = ricci_operator(form).entries
+    return op[0][0] + op[1][1] + op[2][2]
 
 
 def schouten_form(form: BilinearForm, s: Polynomial, lambda0: Polynomial) -> BilinearForm:
-    """rho - s*lambda0*g for g = diag(1, 1, -1)."""
-    shift = [s * lambda0 * eps for eps in (1, 1, -1)]
+    """rho - s*lambda0*g for g = diag(eps)."""
+    shift = [s * lambda0 * eps for eps in LORENTZIAN_EPS]
     rows = [[q - shift[i] if i == j else q for j, q in enumerate(row)] for i, row in enumerate(form.entries)]
     return BilinearForm(_freeze3(rows))
 
@@ -290,12 +282,10 @@ def torsion(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> Array3:
     )
 
 
-def metric_compatibility_residual(
-    conn: ConnectionCoefficients, fam: LieAlgebraFamily
-) -> Array3:
+def metric_compatibility_residual(conn: ConnectionCoefficients) -> Array3:
     """(nabla_{e_i} g)(e_j, e_k) = -Gamma^k_ij eps_k - Gamma^j_ik eps_j."""
     g = conn.gamma
-    eps = fam.metric.eps
+    eps = LORENTZIAN_EPS
     return _freeze_array3(
         [
             [
@@ -322,6 +312,6 @@ def ricci_pipeline(fam: LieAlgebraFamily, kind: str):
     conn = connection(fam, kind)
     rho = ricci_form(conn, fam)
     form = rho if kind == LEVI_CIVITA else symmetrize(rho)
-    op = ricci_operator(form, fam.metric)
+    op = ricci_operator(form)
     s = scalar_curvature(form)
     return form, op, s

@@ -314,7 +314,8 @@ class ScanReport(NamedTuple):
     integer form and `forms` its `_c_form`.  `rows` (one tuple of c
     solutions per point, one per lambda0 of the grid, a repeated point
     sharing its first occurrence's row object), `cells`, `entries` (every
-    cell) and `solvable` build their values and `CSolution`s on request."""
+    cell) and `solvable` build their values and `CSolution`s on request;
+    `solvable_count` counts from `forms` and `slots` alone."""
 
     family_id: str
     kind: str
@@ -330,6 +331,12 @@ class ScanReport(NamedTuple):
     def size(self) -> int:
         """The number of (point, lambda0) cells."""
         return len(self.slots) * len(self.lambda0_grid)
+
+    @property
+    def solvable_count(self) -> int:
+        """The number of solvable cells: a point with a `_c_form` solves at
+        every lambda0 of the grid, and one without at none."""
+        return len(self.lambda0_grid) * sum(self.forms[k] is not None for k in self.slots)
 
     @property
     def rows(self) -> tuple[tuple[CSolution, ...], ...]:
@@ -528,7 +535,7 @@ def _locus_plan(
     consumed = {var for var, _ in on_locus.pairs + sample.pairs}
     if not sample.pairs:
         consumed |= {var for var, _ in reductions}
-    fam_params = build_family(case.family_id, eta=system.eta, table=table).parameters
+    fam_params = build_family(case.family_id, eta=system.eta).parameters
     pool = [v for v in fam_params if v not in consumed]
     roots = [(var, (-expr, table.one)) for var, expr in sample.pairs]
     assigned = set(pool) | {var for var, _ in sample.pairs}
@@ -643,7 +650,7 @@ def _verify_empty(case: TheoremCase, seed: int) -> VerificationReport:
     solvable = total = 0
     for fam in family_branches(case.family_id):
         report = scan(fam, case.kind, seed=seed, count=500)
-        solvable += len(report.lambda0_grid) * sum(report.forms[k] is not None for k in report.slots)
+        solvable += report.solvable_count
         total += report.size
     ok = solvable == 0
     return _report(case, "scan-empty", ok, detail=f"{solvable} solvable of {total} scanned {case.note}".strip())
@@ -717,7 +724,7 @@ class _CompiledCase:
     coefficients a_j of c_expr = sum_j a_j*lambda0^j.  Both run once per
     point at its integer form, and `_holds` then decides the lambda0 grid.
     `witness` is the witness's integer form, L the lcm of its denominators;
-    an entry with eta must be constant here, else `PolynomialError`."""
+    `load_catalog` rejects an entry that reads a variable but g4's eta."""
 
     __slots__ = ("split", "locus", "c_kernel", "witness")
 

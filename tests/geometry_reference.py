@@ -25,7 +25,7 @@ builds its residuals:
 import random
 from fractions import Fraction
 
-from lieschouten.algebras import PRODUCT_STRUCTURE_J, custom_family
+from lieschouten.algebras import LORENTZIAN_EPS, PRODUCT_STRUCTURE_J, custom_family
 from lieschouten.geometry import (
     LEVI_CIVITA,
     BilinearForm,
@@ -42,7 +42,7 @@ from lieschouten.geometry import (
 def reference_levi_civita(fam):
     """Gamma^k_ij from 2 eps_k Gamma^k_ij = C^k_ij eps_k - C^i_jk eps_i + C^j_ki eps_j."""
     c = fam.structure.c
-    eps = fam.metric.eps
+    eps = LORENTZIAN_EPS
     half = Fraction(1, 2)
     return [
         [
@@ -107,7 +107,7 @@ def reference_ricci_form(conn, fam, r=None):
     """rho(e_i, e_j) = sum_a w_a g(R(e_i, e_a) e_j, e_a) over all three a,
     weights w = -eps, negated for the Levi-Civita kind."""
     r = reference_curvature(conn, fam) if r is None else r
-    eps = fam.metric.eps
+    eps = LORENTZIAN_EPS
     sign = -1 if conn.kind == LEVI_CIVITA else 1
     rows = []
     for i in range(3):
@@ -128,7 +128,7 @@ def derivation_candidate(fam, kind):
     form = rho if kind == LEVI_CIVITA else symmetrize(rho)
     s = scalar_curvature(form)
     table = fam.table
-    sch = ricci_operator(schouten_form(form, s, table.var("lambda0")), fam.metric)
+    sch = ricci_operator(schouten_form(form, s, table.var("lambda0")))
     c = table.var("c")
     rows = [[q - c if i == j else q for j, q in enumerate(row)] for i, row in enumerate(sch.entries)]
     return OperatorMatrix(tuple(tuple(r) for r in rows))

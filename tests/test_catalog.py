@@ -122,6 +122,17 @@ class TestLoading:
             with pytest.raises(CatalogError, match=r"^\[case x\] witness .* is not the square root"):
                 load_catalog(text=case.format(bad))
 
+    @pytest.mark.parametrize(
+        "family, witness, reads",
+        [("g1", "alpha = beta", "beta"), ("g6", "alpha = 1, beta = gamma + eta", "eta, gamma"), ("g1", "beta = eta", "eta")],
+        ids=["parameter", "parameter-and-eta", "eta-off-g4"],
+    )
+    def test_witness_must_be_constant(self, family, witness, reads):
+        # only g4's branch sign eta may appear, and only on g4 (3.4.1 has beta = eta)
+        text = f"[case x]\nfamily = {family}\nkind = lc\nc = 0\nwitness = {witness}\n"
+        with pytest.raises(CatalogError, match=rf"^\[case x\] witness .* is not constant: it reads {reads}$"):
+            load_catalog(text=text)
+
     def test_suspect_flags_match_documentation(self, catalog):
         assert {c.label for c in catalog.cases if c.suspect} == SUSPECT_CASES
         assert {s.label for s in catalog.scalars if s.suspect} == SUSPECT_SCALARS

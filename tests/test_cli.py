@@ -18,6 +18,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 # the sha256 of the whole output.  Any change to a RESULT line moves them.
 SEED0_SUMMARY = "SUMMARY\tpass=194\twarn=9\tskip=4\tfail=0"
 SEED0_SHA256 = "c066eb2997606f0e2de257a1ba9a5e5787fec8cd17c61f6256588795cca7f77e"
+SEED0_GOLDEN = DATA / "golden_seed0_verify.txt"  # that stream, committed
 
 # The sha256 of `verify --only case --seed S --format machine` for S = 1, 2
 # and 3: the sampled ladder rung's draws past seed 0, which its
@@ -265,7 +266,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--seed", "0", "--format", "machine")
         assert code == 0
         assert SEED0_SUMMARY in out.splitlines()
+        # line by line first, so a changed RESULT line names itself
+        assert out.splitlines() == SEED0_GOLDEN.read_text(encoding="utf-8").splitlines()
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SEED0_SHA256
+
+    def test_seed0_golden_file_is_the_pinned_stream(self):
+        assert hashlib.sha256(SEED0_GOLDEN.read_bytes()).hexdigest() == SEED0_SHA256
 
     @pytest.mark.parametrize(
         "seed, digest", [(1, CASE_SEED1_SHA256), (2, CASE_SEED2_SHA256), (3, CASE_SEED3_SHA256)]
@@ -355,3 +361,13 @@ class TestVerifyFailurePath:
         monkeypatch.setattr(catalog_mod, "load_catalog", boom)
         code, _, err = run(capsys, "verify", "--only", "3.9")
         assert code == 3 and "catalog error" in err
+
+    def test_exit_code_3_on_a_witness_that_is_not_constant(self, capsys, monkeypatch):
+        import lieschouten.catalog as catalog_mod
+        from lieschouten.catalog import load_catalog
+
+        text = "[case 9.9.9]\nfamily = g1\nkind = lc\nc = 0\nwitness = alpha = beta, beta = 0\n"
+        monkeypatch.setattr(catalog_mod, "load_catalog", lambda: load_catalog(text=text))
+        code, out, err = run(capsys, "verify", "--only", "9.9.9")
+        assert code == 3 and out == ""
+        assert err == "catalog error: [case 9.9.9] witness alpha = beta is not constant: it reads beta\n"

@@ -98,7 +98,7 @@ class TestLeviCivita:
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=fam_id)
     def test_metric_compatible(self, fam):
-        res = metric_compatibility_residual(levi_civita(fam), fam)
+        res = metric_compatibility_residual(levi_civita(fam))
         assert all(res[i][j][k].is_zero for i in range(3) for j in range(3) for k in range(3))
 
 
@@ -125,7 +125,7 @@ class TestDerivedConnections:
         assert all(
             q.is_zero for m in nabla_j(conn) for row in m.entries for q in row
         )
-        res = metric_compatibility_residual(conn, fam)
+        res = metric_compatibility_residual(conn)
         assert all(res[i][j][k].is_zero for i in range(3) for j in range(3) for k in range(3))
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=fam_id)
@@ -252,7 +252,7 @@ class TestRicci:
         form = BilinearForm(
             tuple(tuple(T.one if i == j else T.zero for j in range(3)) for i in range(3))
         )
-        op = ricci_operator(form, build_family("g1").metric)
+        op = ricci_operator(form)
         assert op.entries[0][0] == T.one
         assert op.entries[1][1] == T.one
         assert op.entries[2][2] == -T.one
@@ -308,7 +308,7 @@ class TestMetricResidualReporting:
         # the KN connection is generally not metric; the residual is data,
         # not an assertion
         fam = build_family("g1")
-        res = metric_compatibility_residual(kobayashi_nomizu(fam), fam)
+        res = metric_compatibility_residual(kobayashi_nomizu(fam))
         assert any(
             not res[i][j][k].is_zero for i in range(3) for j in range(3) for k in range(3)
         )
@@ -316,7 +316,7 @@ class TestMetricResidualReporting:
     def test_kn_residual_golden_for_g1(self):
         # frozen from an independent hand computation of nabla1 on g1
         fam = build_family("g1")
-        res = metric_compatibility_residual(kobayashi_nomizu(fam), fam)
+        res = metric_compatibility_residual(kobayashi_nomizu(fam))
         nonzero = {
             (i, j, k): str(res[i][j][k])
             for i in range(3)

@@ -8,14 +8,14 @@ from fractions import Fraction
 import pytest
 
 from lieschouten import algebras, catalog, geometry, soliton
-from lieschouten.algebras import LORENTZIAN, MetricSignature, build_family, custom_family, sample_scaled
+from lieschouten.algebras import build_family, custom_family, sample_scaled
 from lieschouten.catalog import load_catalog, verify_all
 from lieschouten.geometry import connection, curvature, ricci_pipeline
 from lieschouten.soliton import SolitonSystem, scan, solve_for_c, soliton_system, verify_case
 
 
 RECORD_NAMES = (
-    "MetricSignature", "StructureConstants", "LieAlgebraFamily",
+    "StructureConstants", "LieAlgebraFamily",
     "ConnectionCoefficients", "CurvatureTensor", "BilinearForm", "OperatorMatrix",
     "CSolution", "ScanReport", "TheoremCase", "VerificationReport",
     "MatrixFixture", "ScalarFixture", "Catalog", "VerifyRecord", "VerifySummary",
@@ -33,7 +33,6 @@ def records() -> dict:
     cat = load_catalog()
     summary = verify_all(only="3.3.7", scan_count=20, catalog=cat)
     return {
-        "MetricSignature": LORENTZIAN,
         "StructureConstants": fam.structure,
         "LieAlgebraFamily": fam,
         "ConnectionCoefficients": conn,
@@ -87,10 +86,3 @@ def test_equal_custom_families_share_memo_keys():
     assert first is not second
     assert first == second and hash(first) == hash(second)
     assert soliton_system(first, "lc") is soliton_system(second, "lc")
-
-
-@pytest.mark.parametrize("eps", [(1, 2, -1), (0, 1, -1), (1, 1, -2)])
-def test_metric_signature_rejects_entries_other_than_plus_minus_one(eps):
-    with pytest.raises(ValueError, match="must be"):
-        MetricSignature(eps)
-    assert MetricSignature() == LORENTZIAN == MetricSignature(eps=(1, 1, -1))
