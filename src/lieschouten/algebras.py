@@ -199,25 +199,31 @@ def custom_family(text: str) -> LieAlgebraFamily:
         constraints = expr; expr; ...     polynomials required to vanish
         nonvanishing = expr; expr; ...    polynomials required to be nonzero
 
-    Missing bracket keys default to zero.  The names lambda0 and c are
+    Missing bracket keys default to zero, and a key given twice raises
+    ValueError naming it and both lines.  The names lambda0 and c are
     reserved for the soliton unknowns: a value that uses one raises
     ValueError naming its key.  The Jacobi identity is not enforced; use
     `jacobi_residuals` to inspect it.
     """
     entries: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"line {lineno}: {key} is given again, first on line {first_line[key]}")
+        first_line[key] = lineno
+        entries[key] = value
 
     def parse(key: str, part: str) -> Polynomial:
         q = parse_polynomial(part)
+        used = q.variables()
         for name in ("lambda0", "c"):
-            if name in q.variables():
+            if name in used:
                 raise ValueError(f"{key}: {name} is reserved for the soliton unknowns")
         return q
 

@@ -83,6 +83,9 @@ class OperatorMatrix(NamedTuple):
     entries: Matrix3
 
 
+_HALF = {1: Fraction(1, 2), -1: Fraction(-1, 2)}  # eps / 2 by eps
+
+
 def levi_civita(fam: LieAlgebraFamily) -> ConnectionCoefficients:
     """Koszul-formula Levi-Civita connection of the Lorentzian metric.
 
@@ -98,8 +101,9 @@ def levi_civita(fam: LieAlgebraFamily) -> ConnectionCoefficients:
             for k in range(3):
                 acc = fam.table.zero
                 for sign, q in ((eps[k], c[i][j][k]), (-eps[i], c[j][k][i]), (eps[j], c[k][i][j])):
-                    acc = acc + q if sign > 0 else acc - q
-                gamma[i][j][k] = acc if acc.is_zero else acc * Fraction(eps[k], 2)
+                    if not q.is_zero:
+                        acc = acc + q if sign > 0 else acc - q
+                gamma[i][j][k] = acc if acc.is_zero else acc * _HALF[eps[k]]
     return ConnectionCoefficients(LEVI_CIVITA, _freeze3([_freeze3(g) for g in gamma]))
 
 
@@ -239,12 +243,13 @@ def ricci_form(conn: ConnectionCoefficients, fam: LieAlgebraFamily) -> BilinearF
 
 
 def symmetrize(form: BilinearForm) -> BilinearForm:
-    """(form(e_i, e_j) + form(e_j, e_i)) / 2, each unordered pair once."""
-    half = Fraction(1, 2)
+    """(form(e_i, e_j) + form(e_j, e_i)) / 2, each unordered pair i < j
+    once; a diagonal entry form(e_i, e_i) is returned as it is."""
+    half = _HALF[1]
     f = form.entries
-    rows = [[None] * 3 for _ in range(3)]
+    rows = [[f[i][i] if i == j else None for j in range(3)] for i in range(3)]
     for i in range(3):
-        for j in range(i, 3):
+        for j in range(i + 1, 3):
             rows[i][j] = rows[j][i] = (f[i][j] + f[j][i]) * half
     return BilinearForm(_freeze3(rows))
 
@@ -258,9 +263,13 @@ def ricci_operator(form: BilinearForm) -> OperatorMatrix:
 
 def scalar_curvature(form: BilinearForm) -> Polynomial:
     """Epsilon-weighted trace, the trace of the raised form:
-    form(e1,e1) + form(e2,e2) - form(e3,e3)."""
-    op = ricci_operator(form).entries
-    return op[0][0] + op[1][1] + op[2][2]
+    form(e1,e1) + form(e2,e2) - form(e3,e3), added or subtracted by the
+    sign of eps_i without raising an index."""
+    f = form.entries
+    s = f[0][0].table.zero
+    for i, eps in enumerate(LORENTZIAN_EPS):
+        s = s + f[i][i] if eps > 0 else s - f[i][i]
+    return s
 
 
 def schouten_form(form: BilinearForm, s: Polynomial, lambda0: Polynomial) -> BilinearForm:
@@ -307,7 +316,8 @@ def ricci_pipeline(fam: LieAlgebraFamily, kind: str):
 
     The Levi-Civita Ricci form is already symmetric; for the other two
     connections the raw form is symmetrized before the operator is built.
-    Built once per (family, kind) value, like `connection`.
+    The scalar is the eps-weighted trace of the form, which raises no index
+    a second time.  Built once per (family, kind) value, like `connection`.
     """
     conn = connection(fam, kind)
     rho = ricci_form(conn, fam)

@@ -22,9 +22,14 @@ The storage is normalised (no zero numerator, gcd(_den, *_num) == 1, and
 zero is ({}, 1)), so two polynomials are equal exactly when their
 (denominator, numerators) pairs are.  Only ``Polynomial(table, terms)``
 checks its input: the monomial lengths, the exponents (ints in range) and
-zero coefficients.  The ring operations form no Fraction: ``+`` and ``-``
-merge numerators over the lcm of the denominators, deleting a key the
-moment it cancels, ``*`` convolves them over the product of the
+zero coefficients.  Every other result is wrapped by ``Polynomial._make``,
+which takes the object from ``object.__new__`` and writes its slots through
+the slots' member descriptors, bound once at module level (``_set_num``
+and the like): ``__setattr__`` and ``__delattr__`` raise for every name,
+so the class stays immutable, and a construction costs no
+``object.__setattr__`` call.  The ring operations form no Fraction: ``+``
+and ``-`` merge numerators over the lcm of the denominators, deleting a key
+the moment it cancels, ``*`` convolves them over the product of the
 denominators, and each result is divided once by its one common gcd.
 ``sum_of_products`` folds a signed sum of products, the shape of every
 curvature component, Ricci entry and soliton residual, into one such
@@ -202,9 +207,9 @@ class Polynomial:
 
     def __init__(self, table: VariableTable, terms: Mapping[Monomial, Scalar]):
         num, den = _over_lcm({table._pack(m): Fraction(c) for m, c in terms.items()})
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        _set_table(self, table)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
     def _make(cls, table: VariableTable, num: dict[int, int], den: int) -> "Polynomial":
@@ -214,14 +219,16 @@ class Polynomial:
             if g != 1:
                 num = {m: n // g for m, n in num.items()}
                 den //= g
-        self = object.__new__(cls)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        self = _new(cls)
+        _set_table(self, table)
+        _set_num(self, num)
+        _set_den(self, den)
         return self
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
@@ -336,7 +343,7 @@ class Polynomial:
             value = hash(n if self._den == 1 else Fraction(n, self._den))
         else:
             value = hash((self.table, self._den, frozenset(self._num.items())))
-        object.__setattr__(self, "_hash", value)
+        _set_hash(self, value)
         return value
 
     # -- queries -----------------------------------------------------------
@@ -540,6 +547,15 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+# The slot setters, bound once: they write a slot straight through its
+# member descriptor, past `Polynomial.__setattr__`, which refuses every write.
+_new = object.__new__
+_set_table = Polynomial.table.__set__
+_set_num = Polynomial._num.__set__
+_set_den = Polynomial._den.__set__
+_set_hash = Polynomial._hash.__set__
 
 
 def sum_of_products(table: VariableTable, products: Iterable[tuple[int, Polynomial, Polynomial]]) -> Polynomial:

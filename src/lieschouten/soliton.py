@@ -123,14 +123,26 @@ class SolitonSystem:
 def _residual_products(
     d: OperatorMatrix, fam: LieAlgebraFamily, i: int, j: int, m: int
 ) -> list[tuple[int, Polynomial, Polynomial]]:
-    """The e_m component of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] as the nine
+    """The e_m component of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] as the
     signed products of sum_k (C_ij^k D_km - D_ik C_kj^m - D_jk C_ik^m), for
-    `sum_of_products`, which skips those with a zero factor."""
+    `sum_of_products`, which skips those with a zero factor.
+
+    Nine products where m is neither i nor j, seven where m is one of them:
+    at k = m = i the first and second products are C_ij^i D_ii and
+    -D_ii C_ij^i, and at k = m = j the first and third are C_ij^j D_jj and
+    -D_jj C_ij^j, the same two factors with opposite signs, so that pair
+    cancels for every D and is not listed.
+    """
     c = fam.structure.c
     rows = d.entries
     out = []
     for k in range(3):
-        out += ((1, c[i][j][k], rows[k][m]), (-1, rows[i][k], c[k][j][m]), (-1, rows[j][k], c[i][k][m]))
+        if k == m == i:
+            out.append((-1, rows[j][k], c[i][k][m]))
+        elif k == m == j:
+            out.append((-1, rows[i][k], c[k][j][m]))
+        else:
+            out += ((1, c[i][j][k], rows[k][m]), (-1, rows[i][k], c[k][j][m]), (-1, rows[j][k], c[i][k][m]))
     return out
 
 
@@ -139,7 +151,9 @@ def derivation_residuals(d: OperatorMatrix, fam: LieAlgebraFamily) -> list[Polyn
 
     Returns nine polynomials in the fixed order pair (1,2), (1,3), (2,3),
     coordinates e1, e2, e3 within each pair, each one `sum_of_products`
-    over its nine products.
+    over the products `_residual_products` lists: nine, or seven on the
+    coordinates e_i and e_j of the pair (e_i, e_j), where one pair of
+    products cancels for every D.
     """
     table = fam.table
     return [sum_of_products(table, _residual_products(d, fam, i, j, m)) for (i, j) in PAIRS for m in range(3)]

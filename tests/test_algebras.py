@@ -562,6 +562,18 @@ class TestCustomFiles:
         with pytest.raises(ValueError, match=f"^{key}: {name} is reserved for the soliton unknowns$"):
             custom_family(text)
 
+    @pytest.mark.parametrize("key", ["bracket.12", "constraints", "nonvanishing"])
+    def test_a_repeated_key_is_rejected_not_overwritten(self, key):
+        text = f"# comment\n{key} = alpha\n\nbracket.23 = 1, 0, 0\n  {key}  =  beta  # again\n"
+        if key.startswith("bracket"):
+            text = text.replace("= alpha", "= 0, 0, alpha").replace("=  beta", "=  0, 0, beta")
+        with pytest.raises(ValueError, match=f"^line 5: {key} is given again, first on line 2$"):
+            custom_family(text)
+
+    def test_repeated_file_is_rejected(self):
+        with pytest.raises(ValueError, match="^line 4: bracket.12 is given again, first on line 2$"):
+            custom_family((DATA / "repeated.alg").read_text(encoding="utf-8"))
+
     def test_reserved_file_is_rejected(self):
         with pytest.raises(ValueError, match="^bracket.12: c is reserved"):
             custom_family((DATA / "reserved.alg").read_text(encoding="utf-8"))

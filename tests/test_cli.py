@@ -75,6 +75,12 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "data error: invalid custom algebra file: bracket.12: c is reserved for the soliton unknowns\n"
 
+    @pytest.mark.parametrize("command", ["system", "scan"])
+    def test_data_error_repeated_key_in_custom_file(self, capsys, command):
+        code, out, err = run(capsys, command, "--family", f"custom:{DATA / 'repeated.alg'}", "--format", "machine")
+        assert (code, out) == (3, "")
+        assert err == "data error: invalid custom algebra file: line 4: bracket.12 is given again, first on line 2\n"
+
     def test_nonpositive_tolerance_rejected(self, capsys):
         # every decision is exact, so --tolerance is no option at all, whatever its value
         for command in (("scan", "--family", "g1", "--kind", "lc"), ("verify", "--only", "4.11.2")):

@@ -141,6 +141,50 @@ class TestConstructor:
             high.reduce_by_relation(relation, pivot=p("c^2").leading_monomial())
 
 
+# One polynomial, 3/2*alpha*beta^2 - 1, built by each way there is: the
+# public constructor, a ring result and `sum_of_products` (both through
+# `Polynomial._make`) and the parser.
+_ALPHA_BETA2 = (1, 2) + (0,) * (len(T) - 2)
+_BUILT = {
+    "constructor": lambda: Polynomial(T, {_ALPHA_BETA2: Fraction(3, 2), (0,) * len(T): -1}),
+    "ring": lambda: p("alpha") * p("3/2*beta^2") - 1,
+    "parser": lambda: p("3/2*alpha*beta^2 - 1"),
+    "sum_of_products": lambda: sum_of_products(T, [(1, p("3*alpha"), p("1/2*beta^2")), (-1, T.one, T.one)]),
+}
+
+
+class TestImmutable:
+    @pytest.mark.parametrize("name", ["table", "_num", "_den", "_hash", "extra"])
+    @pytest.mark.parametrize("how", list(_BUILT))
+    def test_no_slot_or_new_attribute_can_be_set_or_deleted(self, how, name):
+        q = _BUILT[how]()
+        storage = (q.table, q._den, dict(q._num))
+        for value in (None, T, {}, 2):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(q, name, value)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(q, name)
+        hash(q)  # fills _hash, the one slot written after construction
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(q, name, None)
+        assert (q.table, q._den, q._num) == storage
+
+    @pytest.mark.parametrize("how", list(_BUILT))
+    def test_every_way_builds_the_constructors_value(self, how):
+        q, public = _BUILT[how](), _BUILT["constructor"]()
+        assert type(q) is Polynomial and not hasattr(q, "__dict__")
+        assert q == public and hash(q) == hash(public)
+        assert (q.table, q._den, q._num) == (T, 2, {public.table._pack(_ALPHA_BETA2): 3, 0: -2})
+
+    def test_make_equals_the_constructor_on_the_same_terms(self):
+        for text in ("0", "7", "-1/3", "3/2*alpha*beta^2 - 1", "1/6*alpha^2 - 1/4*beta + 1/10*c"):
+            q = p(text)
+            made = Polynomial._make(T, dict(q._num), q._den)
+            public = Polynomial(T, q.terms)
+            assert made == public and hash(made) == hash(public)
+            assert (made._den, made._num) == (public._den, public._num)
+
+
 class TestHash:
     # equal objects must hash alike, so a constant and its scalar value are
     # interchangeable as set members and dict keys

@@ -27,7 +27,7 @@ from lieschouten.algebras import (
     sample_scaled,
 )
 from lieschouten.catalog import Catalog, load_catalog, verify_all
-from lieschouten.geometry import CONNECTION_KINDS, OperatorMatrix, connection, ricci_pipeline
+from lieschouten.geometry import CONNECTION_KINDS, OperatorMatrix, connection, ricci_pipeline, scalar_curvature
 from lieschouten.poly import (
     DEFAULT_TABLE,
     Polynomial,
@@ -162,6 +162,8 @@ def test_derivation_residuals_match_the_term_by_term_reference(fam, entries):
 
 
 _GENERATED = generated_families(seed=7, count=6)
+_FAMILIES = all_family_branches() + _GENERATED
+_FAMILY_IDS = [f.describe() for f in all_family_branches()] + [f"custom{k}" for k in range(len(_GENERATED))]
 
 
 class TestSystems:
@@ -185,6 +187,28 @@ class TestSystems:
         # no fused sum on this side: every product of the candidate is formed
         expected = reference_derivation_residuals(derivation_candidate(fam, kind), fam)
         assert list(soliton_system(fam, kind).residuals) == expected
+
+    @pytest.mark.parametrize("fam", _FAMILIES, ids=_FAMILY_IDS)
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    def test_no_listed_pair_of_products_cancels_by_construction(self, fam, kind):
+        # the pairs that cancel for every operator are not listed: nine
+        # products on [e_i,e_j].e_m for m outside {i, j}, seven inside it,
+        # and no two of opposite sign share both factor objects
+        op = ricci_pipeline(fam, kind)[1]
+        for i, j in soliton.PAIRS:
+            for m in range(3):
+                products = soliton._residual_products(op, fam, i, j, m)
+                assert len(products) == (7 if m in (i, j) else 9)
+                live = [(sign, {id(a), id(b)}) for sign, a, b in products if not (a.is_zero or b.is_zero)]
+                for (s1, f1), (s2, f2) in itertools.combinations(live, 2):
+                    assert s1 == s2 or f1 != f2, (i, j, m)
+
+    @pytest.mark.parametrize("fam", _FAMILIES, ids=_FAMILY_IDS)
+    @pytest.mark.parametrize("kind", CONNECTION_KINDS)
+    def test_pipeline_scalar_is_the_trace_of_its_operator(self, fam, kind):
+        # the scalar is taken from the form without raising an index again
+        form, op, s = ricci_pipeline(fam, kind)
+        assert s == scalar_curvature(form) == op.entries[0][0] + op.entries[1][1] + op.entries[2][2]
 
     @pytest.mark.parametrize("fam", all_family_branches(), ids=lambda f: f.describe())
     @pytest.mark.parametrize("kind", CONNECTION_KINDS)
