@@ -435,8 +435,8 @@ def _scalar_check(fixture: ScalarFixture) -> tuple[str, str, str]:
     return "fail", "exact", "; ".join(details)
 
 
-def _case_check(case: TheoremCase, seed: int, sample_count: int) -> tuple[str, str, str]:
-    report = verify_case(case, seed=seed, sample_count=sample_count)
+def _case_check(case: TheoremCase, seed: int) -> tuple[str, str, str]:
+    report = verify_case(case, seed=seed)
     if case.empty:
         return ("pass" if report.ok else "fail"), report.method, report.detail
     detail = f"stated: {report.method}"
@@ -513,7 +513,7 @@ class _Entry(NamedTuple):
     check: Callable[[], tuple[str, str, str]]
 
 
-def _plan(catalog: Catalog, seed: int, sample_count: int, scan_count: int) -> list[_Entry]:
+def _plan(catalog: Catalog, seed: int, scan_count: int) -> list[_Entry]:
     """Every record of a full run, in the run's order: the structural,
     matrix, scalar, case, control, witness and scan sections, each in
     catalogue order.  Each entry names the one family whose branches its
@@ -535,7 +535,7 @@ def _plan(catalog: Catalog, seed: int, sample_count: int, scan_count: int) -> li
     for s in catalog.scalars:
         add("scalar", s.label, s.family_id, (s.label, s.family_id, "scalar"), _scalar_check, s)
     for section, check, *args in (
-        ("case", _case_check, seed, sample_count),
+        ("case", _case_check, seed),
         ("control", _control_check),
         ("witness", _witness_check),
     ):
@@ -642,7 +642,6 @@ def _run_jobs(jobs: Sequence[Callable[[], list]], fork: bool) -> list[list]:
 def verify_all(
     seed: int = 0,
     scan_count: int = 500,
-    sample_count: int = 120,
     only: Optional[str] = None,
     catalog: Optional[Catalog] = None,
 ) -> VerifySummary:
@@ -662,7 +661,7 @@ def verify_all(
     """
     if catalog is None:
         catalog = load_catalog()
-    plan = _plan(catalog, seed, sample_count, scan_count)
+    plan = _plan(catalog, seed, scan_count)
     plan = [entry for entry in plan if only is None or only in entry.selectors]
     families = list(dict.fromkeys(entry.family for entry in plan))
     jobs = [functools.partial(_records, [e for e in plan if e.family == fid]) for fid in families]

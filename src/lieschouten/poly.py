@@ -128,6 +128,8 @@ class VariableTable:
     def __setattr__(self, *_):
         raise AttributeError("VariableTable is immutable")
 
+    __delattr__ = __setattr__
+
     def __len__(self) -> int:
         return len(self.names)
 
@@ -434,14 +436,20 @@ class Polynomial:
     def reduce_square(self, var: str, rhs: "Polynomial") -> "Polynomial":
         """Rewrite var^2 -> rhs until the degree in `var` is at most 1.
 
-        `rhs` must not involve `var`.  The result is congruent to the input
+        `rhs` must not involve `var`, so the rewrite is confluent: grouped by
+        e div 2 as `substitute` groups by e, each term's var^e becomes
+        var^(e mod 2)*rhs^(e div 2).  The result is congruent to the input
         modulo the ideal generated by var^2 - rhs.
         """
         rhs = self._coerce(rhs)
         if rhs.degree_in(var) > 0:
             raise PolynomialError(f"reduction rhs must not contain {var!r}")
-        square = self.table.var(var) ** 2
-        return self.reduce_by_relation(square - rhs, pivot=square.leading_monomial())
+        s = self.table._shifts[self.table.index(var)]
+        halves: dict[int, dict[int, int]] = {}
+        for m, n in self._num.items():
+            k = (m >> s & _MASK) // 2
+            halves.setdefault(k, {})[m - k * (2 << s | 2 << self.table._top)] = n
+        return sum((Polynomial._make(self.table, num, self._den) * rhs**k for k, num in halves.items()), self.table.zero)
 
     def leading_monomial(self) -> Monomial:
         """Graded-lex largest monomial; error on the zero polynomial."""
@@ -449,54 +457,36 @@ class Polynomial:
             raise PolynomialError("zero polynomial has no leading monomial")
         return self.table._unpack(max(self._num))
 
-    def reduce_by_relation(self, relation: "Polynomial", pivot: Monomial | None = None) -> "Polynomial":
-        """Remainder modulo one relation, eliminating one of its monomials.
-
-        Rewrites every monomial divisible by the pivot (the relation's
-        graded-lex leading monomial by default); the result differs from
-        the input by a multiple of the relation, and no surviving monomial
-        is divisible by the pivot.  Only the default pivot gives the unique
-        normal form, zero on every multiple of the relation; another pivot
-        must make each rewrite lower its variables, as var^2 does in
-        `reduce_square`.
-        """
-        relation = self._coerce(relation)
-        if relation.is_zero:
-            return self
-        lead = max(relation._num) if pivot is None else self.table._pack(pivot)
-        if lead not in relation._num:
-            raise PolynomialError("pivot is not a monomial of the relation")
-        return self._divide([(lead, relation)])
+    def reduce_by_relation(self, relation: "Polynomial") -> "Polynomial":
+        """Normal form modulo one relation, by its leading term: zero exactly
+        on the multiples of the relation; the input for the zero relation."""
+        return self.normal_form([self._coerce(relation)])
 
     def reduce_by_relations(self, relations: Iterable["Polynomial"]) -> "Polynomial":
         """Normal form modulo the ideal of `relations`: zero exactly on its members."""
         return self.normal_form(groebner_basis(self._coerce(r) for r in relations))
 
     def normal_form(self, basis: Sequence["Polynomial"]) -> "Polynomial":
-        """Remainder of division by `basis`; unique when it is a Groebner basis."""
-        return self._divide([(max(g._num), g) for g in basis if g._num])
-
-    def _divide(self, divisors: Sequence[tuple[int, "Polynomial"]]) -> "Polynomial":
-        """Multivariate division, largest term first: a term divisible by the
-        packed pivot of some (pivot, g) is cancelled by a multiple of the
-        first such g, any other term moves to the remainder, in Fractions.
-        A pivot below g's lead may raise the degree by their gap per step."""
-        guard, top = self.table._guard, self.table._top
-        den = self._den
-        out = {m: Fraction(n, den) for m, n in self._num.items()}
+        """Remainder of division by `basis`, by leading terms only (Cox, Little
+        and O'Shea, ch. 2 section 3); unique when `basis` is a Groebner basis.
+        Largest term first, in Fractions: a term that the lead of some nonzero
+        g divides is cancelled by a multiple of the first such g, and any other
+        term moves to the remainder, so no step raises the total degree."""
+        guard = self.table._guard
+        out = {m: Fraction(n, self._den) for m, n in self._num.items()}
         rem: dict[int, Fraction] = {}
-        divisor_terms = []
-        for pivot, g in divisors:
-            terms = {m: Fraction(n, g._den) for m, n in g._num.items()}
-            divisor_terms.append((pivot, (max(g._num) >> top) - (pivot >> top), terms[pivot], terms.items()))
+        divisors = []
+        for g in basis:
+            if g._num:
+                terms = {m: Fraction(n, g._den) for m, n in g._num.items()}
+                lead = max(terms)
+                divisors.append((lead, terms[lead], terms.items()))
         while out:
             m = max(out)
-            for pivot, growth, at_pivot, terms in divisor_terms:
-                if (m + guard - pivot) & guard == guard:
-                    if growth and (m >> top) + growth >= _LIMIT:
-                        raise PolynomialError(f"division beyond total degree {_LIMIT - 1}")
-                    shift = m - pivot
-                    factor = out[m] / at_pivot
+            for lead, at_lead, terms in divisors:
+                if (m + guard - lead) & guard == guard:
+                    shift = m - lead
+                    factor = out[m] / at_lead
                     for gm, gc in terms:
                         key = shift + gm
                         out[key] = out.get(key, 0) - factor * gc

@@ -23,7 +23,7 @@ the case locus.  Verification climbs an evidence ladder:
     exact      residuals are zero polynomials after the substitutions,
     reduced    every residual lies in the ideal of the substituted family
                constraints and the case's relations var^2 - rhs,
-    sampled    zero at >= 100 seeded points on the case locus,
+    sampled    zero at LADDER_SAMPLES (120) seeded points on the case locus,
     unsampled  the locus sampler gave up before enough points were drawn,
     failed     a counterexample point is recorded.
 
@@ -464,6 +464,9 @@ class VerificationReport(NamedTuple):
 
 _METHOD_ORDER = {"exact": 0, "reduced": 1, "sampled": 2, "unsampled": 3, "failed": 4}
 
+# Points the sampled rung checks on a case's locus, per branch and data set.
+LADDER_SAMPLES = 120
+
 
 def _report(case: TheoremCase, method: str, ok: bool, **rest) -> VerificationReport:
     """A report on `case`, with its label, family, kind and suspect flag."""
@@ -622,7 +625,7 @@ def _verify_single(
     return "sampled", None, ""
 
 
-def verify_case(case: TheoremCase, seed: int = 0, sample_count: int = 120) -> VerificationReport:
+def verify_case(case: TheoremCase, seed: int = 0, sample_count: int = LADDER_SAMPLES) -> VerificationReport:
     """Verify a claimed case against the generated soliton system.
 
     For g4 both eta branches are verified; the weaker outcome is reported.

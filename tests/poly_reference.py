@@ -129,18 +129,15 @@ class ReferencePolynomial:
         return max(self._num, key=_grlex)
 
     def normal_form(self, basis):
-        return self._divide([(g.leading_monomial(), g) for g in basis if g._num])
-
-    def _divide(self, divisors):
         out = self.terms
         rem = {}
-        divisor_terms = [(pivot, g.terms) for pivot, g in divisors]
+        divisor_terms = [(g.leading_monomial(), g.terms) for g in basis if g._num]
         while out:
             m = max(out, key=_grlex)
-            for pivot, g in divisor_terms:
-                if _divides(pivot, m):
-                    shift = tuple(e - pe for e, pe in zip(m, pivot))
-                    factor = out[m] / g[pivot]
+            for lead, g in divisor_terms:
+                if _divides(lead, m):
+                    shift = tuple(e - le for e, le in zip(m, lead))
+                    factor = out[m] / g[lead]
                     for gm, gc in g.items():
                         key = tuple(a + b for a, b in zip(shift, gm))
                         out[key] = out.get(key, 0) - factor * gc

@@ -60,7 +60,7 @@ def test_criterion_1_matrix_fidelity(catalog):
     from lieschouten.catalog import _plan, _records
 
     start = time.monotonic()
-    plan = _plan(catalog, SEED, 120, SCAN_COUNT)
+    plan = _plan(catalog, SEED, SCAN_COUNT)
     recs = _records([entry for entry in plan if entry.section == "matrix"])
     elapsed = time.monotonic() - start
     bad = [r.label for r in recs if r.status != "pass"]

@@ -132,13 +132,12 @@ class TestConstructor:
         assert top * 3 - top == 2 * top
 
     def test_degree_bound_in_division_below_the_lead(self):
-        # the pivot c^2 sits below the lead beta^3 of the relation, so each
-        # rewrite of c^2 raises the degree by one until it passes the bound
+        # c^2 -> beta^3 raises the degree by one per rewrite, so
+        # c^(BOUND - 2) becomes beta^(3*(BOUND - 2)/2), past the bound
         high = T.var("c") ** (BOUND - 2)
-        relation = p("c^2 - beta^3")
         assert p("c^3").reduce_square("c", p("beta^3")) == p("beta^3*c")
         with pytest.raises(PolynomialError):
-            high.reduce_by_relation(relation, pivot=p("c^2").leading_monomial())
+            high.reduce_square("c", p("beta^3"))
 
 
 # One polynomial, 3/2*alpha*beta^2 - 1, built by each way there is: the
@@ -168,6 +167,19 @@ class TestImmutable:
         with pytest.raises(AttributeError, match="immutable"):
             setattr(q, name, None)
         assert (q.table, q._den, q._num) == storage
+
+    @pytest.mark.parametrize("name", ["names", "_index", "_shifts", "_top", "_guard", "_text", "extra"])
+    def test_no_variable_table_attribute_can_be_set_or_deleted(self, name):
+        # the default table is shared by every family, so one deleted slot
+        # would break each later lookup in the process
+        for table in (VariableTable(("x", "y")), DEFAULT_TABLE):
+            storage = (table.names, dict(table._index), table._shifts, table._top, table._guard)
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(table, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(table, name)
+            assert (table.names, table._index, table._shifts, table._top, table._guard) == storage
+            assert table.index(table.names[-1]) == len(table) - 1
 
     @pytest.mark.parametrize("how", list(_BUILT))
     def test_every_way_builds_the_constructors_value(self, how):
@@ -307,16 +319,11 @@ class TestReduceByRelation:
     def test_no_surviving_monomial_is_divisible_by_the_pivot(self):
         rel = p("alpha*gamma - beta*delta")
         q = p("alpha^2*gamma^2 + beta^2*delta^2*gamma + alpha*gamma*delta - 3")
-        for pivot in rel.terms:  # both orientations of the two-term relation
-            r = q.reduce_by_relation(rel, pivot=pivot)
-            assert not any(_divisible(m, pivot) for m in r.terms)
-            # the difference is a multiple of the relation
-            assert (q - r).reduce_by_relation(rel).is_zero
-
-    def test_pivot_outside_the_relation_raises(self):
-        alpha_squared = p("alpha^2").leading_monomial()
-        with pytest.raises(PolynomialError):
-            p("alpha^3").reduce_by_relation(p("alpha*beta - 1"), pivot=alpha_squared)
+        pivot = rel.leading_monomial()
+        r = q.reduce_by_relation(rel)
+        assert not any(_divisible(m, pivot) for m in r.terms)
+        # the difference is a multiple of the relation
+        assert (q - r).reduce_by_relation(rel).is_zero
 
     def test_zero_relation_leaves_the_input(self):
         q = p("alpha*beta - 1")

@@ -39,6 +39,7 @@ from lieschouten.poly import (
 )
 from lieschouten.soliton import (
     DEFAULT_LAMBDA0_GRID,
+    LADDER_SAMPLES,
     CSolution,
     SolitonSystem,
     TheoremCase,
@@ -817,10 +818,10 @@ class TestUnsampled:
 
     def test_nonsuspect_unsampled_case_is_a_fail_record(self):
         catalog = Catalog(matrices=(), scalars=(), cases=(self.CASE,))
-        summary = verify_all(catalog=catalog, only="case", sample_count=4)
+        summary = verify_all(catalog=catalog, only="case")
         [record] = summary.records
         assert (record.status, record.method) == ("fail", "unsampled")
-        assert "200 rejected" in record.detail
+        assert f"{50 * LADDER_SAMPLES} rejected, 0 of {LADDER_SAMPLES} samples checked" in record.detail
 
 
 class TestReduceLadder:
@@ -1480,7 +1481,7 @@ def test_scan_record_names_the_first_three_cells_outside_the_classification():
         witness=(("alpha", Fraction(1)), ("beta", Fraction(0))),
     )
     catalog = Catalog(matrices=(), scalars=(), cases=(wrong,))
-    summary = verify_all(catalog=catalog, only="g1-lc", scan_count=60, sample_count=4)
+    summary = verify_all(catalog=catalog, only="g1-lc", scan_count=60)
     [record] = [r for r in summary.records if r.section == "scan"]
     fam = build_family("g1")
     report = scan(fam, "lc", seed=0, count=60)
